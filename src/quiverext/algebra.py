@@ -12,7 +12,9 @@ to combinations of the non-pivot monomials, which form the basis of the
 algebra.  All arithmetic is exact (Q or F_p).
 """
 
-from .fields import scalar_to_json
+from fractions import Fraction
+
+from .fields import GFElement, scalar_to_json
 from .linalg import Matrix
 from .quiver import arrow_path, compose, vertex_path
 
@@ -124,6 +126,24 @@ class AlgebraPresentation:
     def mixed_length_relations(self):
         """True when some uniform relation piece mixes path lengths."""
         return any(len({p.length for _, p in r.terms}) > 1 for r in self.uniform_relations)
+
+    def with_field(self, field):
+        """The same presentation over another field.  A rational coefficient
+        a/b maps to a * b^-1 in F_p (so 1/3 becomes 2 in F5); an F_q
+        coefficient keeps its representative in [0, q)."""
+        p = field.characteristic
+        rels = []
+        for idx, terms in enumerate(self.relations):
+            mapped = []
+            for c, path in terms:
+                if isinstance(c, Fraction) and p and c.denominator % p == 0:
+                    raise PresentationError(
+                        "relation %d: coefficient %s of term %s has no value in %s"
+                        % (idx + 1, c, "*".join(path.arrows), field.name))
+                mapped.append((c.v if isinstance(c, GFElement) else c, path.arrows))
+            rels.append(mapped)
+        return AlgebraPresentation(self.quiver, self.group_rank, self.weights, field,
+                                   rels, self.truncation, f_vertices=self.f_vertices)
 
     def opposite(self):
         """Arrows reversed, relation paths reversed, weights preserved."""

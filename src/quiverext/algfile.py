@@ -185,6 +185,9 @@ def _parse_relation(tokens, lineno, field, quiver):
                 if field is not QQ:
                     raise AlgebraFileError(
                         "fraction coefficients are only allowed over Q", lineno)
+                if int(text.split("/")[1]) == 0:
+                    raise AlgebraFileError("zero denominator in coefficient %s" % text,
+                                           lineno)
                 coeff = Fraction(text)
             else:
                 coeff = field.of(int(text))

@@ -71,13 +71,7 @@ def _parser():
 def _load(args):
     pres = parse_algebra_file(args.input)
     if args.field:
-        from .algebra import AlgebraPresentation
-        field = field_from_name(args.field)
-        rels = [[(scalar_to_json(c), tuple(p.arrows)) for c, p in terms]
-                for terms in pres.relations]
-        pres = AlgebraPresentation(pres.quiver, pres.group_rank, pres.weights,
-                                   field, rels, pres.truncation,
-                                   f_vertices=pres.f_vertices)
+        pres = pres.with_field(field_from_name(args.field))
     return build_engine(pres)
 
 
@@ -266,7 +260,7 @@ def main(argv=None):
             sys.stderr.write("hypotheses unmet: %s\n" % reasons)
         _emit(report, args)
     except (AlgebraFileError, PresentationError, AdmissibilityError,
-            FileNotFoundError, ValueError) as exc:
+            FileNotFoundError, ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     return status

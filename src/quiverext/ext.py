@@ -14,7 +14,7 @@ import math
 from .linalg import Matrix, Subspace
 from .modules import (Projective, hom_space, kernel_subrep,
                       projective_cover, simple_module)
-from .quiver import wadd, wzero
+from .quiver import wadd, wsub, wzero
 from .resolution import MinimalResolution
 
 
@@ -125,27 +125,34 @@ def _solve_generator_lift(proj, target_proj, lhs_map, rhs_vectors, grade):
 
     rhs_vectors[idx] is the required value of (lhs_map o phi) on generator
     idx, living at the generator's vertex.  Unknowns are the generator
-    images, solved per generator on the matching degree slice with the
-    first-solution pivot rule.
+    images.  The generators of one (vertex, degree g) share one system: the
+    columns of lhs_map on the target slice of degree g - grade, on the rows
+    of their image degree, solved for all their right-hand sides at once
+    with the first-solution pivot rule.
     """
     engine = proj.engine
     field = engine.field
-    images = []
-    for idx, (gv, gdeg) in enumerate(proj.summands):
-        v, _ = proj.gen_pos[idx]
-        gen_degree = proj.rep.degrees[v][proj.gen_pos[idx][1]]
-        want = rhs_vectors[idx]
-        slice_idx = target_proj.rep.degree_slice(v, tuple(
-            a - b for a, b in zip(gen_degree, grade)))
+    groups = {}
+    for idx, (v, i) in enumerate(proj.gen_pos):
+        groups.setdefault((v, proj.rep.degrees[v][i]), []).append(idx)
+    images = [None] * len(proj.summands)
+    for (v, gen_degree), members in groups.items():
+        col_degree = wsub(gen_degree, grade)
+        row_degree = wsub(col_degree, lhs_map.grade)
+        cols = target_proj.rep.degree_slice(v, col_degree)
         block = lhs_map.blocks[v]
-        sub = Matrix.from_columns(field, [block.col(j) for j in slice_idx], block.nrows)
-        sol = sub.solve(want)
+        lhs = lhs_map.target.slice_matrix(v, row_degree, [block.col(j) for j in cols])
+        if lhs is None:
+            raise ValueError("map is not homogeneous at %s" % (v,))
+        rhs = lhs_map.target.slice_matrix(v, row_degree, [rhs_vectors[idx] for idx in members])
+        sol = None if rhs is None else lhs.solve(rhs)
         if sol is None:
             raise AssertionError("lifting system is inconsistent")
-        full = [field.zero] * target_proj.rep.dim(v)
-        for j, val in zip(slice_idx, sol):
-            full[j] = val
-        images.append((v, full))
+        for c, idx in enumerate(members):
+            full = [field.zero] * target_proj.rep.dim(v)
+            for r, j in enumerate(cols):
+                full[j] = sol.rows[r][c]
+            images[idx] = (v, full)
     return proj.map_from_generator_images(target_proj.rep, images, grade=grade)
 
 

@@ -1,9 +1,12 @@
 """Exact dense linear algebra over Q or F_p.
 
-Small matrices only; everything here is O(n^3) Gaussian elimination with
-exact field arithmetic.  Reduced row echelon form is the single primitive;
-rank, kernels and solving are derived from it.  Zero-dimensional shapes
-(0 x n, m x 0) are legal throughout.
+Reduced row echelon form is the single primitive; rank, kernels and solving
+are derived from it, with exact field arithmetic.  Elimination is O(n^3) in
+the matrix size, so callers keep matrices small: every map between graded
+modules is homogeneous, and the module code eliminates one (vertex, degree)
+slice at a time, with all right-hand sides of a slice in one solve.  `apply`
+reads only the nonzero entries of its vector.
+Zero-dimensional shapes (0 x n, m x 0) are legal throughout.
 """
 
 
@@ -87,14 +90,15 @@ class Matrix:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         z = self.field.zero
-        out = [z] * self.nrows
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            acc = z
-            for j, x in enumerate(vec):
-                if x:
-                    acc = acc + ri[j] * x
-            out[i] = acc
+        support = [(j, x) for j, x in enumerate(vec) if x]
+        out = []
+        for ri in self.rows:
+            acc = None
+            for j, x in support:
+                a = ri[j]
+                if a:
+                    acc = a * x if acc is None else acc + a * x
+            out.append(z if acc is None else acc)
         return out
 
     def __add__(self, other):

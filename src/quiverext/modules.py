@@ -9,6 +9,7 @@ annihilate every relation; both are asserted at construction.
 Everything is immutable after construction and safe to share.
 """
 
+import functools
 import random
 
 from .linalg import Matrix, Subspace
@@ -16,7 +17,15 @@ from .quiver import wadd, wneg, wsub, wzero
 
 
 class Representation:
-    """A graded left module, stored vertexwise with explicit ordered bases."""
+    """A graded left module, stored vertexwise with explicit ordered bases.
+
+    `degrees[v]` gives the degree of each basis slot at vertex v.  The slots
+    of one degree at one vertex form a slice; `slices[v]` maps every degree
+    at v to its slot indices (degrees in order of first appearance).  The
+    map is built on first use.  Module maps are homogeneous, so kernels,
+    lifts and subrepresentations eliminate one slice at a time through it
+    (`slice_matrix`).
+    """
 
     def __init__(self, engine, degrees, action, check=True):
         self.engine = engine
@@ -88,9 +97,33 @@ class Representation:
             m = self.action[name] @ m
         return m
 
+    @functools.cached_property
+    def slices(self):
+        """{vertex: {degree: slot indices}}.  Shared: callers must not mutate it."""
+        out = {}
+        for v, degs in self.degrees.items():
+            by_degree = out[v] = {}
+            for i, d in enumerate(degs):
+                by_degree.setdefault(d, []).append(i)
+        return out
+
     def degree_slice(self, v, g):
         """Indices of the slots at vertex v having degree g."""
-        return [i for i, d in enumerate(self.degrees[v]) if d == g]
+        return self.slices[v].get(g, [])
+
+    def slice_matrix(self, v, g, vectors):
+        """The matrix whose columns are the entries of the given vectors (at
+        vertex v) on the degree-g slice, or None when some vector has a
+        nonzero entry outside that slice."""
+        rows = self.slices[v].get(g, ())
+        if len(rows) < len(self.degrees[v]):
+            inside = set(rows)
+            for vec in vectors:
+                for i, x in enumerate(vec):
+                    if x and i not in inside:
+                        return None
+        return Matrix(self.engine.field, [[vec[i] for vec in vectors] for i in rows],
+                      ncols=len(vectors))
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
@@ -346,20 +379,13 @@ def top_lifts(rep):
     spans = radical_subspaces(rep)
     field = rep.engine.field
     lifts = []
-    for v in rep.engine.quiver.vertices:
-        degs = rep.degrees[v]
-        n = len(degs)
-        seen = []
-        for g in degs:
-            if g in seen:
-                continue
-            seen.append(g)
-            slice_idx = [i for i, d in enumerate(degs) if d == g]
+    for v, by_degree in rep.slices.items():
+        for g, slice_idx in by_degree.items():
             r = spans.get((v, g))
             pivots = set(r.pivot_of_row) if r else set()
             for i in slice_idx:
                 if i not in pivots:
-                    vec = [field.zero] * n
+                    vec = [field.zero] * rep.dim(v)
                     vec[i] = field.one
                     lifts.append((v, g, vec))
     return lifts
@@ -378,23 +404,25 @@ class Cover:
 
 
 def kernel_subrep(mmap):
-    """Graded kernel of a module map, with its induced action and inclusion."""
+    """Graded kernel of a module map, with its induced action and inclusion.
+
+    The map is homogeneous, so each source slice (v, g) is solved on its own:
+    its columns against the target rows of degree g - grade.  A nonzero
+    entry outside those rows raises ValueError.
+    """
     source = mmap.source
+    target = mmap.target
     engine = source.engine
     field = engine.field
     kernel_vectors = {v: [] for v in engine.quiver.vertices}
-    for v in engine.quiver.vertices:
-        degs = source.degrees[v]
+    for v, by_degree in source.slices.items():
         block = mmap.blocks[v]
-        seen = []
-        for g in degs:
-            if g in seen:
-                continue
-            seen.append(g)
-            cols = [j for j, d in enumerate(degs) if d == g]
-            sub = Matrix.from_columns(field, [block.col(j) for j in cols], block.nrows)
+        for g, cols in by_degree.items():
+            sub = target.slice_matrix(v, wsub(g, mmap.grade), [block.col(j) for j in cols])
+            if sub is None:
+                raise ValueError("map is not homogeneous at %s" % (v,))
             for kv in sub.nullspace():
-                full = [field.zero] * len(degs)
+                full = [field.zero] * source.dim(v)
                 for cj, val in zip(cols, kv):
                     full[cj] = val
                 kernel_vectors[v].append((g, full))
@@ -405,8 +433,11 @@ def _subrep_from_homogeneous(parent, vectors_by_vertex):
     """Build the subrepresentation on given homogeneous spanning vectors.
 
     vectors_by_vertex: {vertex: [(degree, vector), ...]}.  The span must be
-    closed under the action (true for kernels of module maps); coordinates
-    of arrow images are solved against the chosen basis.
+    closed under the action (true for kernels of module maps).  Arrow images
+    are solved against the chosen basis in one system per arrow a and
+    source degree g: the parent's slots of degree g + W(a) as rows, the
+    basis vectors of that degree as columns, and the images of all basis
+    vectors of degree g as right-hand sides.
     """
     engine = parent.engine
     field = engine.field
@@ -420,23 +451,39 @@ def _subrep_from_homogeneous(parent, vectors_by_vertex):
             if spans[key].add(vec):
                 basis[v].append((g, vec))
     degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
-    incl_blocks = {}
-    for v in engine.quiver.vertices:
-        cols = [vec for _, vec in basis[v]]
-        incl_blocks[v] = Matrix.from_columns(field, cols, parent.dim(v))
-    action = {}
+    incl_blocks = {v: Matrix(field, [[vec[i] for _, vec in basis[v]]
+                                     for i in range(parent.dim(v))], ncols=len(basis[v]))
+                   for v in engine.quiver.vertices}
+    sub = Representation(engine, degrees, {}, check=False)
+    # the basis vectors of each slice (v, g) on the parent's degree-g slots
+    on_slice = {}
+    for v, by_degree in sub.slices.items():
+        for g, idx in by_degree.items():
+            m = parent.slice_matrix(v, g, [basis[v][i][1] for i in idx])
+            if m is None:
+                raise ValueError("vector at %s is not homogeneous of degree %s"
+                                 % (v, list(g)))
+            on_slice[(v, g)] = m
     for a in engine.quiver.arrows:
-        src_cols = [vec for _, vec in basis[a.source]]
-        tgt_mat = incl_blocks[a.target]
-        cols = []
-        for vec in src_cols:
-            img = parent.action[a.name].apply(vec)
-            sol = tgt_mat.solve(img)
+        if not basis[a.source]:
+            continue
+        act = parent.action[a.name]
+        out = sub.action[a.name]
+        w = engine.pres.weights[a.name]
+        for g, cols in sub.slices[a.source].items():
+            h = wadd(g, w)
+            images = parent.slice_matrix(
+                a.target, h, [act.apply(basis[a.source][j][1]) for j in cols])
+            if images is None:
+                raise ValueError("span is not closed under the action")
+            lhs = on_slice.get((a.target, h)) or Matrix.zeros(field, images.nrows, 0)
+            sol = lhs.solve(images)
             if sol is None:
                 raise ValueError("span is not closed under the action")
-            cols.append(sol)
-        action[a.name] = Matrix.from_columns(field, cols, tgt_mat.ncols)
-    sub = Representation(engine, degrees, action, check=False)
+            for r, i in enumerate(sub.degree_slice(a.target, h)):
+                row = out.rows[i]
+                for c, j in enumerate(cols):
+                    row[j] = sol.rows[r][c]
     incl = ModuleMap(sub, parent, incl_blocks, check=False)
     return sub, incl
 
@@ -665,14 +712,8 @@ def module_iso_test(M, N, seed=0, trials=64):
 
 def random_homogeneous_vectors(rep, rng, count):
     """Random homogeneous vectors of rep, for property tests."""
-    slices = []
-    for v in rep.engine.quiver.vertices:
-        degs = rep.degrees[v]
-        seen = []
-        for g in degs:
-            if g not in seen:
-                seen.append(g)
-                slices.append((v, g, [i for i, d in enumerate(degs) if d == g]))
+    slices = [(v, g, idx) for v in rep.engine.quiver.vertices
+              for g, idx in rep.slices[v].items()]
     out = []
     if not slices:
         return out

@@ -1,6 +1,11 @@
 """Independent brute-force oracles, deliberately sharing no code with the
 package: plain dicts, full (unblocked) relation matrices, and a local
-fraction Gaussian elimination.  Used to freeze expected values."""
+Gaussian elimination.  Used to freeze expected values.
+
+The subrepresentation references read package modules as input but
+eliminate with the local code over whole vertex spaces: kernels over all
+rows of a degree's columns, and arrow actions by one solve per basis vector
+against every kept vector at the target vertex."""
 
 from fractions import Fraction
 
@@ -58,11 +63,13 @@ def path_of_word(word, names):
     return (tuple(word), src, tgt)
 
 
-def rank_fraction(rows, ncols):
-    """Row rank by plain Gaussian elimination over Fraction."""
+def rref_rows(rows, ncols):
+    """Reduced row echelon form by plain Gaussian elimination over any exact
+    field.  Returns (nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         pivot = None
         for i in range(rank, len(mat)):
             if mat[i][col] != 0:
@@ -77,8 +84,13 @@ def rank_fraction(rows, ncols):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def rank_fraction(rows, ncols):
+    """Row rank by plain Gaussian elimination."""
+    return len(rref_rows(rows, ncols)[1])
 
 
 def naive_dimension(text):
@@ -154,3 +166,116 @@ def naive_path_count_from(text, vertex):
                     if nonzero and any(row):
                         rows.append(row)
     return len(wanted) - rank_fraction(rows, len(all_paths))
+
+
+# -- dense subrepresentation references --------------------------------------
+
+def _matvec(field, rows, vec):
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, x in zip(row, vec):
+            acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def _solve_column(field, cols, rhs):
+    """The unique x with sum_j x_j cols[j] = rhs over all rows, or None."""
+    k = len(cols)
+    aug = [[c[i] for c in cols] + [rhs[i]] for i in range(len(rhs))]
+    reduced, pivots = rref_rows(aug, k + 1)
+    if k in pivots:
+        return None
+    x = [field.zero] * k
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row[k]
+    return x
+
+
+def dense_kernel(mmap):
+    """Kernel of a module map: per vertex and source degree g, the nullspace
+    of the block's degree-g columns over all rows (free column j carries a 1
+    in position j), then `dense_subrep` on those vectors."""
+    source = mmap.source
+    engine = source.engine
+    field = engine.field
+    vectors = {v: [] for v in engine.quiver.vertices}
+    for v in engine.quiver.vertices:
+        degs = source.degrees[v]
+        rows = mmap.blocks[v].rows
+        for g in sorted(set(degs), key=degs.index):
+            cols = [j for j, d in enumerate(degs) if d == g]
+            reduced, pivots = rref_rows([[r[j] for j in cols] for r in rows], len(cols))
+            for f in range(len(cols)):
+                if f in pivots:
+                    continue
+                vec = [field.zero] * len(degs)
+                vec[cols[f]] = field.one
+                for row, pc in zip(reduced, pivots):
+                    vec[cols[pc]] = -row[f]
+                vectors[v].append((g, vec))
+    return dense_subrep(source, vectors)
+
+
+def dense_generated(parent, vectors_by_vertex):
+    """The submodule generated by homogeneous vectors, closed under arrows
+    in the same order as the package, then `dense_subrep`."""
+    engine = parent.engine
+    spans = {}
+    collected = {v: [] for v in engine.quiver.vertices}
+
+    def add(v, g, vec):
+        span = spans.setdefault((v, g), [])
+        if rank_fraction(span + [vec], len(vec)) > len(span):
+            span.append(vec)
+            collected[v].append((g, vec))
+            return True
+        return False
+
+    frontier = []
+    for v, vecs in vectors_by_vertex.items():
+        for g, vec in vecs:
+            if add(v, g, list(vec)):
+                frontier.append((v, g, vec))
+    while frontier:
+        v, g, vec = frontier.pop()
+        for a in engine.quiver.arrows_from[v]:
+            img = _matvec(engine.field, parent.action[a.name].rows, vec)
+            if any(x != 0 for x in img):
+                g2 = tuple(x + y for x, y in zip(g, engine.pres.weights[a.name]))
+                if add(a.target, g2, img):
+                    frontier.append((a.target, g2, img))
+    return dense_subrep(parent, collected)
+
+
+def dense_subrep(parent, vectors_by_vertex):
+    """The subrepresentation on homogeneous spanning vectors, as plain data
+    (degrees, {arrow: action rows}, {vertex: inclusion rows}).  Per vertex
+    the vectors are taken in degree order, a vector is kept when it raises
+    the rank of its degree, and each arrow image of a kept vector is solved
+    on its own against all kept vectors at the target."""
+    engine = parent.engine
+    field = engine.field
+    basis = {v: [] for v in engine.quiver.vertices}
+    for v, vecs in vectors_by_vertex.items():
+        kept = {}
+        for g, vec in sorted(vecs, key=lambda t: t[0]):
+            span = kept.setdefault(g, [])
+            if rank_fraction(span + [vec], len(vec)) > len(span):
+                span.append(vec)
+                basis[v].append((g, vec))
+    degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
+    inclusion = {v: [[vec[i] for _, vec in basis[v]] for i in range(parent.dim(v))]
+                 for v in basis}
+    action = {}
+    for a in engine.quiver.arrows:
+        tgt = [vec for _, vec in basis[a.target]]
+        cols = []
+        for _, vec in basis[a.source]:
+            x = _solve_column(field, tgt, _matvec(field, parent.action[a.name].rows, vec))
+            if x is None:
+                raise ValueError("span is not closed under the action")
+            cols.append(x)
+        action[a.name] = [[c[i] for c in cols] for i in range(len(tgt))]
+    return degrees, action, inclusion

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from quiverext import parse_algebra
 from quiverext.cli import main
+from quiverext.fields import PrimeField
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -142,3 +147,62 @@ def test_csv_only_for_ext_table(capsys, fixtures_dir):
                            "--format", "csv")
     assert code == 1
     assert "csv" in err
+
+
+RATIONAL = """
+field Q
+group Z 1
+vertices u v
+arrow a u v 1
+arrow b u v 1
+arrow c v u 1
+truncate 3
+rel %s*c*a + c*b
+rel a*c
+rel b*c
+"""
+
+
+def test_field_override_maps_rational_coefficients(capsys, tmp_path):
+    pres = parse_algebra(RATIONAL % "1/3").with_field(PrimeField(5))
+    assert [c for c, _ in pres.relations[0]] == [PrimeField(5).of(2), PrimeField(5).one]
+    src = tmp_path / "third.alg"
+    src.write_text(RATIONAL % "1/3")
+    code, out, err = run_cli(capsys, "analyze", str(src), "--field", "F5", "--bound", "4")
+    assert code == 0, err
+    assert json.loads(out)["field"] == "F5"
+
+
+def test_field_override_rejects_denominator_divisible_by_p(capsys, tmp_path):
+    src = tmp_path / "fifth.alg"
+    src.write_text(RATIONAL % "1/5")
+    code, out, err = run_cli(capsys, "analyze", str(src), "--field", "F5")
+    assert code == 1
+    assert out == ""
+    assert "error: relation 1: coefficient 1/5 of term c*a" in err
+
+
+def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
+    src = tmp_path / "zero.alg"
+    src.write_text(RATIONAL % "1/0")
+    for extra in ([], ["--field", "F5"]):
+        code, out, err = run_cli(capsys, "analyze", str(src), *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 9: zero denominator in coefficient 1/0\n"
+
+
+def test_resolve_independent_of_hash_seed(fixtures_dir):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverext.cli", "resolve",
+             fix(fixtures_dir, "tri"), "--bound", "6"],
+            env=env, capture_output=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix, Subspace
 
@@ -86,3 +88,26 @@ def test_f5_arithmetic():
     assert a * a == f5.of(4)
     assert (a / f5.of(2)) * f5.of(2) == a
     assert f5.of(Fraction(1, 2)) == f5.of(3)
+
+
+def test_apply_shapes_and_zero_vectors():
+    m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+    assert m.apply([QQ.zero, QQ.zero]) == [Fraction(0), Fraction(0)]
+    assert Matrix.zeros(QQ, 3, 0).apply([]) == [Fraction(0)] * 3
+    assert Matrix(QQ, [], ncols=3).apply([QQ.one, QQ.zero, QQ.one]) == []
+    with pytest.raises(ValueError):
+        m.apply([QQ.one])
+
+
+def test_apply_sparse_vectors_match_dense_product():
+    rng = random.Random(7)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(30):
+            rows, cols = rng.randrange(0, 6), rng.randrange(0, 9)
+            m = Matrix(field, [[field.of(rng.choice([0, 0, 0, rng.randint(-3, 3)]))
+                                for _ in range(cols)] for _ in range(rows)], ncols=cols)
+            vec = [field.zero] * cols
+            for j in rng.sample(range(cols), min(cols, rng.randrange(0, 3))):
+                vec[j] = field.of(rng.randint(1, 4))
+            want = [sum((a * x for a, x in zip(r, vec)), field.zero) for r in m.rows]
+            assert m.apply(vec) == want
