@@ -12,9 +12,9 @@ from .corner import (CornerPresentation, IdempotentPair, apply_F, corner_algebra
                      f_lambda_e_module, gexact_condition, is_H_exact,
                      pair_from_presentation, pd_finite_sufficient,
                      transport_resolution)
-from .ext import (ExtClass, ExtTable, ext_oracle, ext_table,
-                  generation_window_check, gk_estimate, gk_estimate_from_dims,
-                  lift_cocycle, yoneda_product)
+from .ext import (ExtClass, ExtTable, ext_table, generation_window_check,
+                  gk_estimate, gk_estimate_from_dims, lift_cocycle,
+                  yoneda_product)
 from .fields import QQ, PrimeField, RationalField, field_from_name
 from .modules import (ModuleMap, Projective, Representation, direct_sum,
                       dual_to_opposite, hom_space, module_iso_test,

@@ -81,10 +81,6 @@ def _pair(engine, args):
     return pair_from_presentation(engine)
 
 
-def _verdict_json(v):
-    return v.to_json()
-
-
 def cmd_analyze(engine, args):
     pres = engine.pres
     report = {

@@ -15,9 +15,10 @@ Verdicts are honest: infinite or undetermined thresholds produce a
 
 from .corner import apply_F, apply_F_map, corner_algebra, f_lambda_e_module
 from .ext import (ExtClass, ExtTable, generation_window_check, gk_estimate,
-                  yoneda_product)
+                  lift_chain_map, pull_back, yoneda_product)
 from .linalg import Matrix
 from .modules import dual_to_opposite, simple_module
+from .quiver import wzero
 from .resolution import belongs_to, combine_verdicts, projective_dimension
 
 
@@ -118,65 +119,28 @@ class TransportCorrespondence:
         res_cor = self.cor_table.resolutions[u]
         res_lam.extend_to(depth)
         res_cor.extend_to(depth)
-        f_terms = [apply_F(corner, res_lam.term(k).rep) for k in range(depth + 1)]
-        f_diffs = {k: apply_F_map(corner, res_lam.differential(k),
-                                  source_F=f_terms[k], target_F=f_terms[k - 1])
-                   for k in range(1, depth + 1)}
-        f_aug = apply_F_map(corner, res_lam.differential(0),
-                            source_F=f_terms[0],
-                            target_F=apply_F(corner, res_lam.module))
-        psi = []
+        # the restricted complex F(P^k), with F of the augmentation as map 0
+        f_terms = [apply_F(corner, res_lam.module)] + \
+            [apply_F(corner, res_lam.term(k).rep) for k in range(depth + 1)]
+        f_diffs = [apply_F_map(corner, res_lam.differential(k),
+                               source_F=f_terms[k + 1], target_F=f_terms[k])
+                   for k in range(depth + 1)]
         q0 = res_cor.term(0)
         aug_q = res_cor.differential(0)
-        images = []
+        rhs0 = []
         for idx in range(len(q0.summands)):
             v, vec = q0.generator_vector(idx)
-            want = aug_q.blocks[v].apply(vec)
-            sol = f_aug.blocks[v].solve(want)
-            if sol is None:
-                raise AssertionError("cannot lift the augmentation")
-            images.append((v, sol))
-        psi.append(q0.map_from_generator_images(f_terms[0], images))
-        for k in range(1, depth + 1):
-            qk = res_cor.term(k)
-            dq = res_cor.differential(k)
-            prev = psi[-1]
-            images = []
-            for idx in range(len(qk.summands)):
-                v, vec = qk.generator_vector(idx)
-                want = prev.blocks[v].apply(dq.blocks[v].apply(vec))
-                sol = f_diffs[k].blocks[v].solve(want)
-                if sol is None:
-                    raise AssertionError("chain lifting failed at step %d" % k)
-                images.append((v, sol))
-            psi.append(qk.map_from_generator_images(f_terms[k], images))
-        return psi
+            rhs0.append(aug_q.blocks[v].apply(vec))
+        return lift_chain_map(res_cor, 0, rhs0, f_diffs,
+                              wzero(corner.corner_engine.group_rank))
 
     def transport_class(self, x):
         """Corner Ext class of a big-algebra class with f-vertex source
         and target: pull the restricted cocycle back along psi."""
         u = x.source
         n = x.degree
-        psi_n = self.psi[u][n]
-        p_n = self.lam_table.resolutions[u].term(n)
-        q_n = self.cor_table.resolutions[u].term(n)
-        field = self.corner.engine.field
-        gen_of_slot = {}
-        for j, (gv, gi) in enumerate(p_n.gen_pos):
-            gen_of_slot[(gv, gi)] = j
-        coeffs = {}
-        for idx, (sv, sg) in enumerate(q_n.summands):
-            if (sv, sg) != (x.target_vertex, x.target_degree):
-                continue
-            v, vec = q_n.generator_vector(idx)
-            img = psi_n.blocks[v].apply(vec)
-            acc = field.zero
-            for gi, j in p_n.generator_coordinates(v).items():
-                c = x.coeffs.get(j)
-                if c and img[gi]:
-                    acc = acc + c * img[gi]
-            if acc:
-                coeffs[idx] = acc
+        coeffs = pull_back(x, self.psi[u][n], self.cor_table.resolutions[u].term(n),
+                           self.lam_table.resolutions[u].term(n), x.target_degree)
         return ExtClass(n, u, x.target_vertex, x.target_degree, coeffs)
 
 

@@ -1,19 +1,17 @@
-"""Bigraded Ext tables, Yoneda products via chain-map lifting, an
-independent non-minimal oracle, finite-generation window checks, and a
-heuristic GK-dimension estimator.
+"""Bigraded Ext tables, Yoneda products via chain-map lifting,
+finite-generation window checks, and a heuristic GK-dimension estimator.
 
 Ext^n(S_u, S_v[g]) is read off a minimal resolution of S_u as the
 multiplicity of the summand (v, g) in P^n: maps to a simple kill the
 radical, and minimality makes every such map a cocycle and no nonzero one
-a coboundary.  The oracle recomputes the same dimensions from a
-deliberately non-minimal resolution by honest Hom-complex cohomology.
+a coboundary.  Chain maps between resolutions are lifted generator by
+generator with one primitive, `lift_chain_map`.
 """
 
 import math
 
-from .linalg import Matrix, Subspace
-from .modules import (Projective, hom_space, kernel_subrep,
-                      projective_cover, simple_module)
+from .linalg import Subspace
+from .modules import simple_module
 from .quiver import wadd, wsub, wzero
 from .resolution import MinimalResolution
 
@@ -119,9 +117,9 @@ def ext_table(engine, bound, seed=0):
     return ExtTable(engine, bound, seed=seed)
 
 
-def _solve_generator_lift(proj, target_proj, lhs_map, rhs_vectors, grade):
-    """Find a module map phi: proj.rep -> target_proj.rep (degree drop `grade`)
-    with lhs_map o phi prescribed on generators.
+def _solve_generator_lift(proj, lhs_map, rhs_vectors, grade):
+    """Find a module map phi: proj.rep -> lhs_map.source (degree drop
+    `grade`) with lhs_map o phi prescribed on generators.
 
     rhs_vectors[idx] is the required value of (lhs_map o phi) on generator
     idx, living at the generator's vertex.  Unknowns are the generator
@@ -130,8 +128,8 @@ def _solve_generator_lift(proj, target_proj, lhs_map, rhs_vectors, grade):
     of their image degree, solved for all their right-hand sides at once
     with the first-solution pivot rule.
     """
-    engine = proj.engine
-    field = engine.field
+    field = proj.engine.field
+    target = lhs_map.source
     groups = {}
     for idx, (v, i) in enumerate(proj.gen_pos):
         groups.setdefault((v, proj.rep.degrees[v][i]), []).append(idx)
@@ -139,7 +137,7 @@ def _solve_generator_lift(proj, target_proj, lhs_map, rhs_vectors, grade):
     for (v, gen_degree), members in groups.items():
         col_degree = wsub(gen_degree, grade)
         row_degree = wsub(col_degree, lhs_map.grade)
-        cols = target_proj.rep.degree_slice(v, col_degree)
+        cols = target.degree_slice(v, col_degree)
         block = lhs_map.blocks[v]
         lhs = lhs_map.target.slice_matrix(v, row_degree, [block.col(j) for j in cols])
         if lhs is None:
@@ -149,178 +147,99 @@ def _solve_generator_lift(proj, target_proj, lhs_map, rhs_vectors, grade):
         if sol is None:
             raise AssertionError("lifting system is inconsistent")
         for c, idx in enumerate(members):
-            full = [field.zero] * target_proj.rep.dim(v)
+            full = [field.zero] * target.dim(v)
             for r, j in enumerate(cols):
                 full[j] = sol.rows[r][c]
             images[idx] = (v, full)
-    return proj.map_from_generator_images(target_proj.rep, images, grade=grade)
+    return proj.map_from_generator_images(target, images, grade=grade)
+
+
+def lift_chain_map(source, start, rhs0, target_diffs, grade):
+    """Lift generator by generator a chain map phi_k: P^{start+k} -> T_k,
+    k = 0..depth, from the terms of the resolution `source` into the
+    complex with differentials target_diffs[k]: T_k -> T_{k-1}, where
+    target_diffs[0]: T_0 -> M is its augmentation.  Maps carry the degree
+    drop `grade`.
+
+    phi_0 solves target_diffs[0] o phi_0 = rhs0 on generators (rhs0[idx]
+    is a vector of M at generator idx's vertex); each later phi_k solves
+    target_diffs[k] o phi_k = phi_{k-1} o d_{start+k} on generators.
+    """
+    lifts = []
+    rhs = rhs0
+    for k, d_tgt in enumerate(target_diffs):
+        proj = source.term(start + k)
+        if k:
+            d_src = source.differential(start + k)
+            prev = lifts[-1]
+            rhs = []
+            for idx in range(len(proj.summands)):
+                v, vec = proj.generator_vector(idx)
+                rhs.append(prev.blocks[v].apply(d_src.blocks[v].apply(vec)))
+        lifts.append(_solve_generator_lift(proj, d_tgt, rhs, grade))
+    return lifts
 
 
 def lift_cocycle(table, y, depth):
     """Chain maps phi_k: P^{n+k}(S_a) -> P^k(S_b), k = 0..depth, lifting the
     cocycle y in Ext^n(S_a, S_b[g]).  Maps carry the uniform degree drop g.
     """
-    engine = table.engine
-    field = engine.field
+    field = table.engine.field
     res_a = table.resolutions[y.source]
     res_b = table.resolutions[y.target_vertex]
-    n = y.degree
-    g = y.target_degree
-    res_a.extend_to(n + depth)
+    res_a.extend_to(y.degree + depth)
     res_b.extend_to(depth)
-    lifts = []
-    # phi_0: send generator idx of P^n(S_a) to coeff * (matching generator
-    # of P^0(S_b)); P^0 of a simple is the single indecomposable cover.
-    p_n = res_a.term(n)
-    p0 = res_b.term(0)
-    images = []
-    for idx in range(len(p_n.summands)):
+    # y as values in S_b, whose single slot lies at vertex b
+    rhs0 = []
+    for idx, (v, _) in enumerate(res_a.term(y.degree).gen_pos):
         c = y.coeffs.get(idx, field.zero)
-        gv, vec0 = p0.generator_vector(0)
-        vec = [c * x for x in vec0]
-        v, _ = p_n.gen_pos[idx]
-        if v != gv and any(vec):
+        if v == y.target_vertex:
+            rhs0.append([c])
+        elif c:
             raise AssertionError("cocycle targets a different vertex")
-        if not any(vec):
-            vec = [field.zero] * p0.rep.dim(v)
-        images.append((v, vec))
-    lifts.append(p_n.map_from_generator_images(p0.rep, images, grade=g))
-    for k in range(1, depth + 1):
-        p_src = res_a.term(n + k)
-        p_tgt = res_b.term(k)
-        d_src = res_a.differential(n + k)
-        d_tgt = res_b.differential(k)
-        prev = lifts[-1]
-        rhs = []
-        for idx in range(len(p_src.summands)):
-            v, vec = p_src.generator_vector(idx)
-            down = d_src.blocks[v].apply(vec)
-            rhs.append(prev.blocks[v].apply(down))
-        lifts.append(_solve_generator_lift(p_src, p_tgt, d_tgt, rhs, g))
-    return lifts
+        else:
+            rhs0.append([])
+    return lift_chain_map(res_a, y.degree, rhs0,
+                          [res_b.differential(k) for k in range(depth + 1)],
+                          y.target_degree)
+
+
+def pull_back(x, phi, top, mid, target_degree):
+    """Pull the cocycle x, given on the generators of the projective `mid`,
+    back along phi: top -> mid (or the restriction of mid).  Returns
+    {summand index: scalar} on the generators of the projective `top`;
+    only summands (x.target_vertex, target_degree) can be nonzero, by
+    homogeneity, so only those are evaluated."""
+    field = top.engine.field
+    slot = (x.target_vertex, tuple(target_degree))
+    coeffs = {}
+    for idx, summand in enumerate(top.summands):
+        if summand != slot:
+            continue
+        v, vec = top.generator_vector(idx)
+        img = phi.blocks[v].apply(vec)
+        acc = field.zero
+        for gi, j in mid.generator_coordinates(v).items():
+            c = x.coeffs.get(j)
+            if c and img[gi]:
+                acc = acc + c * img[gi]
+        if acc:
+            coeffs[idx] = acc
+    return coeffs
 
 
 def yoneda_product(table, x, y):
     """The Yoneda product x*y: lift y through the resolution of its target
     simple, then apply x on top.  Non-composable classes multiply to zero.
     """
-    engine = table.engine
-    field = engine.field
     degree = x.degree + y.degree
     tdeg = wadd(x.target_degree, y.target_degree)
     if x.source != y.target_vertex or x.is_zero() or y.is_zero():
         return ExtClass(degree, y.source, x.target_vertex, tdeg, {})
-    lifts = lift_cocycle(table, y, x.degree)
-    phi = lifts[x.degree]
-    res_a = table.resolutions[y.source]
-    res_b = table.resolutions[x.source]
-    p_top = res_a.term(degree)
-    p_mid = res_b.term(x.degree)
-    coeffs = {}
-    for idx in range(len(p_top.summands)):
-        v, vec = p_top.generator_vector(idx)
-        mid = phi.blocks[v].apply(vec)
-        acc = field.zero
-        for gi, j in p_mid.generator_coordinates(v).items():
-            c = x.coeffs.get(j)
-            if c and mid[gi]:
-                acc = acc + c * mid[gi]
-        if acc:
-            coeffs[idx] = acc
+    phi = lift_cocycle(table, y, x.degree)[x.degree]
+    coeffs = pull_back(x, phi, table.resolutions[y.source].term(degree),
+                       table.resolutions[x.source].term(x.degree), tdeg)
     return ExtClass(degree, y.source, x.target_vertex, tdeg, coeffs)
-
-
-# -- independent oracle ----------------------------------------------------
-
-class _OracleResolution:
-    """A deliberately non-minimal projective resolution of a simple: each
-    cover carries one redundant copy of the projective at a fixed vertex,
-    mapped to zero."""
-
-    def __init__(self, engine, source_vertex, padding_vertex=None):
-        self.engine = engine
-        self.padding = padding_vertex or engine.quiver.vertices[0]
-        self.module = simple_module(engine, source_vertex)
-        self.terms = []
-        self.maps = []   # maps[k]: terms[k].rep -> terms[k-1].rep (k >= 1)
-        self.kernels = []
-        self._start()
-
-    def _pad(self, cover_projective, target, epi_images):
-        """Cover plus one redundant summand mapped to zero."""
-        summands = list(cover_projective.summands) + \
-            [(self.padding, wzero(self.engine.group_rank))]
-        proj = Projective(self.engine, summands)
-        field = self.engine.field
-        images = list(epi_images)
-        images.append((self.padding, [field.zero] * target.dim(self.padding)))
-        epi = proj.map_from_generator_images(target, images)
-        return proj, epi
-
-    def _start(self):
-        cov = projective_cover(self.engine, self.module)
-        lift_images = []
-        for idx in range(len(cov.projective.summands)):
-            v, vec = cov.projective.generator_vector(idx)
-            lift_images.append((v, cov.epi.blocks[v].apply(vec)))
-        proj, epi = self._pad(cov.projective, self.module, lift_images)
-        self.terms.append(proj)
-        self.maps.append(epi)
-        k, incl = kernel_subrep(epi)
-        self.kernels.append((k, incl))
-
-    def extend_to(self, bound):
-        while len(self.terms) <= bound:
-            k, incl = self.kernels[-1]
-            cov = projective_cover(self.engine, k)
-            lift_images = []
-            for idx in range(len(cov.projective.summands)):
-                v, vec = cov.projective.generator_vector(idx)
-                lift_images.append((v, cov.epi.blocks[v].apply(vec)))
-            proj, epi_to_k = self._pad(cov.projective, k, lift_images)
-            d = incl.compose(epi_to_k)
-            self.terms.append(proj)
-            self.maps.append(d)
-            k2, incl2 = kernel_subrep(epi_to_k)
-            self.kernels.append((k2, incl2))
-
-
-def ext_oracle(engine, source_vertex, target_vertex, n, padding_vertex=None):
-    """dim Ext^n(S_source, S_target), ungraded, via Hom-complex cohomology
-    over a non-minimal resolution.  Independent of the table computation.
-    """
-    res = _OracleResolution(engine, source_vertex, padding_vertex)
-    res.extend_to(n + 1)
-    target = simple_module(engine, target_vertex)
-
-    def flat(mmap):
-        vec = []
-        for v in engine.quiver.vertices:
-            for row in mmap.blocks[v].rows:
-                vec.extend(row)
-        return vec
-
-    hom_bases = []
-    for k in (n - 1, n, n + 1):
-        if k < 0:
-            hom_bases.append(None)
-        else:
-            hom_bases.append(hom_space(res.terms[k].rep, target, graded=False))
-
-    def dstar_rank(basis_k, k):
-        """Rank of Hom(Q^k, T) -> Hom(Q^{k+1}, T), psi -> psi o d_{k+1}."""
-        if basis_k is None or not basis_k:
-            return 0
-        d = res.maps[k + 1]
-        cols = [flat(psi.compose(d)) for psi in basis_k]
-        if not cols or not cols[0]:
-            return 0
-        return Matrix.from_columns(engine.field, cols, len(cols[0])).rank()
-
-    dim_hom_n = len(hom_bases[1])
-    rank_out = dstar_rank(hom_bases[1], n)
-    rank_in = dstar_rank(hom_bases[0], n - 1) if n >= 1 else 0
-    return dim_hom_n - rank_out - rank_in
 
 
 # -- finite generation and growth ------------------------------------------

@@ -103,54 +103,39 @@ class PeriodicityCertificate:
         self.witness = witness
 
 
-class ResolutionStep:
-    __slots__ = ("cover",)
-
-    def __init__(self, cover):
-        self.cover = cover
-
-    @property
-    def projective(self):
-        return self.cover.projective
-
-    @property
-    def syzygy(self):
-        return self.cover.kernel
-
-
 class MinimalResolution:
     """A minimal graded projective resolution of a representation.
 
-    Step n covers the n-th syzygy; the differential P^n -> P^{n-1} is the
-    cover epi followed by the previous kernel's inclusion.
+    Step n covers the n-th syzygy (`covers[n]`); the differential
+    P^n -> P^{n-1} is the cover epi followed by the previous kernel's
+    inclusion.
     """
 
     def __init__(self, engine, module, seed=0):
         self.engine = engine
         self.module = module
         self.seed = seed
-        self.steps = []
+        self.covers = []
         self.certificate = None
         self._differentials = {}
 
     def syzygy(self, n):
         if n == 0:
             return self.module
-        return self.steps[n - 1].syzygy
+        return self.covers[n - 1].kernel
 
     def term(self, n):
-        return self.steps[n].projective
+        return self.covers[n].projective
 
     def summands(self, n):
-        return list(self.steps[n].projective.summands)
+        return list(self.covers[n].projective.summands)
 
     def extend_to(self, bound):
         """Compute covers through step `bound` (syzygies through bound + 1)."""
-        while len(self.steps) <= bound:
-            n = len(self.steps)
+        while len(self.covers) <= bound:
+            n = len(self.covers)
             omega = self.syzygy(n)
-            cover = projective_cover(self.engine, omega)
-            self.steps.append(ResolutionStep(cover))
+            self.covers.append(projective_cover(self.engine, omega))
             if self.certificate is None and not omega.is_zero():
                 self._scan_periodicity(n + 1)
         return self
@@ -178,10 +163,9 @@ class MinimalResolution:
         if n in self._differentials:
             return self._differentials[n]
         if n == 0:
-            d = self.steps[0].cover.epi
+            d = self.covers[0].epi
         else:
-            prev = self.steps[n - 1].cover
-            d = prev.kernel_inclusion.compose(self.steps[n].cover.epi)
+            d = self.covers[n - 1].kernel_inclusion.compose(self.covers[n].epi)
         self._differentials[n] = d
         return d
 
@@ -199,7 +183,7 @@ class MinimalResolution:
 
     def verify(self, up_to=None):
         """Re-check exactness, minimality and (if present) the certificate."""
-        top = len(self.steps) - 1 if up_to is None else up_to
+        top = len(self.covers) - 1 if up_to is None else up_to
         for n in range(1, top + 1):
             d_n = self.differential(n)
             d_prev = self.differential(n - 1)
@@ -231,10 +215,10 @@ class MinimalResolution:
     def to_json(self):
         out = {"module_dims": {v: d for v, d in self.module.dim_vector().items() if d},
                "steps": []}
-        for n, step in enumerate(self.steps):
+        for n, cover in enumerate(self.covers):
             out["steps"].append({
                 "n": n,
-                "summands": step.projective.to_json(),
+                "summands": cover.projective.to_json(),
                 "differential": self.differential(n).to_json(),
             })
         if self.certificate is not None:

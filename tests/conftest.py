@@ -80,6 +80,22 @@ rel y*x*y*x
 """
 
 
+# f = 2 has a polynomial corner Ext ring on two degree-one classes
+POLY_CORNER = """
+field Q
+group Z 2
+vertices 1 2
+arrow x 1 2 1 0
+arrow p 2 2 1 0
+arrow q 2 2 0 1
+truncate 4
+rel p*p
+rel q*q
+rel p*q + -1*q*p
+idempotent f = 2
+"""
+
+
 @functools.cache
 def fixture_text(name):
     return (FIXTURES / (name + ".alg")).read_text()

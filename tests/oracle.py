@@ -1,0 +1,89 @@
+"""An Ext oracle independent of the table computation: ungraded Ext
+dimensions between simples by honest Hom-complex cohomology over a
+deliberately non-minimal projective resolution.
+
+It builds on the package's module constructions (covers, kernels, Hom
+spaces) but never reads a minimal resolution, so it checks the table's
+"multiplicity of summands" shortcut from a different direction.
+"""
+
+from quiverext.linalg import Matrix
+from quiverext.modules import (Projective, hom_space, kernel_subrep,
+                               projective_cover, simple_module)
+from quiverext.quiver import wzero
+
+
+class _OracleResolution:
+    """A deliberately non-minimal projective resolution of a simple: each
+    cover carries one redundant copy of the projective at a fixed vertex,
+    mapped to zero."""
+
+    def __init__(self, engine, source_vertex, padding_vertex=None):
+        self.engine = engine
+        self.padding = padding_vertex or engine.quiver.vertices[0]
+        self.terms = []
+        self.maps = []   # maps[k]: terms[k].rep -> terms[k-1].rep, or -> S at k = 0
+        # (module to cover next, its inclusion into the last term or None)
+        self.kernels = [(simple_module(engine, source_vertex), None)]
+
+    def _pad(self, cover_projective, target, epi_images):
+        """Cover plus one redundant summand mapped to zero."""
+        summands = list(cover_projective.summands) + \
+            [(self.padding, wzero(self.engine.group_rank))]
+        proj = Projective(self.engine, summands)
+        field = self.engine.field
+        images = list(epi_images)
+        images.append((self.padding, [field.zero] * target.dim(self.padding)))
+        epi = proj.map_from_generator_images(target, images)
+        return proj, epi
+
+    def extend_to(self, bound):
+        while len(self.terms) <= bound:
+            k, incl = self.kernels[-1]
+            cov = projective_cover(self.engine, k)
+            lift_images = []
+            for idx in range(len(cov.projective.summands)):
+                v, vec = cov.projective.generator_vector(idx)
+                lift_images.append((v, cov.epi.blocks[v].apply(vec)))
+            proj, epi_to_k = self._pad(cov.projective, k, lift_images)
+            self.terms.append(proj)
+            self.maps.append(epi_to_k if incl is None else incl.compose(epi_to_k))
+            self.kernels.append(kernel_subrep(epi_to_k))
+
+
+def ext_oracle(engine, source_vertex, target_vertex, n, padding_vertex=None):
+    """dim Ext^n(S_source, S_target), ungraded, via Hom-complex cohomology
+    over a non-minimal resolution.  Independent of the table computation.
+    """
+    res = _OracleResolution(engine, source_vertex, padding_vertex)
+    res.extend_to(n + 1)
+    target = simple_module(engine, target_vertex)
+
+    def flat(mmap):
+        vec = []
+        for v in engine.quiver.vertices:
+            for row in mmap.blocks[v].rows:
+                vec.extend(row)
+        return vec
+
+    hom_bases = []
+    for k in (n - 1, n, n + 1):
+        if k < 0:
+            hom_bases.append(None)
+        else:
+            hom_bases.append(hom_space(res.terms[k].rep, target, graded=False))
+
+    def dstar_rank(basis_k, k):
+        """Rank of Hom(Q^k, T) -> Hom(Q^{k+1}, T), psi -> psi o d_{k+1}."""
+        if basis_k is None or not basis_k:
+            return 0
+        d = res.maps[k + 1]
+        cols = [flat(psi.compose(d)) for psi in basis_k]
+        if not cols or not cols[0]:
+            return 0
+        return Matrix.from_columns(engine.field, cols, len(cols[0])).rank()
+
+    dim_hom_n = len(hom_bases[1])
+    rank_out = dstar_rank(hom_bases[1], n)
+    rank_in = dstar_rank(hom_bases[0], n - 1) if n >= 1 else 0
+    return dim_hom_n - rank_out - rank_in

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from quiverext import (DimVerdict, IdempotentPair, apply_F,
-                       build_engine, corner_algebra, ext_oracle, ext_table,
+                       build_engine, corner_algebra, ext_table,
                        f_lambda_e_module, gexact_condition, gk_estimate,
                        global_dimension, generation_window_check,
                        injective_dimension, module_iso_test, parse_algebra,
@@ -24,6 +24,7 @@ from quiverext.quiver import compose, wadd
 from quiverext.resolution import MinimalResolution
 
 from conftest import KB2, engine_for, engine_from
+from oracle import ext_oracle
 
 ALL = ["e24", "e41", "a2", "pos", "nak", "tri"]
 

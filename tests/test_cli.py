@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quiverext import parse_algebra
 from quiverext.cli import main
 from quiverext.fields import PrimeField
@@ -112,6 +114,15 @@ def test_resolve_matches_golden(capsys, fixtures_dir):
     assert out == expected
 
 
+def test_products_match_golden(capsys, fixtures_dir):
+    # Yoneda structure constants through degree 5 must stay byte-identical
+    code, out, _ = run_cli(capsys, "ext-table", fix(fixtures_dir, "nak"),
+                           "--bound", "8", "--products-bound", "5")
+    assert code == 0
+    expected = (GOLDEN / "nak_products.json").read_text()
+    assert out == expected
+
+
 def test_text_format(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "analyze", fix(fixtures_dir, "a2"),
                            "--format", "text")
@@ -192,7 +203,12 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
         assert err == "error: line 9: zero denominator in coefficient 1/0\n"
 
 
-def test_resolve_independent_of_hash_seed(fixtures_dir):
+@pytest.mark.parametrize("command, name, extra", [
+    pytest.param("resolve", "tri", ["--bound", "6"], id="resolve"),
+    # exercises the transport chain maps, transported classes and products
+    pytest.param("compare", "pos", [], id="compare"),
+])
+def test_resolve_independent_of_hash_seed(fixtures_dir, command, name, extra):
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for hash_seed in ("0", "4242"):
@@ -200,8 +216,8 @@ def test_resolve_independent_of_hash_seed(fixtures_dir):
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
-            [sys.executable, "-m", "quiverext.cli", "resolve",
-             fix(fixtures_dir, "tri"), "--bound", "6"],
+            [sys.executable, "-m", "quiverext.cli", command,
+             fix(fixtures_dir, name)] + extra,
             env=env, capture_output=True, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]

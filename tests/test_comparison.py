@@ -5,7 +5,7 @@ from quiverext.comparison import (TransportCorrespondence,
                                   verify_product_compatibility)
 from quiverext.resolution import MinimalResolution
 
-from conftest import engine_for, engine_from
+from conftest import POLY_CORNER, engine_for, engine_from
 
 
 def pair_and_corner(name):
@@ -168,21 +168,6 @@ def test_transported_tops_match_corner_resolution():
                 for v, g in cres.summands(n):
                     expected[(v, g)] = expected.get((v, g), 0) + 1
                 assert f_top == sorted((v, g, m) for (v, g), m in expected.items())
-
-
-POLY_CORNER = """
-field Q
-group Z 2
-vertices 1 2
-arrow x 1 2 1 0
-arrow p 2 2 1 0
-arrow q 2 2 0 1
-truncate 4
-rel p*p
-rel q*q
-rel p*q + -1*q*p
-idempotent f = 2
-"""
 
 
 def test_verify_comparison_polynomial_corner():

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from quiverext import (ext_oracle, ext_table, generation_window_check,
-                       gk_estimate, gk_estimate_from_dims, yoneda_product)
+from quiverext import (ext_table, generation_window_check, gk_estimate,
+                       gk_estimate_from_dims, yoneda_product)
 from quiverext.quiver import wadd
 
 from conftest import EXTERIOR2, KB2, SEMISIMPLE2, engine_for, engine_from
+from oracle import ext_oracle
 
 KB3 = """
 field Q

@@ -1,0 +1,91 @@
+"""Lifted chain maps commute with the differentials.
+
+Both lifts built on `lift_chain_map` are checked as chain maps: the lifts
+of Ext classes through minimal resolutions (Yoneda products), and the
+transport maps psi from corner resolutions into the restricted
+resolutions of the algebra (product compatibility).
+"""
+
+import pytest
+
+from quiverext import (ExtClass, IdempotentPair, apply_F, corner_algebra,
+                       ext_table, lift_cocycle)
+from quiverext.comparison import TransportCorrespondence
+from quiverext.corner import apply_F_map
+
+from conftest import (FIXTURE_NAMES, MIXED_SIGN, POLY_CORNER, engine_for,
+                      engine_from)
+
+CASES = FIXTURE_NAMES + ["POLY_CORNER"]
+
+
+def engine_and_f(name):
+    if name == "POLY_CORNER":
+        return engine_from(POLY_CORNER), ["2"]
+    eng = engine_for(name)
+    return eng, list(eng.pres.f_vertices)
+
+
+def assert_chain_map(lifts, src_diff, tgt_diff):
+    """tgt_diff(k) o lifts[k] == lifts[k-1] o src_diff(k) for k >= 1."""
+    for k in range(1, len(lifts)):
+        assert (tgt_diff(k).compose(lifts[k]).blocks
+                == lifts[k - 1].compose(src_diff(k)).blocks), "step %d" % k
+
+
+# mixed-sign weights put radical paths into a generator's own degree
+@pytest.mark.parametrize("name", CASES + ["MIXED_SIGN"])
+def test_cocycle_lifts_are_chain_maps(name):
+    eng = engine_from(MIXED_SIGN) if name == "MIXED_SIGN" else engine_and_f(name)[0]
+    table = ext_table(eng, 5)
+    field = eng.field
+    classes = [y for n in range(4) for y in table.basis_classes(n)]
+    assert classes
+    for y in classes:
+        n = y.degree
+        lifts = lift_cocycle(table, y, 2)
+        assert len(lifts) == 3
+        res_a = table.resolutions[y.source]
+        res_b = table.resolutions[y.target_vertex]
+        assert_chain_map(lifts, lambda k: res_a.differential(n + k),
+                         res_b.differential)
+        # phi_0 followed by the augmentation onto S_b is y itself
+        base = res_b.differential(0).compose(lifts[0])
+        p_n = res_a.term(n)
+        for idx in range(len(p_n.summands)):
+            v, vec = p_n.generator_vector(idx)
+            want = [y.coeffs.get(idx, field.zero)] if v == y.target_vertex else []
+            assert base.blocks[v].apply(vec) == want
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_transport_maps_are_chain_maps(name):
+    eng, f_vertices = engine_and_f(name)
+    corner = corner_algebra(eng, IdempotentPair(eng, f_vertices))
+    lam = ext_table(eng, 4)
+    cor = ext_table(corner.corner_engine, 4)
+    tc = TransportCorrespondence(corner, lam, cor, 4)
+    for u in f_vertices:
+        psi = tc.psi[u]
+        assert len(psi) == 5
+        res_lam = lam.resolutions[u]
+        res_cor = cor.resolutions[u]
+
+        def f_diff(k):
+            return apply_F_map(corner, res_lam.differential(k),
+                               source_F=psi[k].target, target_F=psi[k - 1].target)
+
+        assert_chain_map(psi, res_cor.differential, f_diff)
+        f_aug = apply_F_map(corner, res_lam.differential(0),
+                            source_F=psi[0].target,
+                            target_F=apply_F(corner, res_lam.module))
+        assert f_aug.compose(psi[0]).blocks == res_cor.differential(0).blocks
+
+
+def test_cocycle_at_wrong_vertex_raises():
+    eng = engine_for("a2")
+    table = ext_table(eng, 3)
+    y = next(c for c in table.basis_classes(1) if c.target_vertex != c.source)
+    wrong = ExtClass(y.degree, y.source, y.source, y.target_degree, y.coeffs)
+    with pytest.raises(AssertionError, match="different vertex"):
+        lift_cocycle(table, wrong, 1)
