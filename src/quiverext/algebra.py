@@ -14,7 +14,7 @@ algebra.  All arithmetic is exact (Q or F_p).
 
 from fractions import Fraction
 
-from .fields import GFElement, scalar_to_json
+from .fields import GFElement
 from .linalg import Matrix
 from .quiver import arrow_path, compose, vertex_path
 
@@ -415,9 +415,6 @@ class NormalFormEngine:
     def arrow_element(self, name):
         return self.element({self.pres.arrow_path(name): self.field.one})
 
-    def path_element(self, names):
-        return self.element({self.pres.path_from_arrows(names): self.field.one})
-
     def one(self):
         k = self.group_rank
         return self.element({vertex_path(v, k): self.field.one for v in self.quiver.vertices})
@@ -469,9 +466,3 @@ class NormalFormEngine:
 
 def build_engine(pres):
     return NormalFormEngine(pres)
-
-
-def element_to_json(x):
-    return [{"path": list(p.arrows) if not p.is_vertex else ["e", p.source],
-             "coeff": scalar_to_json(c)}
-            for p, c in sorted(x.terms.items(), key=lambda t: (t[0].length, t[0].arrows))]

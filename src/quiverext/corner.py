@@ -16,8 +16,8 @@ exactness test for the right adjoint.
 from .algebra import AlgebraPresentation, NormalFormEngine
 from .linalg import Matrix, Subspace
 from .modules import (ModuleMap, Representation, projective_cover,
-                      simple_module)
-from .quiver import Quiver, compose, interior_vertices
+                      radical_subspaces, simple_module)
+from .quiver import Quiver, compose, interior_vertices, wsub
 from .resolution import MinimalResolution, projective_dimension
 
 
@@ -403,7 +403,7 @@ def f_lambda_e_module(corner):
             for t, c in eng.multiply_paths(ap, x).items():
                 m.rows[index[tgt][t]][j] = c
         action[name] = m
-    rep = Representation(ce, degrees, action, check=True)
+    rep = Representation.from_dense(ce, degrees, action, check=True)
     dim_f_row = len([p for p in eng.basis if p.target in set(pair.f_vertices)])
     check = {
         "dim_f_row": dim_f_row,
@@ -418,37 +418,25 @@ def apply_F(corner, rep):
     """Restrict a module to the f-vertices; corner arrows act by the path
     action of their underlying paths.  This realizes the exact functor
     given by tensoring with the corner bimodule."""
-    eng = corner.engine
-    ce = corner.corner_engine
-    degrees = {w: rep.degrees[w] for w in corner.pair.f_vertices}
+    fset = set(corner.pair.f_vertices)
+    dims = {key: n for key, n in rep.dims.items() if key[0] in fset}
     action = {}
     for name, ap in zip(corner.arrow_names, corner.arrow_paths):
-        action[name] = rep.path_action(ap)
-    return Representation(ce, degrees, action, check=True)
+        for v, g in dims:
+            if v == ap.source:
+                m = rep.path_action(ap, g)
+                if m is not None:
+                    action[(name, g)] = m
+    return Representation(corner.corner_engine, dims, action, check=True)
 
 
 def apply_F_map(corner, mmap, source_F=None, target_F=None):
     """Restrict a module map to the f-vertices."""
-    ce = corner.corner_engine
     src = source_F if source_F is not None else apply_F(corner, mmap.source)
     tgt = target_F if target_F is not None else apply_F(corner, mmap.target)
-    blocks = {w: mmap.blocks[w] for w in corner.pair.f_vertices}
+    fset = set(corner.pair.f_vertices)
+    blocks = {key: b for key, b in mmap.blocks.items() if key[0] in fset}
     return ModuleMap(src, tgt, blocks, grade=mmap.grade, check=False)
-
-
-def corner_radical_subspace(corner, rep, vertex):
-    """Span of the corner-arrow images inside rep's space at a vertex."""
-    sub = Subspace(corner.engine.field, rep.dim(vertex))
-    for name in corner.arrow_names:
-        arrow = corner.corner_engine.quiver.arrow_by_name[name]
-        if arrow.target != vertex:
-            continue
-        m = rep.action[name]
-        for j in range(m.ncols):
-            col = m.col(j)
-            if any(col):
-                sub.add(col)
-    return sub
 
 
 def transport_resolution(corner, res, cutoff, upto):
@@ -481,12 +469,13 @@ def transport_resolution(corner, res, cutoff, upto):
         if rank_hi != ker_lo:
             raise AssertionError("transported complex is not exact at step %d" % n)
     for n in range(cutoff + 2, upto + 1):
-        for w in corner.pair.f_vertices:
-            rad = corner_radical_subspace(corner, terms[n - 1], w)
-            block = diffs[n].blocks[w]
+        rad = radical_subspaces(terms[n - 1])
+        d = diffs[n]
+        for (w, g), block in d.blocks.items():
+            span = rad.get((w, wsub(g, d.grade)))
             for j in range(block.ncols):
                 col = block.col(j)
-                if any(col) and not rad.contains(col):
+                if any(col) and (span is None or not span.contains(col)):
                     raise AssertionError("transported differential leaves the radical")
     return terms, diffs
 

@@ -10,7 +10,7 @@ generator with one primitive, `lift_chain_map`.
 
 import math
 
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 from .modules import simple_module
 from .quiver import wadd, wsub, wzero
 from .resolution import MinimalResolution
@@ -122,36 +122,30 @@ def _solve_generator_lift(proj, lhs_map, rhs_vectors, grade):
     `grade`) with lhs_map o phi prescribed on generators.
 
     rhs_vectors[idx] is the required value of (lhs_map o phi) on generator
-    idx, living at the generator's vertex.  Unknowns are the generator
-    images.  The generators of one (vertex, degree g) share one system: the
-    columns of lhs_map on the target slice of degree g - grade, on the rows
-    of their image degree, solved for all their right-hand sides at once
-    with the first-solution pivot rule.
+    idx, as coordinates on its slice of lhs_map.target.  Unknowns are the
+    generator images.  The generators of one slice (v, g) share one system:
+    the block of lhs_map on slice (v, g - grade), solved for all their
+    right-hand sides at once with the first-solution pivot rule.  Where that
+    block is missing, the generators map to zero without a solve.
     """
     field = proj.engine.field
-    target = lhs_map.source
     groups = {}
-    for idx, (v, i) in enumerate(proj.gen_pos):
-        groups.setdefault((v, proj.rep.degrees[v][i]), []).append(idx)
-    images = [None] * len(proj.summands)
-    for (v, gen_degree), members in groups.items():
-        col_degree = wsub(gen_degree, grade)
-        row_degree = wsub(col_degree, lhs_map.grade)
-        cols = target.degree_slice(v, col_degree)
-        block = lhs_map.blocks[v]
-        lhs = lhs_map.target.slice_matrix(v, row_degree, [block.col(j) for j in cols])
-        if lhs is None:
-            raise ValueError("map is not homogeneous at %s" % (v,))
-        rhs = lhs_map.target.slice_matrix(v, row_degree, [rhs_vectors[idx] for idx in members])
-        sol = None if rhs is None else lhs.solve(rhs)
+    for idx, key in enumerate(proj.summands):
+        groups.setdefault(key, []).append(idx)
+    images = [[] for _ in proj.summands]
+    for (v, g), members in groups.items():
+        lhs = lhs_map.blocks.get((v, wsub(g, grade)))
+        rhs = [rhs_vectors[idx] for idx in members]
+        if lhs is None:     # the generators map to zero
+            if any(any(vec) for vec in rhs):
+                raise AssertionError("lifting system is inconsistent")
+            continue
+        sol = lhs.solve(Matrix.from_columns(field, rhs, lhs.nrows))
         if sol is None:
             raise AssertionError("lifting system is inconsistent")
         for c, idx in enumerate(members):
-            full = [field.zero] * target.dim(v)
-            for r, j in enumerate(cols):
-                full[j] = sol.rows[r][c]
-            images[idx] = (v, full)
-    return proj.map_from_generator_images(target, images, grade=grade)
+            images[idx] = sol.col(c)
+    return proj.map_from_generator_images(lhs_map.source, images, grade=grade)
 
 
 def lift_chain_map(source, start, rhs0, target_diffs, grade):
@@ -162,8 +156,9 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade):
     drop `grade`.
 
     phi_0 solves target_diffs[0] o phi_0 = rhs0 on generators (rhs0[idx]
-    is a vector of M at generator idx's vertex); each later phi_k solves
-    target_diffs[k] o phi_k = phi_{k-1} o d_{start+k} on generators.
+    is a vector of M on generator idx's slice shifted down by `grade`); each
+    later phi_k solves target_diffs[k] o phi_k = phi_{k-1} o d_{start+k} on
+    generators.
     """
     lifts = []
     rhs = rhs0
@@ -172,10 +167,8 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade):
         if k:
             d_src = source.differential(start + k)
             prev = lifts[-1]
-            rhs = []
-            for idx in range(len(proj.summands)):
-                v, vec = proj.generator_vector(idx)
-                rhs.append(prev.blocks[v].apply(d_src.blocks[v].apply(vec)))
+            rhs = [prev.apply(*d_src.apply(*proj.generator_vector(idx)))[1]
+                   for idx in range(len(proj.summands))]
         lifts.append(_solve_generator_lift(proj, d_tgt, rhs, grade))
     return lifts
 
@@ -189,14 +182,15 @@ def lift_cocycle(table, y, depth):
     res_b = table.resolutions[y.target_vertex]
     res_a.extend_to(y.degree + depth)
     res_b.extend_to(depth)
-    # y as values in S_b, whose single slot lies at vertex b
+    # y as values in S_b, whose single slot is slice (b, 0); only the
+    # summands (b, g) map there
     rhs0 = []
-    for idx, (v, _) in enumerate(res_a.term(y.degree).gen_pos):
+    for idx, summand in enumerate(res_a.term(y.degree).summands):
         c = y.coeffs.get(idx, field.zero)
-        if v == y.target_vertex:
+        if summand == (y.target_vertex, y.target_degree):
             rhs0.append([c])
         elif c:
-            raise AssertionError("cocycle targets a different vertex")
+            raise AssertionError("cocycle targets a different vertex or degree")
         else:
             rhs0.append([])
     return lift_chain_map(res_a, y.degree, rhs0,
@@ -216,13 +210,15 @@ def pull_back(x, phi, top, mid, target_degree):
     for idx, summand in enumerate(top.summands):
         if summand != slot:
             continue
-        v, vec = top.generator_vector(idx)
-        img = phi.blocks[v].apply(vec)
+        key, col = top.gen_pos[idx]
+        block = phi.blocks.get(key)
+        if block is None:
+            continue
         acc = field.zero
-        for gi, j in mid.generator_coordinates(v).items():
+        for row, j in mid.generators.get((key[0], wsub(key[1], phi.grade)), {}).items():
             c = x.coeffs.get(j)
-            if c and img[gi]:
-                acc = acc + c * img[gi]
+            if c and block.rows[row][col]:
+                acc = acc + c * block.rows[row][col]
         if acc:
             coeffs[idx] = acc
     return coeffs

@@ -2,10 +2,10 @@
 
 Reduced row echelon form is the single primitive; rank, kernels and solving
 are derived from it, with exact field arithmetic.  Elimination is O(n^3) in
-the matrix size, so callers keep matrices small: every map between graded
-modules is homogeneous, and the module code eliminates one (vertex, degree)
-slice at a time, with all right-hand sides of a slice in one solve.  `apply`
-reads only the nonzero entries of its vector.
+the matrix size, so callers keep matrices small: graded modules are stored
+as one block per (vertex, degree) slice, so every rref, nullspace and solve
+runs on one block, with all right-hand sides of a block in one solve.
+`apply` reads only the nonzero entries of its vector.
 Zero-dimensional shapes (0 x n, m x 0) are legal throughout.
 """
 
@@ -61,9 +61,6 @@ class Matrix:
     def col(self, j):
         return [r[j] for r in self.rows]
 
-    def columns(self):
-        return [self.col(j) for j in range(self.ncols)]
-
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -109,17 +106,6 @@ class Matrix:
                        for r1, r2 in zip(self.rows, other.rows)],
                       ncols=self.ncols)
 
-    def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
-
     def scaled(self, c):
         return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
 
@@ -136,11 +122,6 @@ class Matrix:
         return Matrix(self.field,
                       [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
                       ncols=self.ncols + other.ncols)
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch")
-        return Matrix(self.field, self.rows + other.rows, ncols=self.ncols)
 
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
@@ -229,9 +210,6 @@ class Matrix:
             return out.col(0)
         return out
 
-    def is_invertible(self):
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -289,9 +267,6 @@ class Subspace:
     @property
     def dim(self):
         return len(self.echelon)
-
-    def pivot_columns(self):
-        return list(self.pivot_of_row)
 
     def basis(self):
         return [list(r) for r in self.echelon]

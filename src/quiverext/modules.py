@@ -1,195 +1,294 @@
 """Finite-dimensional graded modules over a quiver algebra, as representations.
 
-A representation assigns to each vertex an ordered list of homogeneous basis
-slots (each slot carries its weight-group degree) and to each arrow a matrix
-from the source-vertex space to the target-vertex space.  Matrices must be
-degree-compatible (a slot of degree g maps into degree g + W(a)) and must
-annihilate every relation; both are asserted at construction.
-
-Everything is immutable after construction and safe to share.
+Every map here is homogeneous, so graded data is stored by (vertex, degree)
+slice: one matrix per arrow and source slice, one per source slice of a
+module map, a missing block meaning zero.  A homogeneous vector is
+(v, g, coordinates on slice (v, g)).  Slices are visited vertex by vertex in
+quiver order, then by degree in order of first appearance; that order fixes
+the order of cover summands.  Dense per-vertex matrices appear only at the
+boundary: `from_dense` cuts them into blocks, raising ValueError on any entry
+off its block (the grading and homogeneity check), and `dense` lays the
+slices of each vertex out one after another.  Relations and commutation are
+checked on the blocks.  Everything is immutable after construction.
 """
 
-import functools
 import random
 
 from .linalg import Matrix, Subspace
 from .quiver import wadd, wneg, wsub, wzero
 
 
-class Representation:
-    """A graded left module, stored vertexwise with explicit ordered bases.
+def _unit(field, n, i):
+    vec = [field.zero] * n
+    vec[i] = field.one
+    return vec
 
-    `degrees[v]` gives the degree of each basis slot at vertex v.  The slots
-    of one degree at one vertex form a slice; `slices[v]` maps every degree
-    at v to its slot indices (degrees in order of first appearance).  The
-    map is built on first use.  Module maps are homogeneous, so kernels,
-    lifts and subrepresentations eliminate one slice at a time through it
-    (`slice_matrix`).
+
+def _product(x, y):
+    """x @ y, with None standing for a zero block."""
+    return None if x is None or y is None else x @ y
+
+
+def _same(x, y):
+    """Equal blocks, with None standing for zero."""
+    if x is None or y is None:
+        rest = y if x is None else x
+        return rest is None or rest.is_zero()
+    return x == y
+
+
+def _by_degree(degrees):
+    """{degree: slot indices} of a dense layout, degrees in order of first
+    appearance."""
+    out = {}
+    for i, g in enumerate(degrees):
+        out.setdefault(g, []).append(i)
+    return out
+
+
+def _cut(field, row_degrees, col_degrees, dense, shift, what):
+    """The one dense-to-block conversion.  Cuts a dense matrix, from slots of
+    degrees col_degrees to slots of degrees row_degrees, into blocks
+    {g: matrix from the degree-g columns to the rows of degree g + shift},
+    leaving out empty blocks.  An entry off these blocks raises ValueError."""
+    if dense.shape != (len(row_degrees), len(col_degrees)):
+        raise ValueError("%s has shape %s, expected %s"
+                         % (what, dense.shape, (len(row_degrees), len(col_degrees))))
+    for i, row in enumerate(dense.rows):
+        for j, x in enumerate(row):
+            if x and row_degrees[i] != wadd(col_degrees[j], shift):
+                raise ValueError("%s is not homogeneous at entry (%d, %d)" % (what, i, j))
+    rows = _by_degree(row_degrees)
+    blocks = {}
+    for g, cols in _by_degree(col_degrees).items():
+        idx = rows.get(wadd(g, shift))
+        if idx:
+            blocks[g] = Matrix(field, [[dense.rows[i][j] for j in cols] for i in idx])
+    return blocks
+
+
+def _assemble(field, row_slices, col_slices, blocks, shift):
+    """The one dense view: the matrix with blocks {g: Matrix}, block g from
+    column slice g to row slice g + shift, where the slices [(g, n)] lie one
+    after another."""
+    offset = {}
+    nrows = 0
+    for g, n in row_slices:
+        offset[g] = nrows
+        nrows += n
+    out = Matrix.zeros(field, nrows, sum(n for _, n in col_slices))
+    c = 0
+    for g, n in col_slices:
+        b = blocks.get(g)
+        if b is not None:
+            r = offset[wadd(g, shift)]
+            for i, row in enumerate(b.rows):
+                out.rows[r + i][c:c + n] = row
+        c += n
+    return out
+
+
+class Representation:
+    """A graded left module, stored by (vertex, degree) slice.
+
+    `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
+    order.  `action[(a, g)]` is the matrix of arrow a from slice
+    (a.source, g) to slice (a.target, g + W(a)); it is missing when zero.
     """
 
-    def __init__(self, engine, degrees, action, check=True):
+    def __init__(self, engine, dims, action, check=True):
         self.engine = engine
-        self.degrees = {v: tuple(degrees.get(v, ())) for v in engine.quiver.vertices}
-        self.action = {}
-        field = engine.field
-        for a in engine.quiver.arrows:
-            m = action.get(a.name)
-            if m is None:
-                m = Matrix.zeros(field, len(self.degrees[a.target]), len(self.degrees[a.source]))
-            self.action[a.name] = m
+        index = engine.quiver.vertex_index
+        self.dims = dict(sorted(((key, n) for key, n in dims.items() if n),
+                                key=lambda kn: index[kn[0][0]]))
+        self.action = action
         if check:
             self._verify()
 
-    def _verify(self):
-        quiver = self.engine.quiver
-        weights = self.engine.pres.weights
-        for a in quiver.arrows:
-            m = self.action[a.name]
-            src = self.degrees[a.source]
-            tgt = self.degrees[a.target]
-            if m.shape != (len(tgt), len(src)):
-                raise ValueError("action of %s has shape %s, expected %s"
-                                 % (a.name, m.shape, (len(tgt), len(src))))
-            w = weights[a.name]
-            for i in range(m.nrows):
-                for j in range(m.ncols):
-                    if m.rows[i][j] and tgt[i] != wadd(src[j], w):
-                        raise ValueError(
-                            "action of %s violates the grading at entry (%d, %d)"
-                            % (a.name, i, j))
-        for rel in self.engine.pres.uniform_relations:
-            src = rel.source
-            tgt = rel.target
-            acc = Matrix.zeros(self.engine.field,
-                               len(self.degrees[tgt]), len(self.degrees[src]))
-            for c, p in rel.terms:
-                acc = acc + self.path_action(p).scaled(c)
-            if not acc.is_zero():
-                raise ValueError("relation does not act as zero")
+    @classmethod
+    def from_dense(cls, engine, degrees, action, check=True):
+        """A representation from slot degrees {v: tuple} and dense arrow
+        matrices {arrow: Matrix} (missing means zero).  An entry that breaks
+        the grading raises ValueError."""
+        degrees = {v: tuple(degrees.get(v, ())) for v in engine.quiver.vertices}
+        dims = {(v, g): len(idx) for v, degs in degrees.items()
+                for g, idx in _by_degree(degs).items()}
+        blocks = {}
+        for a in engine.quiver.arrows:
+            m = action.get(a.name)
+            if m is not None:
+                for g, b in _cut(engine.field, degrees[a.target], degrees[a.source], m,
+                                 engine.pres.weights[a.name],
+                                 "action of " + a.name).items():
+                    blocks[(a.name, g)] = b
+        return cls(engine, dims, blocks, check=check)
 
-    def dim(self, v):
-        return len(self.degrees[v])
+    def vector_from_dense(self, v, g, vec):
+        """Coordinates on slice (v, g) of a dense vector at v, in the layout
+        of `dense`.  An entry outside that slice raises ValueError."""
+        field = self.engine.field
+        degrees = self.dense_degrees()[v]
+        blocks = _cut(field, degrees, (g,), Matrix.from_columns(field, [vec], len(degrees)),
+                      wzero(self.engine.group_rank), "vector at " + v)
+        return blocks[g].col(0) if g in blocks else []
+
+    def _verify(self):
+        weights = self.engine.pres.weights
+        arrows = self.engine.quiver.arrow_by_name
+        for (name, g), m in self.action.items():
+            a = arrows[name]
+            shape = (self.dims.get((a.target, wadd(g, weights[name])), 0),
+                     self.dims.get((a.source, g), 0))
+            if m.shape != shape:
+                raise ValueError("action of %s on degree %s has shape %s, expected %s"
+                                 % (name, list(g), m.shape, shape))
+        for rel in self.engine.pres.uniform_relations:
+            for v, g in self.dims:
+                if v != rel.source:
+                    continue
+                acc = None
+                for c, p in rel.terms:
+                    m = self.path_action(p, g)
+                    if m is not None:
+                        acc = m.scaled(c) if acc is None else acc + m.scaled(c)
+                if acc is not None and not acc.is_zero():
+                    raise ValueError("relation does not act as zero")
 
     @property
     def total_dim(self):
-        return sum(len(d) for d in self.degrees.values())
+        return sum(self.dims.values())
 
     def dim_vector(self):
-        return {v: len(self.degrees[v]) for v in self.engine.quiver.vertices}
-
-    def graded_dims(self):
-        out = {}
-        for v, degs in self.degrees.items():
-            for g in degs:
-                out[(v, g)] = out.get((v, g), 0) + 1
+        out = dict.fromkeys(self.engine.quiver.vertices, 0)
+        for (v, _), n in self.dims.items():
+            out[v] += n
         return out
 
     def is_zero(self):
-        return self.total_dim == 0
+        return not self.dims
 
-    def path_action(self, path):
-        """The matrix by which a path acts: source-vertex space to target's."""
+    def path_action(self, path, g):
+        """The matrix by which a path acts on slice (path.source, g), into
+        slice (path.target, g + weight of the path); None when it is zero."""
+        n = self.dims.get((path.source, g))
+        if not n:
+            return None
         if path.is_vertex:
-            return Matrix.identity(self.engine.field, len(self.degrees[path.source]))
-        names = list(path.arrows)
-        m = self.action[names[-1]]
-        for name in reversed(names[:-1]):
-            m = self.action[name] @ m
+            return Matrix.identity(self.engine.field, n)
+        weights = self.engine.pres.weights
+        m = None
+        for name in reversed(path.arrows):
+            b = self.action.get((name, g))
+            if b is None:
+                return None
+            m = b if m is None else b @ m
+            g = wadd(g, weights[name])
         return m
 
-    @functools.cached_property
-    def slices(self):
-        """{vertex: {degree: slot indices}}.  Shared: callers must not mutate it."""
-        out = {}
-        for v, degs in self.degrees.items():
-            by_degree = out[v] = {}
-            for i, d in enumerate(degs):
-                by_degree.setdefault(d, []).append(i)
+    def _layout(self):
+        """{v: [(g, dimension)]}: the slices of each vertex in visiting order."""
+        out = {v: [] for v in self.engine.quiver.vertices}
+        for (v, g), n in self.dims.items():
+            out[v].append((g, n))
         return out
 
-    def degree_slice(self, v, g):
-        """Indices of the slots at vertex v having degree g."""
-        return self.slices[v].get(g, [])
+    def dense_degrees(self):
+        """The degree of each slot of the dense view, per vertex."""
+        return {v: tuple(g for g, n in slices for _ in range(n))
+                for v, slices in self._layout().items()}
 
-    def slice_matrix(self, v, g, vectors):
-        """The matrix whose columns are the entries of the given vectors (at
-        vertex v) on the degree-g slice, or None when some vector has a
-        nonzero entry outside that slice."""
-        rows = self.slices[v].get(g, ())
-        if len(rows) < len(self.degrees[v]):
-            inside = set(rows)
-            for vec in vectors:
-                for i, x in enumerate(vec):
-                    if x and i not in inside:
-                        return None
-        return Matrix(self.engine.field, [[vec[i] for vec in vectors] for i in rows],
-                      ncols=len(vectors))
+    def dense(self):
+        """The dense view {arrow: Matrix}, each vertex space laid out slice
+        after slice in visiting order (see `dense_degrees`)."""
+        field = self.engine.field
+        layout = self._layout()
+        out = {}
+        for a in self.engine.quiver.arrows:
+            blocks = {g: m for (name, g), m in self.action.items() if name == a.name}
+            out[a.name] = _assemble(field, layout[a.target], layout[a.source], blocks,
+                                    self.engine.pres.weights[a.name])
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
             return NotImplemented
-        return (self.degrees == other.degrees
-                and all(self.action[a.name] == other.action[a.name]
-                        for a in self.engine.quiver.arrows))
+        return (list(self.dims.items()) == list(other.dims.items())
+                and all(_same(self.action.get(k), other.action.get(k))
+                        for k in self.action.keys() | other.action.keys()))
 
     def __repr__(self):
-        dims = {v: len(d) for v, d in self.degrees.items() if d}
-        return "Representation(%s)" % (dims,)
-
-    def to_json(self):
-        return {
-            "degrees": {v: [list(g) for g in degs]
-                        for v, degs in sorted(self.degrees.items())},
-            "action": {a.name: self.action[a.name].to_json()
-                       for a in self.engine.quiver.arrows},
-        }
+        return "Representation(%s)" % ({v: d for v, d in self.dim_vector().items() if d},)
 
 
 class ModuleMap:
-    """A vertexwise linear map between representations.
+    """A homogeneous map between representations, stored by slice.
 
-    `grade` is the uniform degree drop: a slot of degree d maps into slots
-    of degree d - grade.  Plain degree-preserving maps have grade zero.
+    `grade` is the uniform degree drop: `blocks[(v, g)]` maps slice (v, g) of
+    the source into slice (v, g - grade) of the target, and is missing when
+    zero.  Plain degree-preserving maps have grade zero.
     """
 
     def __init__(self, source, target, blocks, grade=None, check=True):
         self.source = source
         self.target = target
         self.grade = grade if grade is not None else wzero(source.engine.group_rank)
-        field = source.engine.field
-        self.blocks = {}
-        for v in source.engine.quiver.vertices:
-            b = blocks.get(v)
-            if b is None:
-                b = Matrix.zeros(field, target.dim(v), source.dim(v))
-            self.blocks[v] = b
+        self.blocks = blocks
         if check:
             self._verify()
 
+    @classmethod
+    def from_dense(cls, source, target, blocks, grade=None, check=True):
+        """A map from dense per-vertex matrices {v: Matrix} (missing means
+        zero) in the layout of the source's and target's dense views.  An
+        entry that is not homogeneous of the given grade raises ValueError."""
+        engine = source.engine
+        grade = grade if grade is not None else wzero(engine.group_rank)
+        sdeg = source.dense_degrees()
+        tdeg = target.dense_degrees()
+        out = {}
+        for v, m in blocks.items():
+            for g, b in _cut(engine.field, tdeg[v], sdeg[v], m, wneg(grade),
+                             "map at " + v).items():
+                out[(v, g)] = b
+        return cls(source, target, out, grade=grade, check=check)
+
     def _verify(self):
-        quiver = self.source.engine.quiver
-        for v in quiver.vertices:
-            b = self.blocks[v]
-            if b.shape != (self.target.dim(v), self.source.dim(v)):
-                raise ValueError("block at %s has shape %s, expected %s"
-                                 % (v, b.shape, (self.target.dim(v), self.source.dim(v))))
-            sdeg = self.source.degrees[v]
-            tdeg = self.target.degrees[v]
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    if b.rows[i][j] and tdeg[i] != wsub(sdeg[j], self.grade):
-                        raise ValueError("map is not homogeneous at %s (%d, %d)" % (v, i, j))
-        for a in quiver.arrows:
-            lhs = self.blocks[a.target] @ self.source.action[a.name]
-            rhs = self.target.action[a.name] @ self.blocks[a.source]
-            if lhs != rhs:
-                raise ValueError("map does not commute with arrow %s" % a.name)
+        for (v, g), b in self.blocks.items():
+            shape = (self.target.dims.get((v, wsub(g, self.grade)), 0),
+                     self.source.dims.get((v, g), 0))
+            if b.shape != shape:
+                raise ValueError("block at %s, degree %s has shape %s, expected %s"
+                                 % (v, list(g), b.shape, shape))
+        engine = self.source.engine
+        weights = engine.pres.weights
+        for v, g in self.source.dims:
+            for a in engine.quiver.arrows_from[v]:
+                lhs = _product(self.blocks.get((a.target, wadd(g, weights[a.name]))),
+                               self.source.action.get((a.name, g)))
+                rhs = _product(self.target.action.get((a.name, wsub(g, self.grade))),
+                               self.blocks.get((v, g)))
+                if not _same(lhs, rhs):
+                    raise ValueError("map does not commute with arrow %s" % a.name)
+
+    def apply(self, key, vec):
+        """The image of a vector of source slice `key`, as (target slice,
+        coordinates)."""
+        v, g = key
+        tkey = (v, wsub(g, self.grade))
+        b = self.blocks.get(key)
+        if b is None:
+            return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
+        return tkey, b.apply(vec)
 
     def compose(self, other):
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        blocks = {v: self.blocks[v] @ other.blocks[v] for v in self.blocks}
+        blocks = {}
+        for (v, g), b in other.blocks.items():
+            s = self.blocks.get((v, wsub(g, other.grade)))
+            if s is not None:
+                blocks[(v, g)] = s @ b
         return ModuleMap(other.source, self.target, blocks,
                          grade=wadd(self.grade, other.grade), check=False)
 
@@ -200,11 +299,28 @@ class ModuleMap:
         return sum(b.rank() for b in self.blocks.values())
 
     def is_iso(self):
-        return all(self.target.dim(v) == self.source.dim(v) and b.rank() == b.nrows
-                   for v, b in self.blocks.items())
+        if self.source.total_dim != self.target.total_dim:
+            return False
+        for (v, h), n in self.target.dims.items():
+            b = self.blocks.get((v, wadd(h, self.grade)))
+            if b is None or b.ncols != n or b.rank() != n:
+                return False
+        return True
+
+    def dense(self):
+        """The dense view {v: Matrix}, in the layout of the source's and
+        target's dense views."""
+        field = self.source.engine.field
+        src = self.source._layout()
+        tgt = self.target._layout()
+        shift = wneg(self.grade)
+        return {v: _assemble(field, tgt[v], src[v],
+                             {g: b for (u, g), b in self.blocks.items() if u == v}, shift)
+                for v in self.source.engine.quiver.vertices}
 
     def to_json(self):
-        return {v: self.blocks[v].to_json() for v in sorted(self.blocks)}
+        dense = self.dense()
+        return {v: dense[v].to_json() for v in sorted(dense)}
 
 
 def zero_module(engine):
@@ -217,15 +333,17 @@ def simple_module(engine, vertex, shift=None):
         raise ValueError("unknown vertex %r" % vertex)
     if shift is None:
         shift = wzero(engine.group_rank)
-    return Representation(engine, {vertex: (tuple(shift),)}, {}, check=False)
+    return Representation(engine, {(vertex, tuple(shift)): 1}, {}, check=False)
 
 
 class Projective:
     """A direct sum of shifted indecomposable projectives, with slot tracking.
 
-    Summand (v, g) contributes one slot per normal-form path starting at v;
-    the slot of path p lives at vertex p.target in degree weight(p) + g.  The
-    length-0 path is the summand's generator.
+    Summand (v, g) contributes one slot per normal-form path p starting at v,
+    in slice (p.target, weight(p) + g).  `slots[(w, h)]` lists the (summand
+    index, path) of each coordinate of slice (w, h).  The length-0 path is
+    the summand's generator: `gen_pos[idx]` is its (slice, coordinate), and
+    `generators[slice]` maps coordinates to summand indices.
     """
 
     def __init__(self, engine, summands):
@@ -236,32 +354,38 @@ class Projective:
             for p in engine.basis_paths_from(v):
                 slot_lists[p.target].append((wadd(p.weight, g), idx, p))
         self.slots = {}
-        degrees = {}
-        for v in engine.quiver.vertices:
-            entries = sorted(slot_lists[v],
-                             key=lambda t: (t[0], t[1], t[2].length, t[2].arrows))
-            self.slots[v] = [(idx, p) for (_, idx, p) in entries]
-            degrees[v] = tuple(d for (d, _, _) in entries)
-        self._slot_index = {}
-        for v, entries in self.slots.items():
-            for i, (idx, p) in enumerate(entries):
-                self._slot_index[(idx, p)] = (v, i)
-        self.gen_pos = []
-        for idx, (v, g) in enumerate(self.summands):
-            self.gen_pos.append(self._slot_index[(idx, engine.pres.vertex_path(v))])
-        action = {}
+        for v, entries in slot_lists.items():
+            for d, idx, p in sorted(entries, key=lambda t: (t[0], t[1], t[2].length,
+                                                            t[2].arrows)):
+                self.slots.setdefault((v, d), []).append((idx, p))
+        position = {}
+        for slots in self.slots.values():
+            for i, slot in enumerate(slots):
+                position[slot] = i
+        self.gen_pos = [((v, g), position[(idx, engine.pres.vertex_path(v))])
+                        for idx, (v, g) in enumerate(self.summands)]
+        self.generators = {}
+        for idx, (key, i) in enumerate(self.gen_pos):
+            self.generators.setdefault(key, {})[i] = idx
         field = engine.field
-        for a in engine.quiver.arrows:
-            src = self.slots[a.source]
-            tgt = self.slots[a.target]
-            m = Matrix.zeros(field, len(tgt), len(src))
-            ap = engine.pres.arrow_path(a.name)
-            for j, (idx, p) in enumerate(src):
-                for q, c in engine.multiply_paths(ap, p).items():
-                    v_i = self._slot_index[(idx, q)]
-                    m.rows[v_i[1]][j] = c
-            action[a.name] = m
-        self.rep = Representation(engine, degrees, action, check=False)
+        weights = engine.pres.weights
+        action = {}
+        for (v, g), src in self.slots.items():
+            for a in engine.quiver.arrows_from[v]:
+                tgt = self.slots.get((a.target, wadd(g, weights[a.name])))
+                if tgt is None:
+                    continue
+                m = Matrix.zeros(field, len(tgt), len(src))
+                ap = engine.pres.arrow_path(a.name)
+                nonzero = False
+                for j, (idx, p) in enumerate(src):
+                    for q, c in engine.multiply_paths(ap, p).items():
+                        m.rows[position[(idx, q)]][j] = c
+                        nonzero = True
+                if nonzero:
+                    action[(a.name, g)] = m
+        self.rep = Representation(engine, {key: len(s) for key, s in self.slots.items()},
+                                  action, check=False)
 
     @property
     def total_dim(self):
@@ -271,40 +395,35 @@ class Projective:
         return not self.summands
 
     def generator_vector(self, idx):
-        """Coordinates of summand idx's generator: (vertex, basis vector)."""
-        v, i = self.gen_pos[idx]
-        vec = [self.engine.field.zero] * self.rep.dim(v)
-        vec[i] = self.engine.field.one
-        return v, vec
-
-    def generator_coordinates(self, v):
-        """Indices at vertex v that are generator slots, as {slot index: summand}."""
-        out = {}
-        for idx, (gv, gi) in enumerate(self.gen_pos):
-            if gv == v:
-                out[gi] = idx
-        return out
-
-    def radical_slice(self, v):
-        """Indices at vertex v of positive-length path slots (the radical)."""
-        return [i for i, (_, p) in enumerate(self.slots[v]) if p.length >= 1]
+        """Summand idx's generator: (slice, unit coordinate vector)."""
+        key, i = self.gen_pos[idx]
+        return key, _unit(self.engine.field, self.rep.dims[key], i)
 
     def map_from_generator_images(self, target, images, grade=None):
-        """The module map sending generator idx to images[idx].
-
-        images[idx] is (vertex, vector in target coordinates).  Non-generator
-        slots are filled in by the path action, so the result automatically
-        commutes with the algebra action.
-        """
+        """The module map sending generator idx to images[idx], the
+        coordinates on target slice (v, g - grade) for summand (v, g) ([] or
+        zeros for zero).  The other slots follow by the path action, computed
+        once per (path, degree) in each call, so the result automatically
+        commutes with the algebra action."""
+        grade = grade if grade is not None else wzero(self.engine.group_rank)
         field = self.engine.field
-        blocks = {v: Matrix.zeros(field, target.dim(v), len(self.slots[v]))
-                  for v in self.engine.quiver.vertices}
-        for v in self.engine.quiver.vertices:
-            for j, (idx, p) in enumerate(self.slots[v]):
-                gv, vec = images[idx]
-                col = target.path_action(p).apply(vec)
-                for i, c in enumerate(col):
-                    blocks[v].rows[i][j] = c
+        actions = {}
+        blocks = {}
+        for (v, g), slots in self.slots.items():
+            nrows = target.dims.get((v, wsub(g, grade)))
+            if not nrows:
+                continue
+            cols = []
+            for idx, p in slots:
+                m = None
+                if any(images[idx]):
+                    key = (p, wsub(self.summands[idx][1], grade))
+                    if key not in actions:
+                        actions[key] = target.path_action(*key)
+                    m = actions[key]
+                cols.append([field.zero] * nrows if m is None else m.apply(images[idx]))
+            if any(any(col) for col in cols):
+                blocks[(v, g)] = Matrix.from_columns(field, cols, nrows)
         return ModuleMap(self.rep, target, blocks, grade=grade, check=False)
 
     def to_json(self):
@@ -321,73 +440,60 @@ def projective_module(engine, vertex, shift=None):
 
 def shift_rep(rep, h):
     """Shift all degrees up by h; matrices are untouched."""
-    degrees = {v: tuple(wadd(d, h) for d in degs) for v, degs in rep.degrees.items()}
-    return Representation(rep.engine, degrees, rep.action, check=False)
+    dims = {(v, wadd(g, h)): n for (v, g), n in rep.dims.items()}
+    action = {(name, wadd(g, h)): m for (name, g), m in rep.action.items()}
+    return Representation(rep.engine, dims, action, check=False)
 
 
 def radical_subspaces(rep):
-    """Per (vertex, degree): the subspace r*M, spanned by all arrow images.
+    """Per slice (v, g): the subspace r*M, spanned by all arrow images.
 
     The graded radical is generated by the arrows (positive-length normal
     form paths), so r*M is the sum of the arrow-action images.
     """
     field = rep.engine.field
+    weights = rep.engine.pres.weights
+    arrows = rep.engine.quiver.arrow_by_name
     spans = {}
-    for a in rep.engine.quiver.arrows:
-        m = rep.action[a.name]
-        tgt = a.target
-        tdegs = rep.degrees[tgt]
+    for (name, g), m in rep.action.items():
+        key = (arrows[name].target, wadd(g, weights[name]))
         for j in range(m.ncols):
             col = m.col(j)
-            if all(not c for c in col):
-                continue
-            g = None
-            for i, c in enumerate(col):
-                if c:
-                    g = tdegs[i]
-                    break
-            key = (tgt, g)
-            if key not in spans:
-                spans[key] = Subspace(field, len(tdegs))
-            spans[key].add(col)
+            if any(col):
+                if key not in spans:
+                    spans[key] = Subspace(field, rep.dims[key])
+                spans[key].add(col)
     return spans
 
 
 def semisimple_top(rep):
     """Dimensions of M / rM as a sorted list of (vertex, degree, multiplicity)."""
     spans = radical_subspaces(rep)
-    out = {}
-    for v, degs in rep.degrees.items():
-        per_deg = {}
-        for g in degs:
-            per_deg[g] = per_deg.get(g, 0) + 1
-        for g, d in per_deg.items():
-            r = spans.get((v, g))
-            mult = d - (r.dim if r else 0)
-            if mult:
-                out[(v, g)] = mult
-    return sorted((v, g, m) for (v, g), m in out.items())
+    out = []
+    for (v, g), n in rep.dims.items():
+        r = spans.get((v, g))
+        mult = n - (r.dim if r else 0)
+        if mult:
+            out.append((v, g, mult))
+    return sorted(out)
 
 
 def top_lifts(rep):
     """Choose homogeneous vectors lifting a basis of M / rM.
 
-    Returns a list of (vertex, degree, vector); standard basis vectors at
-    the non-pivot coordinates of the radical span, so the choice is
-    deterministic.
+    Returns a list of (vertex, degree, coordinates): unit vectors at the
+    non-pivot coordinates of each slice's radical span, slices in visiting
+    order, so the choice is deterministic.
     """
     spans = radical_subspaces(rep)
     field = rep.engine.field
     lifts = []
-    for v, by_degree in rep.slices.items():
-        for g, slice_idx in by_degree.items():
-            r = spans.get((v, g))
-            pivots = set(r.pivot_of_row) if r else set()
-            for i in slice_idx:
-                if i not in pivots:
-                    vec = [field.zero] * rep.dim(v)
-                    vec[i] = field.one
-                    lifts.append((v, g, vec))
+    for (v, g), n in rep.dims.items():
+        r = spans.get((v, g))
+        pivots = set(r.pivot_of_row) if r else ()
+        for i in range(n):
+            if i not in pivots:
+                lifts.append((v, g, _unit(field, n, i)))
     return lifts
 
 
@@ -404,172 +510,128 @@ class Cover:
 
 
 def kernel_subrep(mmap):
-    """Graded kernel of a module map, with its induced action and inclusion.
-
-    The map is homogeneous, so each source slice (v, g) is solved on its own:
-    its columns against the target rows of degree g - grade.  A nonzero
-    entry outside those rows raises ValueError.
-    """
-    source = mmap.source
-    target = mmap.target
-    engine = source.engine
-    field = engine.field
-    kernel_vectors = {v: [] for v in engine.quiver.vertices}
-    for v, by_degree in source.slices.items():
-        block = mmap.blocks[v]
-        for g, cols in by_degree.items():
-            sub = target.slice_matrix(v, wsub(g, mmap.grade), [block.col(j) for j in cols])
-            if sub is None:
-                raise ValueError("map is not homogeneous at %s" % (v,))
-            for kv in sub.nullspace():
-                full = [field.zero] * source.dim(v)
-                for cj, val in zip(cols, kv):
-                    full[cj] = val
-                kernel_vectors[v].append((g, full))
-    return _subrep_from_homogeneous(source, kernel_vectors)
+    """Graded kernel of a module map, with its induced action and inclusion:
+    the nullspace of each block, the whole slice where the block is zero."""
+    field = mmap.source.engine.field
+    vectors = {}
+    for key, n in mmap.source.dims.items():
+        b = mmap.blocks.get(key)
+        vectors[key] = b.nullspace() if b is not None else \
+            [_unit(field, n, i) for i in range(n)]
+    return _subrep_from_homogeneous(mmap.source, vectors)
 
 
-def _subrep_from_homogeneous(parent, vectors_by_vertex):
-    """Build the subrepresentation on given homogeneous spanning vectors.
+def _subrep_from_homogeneous(parent, vectors):
+    """Build the subrepresentation on homogeneous spanning vectors.
 
-    vectors_by_vertex: {vertex: [(degree, vector), ...]}.  The span must be
-    closed under the action (true for kernels of module maps).  Arrow images
-    are solved against the chosen basis in one system per arrow a and
-    source degree g: the parent's slots of degree g + W(a) as rows, the
-    basis vectors of that degree as columns, and the images of all basis
-    vectors of degree g as right-hand sides.
+    vectors: {slice: [coordinates, ...]}.  The span must be closed under the
+    action (true for kernels of module maps).  Per slice, the vectors that
+    raise the rank form the basis; slices are ordered by vertex, then by
+    degree.  Each arrow a and source degree g is one solve: the basis of
+    slice (a.target, g + W(a)) as columns, the images of the basis of slice
+    (a.source, g) as right-hand sides.
     """
     engine = parent.engine
     field = engine.field
-    basis = {v: [] for v in engine.quiver.vertices}
-    spans = {}
-    for v, vecs in vectors_by_vertex.items():
-        for g, vec in sorted(vecs, key=lambda t: t[0]):
-            key = (v, g)
-            if key not in spans:
-                spans[key] = Subspace(field, parent.dim(v))
-            if spans[key].add(vec):
-                basis[v].append((g, vec))
-    degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
-    incl_blocks = {v: Matrix(field, [[vec[i] for _, vec in basis[v]]
-                                     for i in range(parent.dim(v))], ncols=len(basis[v]))
-                   for v in engine.quiver.vertices}
-    sub = Representation(engine, degrees, {}, check=False)
-    # the basis vectors of each slice (v, g) on the parent's degree-g slots
-    on_slice = {}
-    for v, by_degree in sub.slices.items():
-        for g, idx in by_degree.items():
-            m = parent.slice_matrix(v, g, [basis[v][i][1] for i in idx])
+    weights = engine.pres.weights
+    index = engine.quiver.vertex_index
+    on_parent = {}
+    for key in sorted(vectors, key=lambda k: (index[k[0]], k[1])):
+        span = Subspace(field, parent.dims[key])
+        kept = [vec for vec in vectors[key] if span.add(vec)]
+        if kept:
+            on_parent[key] = Matrix.from_columns(field, kept, parent.dims[key])
+    action = {}
+    for (v, g), basis in on_parent.items():
+        for a in engine.quiver.arrows_from[v]:
+            m = parent.action.get((a.name, g))
             if m is None:
-                raise ValueError("vector at %s is not homogeneous of degree %s"
-                                 % (v, list(g)))
-            on_slice[(v, g)] = m
-    for a in engine.quiver.arrows:
-        if not basis[a.source]:
-            continue
-        act = parent.action[a.name]
-        out = sub.action[a.name]
-        w = engine.pres.weights[a.name]
-        for g, cols in sub.slices[a.source].items():
-            h = wadd(g, w)
-            images = parent.slice_matrix(
-                a.target, h, [act.apply(basis[a.source][j][1]) for j in cols])
-            if images is None:
-                raise ValueError("span is not closed under the action")
-            lhs = on_slice.get((a.target, h)) or Matrix.zeros(field, images.nrows, 0)
-            sol = lhs.solve(images)
+                continue
+            images = [m.apply(basis.col(j)) for j in range(basis.ncols)]
+            if not any(any(img) for img in images):
+                continue
+            lhs = on_parent.get((a.target, wadd(g, weights[a.name])))
+            sol = None if lhs is None else \
+                lhs.solve(Matrix.from_columns(field, images, lhs.nrows))
             if sol is None:
                 raise ValueError("span is not closed under the action")
-            for r, i in enumerate(sub.degree_slice(a.target, h)):
-                row = out.rows[i]
-                for c, j in enumerate(cols):
-                    row[j] = sol.rows[r][c]
-    incl = ModuleMap(sub, parent, incl_blocks, check=False)
-    return sub, incl
+            action[(a.name, g)] = sol
+    sub = Representation(engine, {key: b.ncols for key, b in on_parent.items()},
+                         action, check=False)
+    return sub, ModuleMap(sub, parent, on_parent, check=False)
 
 
-def subrep_generated(parent, vectors_by_vertex):
-    """The submodule generated by homogeneous vectors: close under arrows."""
+def subrep_generated(parent, vectors):
+    """The submodule generated by homogeneous vectors (v, g, coordinates):
+    close under arrows."""
     engine = parent.engine
     field = engine.field
+    weights = engine.pres.weights
     spans = {}
-    collected = {v: [] for v in engine.quiver.vertices}
+    collected = {}
 
-    def add(v, g, vec):
-        key = (v, g)
+    def add(key, vec):
         if key not in spans:
-            spans[key] = Subspace(field, parent.dim(v))
+            spans[key] = Subspace(field, parent.dims[key])
         if spans[key].add(vec):
-            collected[v].append((g, vec))
+            collected.setdefault(key, []).append(vec)
             return True
         return False
 
     frontier = []
-    for v, vecs in vectors_by_vertex.items():
-        for g, vec in vecs:
-            if add(v, g, list(vec)):
-                frontier.append((v, g, vec))
+    for v, g, vec in vectors:
+        if add((v, g), list(vec)):
+            frontier.append(((v, g), vec))
     while frontier:
-        v, g, vec = frontier.pop()
+        (v, g), vec = frontier.pop()
         for a in engine.quiver.arrows_from[v]:
-            img = parent.action[a.name].apply(vec)
+            m = parent.action.get((a.name, g))
+            if m is None:
+                continue
+            img = m.apply(vec)
             if any(img):
-                g2 = wadd(g, engine.pres.weights[a.name])
-                if add(a.target, g2, img):
-                    frontier.append((a.target, g2, img))
+                key = (a.target, wadd(g, weights[a.name]))
+                if add(key, img):
+                    frontier.append((key, img))
     return _subrep_from_homogeneous(parent, collected)
 
 
 def quotient_rep(parent, incl):
-    """Quotient of parent by the image of an inclusion, with the projection."""
+    """Quotient of parent by the image of a degree-preserving inclusion, with
+    the projection."""
     engine = parent.engine
     field = engine.field
-    sub_spans = {}
-    for v in engine.quiver.vertices:
-        block = incl.blocks[v]
-        degs = incl.source.degrees[v]
-        for j in range(block.ncols):
-            key = (v, degs[j])
-            if key not in sub_spans:
-                sub_spans[key] = Subspace(field, parent.dim(v))
-            sub_spans[key].add(block.col(j))
-    degrees = {}
-    proj_blocks = {}
+    weights = engine.pres.weights
+    arrows = engine.quiver.arrow_by_name
+    dims = {}
     keep = {}
-    for v in engine.quiver.vertices:
-        degs = parent.degrees[v]
-        keep_idx = []
-        for i, g in enumerate(degs):
-            span = sub_spans.get((v, g))
-            pivots = set(span.pivot_of_row) if span else set()
-            if i not in pivots:
-                keep_idx.append(i)
-        keep[v] = keep_idx
-        degrees[v] = tuple(degs[i] for i in keep_idx)
-        # reduce each standard vector modulo the subspace, then read off
-        # the kept coordinates
-        out = Matrix.zeros(field, len(keep_idx), len(degs))
-        for j, g in enumerate(degs):
-            span = sub_spans.get((v, g))
-            e = [field.zero] * len(degs)
-            e[j] = field.one
-            res = span.reduce(e) if span else e
-            for r, i in enumerate(keep_idx):
-                out.rows[r][j] = res[i]
-        proj_blocks[v] = out
+    proj_blocks = {}
+    for key, n in parent.dims.items():
+        span = Subspace(field, n)
+        b = incl.blocks.get(key)
+        if b is not None:
+            for j in range(b.ncols):
+                span.add(b.col(j))
+        pivots = set(span.pivot_of_row)
+        kept = keep[key] = [i for i in range(n) if i not in pivots]
+        if kept:
+            dims[key] = len(kept)
+            # reduce each unit vector modulo the subspace, then read off the
+            # kept coordinates
+            cols = []
+            for j in range(n):
+                res = span.reduce(_unit(field, n, j))
+                cols.append([res[i] for i in kept])
+            proj_blocks[key] = Matrix.from_columns(field, cols, len(kept))
     action = {}
-    for a in engine.quiver.arrows:
-        cols = []
-        src_keep = keep[a.source]
-        for j in src_keep:
-            e = [field.zero] * parent.dim(a.source)
-            e[j] = field.one
-            img = parent.action[a.name].apply(e)
-            cols.append(proj_blocks[a.target].apply(img))
-        action[a.name] = Matrix.from_columns(field, cols, len(keep[a.target]))
-    quot = Representation(engine, degrees, action, check=False)
-    proj = ModuleMap(parent, quot, proj_blocks, check=False)
-    return quot, proj
+    for (name, g), m in parent.action.items():
+        kept = keep[(arrows[name].source, g)]
+        proj = proj_blocks.get((arrows[name].target, wadd(g, weights[name])))
+        if kept and proj is not None:
+            action[(name, g)] = Matrix.from_columns(
+                field, [proj.apply(m.col(j)) for j in kept], proj.nrows)
+    quot = Representation(engine, dims, action, check=False)
+    return quot, ModuleMap(parent, quot, proj_blocks, check=False)
 
 
 def projective_cover(engine, rep):
@@ -580,99 +642,93 @@ def projective_cover(engine, rep):
     """
     lifts = top_lifts(rep)
     proj = Projective(engine, [(v, g) for v, g, _ in lifts])
-    images = [(v, vec) for v, g, vec in lifts]
-    epi = proj.map_from_generator_images(rep, images)
+    epi = proj.map_from_generator_images(rep, [vec for _, _, vec in lifts])
     kernel, incl = kernel_subrep(epi)
     return Cover(proj, epi, kernel, incl)
 
 
 def direct_sum(reps):
-    """Direct sum of representations (block diagonal actions)."""
+    """Direct sum of representations (block diagonal actions): slice (v, g)
+    holds the slices (v, g) of the summands one after another."""
     if not reps:
         raise ValueError("empty direct sum")
     engine = reps[0].engine
     field = engine.field
-    degrees = {v: tuple(d for r in reps for d in r.degrees[v])
-               for v in engine.quiver.vertices}
+    weights = engine.pres.weights
+    arrows = engine.quiver.arrow_by_name
+    dims = {}
+    offsets = []
+    for r in reps:
+        offsets.append({key: dims.get(key, 0) for key in r.dims})
+        for key, n in r.dims.items():
+            dims[key] = dims.get(key, 0) + n
     action = {}
-    for a in engine.quiver.arrows:
-        nrows = sum(r.dim(a.target) for r in reps)
-        ncols = sum(r.dim(a.source) for r in reps)
-        m = Matrix.zeros(field, nrows, ncols)
-        ro = co = 0
-        for r in reps:
-            b = r.action[a.name]
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    m.rows[ro + i][co + j] = b.rows[i][j]
-            ro += b.nrows
-            co += b.ncols
-        action[a.name] = m
-    return Representation(engine, degrees, action, check=False)
+    for r, offset in zip(reps, offsets):
+        for (name, g), b in r.action.items():
+            skey = (arrows[name].source, g)
+            tkey = (arrows[name].target, wadd(g, weights[name]))
+            if (name, g) not in action:
+                action[(name, g)] = Matrix.zeros(field, dims[tkey], dims[skey])
+            m = action[(name, g)]
+            ro, co = offset[tkey], offset[skey]
+            for i, row in enumerate(b.rows):
+                m.rows[ro + i][co:co + b.ncols] = row
+    return Representation(engine, dims, action, check=False)
 
 
 def dual_to_opposite(engine, rep):
     """The K-dual as a module over the opposite algebra; degrees are negated."""
-    op = engine.opposite_engine
-    degrees = {v: tuple(wneg(d) for d in rep.degrees[v]) for v in rep.degrees}
-    action = {}
-    for a in engine.quiver.arrows:
-        action[a.name] = rep.action[a.name].transpose()
-    return Representation(op, degrees, action, check=True)
+    weights = engine.pres.weights
+    dims = {(v, wneg(g)): n for (v, g), n in rep.dims.items()}
+    action = {(name, wneg(wadd(g, weights[name]))): m.transpose()
+              for (name, g), m in rep.action.items()}
+    return Representation(engine.opposite_engine, dims, action, check=True)
 
 
-def hom_space(M, N, graded=True):
-    """A basis of module maps M -> N (degree-preserving when graded).
+def hom_space(M, N):
+    """A basis of the degree-preserving module maps M -> N.
 
-    Solves the commutation constraints as one linear system; the basis comes
-    from the nullspace in a fixed variable order, so it is deterministic.
+    The unknowns are the entries of the blocks of the slices present in
+    both, and the commutation constraints are one linear system; the basis
+    comes from the nullspace in a fixed variable order, so it is
+    deterministic.
     """
     engine = M.engine
     field = engine.field
-    variables = []
+    weights = engine.pres.weights
     var_index = {}
-    for v in engine.quiver.vertices:
-        sdeg = M.degrees[v]
-        tdeg = N.degrees[v]
-        for i in range(len(tdeg)):
-            for j in range(len(sdeg)):
-                if graded and tdeg[i] != sdeg[j]:
-                    continue
-                var_index[(v, i, j)] = len(variables)
-                variables.append((v, i, j))
-    rows = []
-    for a in engine.quiver.arrows:
-        u, w = a.source, a.target
-        Am = M.action[a.name]
-        An = N.action[a.name]
-        for i in range(N.dim(w)):
-            for j in range(M.dim(u)):
-                row = [field.zero] * len(variables)
-                used = False
-                for k in range(M.dim(w)):
-                    if Am.rows[k][j]:
-                        idx = var_index.get((w, i, k))
-                        if idx is not None:
-                            row[idx] = row[idx] + Am.rows[k][j]
-                            used = True
-                for k in range(N.dim(u)):
-                    if An.rows[i][k]:
-                        idx = var_index.get((u, k, j))
-                        if idx is not None:
-                            row[idx] = row[idx] - An.rows[i][k]
-                            used = True
-                if used:
-                    rows.append(row)
-    if not variables:
+    for key, n in N.dims.items():
+        for i in range(n):
+            for j in range(M.dims.get(key, 0)):
+                var_index[(key, i, j)] = len(var_index)
+    if not var_index:
         return []
-    mat = Matrix(field, rows, ncols=len(variables)) if rows else \
-        Matrix(field, [], ncols=len(variables))
+    # f o a = a o f on each slice (u, g) of M, entry (i, j) of slice
+    # (a.target, g + W(a)); every unknown named here exists
+    rows = []
+    for (u, g), ncols in M.dims.items():
+        for a in engine.quiver.arrows_from[u]:
+            Am = M.action.get((a.name, g))
+            An = N.action.get((a.name, g))
+            tkey = (a.target, wadd(g, weights[a.name]))
+            for i in range(N.dims.get(tkey, 0) if Am or An else 0):
+                for j in range(ncols):
+                    row = [field.zero] * len(var_index)
+                    for k in range(Am.nrows if Am else 0):
+                        row[var_index[(tkey, i, k)]] += Am.rows[k][j]
+                    for k in range(An.ncols if An else 0):
+                        row[var_index[((u, g), k, j)]] -= An.rows[i][k]
+                    if any(row):
+                        rows.append(row)
+    mat = Matrix(field, rows, ncols=len(var_index))
     basis = []
     for vec in mat.nullspace():
-        blocks = {v: Matrix.zeros(field, N.dim(v), M.dim(v))
-                  for v in engine.quiver.vertices}
-        for (v, i, j), val in zip(variables, vec):
-            blocks[v].rows[i][j] = val
+        blocks = {}
+        for (key, i, j), val in zip(var_index, vec):
+            if val:
+                if key not in blocks:
+                    blocks[key] = Matrix.zeros(field, N.dims[key], M.dims[key])
+                blocks[key].rows[i][j] = val
         basis.append(ModuleMap(M, N, blocks, check=False))
     return basis
 
@@ -683,7 +739,7 @@ def module_iso_test(M, N, seed=0, trials=64):
 
     Returns (status, witness_map_or_None).
     """
-    if M.graded_dims() != N.graded_dims():
+    if M.dims != N.dims:
         return "not_isomorphic", None
     if M.total_dim == 0:
         return "isomorphic", ModuleMap(M, N, {}, check=False)
@@ -698,12 +754,11 @@ def module_iso_test(M, N, seed=0, trials=64):
     for _ in range(trials):
         coeffs = [field.of(rng.randint(-3, 3)) for _ in homs]
         blocks = {}
-        for v in M.engine.quiver.vertices:
-            acc = Matrix.zeros(field, N.dim(v), M.dim(v))
-            for c, h in zip(coeffs, homs):
-                if c:
-                    acc = acc + h.blocks[v].scaled(c)
-            blocks[v] = acc
+        for c, h in zip(coeffs, homs):
+            if c:
+                for key, b in h.blocks.items():
+                    acc = blocks.get(key)
+                    blocks[key] = b.scaled(c) if acc is None else acc + b.scaled(c)
         cand = ModuleMap(M, N, blocks, check=False)
         if cand.is_iso():
             return "isomorphic", cand
@@ -711,18 +766,15 @@ def module_iso_test(M, N, seed=0, trials=64):
 
 
 def random_homogeneous_vectors(rep, rng, count):
-    """Random homogeneous vectors of rep, for property tests."""
-    slices = [(v, g, idx) for v in rep.engine.quiver.vertices
-              for g, idx in rep.slices[v].items()]
+    """Random homogeneous vectors (v, g, coordinates) of rep, for property tests."""
+    slices = list(rep.dims.items())
     out = []
     if not slices:
         return out
     field = rep.engine.field
     for _ in range(count):
-        v, g, idx = slices[rng.randrange(len(slices))]
-        vec = [field.zero] * rep.dim(v)
-        for i in idx:
-            vec[i] = field.of(rng.randint(-2, 2))
+        (v, g), n = slices[rng.randrange(len(slices))]
+        vec = [field.of(rng.randint(-2, 2)) for _ in range(n)]
         if any(vec):
             out.append((v, g, vec))
     return out

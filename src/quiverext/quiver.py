@@ -24,7 +24,8 @@ class Quiver:
         self.arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
         if not self.vertices:
             raise ValueError("a quiver needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.vertex_index) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):

@@ -195,15 +195,17 @@ def _solve_column(field, cols, rhs):
 
 def dense_kernel(mmap):
     """Kernel of a module map: per vertex and source degree g, the nullspace
-    of the block's degree-g columns over all rows (free column j carries a 1
-    in position j), then `dense_subrep` on those vectors."""
+    of the dense view's degree-g columns over all rows (free column j
+    carries a 1 in position j), then `dense_subrep` on those vectors."""
     source = mmap.source
     engine = source.engine
     field = engine.field
+    source_degrees = source.dense_degrees()
+    dense = mmap.dense()
     vectors = {v: [] for v in engine.quiver.vertices}
     for v in engine.quiver.vertices:
-        degs = source.degrees[v]
-        rows = mmap.blocks[v].rows
+        degs = source_degrees[v]
+        rows = dense[v].rows
         for g in sorted(set(degs), key=degs.index):
             cols = [j for j, d in enumerate(degs) if d == g]
             reduced, pivots = rref_rows([[r[j] for j in cols] for r in rows], len(cols))
@@ -218,10 +220,12 @@ def dense_kernel(mmap):
     return dense_subrep(source, vectors)
 
 
-def dense_generated(parent, vectors_by_vertex):
-    """The submodule generated by homogeneous vectors, closed under arrows
-    in the same order as the package, then `dense_subrep`."""
+def dense_generated(parent, vectors):
+    """The submodule generated by dense homogeneous vectors (v, g, vector),
+    closed under arrows in the same order as the package, then
+    `dense_subrep`."""
     engine = parent.engine
+    action = parent.dense()
     spans = {}
     collected = {v: [] for v in engine.quiver.vertices}
 
@@ -234,14 +238,13 @@ def dense_generated(parent, vectors_by_vertex):
         return False
 
     frontier = []
-    for v, vecs in vectors_by_vertex.items():
-        for g, vec in vecs:
-            if add(v, g, list(vec)):
-                frontier.append((v, g, vec))
+    for v, g, vec in vectors:
+        if add(v, g, list(vec)):
+            frontier.append((v, g, vec))
     while frontier:
         v, g, vec = frontier.pop()
         for a in engine.quiver.arrows_from[v]:
-            img = _matvec(engine.field, parent.action[a.name].rows, vec)
+            img = _matvec(engine.field, action[a.name].rows, vec)
             if any(x != 0 for x in img):
                 g2 = tuple(x + y for x, y in zip(g, engine.pres.weights[a.name]))
                 if add(a.target, g2, img):
@@ -251,12 +254,14 @@ def dense_generated(parent, vectors_by_vertex):
 
 def dense_subrep(parent, vectors_by_vertex):
     """The subrepresentation on homogeneous spanning vectors, as plain data
-    (degrees, {arrow: action rows}, {vertex: inclusion rows}).  Per vertex
-    the vectors are taken in degree order, a vector is kept when it raises
-    the rank of its degree, and each arrow image of a kept vector is solved
-    on its own against all kept vectors at the target."""
+    (degrees, {arrow: action rows}, {vertex: inclusion rows}) in the layout
+    of the dense view.  Per vertex the vectors are taken in degree order, a
+    vector is kept when it raises the rank of its degree, and each arrow
+    image of a kept vector is solved on its own against all kept vectors at
+    the target."""
     engine = parent.engine
     field = engine.field
+    action_of = parent.dense()
     basis = {v: [] for v in engine.quiver.vertices}
     for v, vecs in vectors_by_vertex.items():
         kept = {}
@@ -266,14 +271,15 @@ def dense_subrep(parent, vectors_by_vertex):
                 span.append(vec)
                 basis[v].append((g, vec))
     degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
-    inclusion = {v: [[vec[i] for _, vec in basis[v]] for i in range(parent.dim(v))]
+    sizes = {v: len(d) for v, d in parent.dense_degrees().items()}
+    inclusion = {v: [[vec[i] for _, vec in basis[v]] for i in range(sizes[v])]
                  for v in basis}
     action = {}
     for a in engine.quiver.arrows:
         tgt = [vec for _, vec in basis[a.target]]
         cols = []
         for _, vec in basis[a.source]:
-            x = _solve_column(field, tgt, _matvec(field, parent.action[a.name].rows, vec))
+            x = _solve_column(field, tgt, _matvec(field, action_of[a.name].rows, vec))
             if x is None:
                 raise ValueError("span is not closed under the action")
             cols.append(x)

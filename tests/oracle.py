@@ -31,20 +31,15 @@ class _OracleResolution:
         summands = list(cover_projective.summands) + \
             [(self.padding, wzero(self.engine.group_rank))]
         proj = Projective(self.engine, summands)
-        field = self.engine.field
-        images = list(epi_images)
-        images.append((self.padding, [field.zero] * target.dim(self.padding)))
-        epi = proj.map_from_generator_images(target, images)
+        epi = proj.map_from_generator_images(target, list(epi_images) + [[]])
         return proj, epi
 
     def extend_to(self, bound):
         while len(self.terms) <= bound:
             k, incl = self.kernels[-1]
             cov = projective_cover(self.engine, k)
-            lift_images = []
-            for idx in range(len(cov.projective.summands)):
-                v, vec = cov.projective.generator_vector(idx)
-                lift_images.append((v, cov.epi.blocks[v].apply(vec)))
+            lift_images = [cov.epi.apply(*cov.projective.generator_vector(idx))[1]
+                           for idx in range(len(cov.projective.summands))]
             proj, epi_to_k = self._pad(cov.projective, k, lift_images)
             self.terms.append(proj)
             self.maps.append(epi_to_k if incl is None else incl.compose(epi_to_k))
@@ -54,36 +49,38 @@ class _OracleResolution:
 def ext_oracle(engine, source_vertex, target_vertex, n, padding_vertex=None):
     """dim Ext^n(S_source, S_target), ungraded, via Hom-complex cohomology
     over a non-minimal resolution.  Independent of the table computation.
+
+    The resolution is graded, so the ungraded Hom(Q^k, S_target) is the
+    direct sum over shifts h of the graded Hom(Q^k, S_target[h]), and so
+    is its cohomology.
     """
     res = _OracleResolution(engine, source_vertex, padding_vertex)
     res.extend_to(n + 1)
-    target = simple_module(engine, target_vertex)
 
     def flat(mmap):
         vec = []
-        for v in engine.quiver.vertices:
-            for row in mmap.blocks[v].rows:
+        for m in mmap.dense().values():
+            for row in m.rows:
                 vec.extend(row)
         return vec
 
-    hom_bases = []
-    for k in (n - 1, n, n + 1):
-        if k < 0:
-            hom_bases.append(None)
-        else:
-            hom_bases.append(hom_space(res.terms[k].rep, target, graded=False))
-
     def dstar_rank(basis_k, k):
         """Rank of Hom(Q^k, T) -> Hom(Q^{k+1}, T), psi -> psi o d_{k+1}."""
-        if basis_k is None or not basis_k:
+        if not basis_k:
             return 0
         d = res.maps[k + 1]
         cols = [flat(psi.compose(d)) for psi in basis_k]
-        if not cols or not cols[0]:
+        if not cols[0]:
             return 0
         return Matrix.from_columns(engine.field, cols, len(cols[0])).rank()
 
-    dim_hom_n = len(hom_bases[1])
-    rank_out = dstar_rank(hom_bases[1], n)
-    rank_in = dstar_rank(hom_bases[0], n - 1) if n >= 1 else 0
-    return dim_hom_n - rank_out - rank_in
+    # Hom^n vanishes at shifts h with no slice (target, h) in Q^n
+    shifts = [g for v, g in res.terms[n].rep.dims if v == target_vertex]
+    total = 0
+    for h in shifts:
+        target = simple_module(engine, target_vertex, shift=h)
+        hom = {k: hom_space(res.terms[k].rep, target) for k in (n - 1, n) if k >= 0}
+        total += len(hom[n]) - dstar_rank(hom[n], n)
+        if n >= 1:
+            total -= dstar_rank(hom[n - 1], n - 1)
+    return total

@@ -195,10 +195,7 @@ def _check_F_exact_on_random_ses(c, rng, count):
         big = direct_sum([projs[rng.randrange(len(projs))],
                           projs[rng.randrange(len(projs))]])
         vecs = random_homogeneous_vectors(big, rng, 2)
-        by_vertex = {}
-        for v, g, vec in vecs:
-            by_vertex.setdefault(v, []).append((g, vec))
-        sub, incl = subrep_generated(big, by_vertex)
+        sub, incl = subrep_generated(big, vecs)
         quot, proj = quotient_rep(big, incl)
         fa, fb, fc = (apply_F(c, r) for r in (sub, big, quot))
         fi = apply_F_map(c, incl, source_F=fa, target_F=fb)

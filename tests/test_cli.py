@@ -10,6 +10,8 @@ from quiverext import parse_algebra
 from quiverext.cli import main
 from quiverext.fields import PrimeField
 
+from conftest import FIXTURE_NAMES
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -106,12 +108,18 @@ def test_corner_round_trip_through_cli(capsys, fixtures_dir, tmp_path):
     assert json.loads(out2)["dim_lambda"] == 4
 
 
-def test_resolve_matches_golden(capsys, fixtures_dir):
-    code, out, _ = run_cli(capsys, "resolve", fix(fixtures_dir, "e24"),
-                           "--bound", "3", "--simple", "u")
+# every differential of these resolutions, through the dense view, byte for byte
+RESOLVE_GOLDEN = [(name, ["--bound", "6"], name + "_resolve_b6.json")
+                  for name in FIXTURE_NAMES] + \
+    [("e24", ["--bound", "3", "--simple", "u"], "e24_resolve_u.json")]
+
+
+@pytest.mark.parametrize("name,extra,golden", RESOLVE_GOLDEN,
+                         ids=FIXTURE_NAMES + ["e24-simple-u"])
+def test_resolve_matches_golden(capsys, fixtures_dir, name, extra, golden):
+    code, out, _ = run_cli(capsys, "resolve", fix(fixtures_dir, name), *extra)
     assert code == 0
-    expected = (GOLDEN / "e24_resolve_u.json").read_text()
-    assert out == expected
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_products_match_golden(capsys, fixtures_dir):

@@ -29,8 +29,8 @@ def engine_and_f(name):
 def assert_chain_map(lifts, src_diff, tgt_diff):
     """tgt_diff(k) o lifts[k] == lifts[k-1] o src_diff(k) for k >= 1."""
     for k in range(1, len(lifts)):
-        assert (tgt_diff(k).compose(lifts[k]).blocks
-                == lifts[k - 1].compose(src_diff(k)).blocks), "step %d" % k
+        assert (tgt_diff(k).compose(lifts[k]).dense()
+                == lifts[k - 1].compose(src_diff(k)).dense()), "step %d" % k
 
 
 # mixed-sign weights put radical paths into a generator's own degree
@@ -52,10 +52,10 @@ def test_cocycle_lifts_are_chain_maps(name):
         # phi_0 followed by the augmentation onto S_b is y itself
         base = res_b.differential(0).compose(lifts[0])
         p_n = res_a.term(n)
-        for idx in range(len(p_n.summands)):
-            v, vec = p_n.generator_vector(idx)
-            want = [y.coeffs.get(idx, field.zero)] if v == y.target_vertex else []
-            assert base.blocks[v].apply(vec) == want
+        for idx, summand in enumerate(p_n.summands):
+            on_b = summand == (y.target_vertex, y.target_degree)
+            want = [y.coeffs.get(idx, field.zero)] if on_b else []
+            assert base.apply(*p_n.generator_vector(idx))[1] == want
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -79,7 +79,7 @@ def test_transport_maps_are_chain_maps(name):
         f_aug = apply_F_map(corner, res_lam.differential(0),
                             source_F=psi[0].target,
                             target_F=apply_F(corner, res_lam.module))
-        assert f_aug.compose(psi[0]).blocks == res_cor.differential(0).blocks
+        assert f_aug.compose(psi[0]).dense() == res_cor.differential(0).dense()
 
 
 def test_cocycle_at_wrong_vertex_raises():

@@ -1,20 +1,22 @@
-"""The degree-sliced kernels and subrepresentations against the dense
-per-column reference in naive.py, plus the checks that guard the slicing."""
+"""Slice-stored kernels and subrepresentations against the dense per-column
+reference in naive.py, the checks at the dense-to-block conversion, and the
+order in which slices are visited."""
 
 import random
 import zlib
 
 import pytest
 
-from quiverext import ModuleMap, build_engine, parse_algebra_file
+from quiverext import ModuleMap, Representation, build_engine, parse_algebra_file
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
-from quiverext.modules import (Projective, _subrep_from_homogeneous, kernel_subrep,
-                               projective_module, random_homogeneous_vectors,
+from quiverext.modules import (Projective, _subrep_from_homogeneous, direct_sum,
+                               kernel_subrep, projective_cover, projective_module,
+                               random_homogeneous_vectors, simple_module,
                                subrep_generated)
 from quiverext.quiver import wadd
 
-from conftest import FIXTURE_NAMES, FIXTURES, engine_for
+from conftest import FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from
 from naive import dense_generated, dense_kernel
 
 
@@ -23,14 +25,25 @@ def _engine(name, field):
     return build_engine(pres.with_field(field))
 
 
+def _dense_vector(rep, v, g, coords):
+    """A slice vector in the layout of the dense view."""
+    degrees = rep.dense_degrees()[v]
+    vec = [rep.engine.field.zero] * len(degrees)
+    start = degrees.index(g)
+    vec[start:start + len(coords)] = coords
+    return vec
+
+
 def _assert_same(got, want):
     sub, incl = got
     degrees, action, inclusion = want
-    assert sub.degrees == degrees
+    assert sub.dense_degrees() == degrees
+    dense = sub.dense()
     for name, rows in action.items():
-        assert sub.action[name].rows == rows
+        assert dense[name].rows == rows
+    dense = incl.dense()
     for v, rows in inclusion.items():
-        assert incl.blocks[v].rows == rows
+        assert dense[v].rows == rows
     sub._verify()
     incl._verify()
 
@@ -49,17 +62,15 @@ def test_sliced_path_matches_dense_reference(name, field):
         picked = random_homogeneous_vectors(cover.rep, rng, rng.randint(1, 3))
         if not picked:
             continue
-        by_vertex = {}
-        for v, g, vec in picked:
-            by_vertex.setdefault(v, []).append((g, vec))
-        _assert_same(subrep_generated(cover.rep, by_vertex),
-                     dense_generated(cover.rep, by_vertex))
+        dense = [(v, g, _dense_vector(cover.rep, v, g, vec)) for v, g, vec in picked]
+        _assert_same(subrep_generated(cover.rep, picked),
+                     dense_generated(cover.rep, dense))
         # kernels of the map sending free generators onto the picked vectors,
         # once degree-preserving and once with a uniform degree drop
         for grade in (zero, one):
             source = Projective(eng, [(v, wadd(g, grade)) for v, g, _ in picked])
             phi = source.map_from_generator_images(
-                cover.rep, [(v, vec) for v, _, vec in picked], grade=grade)
+                cover.rep, [vec for _, _, vec in picked], grade=grade)
             phi._verify()
             _assert_same(kernel_subrep(phi), dense_kernel(phi))
 
@@ -67,42 +78,55 @@ def test_sliced_path_matches_dense_reference(name, field):
 def test_span_not_closed_raises():
     eng = engine_for("e24")
     p = projective_module(eng, "u")
-    v, gen = p.generator_vector(0)
+    key, gen = p.generator_vector(0)
     with pytest.raises(ValueError, match="span is not closed under the action"):
-        _subrep_from_homogeneous(p.rep, {v: [((0,), gen)]})
+        _subrep_from_homogeneous(p.rep, {key: [gen]})
 
 
 def test_vector_outside_its_degree_raises():
     eng = engine_for("e24")
-    p = projective_module(eng, "v")
-    v, gen = p.generator_vector(0)
-    with pytest.raises(ValueError, match="not homogeneous"):
-        _subrep_from_homogeneous(p.rep, {v: [((1,), gen)]})
+    p = projective_module(eng, "v").rep
+    # the generator e_v lies in degree 0 of the dense view [e_v, b]
+    gen = _dense_vector(p, "v", (0,), [eng.field.one])
+    assert p.vector_from_dense("v", (0,), gen) == [eng.field.one]
+    with pytest.raises(ValueError, match="vector at v is not homogeneous"):
+        p.vector_from_dense("v", (1,), gen)
 
 
-def test_kernel_of_non_homogeneous_map_raises():
+def test_non_homogeneous_map_raises():
     eng = engine_for("e24")
     p = projective_module(eng, "v").rep
     field = eng.field
     # the identity with a nonzero degree drop, and e_v -> b at drop zero
-    shifted = ModuleMap(p, p, {"v": Matrix.identity(field, 2)}, grade=(1,), check=False)
     e_to_b = Matrix.zeros(field, 2, 2)
-    e_to_b.rows[p.degree_slice("v", (1,))[0]][p.degree_slice("v", (0,))[0]] = field.one
-    tilted = ModuleMap(p, p, {"v": e_to_b}, check=False)
-    for mmap in (shifted, tilted):
-        with pytest.raises(ValueError, match="not homogeneous"):
-            kernel_subrep(mmap)
+    degrees = p.dense_degrees()["v"]
+    e_to_b.rows[degrees.index((1,))][degrees.index((0,))] = field.one
+    for blocks, grade in (({"v": Matrix.identity(field, 2)}, (1,)), ({"v": e_to_b}, None)):
+        with pytest.raises(ValueError, match="map at v is not homogeneous"):
+            ModuleMap.from_dense(p, p, blocks, grade=grade, check=False)
 
 
-def test_slices_follow_degrees():
+def test_slices_visit_vertices_then_first_appearance():
+    eng = engine_from(SEMISIMPLE2)
+    rep = Representation.from_dense(eng, {"v": ((2,), (0,), (2,)), "u": ((1,),)}, {})
+    # vertices in quiver order, then degrees in order of first appearance
+    assert list(rep.dims.items()) == [(("u", (1,)), 1), (("v", (2,)), 2),
+                                      (("v", (0,)), 1)]
+    assert rep.dense_degrees() == {"u": ((1,),), "v": ((2,), (2,), (0,))}
+    # that order fixes the order of cover summands
+    assert projective_cover(eng, rep).projective.summands == (
+        ("u", (1,)), ("v", (2,)), ("v", (2,)), ("v", (0,)))
+    # a direct sum visits each degree where it first appears among the summands
+    both = direct_sum([simple_module(eng, "v", (3,)), rep])
+    assert list(both.dims) == [("u", (1,)), ("v", (3,)), ("v", (2,)), ("v", (0,))]
+    # a projective visits its degrees in increasing order, and the dense
+    # view reads back into the same blocks
     eng = engine_for("e41")
-    p = Projective(eng, [("u", (0,)), ("v", (0,)), ("u", (1,))])
+    p = Projective(eng, [("u", (1,)), ("v", (0,)), ("u", (0,))])
     for v in eng.quiver.vertices:
-        degs = p.rep.degrees[v]
-        slices = p.rep.slices[v]
-        assert list(slices) == list(dict.fromkeys(degs))
-        assert sorted(i for idx in slices.values() for i in idx) == list(range(len(degs)))
-        for g, idx in slices.items():
-            assert idx == p.rep.degree_slice(v, g)
-            assert all(degs[i] == g for i in idx)
-        assert p.rep.degree_slice(v, (99,)) == []
+        degs = [g for u, g in p.rep.dims if u == v]
+        assert degs == sorted(degs)
+    assert list(p.rep.dims) == list(p.slots)
+    kernel = projective_cover(eng, simple_module(eng, "v")).kernel
+    for rep in (p.rep, kernel):
+        assert Representation.from_dense(eng, rep.dense_degrees(), rep.dense()) == rep
