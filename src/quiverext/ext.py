@@ -6,6 +6,11 @@ multiplicity of the summand (v, g) in P^n: maps to a simple kill the
 radical, and minimality makes every such map a cocycle and no nonzero one
 a coboundary.  Chain maps between resolutions are lifted generator by
 generator with one primitive, `lift_chain_map`.
+
+Lifts and pull-backs are linear in the cocycle (every solve takes the
+first solution), so a table lifts each standard basis class once, extending
+the stored maps on demand, and a Yoneda product combines pull-backs along
+those lifts.
 """
 
 import math
@@ -70,6 +75,7 @@ class ExtTable:
             u for u, res in self.resolutions.items()
             if res.certificate is None
             and all(not res.syzygy(n).is_zero() for n in range(bound + 2))}
+        self.lifts = {}     # (source, degree, summand index) -> [phi_0, ...]
 
     def entry(self, n, u, v, g):
         return self.entries.get((n, u, v, tuple(g)), 0)
@@ -96,6 +102,17 @@ class ExtTable:
             for idx, (v, g) in enumerate(res.summands(n)):
                 out.append(ExtClass(n, u, v, g, {idx: self.engine.field.one}))
         return out
+
+    def basis_lift(self, source, degree, idx, depth):
+        """The lift phi_0..phi_depth of the basis class on summand idx of
+        P^degree(S_source), extending the stored maps as needed."""
+        key = (source, degree, idx)
+        lifts = self.lifts.get(key, [])
+        if len(lifts) <= depth:
+            v, g = self.resolutions[source].term(degree).summands[idx]
+            y = ExtClass(degree, source, v, g, {idx: self.engine.field.one})
+            lifts = self.lifts[key] = lift_cocycle(self, y, depth, lifts)
+        return lifts
 
     def identity_class(self, u):
         return ExtClass(0, u, u, wzero(self.engine.group_rank),
@@ -148,7 +165,7 @@ def _solve_generator_lift(proj, lhs_map, rhs_vectors, grade):
     return proj.map_from_generator_images(lhs_map.source, images, grade=grade)
 
 
-def lift_chain_map(source, start, rhs0, target_diffs, grade):
+def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
     """Lift generator by generator a chain map phi_k: P^{start+k} -> T_k,
     k = 0..depth, from the terms of the resolution `source` into the
     complex with differentials target_diffs[k]: T_k -> T_{k-1}, where
@@ -158,11 +175,13 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade):
     phi_0 solves target_diffs[0] o phi_0 = rhs0 on generators (rhs0[idx]
     is a vector of M on generator idx's slice shifted down by `grade`); each
     later phi_k solves target_diffs[k] o phi_k = phi_{k-1} o d_{start+k} on
-    generators.
+    generators.  The maps `done`, lifted earlier, are kept and the lift
+    continues after the last of them.
     """
-    lifts = []
+    lifts = list(done)
     rhs = rhs0
-    for k, d_tgt in enumerate(target_diffs):
+    for k in range(len(lifts), len(target_diffs)):
+        d_tgt = target_diffs[k]
         proj = source.term(start + k)
         if k:
             d_src = source.differential(start + k)
@@ -173,9 +192,10 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade):
     return lifts
 
 
-def lift_cocycle(table, y, depth):
+def lift_cocycle(table, y, depth, done=()):
     """Chain maps phi_k: P^{n+k}(S_a) -> P^k(S_b), k = 0..depth, lifting the
-    cocycle y in Ext^n(S_a, S_b[g]).  Maps carry the uniform degree drop g.
+    cocycle y in Ext^n(S_a, S_b[g]), continuing after the maps `done` of an
+    earlier lift of y.  Maps carry the uniform degree drop g.
     """
     field = table.engine.field
     res_a = table.resolutions[y.source]
@@ -195,7 +215,7 @@ def lift_cocycle(table, y, depth):
             rhs0.append([])
     return lift_chain_map(res_a, y.degree, rhs0,
                           [res_b.differential(k) for k in range(depth + 1)],
-                          y.target_degree)
+                          y.target_degree, done)
 
 
 def pull_back(x, phi, top, mid, target_degree):
@@ -225,16 +245,25 @@ def pull_back(x, phi, top, mid, target_degree):
 
 
 def yoneda_product(table, x, y):
-    """The Yoneda product x*y: lift y through the resolution of its target
-    simple, then apply x on top.  Non-composable classes multiply to zero.
+    """The Yoneda product x*y = sum_i y_i x*b_i over the basis classes b_i
+    of y: x pulled back along the stored lift of each b_i.  Non-composable
+    classes multiply to zero.
     """
     degree = x.degree + y.degree
     tdeg = wadd(x.target_degree, y.target_degree)
     if x.source != y.target_vertex or x.is_zero() or y.is_zero():
         return ExtClass(degree, y.source, x.target_vertex, tdeg, {})
-    phi = lift_cocycle(table, y, x.degree)[x.degree]
-    coeffs = pull_back(x, phi, table.resolutions[y.source].term(degree),
-                       table.resolutions[x.source].term(x.degree), tdeg)
+    field = table.engine.field
+    res_a = table.resolutions[y.source]
+    summands = res_a.term(y.degree).summands
+    mid = table.resolutions[x.source].term(x.degree)
+    coeffs = {}
+    for i, c in y.coeffs.items():
+        if summands[i] != (y.target_vertex, y.target_degree):
+            raise AssertionError("cocycle targets a different vertex or degree")
+        phi = table.basis_lift(y.source, y.degree, i, x.degree)[x.degree]
+        for idx, z in pull_back(x, phi, res_a.term(degree), mid, tdeg).items():
+            coeffs[idx] = coeffs.get(idx, field.zero) + c * z
     return ExtClass(degree, y.source, x.target_vertex, tdeg, coeffs)
 
 

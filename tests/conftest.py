@@ -39,6 +39,19 @@ rel y*y
 rel x*y + -1*y*x
 """
 
+# the same algebra graded over Z: Ext^n is one slot of dimension n + 1
+EXTERIOR2_Z = """
+field Q
+group Z 1
+vertices v
+arrow x v v 1
+arrow y v v 1
+truncate 3
+rel x*x
+rel y*y
+rel x*y + -1*y*x
+"""
+
 # a relation mixing path lengths 2 and 4 of equal weight
 MIXED = """
 field Q

@@ -5,9 +5,16 @@ Gaussian elimination.  Used to freeze expected values.
 The subrepresentation references read package modules as input but
 eliminate with the local code over whole vertex spaces: kernels over all
 rows of a degree's columns, and arrow actions by one solve per basis vector
-against every kept vector at the target vertex."""
+against every kept vector at the target vertex.
+
+The Yoneda reference is the exception: it runs the package's own lift and
+pull-back, but lifts each right factor afresh for its product, without the
+basis lifts an Ext table stores."""
 
 from fractions import Fraction
+
+from quiverext.ext import ExtClass, lift_cocycle, pull_back
+from quiverext.quiver import wadd
 
 
 def parse_lines(text):
@@ -285,3 +292,30 @@ def dense_subrep(parent, vectors_by_vertex):
             cols.append(x)
         action[a.name] = [[c[i] for c in cols] for i in range(len(tgt))]
     return degrees, action, inclusion
+
+
+# -- Yoneda products without stored lifts -------------------------------------
+
+def naive_yoneda_product(table, x, y):
+    """x*y by lifting y itself through x.degree steps and pulling x back
+    along the last map."""
+    degree = x.degree + y.degree
+    tdeg = wadd(x.target_degree, y.target_degree)
+    if x.source != y.target_vertex or x.is_zero() or y.is_zero():
+        return ExtClass(degree, y.source, x.target_vertex, tdeg, {})
+    phi = lift_cocycle(table, y, x.degree)[x.degree]
+    coeffs = pull_back(x, phi, table.resolutions[y.source].term(degree),
+                       table.resolutions[x.source].term(x.degree), tdeg)
+    return ExtClass(degree, y.source, x.target_vertex, tdeg, coeffs)
+
+
+def ext_combination(terms):
+    """sum c * cls over (c, cls) pairs of classes with one key()."""
+    first = terms[0][1]
+    coeffs = {}
+    for c, cls in terms:
+        assert cls.key() == first.key()
+        for i, a in cls.coeffs.items():
+            coeffs[i] = coeffs[i] + c * a if i in coeffs else c * a
+    return ExtClass(first.degree, first.source, first.target_vertex,
+                    first.target_degree, coeffs)

@@ -122,13 +122,13 @@ def test_resolve_matches_golden(capsys, fixtures_dir, name, extra, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
-def test_products_match_golden(capsys, fixtures_dir):
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_products_match_golden(capsys, fixtures_dir, name):
     # Yoneda structure constants through degree 5 must stay byte-identical
-    code, out, _ = run_cli(capsys, "ext-table", fix(fixtures_dir, "nak"),
+    code, out, _ = run_cli(capsys, "ext-table", fix(fixtures_dir, name),
                            "--bound", "8", "--products-bound", "5")
     assert code == 0
-    expected = (GOLDEN / "nak_products.json").read_text()
-    assert out == expected
+    assert out == (GOLDEN / (name + "_products.json")).read_text()
 
 
 def test_text_format(capsys, fixtures_dir):
@@ -215,6 +215,9 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
     pytest.param("resolve", "tri", ["--bound", "6"], id="resolve"),
     # exercises the transport chain maps, transported classes and products
     pytest.param("compare", "pos", [], id="compare"),
+    # products read off the basis lifts each table stores
+    pytest.param("ext-table", "e24", ["--bound", "6", "--products-bound", "4"],
+                 id="products"),
 ])
 def test_resolve_independent_of_hash_seed(fixtures_dir, command, name, extra):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 from quiverext import (ExtTable, IdempotentPair, apply_F, compute_abc,
                        corner_algebra, ext_table, restricted_ext_table,
                        semisimple_top, simple_module, verify_comparison)
@@ -6,6 +9,8 @@ from quiverext.comparison import (TransportCorrespondence,
 from quiverext.resolution import MinimalResolution
 
 from conftest import POLY_CORNER, engine_for, engine_from
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def pair_and_corner(name):
@@ -188,6 +193,15 @@ def test_verify_comparison_polynomial_corner():
     # the loop simples never certify (their syzygies grow), which is
     # reported as context without weakening the exact window verdict
     assert report["open_pd_sources"]["lambda"] == ["2"]
+
+
+def test_polynomial_corner_report_matches_golden():
+    # window dimensions, product compatibility and generation, byte for byte
+    eng = engine_from(POLY_CORNER)
+    report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
+    blocks = {k: report[k] for k in ("window", "products", "generation")}
+    assert (json.dumps(blocks, indent=2, sort_keys=True) + "\n"
+            == (GOLDEN / "poly_corner_compare.json").read_text())
 
 
 def test_product_compatibility_direct():

@@ -4,19 +4,33 @@ Both lifts built on `lift_chain_map` are checked as chain maps: the lifts
 of Ext classes through minimal resolutions (Yoneda products), and the
 transport maps psi from corner resolutions into the restricted
 resolutions of the algebra (product compatibility).
+
+Products read off the basis lifts an Ext table stores are checked against
+products that lift their right factor afresh, and a stored lift extended
+to a greater depth against a fresh lift of that depth.
 """
+
+import random
+import zlib
 
 import pytest
 
 from quiverext import (ExtClass, IdempotentPair, apply_F, corner_algebra,
-                       ext_table, lift_cocycle)
+                       ext_table, lift_cocycle, yoneda_product)
 from quiverext.comparison import TransportCorrespondence
 from quiverext.corner import apply_F_map
 
-from conftest import (FIXTURE_NAMES, MIXED_SIGN, POLY_CORNER, engine_for,
-                      engine_from)
+from conftest import (EXTERIOR2_Z, FIXTURE_NAMES, MIXED_SIGN, POLY_CORNER,
+                      engine_for, engine_from)
+from naive import ext_combination, naive_yoneda_product
 
 CASES = FIXTURE_NAMES + ["POLY_CORNER"]
+IN_TEST = {"POLY_CORNER": POLY_CORNER, "MIXED_SIGN": MIXED_SIGN,
+           "EXTERIOR2_Z": EXTERIOR2_Z}
+
+
+def engine_of(name):
+    return engine_from(IN_TEST[name]) if name in IN_TEST else engine_for(name)
 
 
 def engine_and_f(name):
@@ -36,9 +50,8 @@ def assert_chain_map(lifts, src_diff, tgt_diff):
 # mixed-sign weights put radical paths into a generator's own degree
 @pytest.mark.parametrize("name", CASES + ["MIXED_SIGN"])
 def test_cocycle_lifts_are_chain_maps(name):
-    eng = engine_from(MIXED_SIGN) if name == "MIXED_SIGN" else engine_and_f(name)[0]
-    table = ext_table(eng, 5)
-    field = eng.field
+    table = ext_table(engine_of(name), 5)
+    field = table.engine.field
     classes = [y for n in range(4) for y in table.basis_classes(n)]
     assert classes
     for y in classes:
@@ -89,3 +102,69 @@ def test_cocycle_at_wrong_vertex_raises():
     wrong = ExtClass(y.degree, y.source, y.source, y.target_degree, y.coeffs)
     with pytest.raises(AssertionError, match="different vertex"):
         lift_cocycle(table, wrong, 1)
+
+
+@pytest.mark.parametrize("name", CASES + ["MIXED_SIGN"])
+def test_stored_products_match_fresh_lifts(name):
+    table = ext_table(engine_of(name), 5)
+    pairs = 0
+    for m in range(6):
+        for n in range(6 - m):
+            for x in table.basis_classes(m):
+                for y in table.basis_classes(n):
+                    if y.target_vertex == x.source:
+                        assert (yoneda_product(table, x, y)
+                                == naive_yoneda_product(table, x, y))
+                        pairs += 1
+    assert pairs
+
+
+@pytest.mark.parametrize("name", CASES + ["MIXED_SIGN", "EXTERIOR2_Z"])
+def test_stored_products_linear_in_right_factor(name):
+    table = ext_table(engine_of(name), 5)
+    field = table.engine.field
+    rng = random.Random(zlib.crc32(name.encode()))
+    checked = 0
+    for n in range(1, 4):
+        slots = {}
+        for y in table.basis_classes(n):
+            slots.setdefault(y.key(), []).append(y)
+        for classes in slots.values():
+            y = ext_combination([(field.of(rng.choice([-3, -2, -1, 1, 2, 3])), c)
+                                 for c in classes])
+            for m in range(0, 6 - n):
+                for x in table.basis_classes(m):
+                    if x.source == y.target_vertex:
+                        assert (yoneda_product(table, x, y)
+                                == naive_yoneda_product(table, x, y))
+                        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", ["nak", "POLY_CORNER", "EXTERIOR2_Z"])
+def test_extended_lift_equals_fresh_lift(name):
+    table = ext_table(engine_of(name), 5)
+    for n in range(3):
+        for y in table.basis_classes(n):
+            (idx,) = y.coeffs
+            short = table.basis_lift(y.source, n, idx, 1)
+            assert len(short) == 2
+            extended = table.basis_lift(y.source, n, idx, 3)
+            assert extended[:2] == short
+            assert table.basis_lift(y.source, n, idx, 2) is extended
+            fresh = lift_cocycle(table, y, 3)
+            assert ([phi.dense() for phi in extended]
+                    == [phi.dense() for phi in fresh])
+
+
+def test_product_with_cocycle_off_its_slot_raises():
+    # P^1 of S_v in e41 has the summands (v, 1) and (w, 1)
+    eng = engine_for("e41")
+    table = ext_table(eng, 3)
+    y = next(c for c in table.basis_classes(1, source="v")
+             if c.target_vertex == "v")
+    wrong = ExtClass(1, "v", "v", y.target_degree,
+                     {0: eng.field.one, 1: eng.field.one})
+    assert not wrong.is_zero()
+    with pytest.raises(AssertionError, match="different vertex"):
+        yoneda_product(table, table.identity_class("v"), wrong)
