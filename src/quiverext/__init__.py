@@ -24,6 +24,6 @@ from .modules import (ModuleMap, Projective, Representation, direct_sum,
 from .quiver import Arrow, Path, Quiver, compose, vertex_path
 from .resolution import (DimVerdict, MinimalResolution, belongs_to,
                          combine_verdicts, global_dimension, injective_dimension,
-                         minimal_resolution, projective_dimension)
+                         minimal_resolution, projective_dimension, simple_resolutions)
 
 __version__ = "0.1.0"

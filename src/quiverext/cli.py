@@ -22,7 +22,8 @@ from .corner import (IdempotentPair, corner_algebra, gexact_condition,
 from .ext import ExtTable, yoneda_product
 from .fields import field_from_name, scalar_to_json
 from .modules import simple_module
-from .resolution import MinimalResolution, global_dimension, projective_dimension
+from .resolution import (MinimalResolution, combine_verdicts, global_dimension,
+                         simple_resolutions)
 
 
 def _parser():
@@ -83,6 +84,8 @@ def _pair(engine, args):
 
 def cmd_analyze(engine, args):
     pres = engine.pres
+    simple_pd = {v: res.pd_verdict(args.bound)
+                 for v, res in simple_resolutions(engine, seed=args.seed).items()}
     report = {
         "field": pres.field.name,
         "group_rank": pres.group_rank,
@@ -97,10 +100,8 @@ def cmd_analyze(engine, args):
         "mixed_length_relations": pres.mixed_length_relations,
         "projective_dims": {v: len(engine.basis_paths_from(v))
                             for v in pres.quiver.vertices},
-        "global_dimension": global_dimension(engine, args.bound, seed=args.seed).to_json(),
-        "simple_pd": {v: projective_dimension(engine, simple_module(engine, v),
-                                              args.bound, seed=args.seed).to_json()
-                      for v in pres.quiver.vertices},
+        "global_dimension": combine_verdicts(simple_pd.values()).to_json(),
+        "simple_pd": {v: verdict.to_json() for v, verdict in simple_pd.items()},
     }
     return report, 0
 

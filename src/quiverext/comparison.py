@@ -19,7 +19,8 @@ from .ext import (ExtClass, ExtTable, generation_window_check, gk_estimate,
 from .linalg import Matrix
 from .modules import dual_to_opposite, simple_module
 from .quiver import wzero
-from .resolution import belongs_to, combine_verdicts, projective_dimension
+from .resolution import (belongs_to, combine_verdicts, projective_dimension,
+                         simple_resolutions)
 
 
 class ThresholdData:
@@ -56,19 +57,19 @@ class ThresholdData:
                 "c": self.c.to_json(), "T": self.T}
 
 
-def compute_abc(engine, pair, bound, seed=0, corner=None):
+def compute_abc(engine, pair, bound, seed=0, corner=None, resolutions=None):
     """Threshold data for the pair.  a, b run over the e-vertex simples;
-    c is the corner projective dimension of the e-to-f module."""
+    c is the corner projective dimension of the e-to-f module.  a reads the
+    store `resolutions` of simple resolutions when one is given."""
     if corner is None:
         corner = corner_algebra(engine, pair)
-    a = combine_verdicts([
-        projective_dimension(engine, simple_module(engine, v), bound, seed=seed)
-        for v in pair.e_vertices])
-    b = combine_verdicts([
+    lam_store = resolutions or simple_resolutions(engine, seed=seed)
+    a = combine_verdicts(lam_store[v].pd_verdict(bound) for v in pair.e_vertices)
+    b = combine_verdicts(
         projective_dimension(engine.opposite_engine,
                              dual_to_opposite(engine, simple_module(engine, v)),
                              bound, seed=seed)
-        for v in pair.e_vertices])
+        for v in pair.e_vertices)
     fle, _ = f_lambda_e_module(corner)
     c = projective_dimension(corner.corner_engine, fle, bound, seed=seed)
     return ThresholdData(a, b, c)
@@ -199,21 +200,19 @@ def verify_product_compatibility(corner, lam_table, cor_table, t_value, window):
     return {"checked": checked, "mismatches": mismatches, "iso": True}
 
 
-def pd_equivalence_report(corner, bound, seed=0, samples=None):
+def pd_equivalence_report(corner, bound, lam_store, cor_store):
     """Compare finiteness of pd over the algebra and over the corner for
-    the f-vertex simples (and optional sample modules)."""
-    eng = corner.engine
+    the f-vertex simples, read from the stores of simple resolutions of
+    both engines: F of the simple at an f-vertex is the corner simple there."""
     rows = []
-    mods = [("S_" + v, simple_module(eng, v)) for v in corner.pair.f_vertices]
-    for label, rep in mods + list(samples or []):
-        lam = projective_dimension(eng, rep, bound, seed=seed)
-        cor = projective_dimension(corner.corner_engine, apply_F(corner, rep),
-                                   bound, seed=seed)
+    for v in corner.pair.f_vertices:
+        lam = lam_store[v].pd_verdict(bound)
+        cor = cor_store[v].pd_verdict(bound)
         if lam.is_undetermined or cor.is_undetermined:
             agree = None
         else:
             agree = lam.is_finite == cor.is_finite
-        rows.append({"module": label, "lambda": lam.describe(),
+        rows.append({"module": "S_" + v, "lambda": lam.describe(),
                      "corner": cor.describe(), "agree": agree})
     return rows
 
@@ -246,7 +245,11 @@ def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
     """Run the whole pipeline and return the comparison report as a dict."""
     if corner is None:
         corner = corner_algebra(engine, pair)
-    thresholds = compute_abc(engine, pair, bound, seed=seed, corner=corner)
+    # one store of simple resolutions per engine, shared by every reader below
+    lam_store = simple_resolutions(engine, seed=seed)
+    cor_store = simple_resolutions(corner.corner_engine, seed=seed)
+    thresholds = compute_abc(engine, pair, bound, seed=seed, corner=corner,
+                             resolutions=lam_store)
     report = {
         "hypotheses": thresholds.to_json(),
         "mixed_length_relations": engine.pres.mixed_length_relations,
@@ -262,8 +265,8 @@ def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
         else:
             report["verdict"] = "UNDETERMINED"
         report["unmet"] = thresholds.unmet_reasons()
-        lam_table = ExtTable(engine, min(bound, 12), seed=seed)
-        cor_table = ExtTable(corner.corner_engine, min(bound, 12), seed=seed)
+        lam_table = ExtTable(engine, min(bound, 12), resolutions=lam_store)
+        cor_table = ExtTable(corner.corner_engine, min(bound, 12), resolutions=cor_store)
         report["diagnostics"] = {
             "lambda_ext": lam_table.to_rows(),
             "corner_ext": cor_table.to_rows(),
@@ -273,8 +276,8 @@ def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
     t_value = thresholds.T
     hi = t_value + window
     table_bound = max(bound, hi)
-    lam_table = ExtTable(engine, table_bound, seed=seed)
-    cor_table = ExtTable(corner.corner_engine, table_bound, seed=seed)
+    lam_table = ExtTable(engine, table_bound, resolutions=lam_store)
+    cor_table = ExtTable(corner.corner_engine, table_bound, resolutions=cor_store)
     restricted_ext_table(lam_table, pair, thresholds)
     _assert_belongs_beyond_b(lam_table, pair, thresholds.b.value, hi)
 
@@ -298,7 +301,7 @@ def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
         report["products"] = prod
         products_ok = prod["iso"] and not prod["mismatches"]
 
-    report["pd_equivalence"] = pd_equivalence_report(corner, bound, seed=seed)
+    report["pd_equivalence"] = pd_equivalence_report(corner, bound, lam_store, cor_store)
     if with_growth:
         growth = finiteness_and_growth_report(lam_table, cor_table, t_value,
                                               window, table_bound)

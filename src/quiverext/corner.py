@@ -18,7 +18,7 @@ from .linalg import Matrix, Subspace
 from .modules import (ModuleMap, Representation, projective_cover,
                       radical_subspaces, simple_module)
 from .quiver import Quiver, compose, interior_vertices, wsub
-from .resolution import MinimalResolution, projective_dimension
+from .resolution import MinimalResolution, belongs_to, projective_dimension
 
 
 class IdempotentPair:
@@ -447,7 +447,6 @@ def transport_resolution(corner, res, cutoff, upto):
     radical (so it is again minimal).  Returns the transported terms and
     differentials for steps cutoff+1 .. upto.
     """
-    from .resolution import belongs_to
     res.extend_to(upto)
     fset = set(corner.pair.f_vertices)
     terms = {}
@@ -506,17 +505,12 @@ def gexact_condition(corner, seed=0):
         raise ValueError("this check needs e to be a single vertex")
     v = pair.e_vertices[0]
     eng = corner.engine
-    s = simple_module(eng, v)
-    res = MinimalResolution(eng, s, seed=seed).extend_to(1)
-    hypothesis = res.syzygy(2).is_zero()
+    hypothesis = projective_dimension(eng, simple_module(eng, v), 1, seed=seed).is_finite
     conclusion = None
     if hypothesis:
         rep, _ = f_lambda_e_module(corner)
-        if rep.is_zero():
-            conclusion = True
-        else:
-            cres = MinimalResolution(corner.corner_engine, rep, seed=seed).extend_to(1)
-            conclusion = cres.syzygy(2).is_zero()
+        conclusion = projective_dimension(corner.corner_engine, rep, 1,
+                                          seed=seed).is_finite
     return {"e_vertex": v, "hypothesis": hypothesis, "conclusion": conclusion}
 
 
@@ -524,7 +518,6 @@ def pd_finite_sufficient(corner, bound=40, seed=0):
     """If each e-simple has a finite resolution whose terms from step 1 on
     belong to f, conclude (and verify) that the e-to-f module has finite
     corner projective dimension."""
-    from .resolution import belongs_to
     eng = corner.engine
     pair = corner.pair
     fset = set(pair.f_vertices)
@@ -533,12 +526,8 @@ def pd_finite_sufficient(corner, bound=40, seed=0):
     for v in pair.e_vertices:
         res = MinimalResolution(eng, simple_module(eng, v), seed=seed)
         verdict = res.pd_verdict(bound)
-        ok = verdict.is_finite
-        if ok:
-            for n in range(1, verdict.value + 1):
-                if not belongs_to(res.summands(n), fset):
-                    ok = False
-                    break
+        ok = verdict.is_finite and all(belongs_to(res.summands(n), fset)
+                                       for n in range(1, verdict.value + 1))
         details.append({"vertex": v, "pd": verdict.describe(), "hypothesis": ok})
         applicable = applicable and ok
     if not applicable:

@@ -16,9 +16,8 @@ those lifts.
 import math
 
 from .linalg import Matrix, Subspace
-from .modules import simple_module
 from .quiver import wadd, wsub, wzero
-from .resolution import MinimalResolution
+from .resolution import simple_resolutions
 
 
 class ExtClass:
@@ -54,27 +53,24 @@ class ExtClass:
 
 
 class ExtTable:
-    """Bigraded Ext dimensions between graded simples, up to a bound."""
+    """Bigraded Ext dimensions between graded simples, up to a bound, read off
+    a store of simple resolutions shared with the other readers of one call
+    (see `simple_resolutions`; `seed` only seeds a store made here)."""
 
-    def __init__(self, engine, bound, seed=0):
+    def __init__(self, engine, bound, seed=0, resolutions=None):
         self.engine = engine
         self.bound = bound
-        self.seed = seed
-        self.resolutions = {}
-        for v in engine.quiver.vertices:
-            res = MinimalResolution(engine, simple_module(engine, v), seed=seed)
+        self.resolutions = resolutions or simple_resolutions(engine, seed=seed)
+        for res in self.resolutions.values():
             res.extend_to(bound)
-            self.resolutions[v] = res
         self.entries = {}
         for u, res in self.resolutions.items():
             for n in range(bound + 1):
                 for (v, g) in res.summands(n):
                     key = (n, u, v, g)
                     self.entries[key] = self.entries.get(key, 0) + 1
-        self.undetermined = {
-            u for u, res in self.resolutions.items()
-            if res.certificate is None
-            and all(not res.syzygy(n).is_zero() for n in range(bound + 2))}
+        self.undetermined = {u for u, res in self.resolutions.items()
+                             if res.pd_verdict(bound).is_undetermined}
         self.lifts = {}     # (source, degree, summand index) -> [phi_0, ...]
 
     def entry(self, n, u, v, g):

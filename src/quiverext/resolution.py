@@ -5,6 +5,10 @@ construction (kernels land in the radical); exactness and minimality are
 still re-checked by `verify`.  Infinite projective dimension is certified
 by syzygy periodicity: a graded isomorphism Omega^{n0+t} ~ Omega^{n0}[h].
 Verdicts that cannot be settled within the bound stay honest ("at_least").
+A verdict extends the resolution only to the first zero syzygy or in-bound
+certificate, and ignores certificates past its bound, so it never depends on
+earlier extension.  One call shares one store of simple resolutions per
+engine (`simple_resolutions`) among its readers, and drops it on return.
 """
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
@@ -78,7 +82,8 @@ class DimVerdict:
 
 
 def combine_verdicts(verdicts):
-    """Max of projective dimensions over a family (empty family: Finite(-1))."""
+    """Max of projective dimensions over a family (empty family: Finite(-1)).
+    The first infinite verdict is returned at once, so a generator stops there."""
     best = DimVerdict.finite(-1)
     undetermined = None
     for v in verdicts:
@@ -131,9 +136,13 @@ class MinimalResolution:
         return list(self.covers[n].projective.summands)
 
     def extend_to(self, bound):
-        """Compute covers through step `bound` (syzygies through bound + 1)."""
+        """Compute covers through step `bound` (syzygies through bound + 1).
+        Once a syzygy is zero, its zero cover serves every later step."""
         while len(self.covers) <= bound:
             n = len(self.covers)
+            if n and self.covers[-1].projective.is_zero():
+                self.covers.append(self.covers[-1])
+                continue
             omega = self.syzygy(n)
             self.covers.append(projective_cover(self.engine, omega))
             if self.certificate is None and not omega.is_zero():
@@ -170,15 +179,21 @@ class MinimalResolution:
         return d
 
     def pd_verdict(self, bound):
-        """Projective dimension from the data computed up to `bound` steps."""
+        """Projective dimension as a resolution to `bound` steps settles it.
+
+        Extends one step at a time and stops at the first zero syzygy or at
+        the first certificate with n0 + period <= bound + 1.  A certificate
+        found past the bound is not trusted, so on a resolution extended
+        further the verdict equals that of a fresh one."""
         if self.module.is_zero():
             return DimVerdict.finite(-1)
-        self.extend_to(bound)
         for n in range(1, bound + 2):
+            self.extend_to(n - 1)
             if self.syzygy(n).is_zero():
                 return DimVerdict.finite(n - 1)
-        if self.certificate is not None:
-            return DimVerdict.infinite(self.certificate)
+            c = self.certificate
+            if c is not None and c.n0 + c.period <= n:
+                return DimVerdict.infinite(c)
         return DimVerdict.at_least(bound)
 
     def verify(self, up_to=None):
@@ -255,11 +270,19 @@ def injective_dimension(engine, module, bound, seed=0):
     return projective_dimension(engine.opposite_engine, dual, bound, seed=seed)
 
 
+def simple_resolutions(engine, seed=0):
+    """{vertex: MinimalResolution} of the graded simples, none extended yet:
+    the store one top-level call shares among its readers."""
+    return {v: MinimalResolution(engine, simple_module(engine, v), seed=seed)
+            for v in engine.quiver.vertices}
+
+
 def global_dimension(engine, bound, seed=0):
-    """Max projective dimension over the graded simples (one per vertex)."""
-    verdicts = [projective_dimension(engine, simple_module(engine, v), bound, seed=seed)
-                for v in engine.quiver.vertices]
-    return combine_verdicts(verdicts)
+    """Max projective dimension over the graded simples, in vertex order;
+    returns at the first infinite one without resolving the rest."""
+    return combine_verdicts(
+        projective_dimension(engine, simple_module(engine, v), bound, seed=seed)
+        for v in engine.quiver.vertices)
 
 
 def belongs_to(summands, vertex_set):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from quiverext import build_engine, parse_algebra, parse_algebra_file
+from quiverext.resolution import MinimalResolution
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -108,6 +109,23 @@ rel p*q + -1*q*p
 idempotent f = 2
 """
 
+# cyclic Nakayama algebra with J^3 = 0: Omega^2 S_i = S_{i+3}[3], so every
+# simple first recurs at step 8
+NAK4 = """
+field Q
+group Z 1
+vertices 1 2 3 4
+arrow a1 1 2 1
+arrow a2 2 3 1
+arrow a3 3 4 1
+arrow a4 4 1 1
+truncate 4
+rel a3*a2*a1
+rel a4*a3*a2
+rel a1*a4*a3
+rel a2*a1*a4
+"""
+
 
 @functools.cache
 def fixture_text(name):
@@ -127,3 +145,17 @@ def engine_from(text):
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture
+def resolutions_built(monkeypatch):
+    """The list of every MinimalResolution constructed during the test."""
+    built = []
+    init = MinimalResolution.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MinimalResolution, "__init__", counting_init)
+    return built

@@ -131,6 +131,35 @@ def test_products_match_golden(capsys, fixtures_dir, name):
     assert out == (GOLDEN / (name + "_products.json")).read_text()
 
 
+# the default-flag reports of the three commands that read verdicts
+REPORT_GOLDEN = [(name, command) for name in FIXTURE_NAMES
+                 for command in ("analyze", "corner", "compare")]
+
+
+@pytest.mark.parametrize("name,command", REPORT_GOLDEN,
+                         ids=["%s-%s" % nc for nc in REPORT_GOLDEN])
+def test_default_reports_match_golden(capsys, fixtures_dir, name, command):
+    golden = (GOLDEN / ("%s_%s.json" % (name, command))).read_text()
+    code, out, _ = run_cli(capsys, command, fix(fixtures_dir, name))
+    unmet = json.loads(golden).get("verdict") == "HYPOTHESES_UNMET"
+    assert code == (2 if unmet else 0)
+    assert out == golden
+
+
+def test_analyze_resolves_each_simple_once(capsys, fixtures_dir, resolutions_built):
+    code, out, _ = run_cli(capsys, "analyze", fix(fixtures_dir, "tri"))
+    assert code == 0
+    assert len(resolutions_built) == len(json.loads(out)["vertices"]) == 3
+
+
+def test_compare_builds_at_most_seven_resolutions(capsys, fixtures_dir,
+                                                  resolutions_built):
+    # three simples, two corner simples, one dual simple and the e-to-f module
+    code, _, _ = run_cli(capsys, "compare", fix(fixtures_dir, "tri"))
+    assert code == 0
+    assert len(resolutions_built) <= 7
+
+
 def test_text_format(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "analyze", fix(fixtures_dir, "a2"),
                            "--format", "text")
@@ -213,6 +242,8 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, name, extra", [
     pytest.param("resolve", "tri", ["--bound", "6"], id="resolve"),
+    # verdicts read off the shared store of simple resolutions
+    pytest.param("analyze", "e41", [], id="analyze"),
     # exercises the transport chain maps, transported classes and products
     pytest.param("compare", "pos", [], id="compare"),
     # products read off the basis lifts each table stores

@@ -204,6 +204,20 @@ def test_polynomial_corner_report_matches_golden():
             == (GOLDEN / "poly_corner_compare.json").read_text())
 
 
+def test_verify_comparison_resolves_each_module_once(resolutions_built):
+    # the two simples, the corner simple, the dual simple over the opposite
+    # algebra (b) and the e-to-f module (c); nothing is kept on the engine,
+    # so a second call builds them all again
+    eng = engine_from(POLY_CORNER)
+    pair = IdempotentPair(eng, ["2"])
+    counts = []
+    for _ in range(2):
+        start = len(resolutions_built)
+        verify_comparison(eng, pair, bound=8, window=5)
+        counts.append(len(resolutions_built) - start)
+    assert counts == [5, 5]
+
+
 def test_product_compatibility_direct():
     eng, pair, corner = pair_and_corner("pos")
     lam = ExtTable(eng, 12)

@@ -1,9 +1,12 @@
 from quiverext import (DimVerdict, belongs_to, global_dimension,
                        injective_dimension, minimal_resolution,
                        projective_dimension, simple_module, zero_module)
-from quiverext.resolution import MinimalResolution, combine_verdicts
+from quiverext import resolution
+from quiverext.ext import ExtTable
+from quiverext.resolution import MinimalResolution, combine_verdicts, simple_resolutions
 
-from conftest import EXTERIOR2, KB2, SEMISIMPLE2, E24_TRIVIAL, engine_for, engine_from
+from conftest import (EXTERIOR2, KB2, NAK4, SEMISIMPLE2, E24_TRIVIAL, engine_for,
+                      engine_from)
 
 
 def test_a2_simple_resolution_stops():
@@ -140,3 +143,58 @@ def test_resolution_json_shape():
     assert [s["n"] for s in doc["steps"]] == [0, 1, 2, 3]
     assert doc["steps"][0]["summands"] == [["2", [0]]]
     assert "certificate" in doc
+
+
+def test_pd_verdict_stops_once_settled():
+    a2 = engine_for("a2")
+    res = MinimalResolution(a2, simple_module(a2, "u"))
+    assert res.pd_verdict(40) == DimVerdict.finite(1)
+    assert len(res.covers) == 2          # Omega^2 = 0 is read off cover 1
+    nak4 = engine_from(NAK4)
+    res = MinimalResolution(nak4, simple_module(nak4, "1"))
+    assert res.pd_verdict(40).is_infinite
+    assert len(res.covers) == 8          # the certificate needs Omega^8
+
+
+def test_over_extended_resolution_trusts_only_in_bound_certificates():
+    eng = engine_from(NAK4)
+    cert = MinimalResolution(eng, simple_module(eng, "1")).pd_verdict(20).certificate
+    k = cert.n0 + cert.period
+    assert k == 8
+    res = MinimalResolution(eng, simple_module(eng, "1")).extend_to(k + 2)
+    assert res.certificate is not None
+    fresh = MinimalResolution(eng, simple_module(eng, "1")).pd_verdict(k - 2)
+    assert res.pd_verdict(k - 2) == DimVerdict.at_least(k - 2) == fresh
+    assert res.pd_verdict(k - 1).is_infinite
+    # an Ext table on an over-extended store agrees with a fresh one
+    store = simple_resolutions(eng)
+    for r in store.values():
+        r.extend_to(k + 2)
+    shared = ExtTable(eng, k - 2, resolutions=store)
+    assert shared.undetermined == ExtTable(eng, k - 2).undetermined == {"1", "2", "3", "4"}
+    assert ExtTable(eng, k - 1, resolutions=store).undetermined == set()
+
+
+def test_zero_cover_reused_after_zero_syzygy(monkeypatch):
+    covers = []
+    cover = resolution.projective_cover
+
+    def counting_cover(engine, rep):
+        covers.append(rep)
+        return cover(engine, rep)
+
+    monkeypatch.setattr(resolution, "projective_cover", counting_cover)
+    eng = engine_for("a2")
+    res = minimal_resolution(eng, simple_module(eng, "u"), 10)
+    assert len(covers) == 3              # S_u, Omega^1 and the zero Omega^2
+    assert all(res.covers[n] is res.covers[2] for n in range(3, 11))
+    assert [step["summands"] for step in res.to_json()["steps"]][2:] == [[]] * 9
+    res.verify()
+
+
+def test_global_dimension_stops_at_first_infinite_simple(resolutions_built):
+    eng = engine_for("e41")
+    assert list(eng.quiver.vertices) == ["u", "v", "w"]
+    assert global_dimension(eng, 10).is_infinite      # S_v is the first
+    assert [r.module.dims for r in resolutions_built] == [{("u", (0,)): 1},
+                                                          {("v", (0,)): 1}]
