@@ -10,6 +10,7 @@ Exit codes: 0 = pass/complete, 2 = hypotheses unmet or undetermined,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -26,7 +27,9 @@ from .resolution import (MinimalResolution, combine_verdicts, global_dimension,
                          simple_resolutions)
 
 
+@functools.cache
 def _parser():
+    """Built once per process; parse_args gives each call a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="quiverext",
         description="Homological invariants of finite-dimensional quiver "

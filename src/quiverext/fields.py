@@ -1,9 +1,13 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 All linear algebra in this package runs over one of these two kinds of
-field.  Rational arithmetic uses fractions.Fraction; prime-field elements
-are small wrapper objects supporting the usual operators, so matrix code
-is field-agnostic.
+field, and matrix code is field-agnostic.  A rational is a Python int when
+it is an integer and a fractions.Fraction only when it is not: the two mix
+exactly under + - * and compare and hash alike, so an integral Fraction
+left by arithmetic (1/2 * 2) is harmless.  Prime-field elements are small
+wrapper objects supporting the same operators.  Since int / int is a
+float, no code divides scalars: it multiplies by `field.inv(x)`, an int
+for x = +-1 over Q, which raises ZeroDivisionError when x is zero.
 """
 
 from fractions import Fraction
@@ -112,11 +116,17 @@ class RationalField:
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, x):
-        return Fraction(x)
+        q = Fraction(x)
+        return q.numerator if q.denominator == 1 else q
+
+    def inv(self, x):
+        if x == 1 or x == -1:
+            return int(x)
+        return self.of(1 / Fraction(x))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -154,6 +164,9 @@ class PrimeField:
         if isinstance(x, str):
             return GFElement(self.p, int(x))
         raise TypeError("cannot coerce %r into F_%d" % (x, self.p))
+
+    def inv(self, x):
+        return x.inverse()
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,11 +1,13 @@
 """Exact dense linear algebra over Q or F_p.
 
 Reduced row echelon form is the single primitive; rank, kernels and solving
-are derived from it, with exact field arithmetic.  Elimination is O(n^3) in
-the matrix size, so callers keep matrices small: graded modules are stored
-as one block per (vertex, degree) slice, so every rref, nullspace and solve
-runs on one block, with all right-hand sides of a block in one solve.
-`apply` reads only the nonzero entries of its vector.
+are derived from it, with exact field arithmetic.  Over Q an entry is an
+int or a Fraction (see fields.py), so a pivot is inverted by `field.inv`,
+never by `/`.  Elimination is O(n^3) in the matrix size, so callers keep
+matrices small: graded modules are stored as one block per (vertex, degree)
+slice, so every rref, nullspace and solve runs on one block, with all
+right-hand sides of a block in one solve.  `apply` reads only the nonzero
+entries of its vector.
 Zero-dimensional shapes (0 x n, m x 0) are legal throughout.
 """
 
@@ -149,7 +151,7 @@ class Matrix:
             if pivot_row is None:
                 continue
             m.rows[pr], m.rows[pivot_row] = m.rows[pivot_row], m.rows[pr]
-            inv = m.field.one / m.rows[pr][pc]
+            inv = m.field.inv(m.rows[pr][pc])
             m.rows[pr] = [inv * a for a in m.rows[pr]]
             for i in range(m.nrows):
                 if i != pr and m.rows[i][pc]:
@@ -249,7 +251,7 @@ class Subspace:
         v = self.reduce(vec)
         for p in range(self.n):
             if v[p]:
-                inv = self.field.one / v[p]
+                inv = self.field.inv(v[p])
                 v = [inv * a for a in v]
                 # back-substitute into existing rows to stay reduced
                 for i, row in enumerate(self.echelon):

@@ -72,7 +72,8 @@ def path_of_word(word, names):
 
 def rref_rows(rows, ncols):
     """Reduced row echelon form by plain Gaussian elimination over any exact
-    field.  Returns (nonzero rows, pivot columns)."""
+    field: ints and Fractions over Q, or F_p elements.  Returns (nonzero
+    rows, pivot columns); no entry is ever a float."""
     mat = [list(r) for r in rows]
     pivots = []
     for col in range(ncols):
@@ -86,12 +87,15 @@ def rref_rows(rows, ncols):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
+        # an int pivot divides as a Fraction: int / int would be a float
+        inv = 1 / (Fraction(pv) if isinstance(pv, int) else pv)
+        mat[rank] = [inv * x for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
+    assert not any(isinstance(x, float) for row in mat for x in row)
     return mat[:len(pivots)], pivots
 
 

@@ -211,6 +211,46 @@ rel b*c
 """
 
 
+# the fixtures have only +-1 coefficients; these reports carry fractions
+RATIONAL_GOLDEN = [
+    ("resolve", ["--bound", "8"], "rational_resolve_b8.json", 0),
+    ("ext-table", ["--bound", "8", "--products-bound", "4"],
+     "rational_products.json", 0),
+    ("compare", ["--f", "u"], "rational_compare.json", 2),
+]
+
+
+@pytest.mark.parametrize("command,extra,golden,status", RATIONAL_GOLDEN,
+                         ids=[c for c, _, _, _ in RATIONAL_GOLDEN])
+def test_rational_reports_match_golden(capsys, tmp_path, command, extra, golden,
+                                       status):
+    src = tmp_path / "two_thirds.alg"
+    src.write_text(RATIONAL % "2/3")
+    code, out, _ = run_cli(capsys, command, str(src), *extra)
+    assert code == status
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_parsed_options_do_not_carry_over(capsys, fixtures_dir):
+    e24 = fix(fixtures_dir, "e24")
+    code, out, _ = run_cli(capsys, "resolve", e24, "--bound", "3", "--simple", "u")
+    assert code == 0
+    assert out == (GOLDEN / "e24_resolve_u.json").read_text()
+    code, out, _ = run_cli(capsys, "resolve", e24, "--bound", "6")
+    assert code == 0
+    assert out == (GOLDEN / "e24_resolve_b6.json").read_text()
+
+
+def test_valid_call_after_usage_error(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["resolve", "--bound"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "resolve", fix(fixtures_dir, "e24"), "--bound", "6")
+    assert code == 0
+    assert out == (GOLDEN / "e24_resolve_b6.json").read_text()
+
+
 def test_field_override_maps_rational_coefficients(capsys, tmp_path):
     pres = parse_algebra(RATIONAL % "1/3").with_field(PrimeField(5))
     assert [c for c, _ in pres.relations[0]] == [PrimeField(5).of(2), PrimeField(5).one]
