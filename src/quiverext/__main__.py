@@ -1,0 +1,8 @@
+"""`python -m quiverext`: the command line of `quiverext.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fields import GFElement
 from .linalg import Matrix
-from .quiver import arrow_path, compose, vertex_path
+from .quiver import arrow_path, compose, vertex_path, wadd, wzero
 
 
 class PresentationError(ValueError):
@@ -234,6 +234,7 @@ class NormalFormEngine:
         self._paths_from = {}
         for p in self.basis:
             self._paths_from.setdefault(p.source, []).append(p)
+        self._templates = {}
 
     # -- construction ------------------------------------------------------
 
@@ -446,6 +447,14 @@ class NormalFormEngine:
         """Normal-form paths with source v (the basis of the projective at v)."""
         return list(self._paths_from.get(v, []))
 
+    def projective_template(self, v):
+        """The template of the projective at v, built the first time v is
+        asked for and kept for the life of the engine."""
+        t = self._templates.get(v)
+        if t is None:
+            t = self._templates[v] = ProjectiveTemplate(self, v)
+        return t
+
     def basis_paths_between(self, sources, targets):
         src = set(sources)
         tgt = set(targets)
@@ -462,6 +471,64 @@ class NormalFormEngine:
 
     def __repr__(self):
         return "NormalFormEngine(dim=%d, vertices=%d)" % (self.dim, len(self.quiver.vertices))
+
+
+class ProjectiveTemplate:
+    """The indecomposable projective at vertex v, in degree zero: what every
+    projective with a summand at v copies its slots and action from.
+
+    `slices[(w, d)]` lists the basis paths from v to w of weight d in
+    (length, arrows) order; slices go vertex by vertex in quiver order, then
+    by degree.  `action[(a, d)]` is the matrix of arrow a from slice
+    (a.source, d) to slice (a.target, d + W(a)), missing when zero.  These
+    blocks are shared by every projective built from the template and are
+    never mutated.
+
+    `tree` is the prefix tree of the basis paths: node i is (parent,
+    arrow, weight of the parent, slot), the path "arrow after the parent's
+    path", with parents before children and node 0 the vertex path e_v.  It
+    holds every first-applied part of each basis path; such a part need not
+    be a basis path itself, so `slot` is (slice, position) or None.
+    """
+
+    __slots__ = ("slices", "action", "tree")
+
+    def __init__(self, engine, v):
+        index = engine.quiver.vertex_index
+        weights = engine.pres.weights
+        paths = sorted(engine.basis_paths_from(v),
+                       key=lambda p: (index[p.target], p.weight, p.length, p.arrows))
+        self.slices = {}
+        for p in paths:
+            self.slices.setdefault((p.target, p.weight), []).append(p)
+        slot = {p.arrows: (key, i) for key, ps in self.slices.items()
+                for i, p in enumerate(ps)}
+        self.action = {}
+        for (w, d), src in self.slices.items():
+            for a in engine.quiver.arrows_from[w]:
+                tgt = self.slices.get((a.target, wadd(d, weights[a.name])))
+                if tgt is None:
+                    continue
+                ap = engine.pres.arrow_path(a.name)
+                rows = [[engine.field.zero] * len(src) for _ in tgt]
+                for j, p in enumerate(src):
+                    for q, c in engine.multiply_paths(ap, p).items():
+                        rows[slot[q.arrows][1]][j] = c
+                if any(any(r) for r in rows):
+                    self.action[(a.name, d)] = Matrix(engine.field, rows)
+        prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
+                          key=lambda t: (len(t), t))
+        node = {}
+        weight = {(): wzero(engine.group_rank)}
+        self.tree = []
+        for arrows in prefixes:
+            node[arrows] = len(self.tree)
+            if arrows:
+                rest = arrows[1:]
+                weight[arrows] = wadd(weight[rest], weights[arrows[0]])
+                self.tree.append((node[rest], arrows[0], weight[rest], slot.get(arrows)))
+            else:
+                self.tree.append((None, None, None, slot[()]))
 
 
 def build_engine(pres):

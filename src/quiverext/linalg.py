@@ -32,9 +32,19 @@ class Matrix:
             self.ncols = ncols
 
     @staticmethod
+    def _owning(field, rows, ncols):
+        """A matrix on fresh rows of length ncols, taken without a copy."""
+        m = Matrix.__new__(Matrix)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @staticmethod
     def zeros(field, m, n):
         z = field.zero
-        return Matrix(field, [[z] * n for _ in range(m)], ncols=n)
+        return Matrix._owning(field, [[z] * n for _ in range(m)], n)
 
     @staticmethod
     def identity(field, n):
@@ -45,13 +55,10 @@ class Matrix:
 
     @staticmethod
     def from_columns(field, cols, nrows):
-        m = Matrix.zeros(field, nrows, len(cols))
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("column length mismatch")
-            for i in range(nrows):
-                m.rows[i][j] = c[i]
-        return m
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("column length mismatch")
+        rows = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(nrows)]
+        return Matrix._owning(field, rows, len(cols))
 
     @property
     def shape(self):

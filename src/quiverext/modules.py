@@ -9,10 +9,20 @@ the order of cover summands.  Dense per-vertex matrices appear only at the
 boundary: `from_dense` cuts them into blocks, raising ValueError on any entry
 off its block (the grading and homogeneity check), and `dense` lays the
 slices of each vertex out one after another.  Relations and commutation are
-checked on the blocks.  Everything is immutable after construction.
+checked on the blocks.  Everything is immutable after construction, and
+blocks may be shared between modules.
+
+Projectives are assembled from the engine's per-vertex templates of the
+indecomposable projectives (`NormalFormEngine.projective_template`), built
+once per engine: their slices, their arrow blocks, and a prefix tree of
+their basis paths.  A projective's action is block diagonal in the template
+blocks and shares every block that one summand fills on its own.  A map out
+of a projective is fixed by its generator images and evaluated by walking
+each summand's prefix tree, one matrix-vector product per tree node.
 """
 
 import random
+from itertools import islice
 
 from .linalg import Matrix, Subspace
 from .quiver import wadd, wneg, wsub, wzero
@@ -341,49 +351,72 @@ class Projective:
 
     Summand (v, g) contributes one slot per normal-form path p starting at v,
     in slice (p.target, weight(p) + g).  `slots[(w, h)]` lists the (summand
-    index, path) of each coordinate of slice (w, h).  The length-0 path is
-    the summand's generator: `gen_pos[idx]` is its (slice, coordinate), and
+    index, path) of each coordinate of slice (w, h), summand by summand, each
+    summand's paths in (length, arrows) order.  The length-0 path is the
+    summand's generator: `gen_pos[idx]` is its (slice, coordinate), and
     `generators[slice]` maps coordinates to summand indices.
+
+    Everything is read off the engine's templates (`projective_template`):
+    the slots are the template slices shifted by g, and the action is block
+    diagonal in the template blocks.  A block whose source and target slices
+    each come from one summand is the template's own block, shared and
+    re-keyed by the shift, so a single-summand projective copies no matrix.
     """
 
     def __init__(self, engine, summands):
         self.engine = engine
         self.summands = tuple((v, tuple(g)) for v, g in summands)
-        slot_lists = {v: [] for v in engine.quiver.vertices}
-        for idx, (v, g) in enumerate(self.summands):
-            for p in engine.basis_paths_from(v):
-                slot_lists[p.target].append((wadd(p.weight, g), idx, p))
+        self._templates = [engine.projective_template(v) for v, _ in self.summands]
+        # the summands meeting each slice, with their template slices
+        parts = {}
+        for idx, (t, (_, g)) in enumerate(zip(self._templates, self.summands)):
+            for w, d in t.slices:
+                parts.setdefault((w, wadd(d, g)), []).append((idx, (w, d)))
+        index = engine.quiver.vertex_index
+        parts = {key: parts[key] for key in sorted(parts, key=lambda k: (index[k[0]], k[1]))}
+        # where[idx][template slice] = (slice, offset) of its copy in this sum
+        where = [{} for _ in self.summands]
         self.slots = {}
-        for v, entries in slot_lists.items():
-            for d, idx, p in sorted(entries, key=lambda t: (t[0], t[1], t[2].length,
-                                                            t[2].arrows)):
-                self.slots.setdefault((v, d), []).append((idx, p))
-        position = {}
-        for slots in self.slots.values():
-            for i, slot in enumerate(slots):
-                position[slot] = i
-        self.gen_pos = [((v, g), position[(idx, engine.pres.vertex_path(v))])
-                        for idx, (v, g) in enumerate(self.summands)]
+        for key, members in parts.items():
+            slots = self.slots[key] = []
+            for idx, tkey in members:
+                where[idx][tkey] = (key, len(slots))
+                slots.extend((idx, p) for p in self._templates[idx].slices[tkey])
+        # each tree node's (slice, coordinate) in this sum, None off the basis
+        self._place = []
+        for t, at in zip(self._templates, where):
+            self._place.append([None if slot is None else
+                                (at[slot[0]][0], at[slot[0]][1] + slot[1])
+                                for _, _, _, slot in t.tree])
+        self.gen_pos = [place[0] for place in self._place]
         self.generators = {}
         for idx, (key, i) in enumerate(self.gen_pos):
             self.generators.setdefault(key, {})[i] = idx
         field = engine.field
         weights = engine.pres.weights
         action = {}
-        for (v, g), src in self.slots.items():
-            for a in engine.quiver.arrows_from[v]:
-                tgt = self.slots.get((a.target, wadd(g, weights[a.name])))
-                if tgt is None:
+        for (w, h), members in parts.items():
+            for a in engine.quiver.arrows_from[w]:
+                tkey = (a.target, wadd(h, weights[a.name]))
+                if tkey not in parts:
                     continue
-                m = Matrix.zeros(field, len(tgt), len(src))
-                ap = engine.pres.arrow_path(a.name)
-                nonzero = False
-                for j, (idx, p) in enumerate(src):
-                    for q, c in engine.multiply_paths(ap, p).items():
-                        m.rows[position[(idx, q)]][j] = c
-                        nonzero = True
-                if nonzero:
-                    action[(a.name, g)] = m
+                pieces = []     # (column offset, row offset, template block)
+                for idx, (_, d) in members:
+                    b = self._templates[idx].action.get((a.name, d))
+                    if b is not None:
+                        at = where[idx]
+                        pieces.append((at[(w, d)][1],
+                                       at[(a.target, wadd(d, weights[a.name]))][1], b))
+                if not pieces:
+                    continue
+                if len(members) == 1 and len(parts[tkey]) == 1:
+                    action[(a.name, h)] = pieces[0][2]
+                    continue
+                m = action[(a.name, h)] = Matrix.zeros(
+                    field, len(self.slots[tkey]), len(self.slots[(w, h)]))
+                for c, r, b in pieces:
+                    for i, row in enumerate(b.rows):
+                        m.rows[r + i][c:c + b.ncols] = row
         self.rep = Representation(engine, {key: len(s) for key, s in self.slots.items()},
                                   action, check=False)
 
@@ -402,28 +435,40 @@ class Projective:
     def map_from_generator_images(self, target, images, grade=None):
         """The module map sending generator idx to images[idx], the
         coordinates on target slice (v, g - grade) for summand (v, g) ([] or
-        zeros for zero).  The other slots follow by the path action, computed
-        once per (path, degree) in each call, so the result automatically
-        commutes with the algebra action."""
+        zeros for zero).  The other slots follow by the path action: each
+        summand walks its template's prefix tree from its image, one
+        `Matrix.apply` per node reached, a missing block or a zero vector
+        ending the branch.  So the result commutes with the algebra action."""
         grade = grade if grade is not None else wzero(self.engine.group_rank)
         field = self.engine.field
-        actions = {}
-        blocks = {}
-        for (v, g), slots in self.slots.items():
-            nrows = target.dims.get((v, wsub(g, grade)))
-            if not nrows:
+        columns = {}
+        for t, (_, g), image, place in zip(self._templates, self.summands, images,
+                                           self._place):
+            if not any(image):
                 continue
-            cols = []
-            for idx, p in slots:
-                m = None
-                if any(images[idx]):
-                    key = (p, wsub(self.summands[idx][1], grade))
-                    if key not in actions:
-                        actions[key] = target.path_action(*key)
-                    m = actions[key]
-                cols.append([field.zero] * nrows if m is None else m.apply(images[idx]))
-            if any(any(col) for col in cols):
-                blocks[(v, g)] = Matrix.from_columns(field, cols, nrows)
+            start = wsub(g, grade)
+            vecs = [image]
+            for parent, name, d, _ in islice(t.tree, 1, None):
+                x = vecs[parent]
+                if x is not None:
+                    b = target.action.get((name, wadd(d, start)))
+                    x = b.apply(x) if b is not None else None
+                    if x is not None and not any(x):
+                        x = None
+                vecs.append(x)
+            for x, at in zip(vecs, place):
+                if x is not None and at is not None:
+                    columns.setdefault(at[0], {})[at[1]] = x
+        blocks = {}
+        for (v, h), slots in self.slots.items():
+            cols = columns.get((v, h))
+            if cols is None:
+                continue
+            nrows = target.dims.get((v, wsub(h, grade)))
+            if nrows:
+                zero = [field.zero] * nrows
+                blocks[(v, h)] = Matrix.from_columns(
+                    field, [cols.get(j, zero) for j in range(len(slots))], nrows)
         return ModuleMap(self.rep, target, blocks, grade=grade, check=False)
 
     def to_json(self):

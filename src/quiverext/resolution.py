@@ -123,6 +123,7 @@ class MinimalResolution:
         self.covers = []
         self.certificate = None
         self._differentials = {}
+        self._dim_vectors = []
 
     def syzygy(self, n):
         if n == 0:
@@ -149,14 +150,20 @@ class MinimalResolution:
                 self._scan_periodicity(n + 1)
         return self
 
+    def _dim_vector(self, n):
+        """The dimension vector of syzygy n, computed once per syzygy."""
+        while len(self._dim_vectors) <= n:
+            self._dim_vectors.append(self.syzygy(len(self._dim_vectors)).dim_vector())
+        return self._dim_vectors[n]
+
     def _scan_periodicity(self, n):
         new = self.syzygy(n)
         if new.is_zero():
             return
-        new_dims = new.dim_vector()
+        new_dims = self._dim_vector(n)
         for m in range(n):
             old = self.syzygy(m)
-            if old.is_zero() or old.dim_vector() != new_dims:
+            if old.is_zero() or self._dim_vector(m) != new_dims:
                 continue
             h = _uniform_shift(old, new)
             if h is None:

@@ -53,6 +53,24 @@ rel y*y
 rel x*y + -1*y*x
 """
 
+# three square-zero commuting loops over F3, graded over Z^3: Ext^n(S, S[g])
+# is one-dimensional for each g in N^3 with |g| = n
+EXTERIOR3_F3 = """
+field F 3
+group Z 3
+vertices v
+arrow x v v 1 0 0
+arrow y v v 0 1 0
+arrow z v v 0 0 1
+truncate 4
+rel x*x
+rel y*y
+rel z*z
+rel x*y + -1*y*x
+rel x*z + -1*z*x
+rel y*z + -1*z*y
+"""
+
 # a relation mixing path lengths 2 and 4 of equal weight
 MIXED = """
 field Q
@@ -107,6 +125,20 @@ rel p*p
 rel q*q
 rel p*q + -1*q*p
 idempotent f = 2
+"""
+
+# rational coefficients: the first relation's coefficient is filled in
+RATIONAL = """
+field Q
+group Z 1
+vertices u v
+arrow a u v 1
+arrow b u v 1
+arrow c v u 1
+truncate 3
+rel %s*c*a + c*b
+rel a*c
+rel b*c
 """
 
 # cyclic Nakayama algebra with J^3 = 0: Omega^2 S_i = S_{i+3}[3], so every

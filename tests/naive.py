@@ -9,11 +9,17 @@ against every kept vector at the target vertex.
 
 The Yoneda reference is the exception: it runs the package's own lift and
 pull-back, but lifts each right factor afresh for its product, without the
-basis lifts an Ext table stores."""
+basis lifts an Ext table stores.
+
+The projective references build a sum of shifted projectives slot by slot,
+one `multiply_paths` per slot and arrow, and evaluate a map out of it by
+applying each slot's `path_action` matrix to its generator's image, in
+place of the engine's templates and the prefix-tree walk."""
 
 from fractions import Fraction
 
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
+from quiverext.linalg import Matrix
 from quiverext.quiver import wadd
 
 
@@ -323,3 +329,71 @@ def ext_combination(terms):
             coeffs[i] = coeffs[i] + c * a if i in coeffs else c * a
     return ExtClass(first.degree, first.source, first.target_vertex,
                     first.target_degree, coeffs)
+
+
+# -- projectives slot by slot --------------------------------------------------
+
+def naive_projective(engine, summands):
+    """A direct sum of shifted indecomposable projectives built slot by slot:
+    every slot's arrow images by `multiply_paths`, into zero-filled blocks.
+    Returns (slots, gen_pos, generators, dims, action) as a `Projective`
+    lays them out."""
+    summands = [(v, tuple(g)) for v, g in summands]
+    slot_lists = {v: [] for v in engine.quiver.vertices}
+    for idx, (v, g) in enumerate(summands):
+        for p in engine.basis_paths_from(v):
+            slot_lists[p.target].append((wadd(p.weight, g), idx, p))
+    slots = {}
+    for v, entries in slot_lists.items():
+        for d, idx, p in sorted(entries, key=lambda t: (t[0], t[1], t[2].length,
+                                                        t[2].arrows)):
+            slots.setdefault((v, d), []).append((idx, p))
+    position = {}
+    for entries in slots.values():
+        for i, slot in enumerate(entries):
+            position[slot] = i
+    gen_pos = [((v, g), position[(idx, engine.pres.vertex_path(v))])
+               for idx, (v, g) in enumerate(summands)]
+    generators = {}
+    for idx, (key, i) in enumerate(gen_pos):
+        generators.setdefault(key, {})[i] = idx
+    weights = engine.pres.weights
+    action = {}
+    for (v, g), src in slots.items():
+        for a in engine.quiver.arrows_from[v]:
+            tgt = slots.get((a.target, wadd(g, weights[a.name])))
+            if tgt is None:
+                continue
+            m = Matrix.zeros(engine.field, len(tgt), len(src))
+            ap = engine.pres.arrow_path(a.name)
+            nonzero = False
+            for j, (idx, p) in enumerate(src):
+                for q, c in engine.multiply_paths(ap, p).items():
+                    m.rows[position[(idx, q)]][j] = c
+                    nonzero = True
+            if nonzero:
+                action[(a.name, g)] = m
+    dims = {key: len(s) for key, s in slots.items()}
+    return slots, gen_pos, generators, dims, action
+
+
+def naive_map_from_generator_images(proj, target, images, grade):
+    """The blocks of the map sending generator idx of `proj` to images[idx]:
+    each slot's column is the matrix of its path on the target
+    (`path_action`, a product of arrow blocks) applied to the image."""
+    field = proj.engine.field
+    blocks = {}
+    for (v, g), slots in proj.slots.items():
+        nrows = target.dims.get((v, tuple(x - y for x, y in zip(g, grade))))
+        if not nrows:
+            continue
+        cols = []
+        for idx, p in slots:
+            m = None
+            if any(images[idx]):
+                start = tuple(x - y for x, y in zip(proj.summands[idx][1], grade))
+                m = target.path_action(p, start)
+            cols.append([field.zero] * nrows if m is None else m.apply(images[idx]))
+        if any(any(col) for col in cols):
+            blocks[(v, g)] = Matrix.from_columns(field, cols, nrows)
+    return blocks

@@ -10,7 +10,7 @@ from quiverext import parse_algebra
 from quiverext.cli import main
 from quiverext.fields import PrimeField
 
-from conftest import FIXTURE_NAMES
+from conftest import EXTERIOR3_F3, FIXTURE_NAMES, RATIONAL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -131,6 +131,31 @@ def test_products_match_golden(capsys, fixtures_dir, name):
     assert out == (GOLDEN / (name + "_products.json")).read_text()
 
 
+# over F_3; the last algebra is graded over Z^3
+PRIME_FIELD_GOLDEN = [
+    (name, ["resolve", "--field", "F3", "--bound", "6"], name + "_resolve_f3_b6.json")
+    for name in ("pos", "tri")] + [
+    (name, ["ext-table", "--field", "F3", "--bound", "8", "--products-bound", "5"],
+     name + "_products_f3.json") for name in ("pos", "tri")] + [
+    (None, ["ext-table", "--bound", "4", "--products-bound", "4"],
+     "exterior3_f3_products.json")]
+
+
+@pytest.mark.parametrize("name,argv,golden", PRIME_FIELD_GOLDEN,
+                         ids=[g[:-len(".json")] for _, _, g in PRIME_FIELD_GOLDEN])
+def test_prime_field_reports_match_golden(capsys, fixtures_dir, tmp_path, name, argv,
+                                          golden):
+    if name is None:
+        src = tmp_path / "exterior3.alg"
+        src.write_text(EXTERIOR3_F3)
+        path = str(src)
+    else:
+        path = fix(fixtures_dir, name)
+    code, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 # the default-flag reports of the three commands that read verdicts
 REPORT_GOLDEN = [(name, command) for name in FIXTURE_NAMES
                  for command in ("analyze", "corner", "compare")]
@@ -195,20 +220,6 @@ def test_csv_only_for_ext_table(capsys, fixtures_dir):
                            "--format", "csv")
     assert code == 1
     assert "csv" in err
-
-
-RATIONAL = """
-field Q
-group Z 1
-vertices u v
-arrow a u v 1
-arrow b u v 1
-arrow c v u 1
-truncate 3
-rel %s*c*a + c*b
-rel a*c
-rel b*c
-"""
 
 
 # the fixtures have only +-1 coefficients; these reports carry fractions
@@ -304,3 +315,16 @@ def test_resolve_independent_of_hash_seed(fixtures_dir, command, name, extra):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])
+
+
+def test_python_dash_m_package_runs_the_cli(capsys, fixtures_dir):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = ["analyze", fix(fixtures_dir, "a2")]
+    proc = subprocess.run([sys.executable, "-m", "quiverext"] + argv,
+                          env=env, capture_output=True, check=True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == proc.returncode == 0
+    assert proc.stdout.decode() == out
+    assert json.loads(out)["dim_lambda"] == 3

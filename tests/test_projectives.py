@@ -1,0 +1,127 @@
+"""Projectives read off the engine's templates, and maps out of them by the
+prefix-tree walk, against the slot-by-slot references in `naive.py`."""
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quiverext import Representation, build_engine, parse_algebra
+from quiverext.fields import PrimeField
+from quiverext.modules import (Projective, projective_cover, projective_module,
+                               simple_module)
+from quiverext.quiver import wadd, wsub, wzero
+from quiverext.resolution import minimal_resolution
+
+from conftest import FIXTURE_NAMES, POLY_CORNER, RATIONAL, fixture_text
+from naive import naive_map_from_generator_images, naive_projective
+
+ALGEBRAS = FIXTURE_NAMES + ["poly_corner", "rational"]
+FIELDS = ["Q", "F3"]
+
+
+@functools.cache
+def engine_over(name, field):
+    if name == "poly_corner":
+        text = POLY_CORNER
+    elif name == "rational":
+        # 2/3 has no value in F3, so over F3 the coefficient is 1/2 = 2
+        text = RATIONAL % ("2/3" if field == "Q" else "1/2")
+    else:
+        text = fixture_text(name)
+    pres = parse_algebra(text)
+    if field != "Q":
+        pres = pres.with_field(PrimeField(3))
+    return build_engine(pres)
+
+
+def assert_matches_reference(proj, eng, summands):
+    slots, gen_pos, generators, dims, action = naive_projective(eng, summands)
+    assert list(proj.slots.items()) == list(slots.items())
+    assert proj.gen_pos == gen_pos
+    assert list(proj.generators.items()) == list(generators.items())
+    assert list(proj.rep.dims.items()) == list(dims.items())
+    assert list(proj.rep.action) == list(action)
+    assert all(proj.rep.action[key] == m for key, m in action.items())
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(ALGEBRAS))
+    field = draw(st.sampled_from(FIELDS))
+    eng = engine_over(name, field)
+    shift = st.tuples(*[st.integers(-2, 2)] * eng.group_rank)
+    summand = st.tuples(st.sampled_from(eng.quiver.vertices), shift)
+    target_summands = draw(st.lists(summand, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        _, _, _, dims, action = naive_projective(eng, target_summands)
+        target = Representation(eng, dims, action, check=False)
+    else:
+        target = simple_module(eng, *target_summands[0])
+    grade = draw(st.just(wzero(eng.group_rank)) | shift)
+    # mostly summands whose generator lands on a slice of the target
+    onto_target = st.sampled_from([(v, wadd(h, grade)) for v, h in target.dims])
+    summands = draw(st.lists(onto_target | onto_target | summand, min_size=1, max_size=5))
+    images = []
+    for v, g in summands:
+        n = target.dims.get((v, wsub(g, grade)), 0)
+        kind = draw(st.sampled_from(["random", "random", "zero", "empty"]))
+        if kind == "empty" or not n:
+            images.append([])
+        elif kind == "zero":
+            images.append([eng.field.zero] * n)
+        else:
+            images.append([eng.field.of(draw(st.sampled_from([1, -1, 2, 0])))
+                           for _ in range(n)])
+    return eng, summands, target, grade, images
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(cases())
+def test_projective_and_its_maps_match_slot_by_slot_reference(case):
+    eng, summands, target, grade, images = case
+    proj = Projective(eng, summands)
+    assert_matches_reference(proj, eng, summands)
+    phi = proj.map_from_generator_images(target, images, grade=grade)
+    want = naive_map_from_generator_images(proj, target, images, grade)
+    assert list(phi.blocks) == list(want)
+    assert all(phi.blocks[key] == b for key, b in want.items())
+    phi._verify()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_cover_of_single_summand_leaves_it_and_its_template_intact(name, field):
+    eng = engine_over(name, field)
+    one = (1,) * eng.group_rank
+    for v in eng.quiver.vertices:
+        proj = projective_module(eng, v, one)
+        template = eng.projective_template(v)
+        # a single summand shares the template's blocks, re-keyed by its shift
+        for (a, d), b in template.action.items():
+            assert proj.rep.action[(a, tuple(x + 1 for x in d))] is b
+        cover = projective_cover(eng, proj.rep)
+        assert cover.kernel.is_zero() and cover.epi.is_iso()
+        minimal_resolution(eng, simple_module(eng, v), 3)
+        assert_matches_reference(proj, eng, [(v, one)])
+        assert_matches_reference(Projective(eng, [(v, one)]), eng, [(v, one)])
+        fresh = Projective(eng, [(v, wzero(eng.group_rank))])
+        assert_matches_reference(fresh, eng, [(v, wzero(eng.group_rank))])
+        assert list(template.slices.items()) == [
+            (key, [p for _, p in slots]) for key, slots in fresh.slots.items()]
+        assert template.action == fresh.rep.action
+
+
+def test_prefix_tree_holds_every_first_applied_part():
+    eng = engine_over("tri", "Q")
+    for v in eng.quiver.vertices:
+        tree = eng.projective_template(v).tree
+        assert tree[0][0] is None and tree[0][3] == ((v, wzero(1)), 0)
+        paths = {p.arrows for p in eng.basis_paths_from(v)}
+        seen = [()]
+        for parent, arrow, _, slot in tree[1:]:
+            assert parent < len(seen)
+            seen.append((arrow,) + seen[parent])
+            assert (slot is not None) == (seen[-1] in paths)
+        assert paths <= set(seen)
+        assert set(seen) == {p[i:] for p in paths for i in range(len(p) + 1)}
