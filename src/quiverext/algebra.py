@@ -5,11 +5,15 @@ of length >= 2 that, after splitting by (source, target), are homogeneous
 for the weight grading.  The presentation carries a truncation bound N
 with J^N contained in I (J the arrow ideal); this is checked, not assumed.
 
-Normal forms are computed degreewise: for every (source, target, weight)
-block, the span of all padded relation products p*r*q is put in reduced
-row echelon form over the block's path monomials.  Pivot monomials reduce
-to combinations of the non-pivot monomials, which form the basis of the
-algebra.  All arithmetic is exact (Q or F_p).
+Normal forms come from one elimination.  Every padded relation product
+p*r*q, with its terms longer than N dropped, is a row of its (source,
+target, weight) block, and each block is put in reduced row echelon form
+once, over its path monomials in (length, arrows) order.  A pivot of length
+< N reduces to a combination of non-pivot monomials, which form the basis
+of the algebra.  The length-N monomials sort last, so J^N lies in I exactly
+when each of them is a pivot whose row has no other entry; the first
+length-N path that is not is reported as the witness.  All arithmetic is
+exact (Q or F_p).
 """
 
 from fractions import Fraction
@@ -166,6 +170,17 @@ class UniformRelation:
         self.min_length = min(p.length for _, p in terms)
 
 
+def add_scaled(out, terms, c):
+    """out += c * terms, for sparse {key: coefficient} dicts.  A key whose
+    sum vanishes is dropped; a new key goes last."""
+    for t, d in terms.items():
+        s = out.get(t, 0) + c * d
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+
+
 class AlgebraElement:
     """A linear combination of normal-form basis paths."""
 
@@ -177,12 +192,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, self.engine.field.zero) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
+        add_scaled(out, other.terms, self.engine.field.one)
         return AlgebraElement(self.engine, out)
 
     def __sub__(self, other):
@@ -225,11 +235,9 @@ class NormalFormEngine:
         self.truncation = pres.truncation
         self.paths_by_length = self._enumerate_paths(pres.truncation)
         self._reduction = {}
-        self.basis = []
         self._build()
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._check_admissible()
         self._opposite = None
         self._paths_from = {}
         for p in self.basis:
@@ -250,13 +258,13 @@ class NormalFormEngine:
             by_len.append(nxt)
         return by_len
 
-    def _padded_rows(self, cutoff):
-        """Spanning vectors of the ideal, grouped by (source, target, weight).
+    def _padded_rows(self):
+        """Spanning vectors of I modulo J^(N+1), by (source, target, weight).
 
-        Every product p*r*q with a surviving term of length <= cutoff is
-        included; terms longer than cutoff are dropped (they lie in the
-        truncated part).
+        Every product p*r*q with a surviving term of length <= N is included;
+        longer terms are dropped (they lie in J^(N+1)).
         """
+        n = self.truncation
         all_paths = [p for ps in self.paths_by_length for p in ps]
         by_target = {}
         by_source = {}
@@ -266,15 +274,14 @@ class NormalFormEngine:
         blocks = {}
         for rel in self.pres.uniform_relations:
             for q in by_target.get(rel.source, []):
-                if q.length + rel.min_length > cutoff:
+                if q.length + rel.min_length > n:
                     continue
                 for p in by_source.get(rel.target, []):
-                    if p.length + q.length + rel.min_length > cutoff:
+                    if p.length + q.length + rel.min_length > n:
                         continue
                     row = {}
                     for c, t in rel.terms:
-                        total = p.length + t.length + q.length
-                        if total > cutoff:
+                        if p.length + t.length + q.length > n:
                             continue
                         full = compose(p, compose(t, q))
                         row[full] = row.get(full, self.field.zero) + c
@@ -286,98 +293,34 @@ class NormalFormEngine:
                     blocks.setdefault(key, []).append(row)
         return blocks
 
-    @staticmethod
-    def _block_columns(rows):
-        cols = set()
-        for row in rows:
-            cols.update(row)
-        return sorted(cols, key=lambda p: (p.length, p.arrows))
-
     def _build(self):
+        """One RREF per block of the padded rows, columns in (length, arrows)
+        order.  A pivot of length < N reduces to minus the rest of its row.
+        J^N lies in I exactly when every length-N path is a pivot whose row
+        has no other entry; the first that is not is the witness."""
         n = self.truncation
-        blocks = self._padded_rows(n - 1)
-        pivot_paths = set()
+        blocks = self._padded_rows()
+        killed = set()
         for key in sorted(blocks):
             rows = blocks[key]
-            cols = self._block_columns(rows)
+            cols = sorted({p for row in rows for p in row}, key=lambda p: (p.length, p.arrows))
             col_index = {p: j for j, p in enumerate(cols)}
             mat = Matrix.zeros(self.field, len(rows), len(cols))
             for i, row in enumerate(rows):
                 for p, c in row.items():
                     mat.rows[i][col_index[p]] = c
             red, pivots = mat.rref()
-            for i, pc in enumerate(pivots):
-                pivot_path = cols[pc]
-                pivot_paths.add(pivot_path)
-                expansion = {}
-                for j in range(pc + 1, len(cols)):
-                    v = red.rows[i][j]
-                    if v:
-                        expansion[cols[j]] = -v
-                self._reduction[pivot_path] = expansion
-        # resolve chains: a pivot's expansion may mention later pivots
-        resolved = {}
-
-        def resolve(p):
-            if p in resolved:
-                return resolved[p]
-            exp = self._reduction[p]
-            out = {}
-            for q, c in exp.items():
-                if q in self._reduction:
-                    for t, d in resolve(q).items():
-                        s = out.get(t, self.field.zero) + c * d
-                        if s:
-                            out[t] = s
-                        else:
-                            out.pop(t, None)
-                else:
-                    s = out.get(q, self.field.zero) + c
-                    if s:
-                        out[q] = s
-                    else:
-                        out.pop(q, None)
-            resolved[p] = out
-            return out
-
-        for p in list(self._reduction):
-            resolve(p)
-        self._reduction = resolved
-        for length in range(n):
-            for p in self.paths_by_length[length]:
-                if p not in pivot_paths:
-                    self.basis.append(p)
-
-    def _check_admissible(self):
-        """Every path of length N must lie in I (computed one degree up)."""
-        n = self.truncation
-        blocks = self._padded_rows(n)
-        reduced_blocks = {}
-        for key, rows in blocks.items():
-            cols = self._block_columns(rows)
-            col_index = {p: j for j, p in enumerate(cols)}
-            mat = Matrix.zeros(self.field, len(rows), len(cols))
-            for i, row in enumerate(rows):
-                for p, c in row.items():
-                    mat.rows[i][col_index[p]] = c
-            red, pivots = mat.rref()
-            reduced_blocks[key] = (red, pivots, col_index)
+            for row, pc in zip(red.rows, pivots):
+                rest = {cols[j]: -row[j] for j in range(pc + 1, len(cols)) if row[j]}
+                if cols[pc].length < n:
+                    self._reduction[cols[pc]] = rest
+                elif not rest:
+                    killed.add(cols[pc])
         for p in self.paths_by_length[n]:
-            key = (p.source, p.target, p.weight)
-            if key not in reduced_blocks:
+            if p not in killed:
                 raise AdmissibilityError(p)
-            red, pivots, col_index = reduced_blocks[key]
-            j = col_index.get(p)
-            if j is None:
-                raise AdmissibilityError(p)
-            vec = [self.field.zero] * len(col_index)
-            vec[j] = self.field.one
-            for i, pc in enumerate(pivots):
-                if vec[pc]:
-                    f = vec[pc]
-                    vec = [a - f * b for a, b in zip(vec, red.rows[i])]
-            if any(vec):
-                raise AdmissibilityError(p)
+        self.basis = [p for ps in self.paths_by_length[:n] for p in ps
+                      if p not in self._reduction]
 
     # -- reduction and arithmetic -----------------------------------------
 
@@ -393,14 +336,8 @@ class NormalFormEngine:
     def nf_terms(self, terms):
         out = {}
         for p, c in terms.items():
-            if not c:
-                continue
-            for q, d in self.nf_path(p).items():
-                s = out.get(q, self.field.zero) + c * d
-                if s:
-                    out[q] = s
-                else:
-                    out.pop(q, None)
+            if c:
+                add_scaled(out, self.nf_path(p), c)
         return out
 
     def element(self, terms):
@@ -432,13 +369,7 @@ class NormalFormEngine:
         out = {}
         for p, c in x.terms.items():
             for q, d in y.terms.items():
-                cd = c * d
-                for t, e in self.multiply_paths(p, q).items():
-                    s = out.get(t, self.field.zero) + cd * e
-                    if s:
-                        out[t] = s
-                    else:
-                        out.pop(t, None)
+                add_scaled(out, self.multiply_paths(p, q), c * d)
         return AlgebraElement(self, out)
 
     # -- structure ---------------------------------------------------------

@@ -128,8 +128,7 @@ class TransportCorrespondence:
                    for k in range(depth + 1)]
         q0 = res_cor.term(0)
         aug_q = res_cor.differential(0)
-        rhs0 = [aug_q.apply(*q0.generator_vector(idx))[1]
-                for idx in range(len(q0.summands))]
+        rhs0 = [aug_q.column(*pos)[1] for pos in q0.gen_pos]
         return lift_chain_map(res_cor, 0, rhs0, f_diffs,
                               wzero(corner.corner_engine.group_rank))
 

@@ -13,7 +13,7 @@ bimodule), the module of e-to-f paths, resolution transport, and the
 exactness test for the right adjoint.
 """
 
-from .algebra import AlgebraPresentation, NormalFormEngine
+from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
 from .modules import (ModuleMap, Representation, projective_cover,
                       radical_subspaces, simple_module)
@@ -195,12 +195,7 @@ class CornerPresentation:
             p = self.arrow_paths[i]
             out = {}
             for q, c in acc.items():
-                for t, d in eng.multiply_paths(p, q).items():
-                    s = out.get(t, eng.field.zero) + c * d
-                    if s:
-                        out[t] = s
-                    else:
-                        out.pop(t, None)
+                add_scaled(out, eng.multiply_paths(p, q), c)
             acc = out
         return acc
 
@@ -333,37 +328,18 @@ class CornerPresentation:
         mat = Matrix.from_columns(self.engine.field, cols, self.dim)
         if mat.rank() != self.dim:
             raise AssertionError("corner evaluation map is not bijective")
+        image = {bp: AlgebraElement(self.engine, t) for bp, t in self.theta.items()}
         for x in ce.basis:
             for y in ce.basis:
-                prod = ce.multiply_paths(x, y)
-                lhs = self._push(prod)
-                rhs = self._mult_corner(self.theta[x], self.theta[y])
-                if lhs != rhs:
+                lhs = self._push(ce.multiply_paths(x, y))
+                if lhs != (image[x] * image[y]).terms:
                     raise AssertionError(
                         "multiplication tables differ at %r * %r" % (x, y))
 
     def _push(self, corner_terms):
         out = {}
         for bp, c in corner_terms.items():
-            for t, d in self.theta[bp].items():
-                s = out.get(t, self.engine.field.zero) + c * d
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-        return out
-
-    def _mult_corner(self, xs, ys):
-        eng = self.engine
-        out = {}
-        for p, c in xs.items():
-            for q, d in ys.items():
-                for t, e in eng.multiply_paths(p, q).items():
-                    s = out.get(t, eng.field.zero) + c * d * e
-                    if s:
-                        out[t] = s
-                    else:
-                        out.pop(t, None)
+            add_scaled(out, self.theta[bp], c)
         return out
 
     def witness_json(self):

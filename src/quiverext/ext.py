@@ -182,8 +182,7 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
         if k:
             d_src = source.differential(start + k)
             prev = lifts[-1]
-            rhs = [prev.apply(*d_src.apply(*proj.generator_vector(idx)))[1]
-                   for idx in range(len(proj.summands))]
+            rhs = [prev.apply(*d_src.column(*pos))[1] for pos in proj.gen_pos]
         lifts.append(_solve_generator_lift(proj, d_tgt, rhs, grade))
     return lifts
 

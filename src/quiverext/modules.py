@@ -290,6 +290,16 @@ class ModuleMap:
             return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
         return tkey, b.apply(vec)
 
+    def column(self, key, i):
+        """The image of the i-th unit vector of source slice `key`, as
+        (target slice, coordinates): column i of its block."""
+        v, g = key
+        tkey = (v, wsub(g, self.grade))
+        b = self.blocks.get(key)
+        if b is None:
+            return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
+        return tkey, b.col(i)
+
     def compose(self, other):
         """self after other."""
         if other.target is not self.source and other.target != self.source:
@@ -426,11 +436,6 @@ class Projective:
 
     def is_zero(self):
         return not self.summands
-
-    def generator_vector(self, idx):
-        """Summand idx's generator: (slice, unit coordinate vector)."""
-        key, i = self.gen_pos[idx]
-        return key, _unit(self.engine.field, self.rep.dims[key], i)
 
     def map_from_generator_images(self, target, images, grade=None):
         """The module map sending generator idx to images[idx], the
@@ -808,18 +813,3 @@ def module_iso_test(M, N, seed=0, trials=64):
         if cand.is_iso():
             return "isomorphic", cand
     return "undetermined", None
-
-
-def random_homogeneous_vectors(rep, rng, count):
-    """Random homogeneous vectors (v, g, coordinates) of rep, for property tests."""
-    slices = list(rep.dims.items())
-    out = []
-    if not slices:
-        return out
-    field = rep.engine.field
-    for _ in range(count):
-        (v, g), n = slices[rng.randrange(len(slices))]
-        vec = [field.of(rng.randint(-2, 2)) for _ in range(n)]
-        if any(vec):
-            out.append((v, g, vec))
-    return out

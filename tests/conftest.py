@@ -71,6 +71,29 @@ rel x*z + -1*z*x
 rel y*z + -1*z*y
 """
 
+# four square-zero commuting loops over Q, graded over Z^4: one basis path
+# in each weight in {0,1}^4, dimension 16
+EXTERIOR4 = """
+field Q
+group Z 4
+vertices v
+arrow x v v 1 0 0 0
+arrow y v v 0 1 0 0
+arrow z v v 0 0 1 0
+arrow w v v 0 0 0 1
+truncate 5
+rel x*x
+rel y*y
+rel z*z
+rel w*w
+rel x*y + -1*y*x
+rel x*z + -1*z*x
+rel x*w + -1*w*x
+rel y*z + -1*z*y
+rel y*w + -1*w*y
+rel z*w + -1*w*z
+"""
+
 # a relation mixing path lengths 2 and 4 of equal weight
 MIXED = """
 field Q
@@ -157,6 +180,21 @@ rel a4*a3*a2
 rel a1*a4*a3
 rel a2*a1*a4
 """
+
+
+def random_homogeneous_vectors(rep, rng, count):
+    """Random homogeneous vectors (v, g, coordinates) of rep, for property tests."""
+    slices = list(rep.dims.items())
+    out = []
+    if not slices:
+        return out
+    field = rep.engine.field
+    for _ in range(count):
+        (v, g), n = slices[rng.randrange(len(slices))]
+        vec = [field.of(rng.randint(-2, 2)) for _ in range(n)]
+        if any(vec):
+            out.append((v, g, vec))
+    return out
 
 
 @functools.cache

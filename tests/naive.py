@@ -95,11 +95,11 @@ def rref_rows(rows, ncols):
         pv = mat[rank][col]
         # an int pivot divides as a Fraction: int / int would be a float
         inv = 1 / (Fraction(pv) if isinstance(pv, int) else pv)
-        mat[rank] = [inv * x for x in mat[rank]]
+        mat[rank] = [inv * x if x else x for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
     assert not any(isinstance(x, float) for row in mat for x in row)
     return mat[:len(pivots)], pivots
@@ -110,13 +110,19 @@ def rank_fraction(rows, ncols):
     return len(rref_rows(rows, ncols)[1])
 
 
-def naive_dimension(text):
-    """dim KQ/(I + J^N): number of paths of length < N minus the rank of the
-    span of all padded relation products, computed in one big matrix."""
+def naive_normal_forms(text):
+    """Normal forms of KQ/(I + J^N) from one big matrix over Q.  Every padded
+    relation product, its terms of length >= N dropped, is a row over all
+    paths of length < N, with columns in (length, arrows) order; the local
+    elimination puts the matrix in RREF.  Returns (reductions, basis): each
+    short path's normal form as {path: coeff}, a pivot reducing to minus the
+    rest of its row, and the non-pivot paths in enumeration order.  A path is
+    (arrows in composition order, source, target)."""
     vertices, arrows, rels, trunc = parse_lines(text)
     paths, names = enumerate_paths(vertices, arrows, trunc - 1)
     all_paths = [p for ps in paths.values() for p in ps]
-    index = {p: i for i, p in enumerate(all_paths)}
+    cols = sorted(all_paths, key=lambda p: (len(p[0]), p[0], p[1]))
+    index = {p: i for i, p in enumerate(cols)}
     rows = []
     for terms in rels:
         uniform = {}
@@ -127,13 +133,15 @@ def naive_dimension(text):
         for piece in uniform.values():
             r_src = piece[0][1][1]
             r_tgt = piece[0][1][2]
+            shortest = min(len(word) for _, (word, _, _) in piece)
             for left in all_paths:
                 if left[1] != r_tgt:
                     continue
                 for right in all_paths:
-                    if right[2] != r_src:
+                    if right[2] != r_src or \
+                            len(left[0]) + shortest + len(right[0]) >= trunc:
                         continue
-                    row = [Fraction(0)] * len(all_paths)
+                    row = [0] * len(cols)
                     nonzero = False
                     for coeff, (word, _, _) in piece:
                         seq = left[0] + word + right[0]
@@ -144,45 +152,19 @@ def naive_dimension(text):
                         nonzero = True
                     if nonzero and any(row):
                         rows.append(row)
-    return len(all_paths) - rank_fraction(rows, len(all_paths))
+    red, pivots = rref_rows(rows, len(cols))
+    reductions = {p: {p: Fraction(1)} for p in all_paths}
+    for row, pc in zip(red, pivots):
+        reductions[cols[pc]] = {cols[j]: -row[j] for j in range(pc + 1, len(cols))
+                                if row[j] != 0}
+    pivot_paths = {cols[pc] for pc in pivots}
+    return reductions, [p for p in all_paths if p not in pivot_paths]
 
 
 def naive_path_count_from(text, vertex):
     """Paths (of any length below truncation) with the given source that
-    survive the relations: dimension of the projective at the vertex,
-    via the same one-big-matrix method restricted to columns."""
-    vertices, arrows, rels, trunc = parse_lines(text)
-    paths, names = enumerate_paths(vertices, arrows, trunc - 1)
-    all_paths = [p for ps in paths.values() for p in ps]
-    wanted = [p for p in all_paths if p[1] == vertex]
-    index = {p: i for i, p in enumerate(all_paths)}
-    rows = []
-    for terms in rels:
-        uniform = {}
-        for coeff, word in terms:
-            p = path_of_word(word, names)
-            uniform.setdefault((p[1], p[2]), []).append((coeff, p))
-        for piece in uniform.values():
-            r_src = piece[0][1][1]
-            r_tgt = piece[0][1][2]
-            for left in all_paths:
-                if left[1] != r_tgt:
-                    continue
-                for right in all_paths:
-                    if right[2] != r_src or right[1] != vertex:
-                        continue
-                    row = [Fraction(0)] * len(all_paths)
-                    nonzero = False
-                    for coeff, (word, _, _) in piece:
-                        seq = left[0] + word + right[0]
-                        if len(seq) >= trunc:
-                            continue
-                        full = (seq, right[1], left[2])
-                        row[index[full]] += coeff
-                        nonzero = True
-                    if nonzero and any(row):
-                        rows.append(row)
-    return len(wanted) - rank_fraction(rows, len(all_paths))
+    survive the relations: dimension of the projective at the vertex."""
+    return sum(1 for p in naive_normal_forms(text)[1] if p[1] == vertex)
 
 
 # -- dense subrepresentation references --------------------------------------

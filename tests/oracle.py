@@ -38,8 +38,7 @@ class _OracleResolution:
         while len(self.terms) <= bound:
             k, incl = self.kernels[-1]
             cov = projective_cover(self.engine, k)
-            lift_images = [cov.epi.apply(*cov.projective.generator_vector(idx))[1]
-                           for idx in range(len(cov.projective.summands))]
+            lift_images = [cov.epi.column(*pos)[1] for pos in cov.projective.gen_pos]
             proj, epi_to_k = self._pad(cov.projective, k, lift_images)
             self.terms.append(proj)
             self.maps.append(epi_to_k if incl is None else incl.compose(epi_to_k))

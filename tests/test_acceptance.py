@@ -19,11 +19,11 @@ from quiverext import (DimVerdict, IdempotentPair, apply_F,
 from quiverext.cli import main as cli_main
 from quiverext.comparison import compute_abc
 from quiverext.corner import apply_F_map
-from quiverext.modules import direct_sum, random_homogeneous_vectors
+from quiverext.modules import direct_sum
 from quiverext.quiver import compose, wadd
 from quiverext.resolution import MinimalResolution
 
-from conftest import KB2, engine_for, engine_from
+from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
 from oracle import ext_oracle
 
 ALL = ["e24", "e41", "a2", "pos", "nak", "tri"]

@@ -6,10 +6,12 @@ import pytest
 from quiverext import (AdmissibilityError, AlgebraFileError, build_engine,
                        parse_algebra)
 from quiverext.algfile import format_algebra
+from quiverext.linalg import Matrix
 
-from conftest import (E24_TRIVIAL, MIXED, MIXED_SIGN, engine_for,
-                      engine_from, fixture_text)
-from naive import naive_dimension, naive_path_count_from
+from conftest import (E24_TRIVIAL, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, MIXED,
+                      MIXED_SIGN, NAK4, POLY_CORNER, RATIONAL, engine_for, engine_from,
+                      fixture_text)
+from naive import naive_normal_forms, naive_path_count_from
 
 
 def test_parse_e24():
@@ -50,15 +52,52 @@ def test_parse_errors():
 
 def test_engine_dimensions_against_naive_oracle():
     # frozen values, re-derived here by the independent brute-force oracle
-    assert naive_dimension(fixture_text("e24")) == 4
-    assert naive_dimension(fixture_text("e41")) == 10
-    assert naive_dimension(fixture_text("pos")) == 5
-    assert naive_dimension(fixture_text("nak")) == 6
-    assert naive_dimension(fixture_text("tri")) == 9
     for name, expected in [("e24", 4), ("e41", 10), ("pos", 5),
                            ("nak", 6), ("tri", 9), ("a2", 3)]:
-        eng = engine_for(name)
-        assert eng.dim == expected == naive_dimension(fixture_text(name))
+        naive_dim = len(naive_normal_forms(fixture_text(name))[1])
+        assert engine_for(name).dim == expected == naive_dim
+
+
+NORMAL_FORM_CASES = {
+    "MIXED": MIXED, "MIXED_SIGN": MIXED_SIGN, "POLY_CORNER": POLY_CORNER, "NAK4": NAK4,
+    "EXTERIOR2_Z": EXTERIOR2_Z, "RATIONAL_2_3": RATIONAL % "2/3", "EXTERIOR4": EXTERIOR4,
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(NORMAL_FORM_CASES))
+def test_normal_forms_against_naive_oracle(name):
+    text = NORMAL_FORM_CASES.get(name) or fixture_text(name)
+    eng = engine_from(text)
+    reductions, basis = naive_normal_forms(text)
+
+    def key(p):
+        return (p.arrows, p.source, p.target)
+
+    assert [key(p) for p in eng.basis] == basis
+    short = [p for ps in eng.paths_by_length[:eng.truncation] for p in ps]
+    assert len(short) == len(reductions)
+    for p in short:
+        assert {key(q): c for q, c in eng.nf_path(p).items()} == reductions[key(p)]
+
+
+def test_one_elimination_per_block(monkeypatch):
+    blocks = []
+    rref = Matrix.rref
+
+    def counting_rref(self):
+        blocks.append(self.shape)
+        return rref(self)
+
+    for text in [fixture_text(name) for name in FIXTURE_NAMES] + [MIXED, EXTERIOR4]:
+        pres = parse_algebra(text)
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "rref", counting_rref)
+            eng = build_engine(pres)
+        padded = eng._padded_rows()
+        assert len(blocks) == len(padded)
+        assert sorted(blocks) == sorted((len(rows), len({p for row in rows for p in row}))
+                                        for rows in padded.values())
+        blocks.clear()
 
 
 def test_e24_basis_names():
@@ -113,17 +152,8 @@ def test_opposite_dimension_matches():
         assert eng.opposite_engine.dim == eng.dim
 
 
-def test_admissibility_failure_reports_witness():
-    # e41 with truncation 3 leaves the length-3 path cba alive
-    bad = fixture_text("e41").replace("truncate 4", "truncate 3")
-    with pytest.raises(AdmissibilityError) as err:
-        build_engine(parse_algebra(bad))
-    assert err.value.witness.length == 3
-
-
-def test_admissibility_failure_infinite_dimensional():
-    # alternating loops of weight +1/-1 with only square relations never die
-    text = """
+# alternating loops of weight +1/-1 with only square relations never die
+ALTERNATING_LOOPS = """
 group Z 1
 vertices v
 arrow x v v 1
@@ -132,8 +162,39 @@ truncate 4
 rel x*x
 rel y*y
 """
-    with pytest.raises(AdmissibilityError):
-        build_engine(parse_algebra(text))
+
+# xy is a pivot whose row keeps yx; the loops are listed y first, so xy is
+# the first length-2 path that is not killed on its own
+COMMUTING_SQUARES = """
+group trivial
+vertices v
+arrow y v v
+arrow x v v
+truncate 2
+rel x*x
+rel y*y
+rel x*y + -1*y*x
+"""
+
+
+# e41 with truncation 3 leaves the length-3 path cba alive
+E41_TRUNCATE3 = fixture_text("e41").replace("truncate 4", "truncate 3")
+
+
+@pytest.mark.parametrize("text, witness", [
+    (E41_TRUNCATE3, "cba"),
+    (ALTERNATING_LOOPS, "yxyx"),
+    (COMMUTING_SQUARES, "xy"),
+], ids=["e41_truncate3", "alternating_loops", "commuting_squares"])
+def test_admissibility_failure_reports_witness(text, witness):
+    pres = parse_algebra(text)
+    with pytest.raises(AdmissibilityError) as err:
+        build_engine(pres)
+    assert repr(err.value.witness) == witness
+    assert err.value.witness.length == pres.truncation
+    assert str(err.value) == (
+        "ideal is not admissible at the stated truncation: path %s of length %d "
+        "does not reduce to 0" % (witness, pres.truncation))
 
 
 def test_mixed_sign_weights_supported():

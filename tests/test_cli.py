@@ -67,6 +67,17 @@ def test_bad_file_is_input_error(capsys, tmp_path):
     assert "truncation" in err
 
 
+def test_inadmissible_file_is_input_error(capsys, fixtures_dir, tmp_path):
+    bad = tmp_path / "e41_truncate3.alg"
+    bad.write_text((fixtures_dir / "e41.alg").read_text().replace("truncate 4", "truncate 3"))
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == ("error: ideal is not admissible at the stated truncation: "
+                   "path cba of length 3 does not reduce to 0\n")
+    assert "Traceback" not in err
+
+
 def test_reports_are_deterministic(capsys, fixtures_dir):
     args = ("compare", fix(fixtures_dir, "pos"), "--bound", "16",
             "--window", "6", "--seed", "11")

@@ -10,11 +10,11 @@ from quiverext import (IdempotentPair, apply_F, build_engine, corner_algebra,
                        transport_resolution)
 from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
-from quiverext.modules import direct_sum, random_homogeneous_vectors
+from quiverext.modules import direct_sum
 from quiverext.quiver import interior_vertices
 from quiverext.resolution import DimVerdict, MinimalResolution
 
-from conftest import engine_for, engine_from
+from conftest import engine_for, engine_from, random_homogeneous_vectors
 
 
 def corner_for(name):

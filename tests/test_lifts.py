@@ -68,7 +68,7 @@ def test_cocycle_lifts_are_chain_maps(name):
         for idx, summand in enumerate(p_n.summands):
             on_b = summand == (y.target_vertex, y.target_degree)
             want = [y.coeffs.get(idx, field.zero)] if on_b else []
-            assert base.apply(*p_n.generator_vector(idx))[1] == want
+            assert base.column(*p_n.gen_pos[idx])[1] == want
 
 
 @pytest.mark.parametrize("name", CASES)

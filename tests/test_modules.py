@@ -7,9 +7,9 @@ from quiverext import (ModuleMap, Representation, direct_sum, dual_to_opposite,
                        projective_module, quotient_rep, semisimple_top,
                        shift_rep, simple_module, subrep_generated, zero_module)
 from quiverext.linalg import Matrix
-from quiverext.modules import kernel_subrep, random_homogeneous_vectors
+from quiverext.modules import kernel_subrep
 
-from conftest import KB2, engine_for, engine_from
+from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
 
 
 def test_simple_module_dims():

@@ -12,11 +12,11 @@ from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
 from quiverext.modules import (Projective, _subrep_from_homogeneous, direct_sum,
                                kernel_subrep, projective_cover, projective_module,
-                               random_homogeneous_vectors, simple_module,
-                               subrep_generated)
+                               simple_module, subrep_generated)
 from quiverext.quiver import wadd
 
-from conftest import FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from
+from conftest import (FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from,
+                      random_homogeneous_vectors)
 from naive import dense_generated, dense_kernel
 
 
@@ -78,9 +78,28 @@ def test_sliced_path_matches_dense_reference(name, field):
 def test_span_not_closed_raises():
     eng = engine_for("e24")
     p = projective_module(eng, "u")
-    key, gen = p.generator_vector(0)
+    identity = ModuleMap(p.rep, p.rep, {key: Matrix.identity(eng.field, n)
+                                        for key, n in p.rep.dims.items()})
+    key, gen = identity.column(*p.gen_pos[0])
     with pytest.raises(ValueError, match="span is not closed under the action"):
         _subrep_from_homogeneous(p.rep, {key: [gen]})
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_column_is_image_of_unit_vector(name):
+    eng = engine_for(name)
+    covers = [projective_cover(eng, simple_module(eng, v)) for v in eng.quiver.vertices]
+    for mmap in [m for c in covers for m in (c.epi, c.kernel_inclusion)]:
+        for key, n in mmap.source.dims.items():
+            for i in range(n):
+                unit = [eng.field.zero] * n
+                unit[i] = eng.field.one
+                assert mmap.column(key, i) == mmap.apply(key, unit)
+    # a missing block is the zero map onto its target slice
+    p = projective_module(eng, eng.quiver.vertices[0])
+    zero_map = ModuleMap(p.rep, p.rep, {})
+    for key, n in p.rep.dims.items():
+        assert zero_map.column(key, n - 1) == (key, [eng.field.zero] * n)
 
 
 def test_vector_outside_its_degree_raises():
