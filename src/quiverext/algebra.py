@@ -70,19 +70,22 @@ class AlgebraPresentation:
                     raise PresentationError("unknown vertex %r in idempotent line" % v)
             if len(set(self.f_vertices)) != len(self.f_vertices):
                 raise PresentationError("repeated vertex in idempotent line")
-        # relations: list of [(coeff, (arrow names...)), ...]
+        # relations: list of [(coeff, (arrow names...)), ...].  A path named
+        # twice keeps one term, the sum of its coefficients in the field, and
+        # a term whose coefficient is zero there is dropped; a relation left
+        # with no terms is kept empty, so relations keep their numbers.
         self.relations = []
         for rel in relations:
-            terms = []
+            terms = {}
             for coeff, names in rel:
                 path = self.path_from_arrows(names)
                 if path.length < 2:
                     raise PresentationError(
                         "relation term %r has length %d; relations must be "
                         "combinations of paths of length >= 2" % (path, path.length))
-                terms.append((self.field.of(coeff), path))
-            if terms:
-                self.relations.append(terms)
+                c = self.field.of(coeff)
+                terms[path] = terms[path] + c if path in terms else c
+            self.relations.append([(c, path) for path, c in terms.items() if c])
         self.uniform_relations = self._split_uniform()
 
     def vertex_path(self, v):
@@ -262,35 +265,40 @@ class NormalFormEngine:
         """Spanning vectors of I modulo J^(N+1), by (source, target, weight).
 
         Every product p*r*q with a surviving term of length <= N is included;
-        longer terms are dropped (they lie in J^(N+1)).
+        longer terms are dropped (they lie in J^(N+1)).  q and p come from
+        (endpoint, length) buckets, at only the lengths that leave room for
+        r; rows go by q, then p, each by length and then in enumeration
+        order.
         """
         n = self.truncation
-        all_paths = [p for ps in self.paths_by_length for p in ps]
+        zero = self.field.zero
         by_target = {}
         by_source = {}
-        for p in all_paths:
-            by_target.setdefault(p.target, []).append(p)
-            by_source.setdefault(p.source, []).append(p)
+        for length, ps in enumerate(self.paths_by_length):
+            for p in ps:
+                by_target.setdefault((p.target, length), []).append(p)
+                by_source.setdefault((p.source, length), []).append(p)
         blocks = {}
         for rel in self.pres.uniform_relations:
-            for q in by_target.get(rel.source, []):
-                if q.length + rel.min_length > n:
-                    continue
-                for p in by_source.get(rel.target, []):
-                    if p.length + q.length + rel.min_length > n:
-                        continue
-                    row = {}
-                    for c, t in rel.terms:
-                        if p.length + t.length + q.length > n:
-                            continue
-                        full = compose(p, compose(t, q))
-                        row[full] = row.get(full, self.field.zero) + c
-                    row = {path: c for path, c in row.items() if c}
-                    if not row:
-                        continue
-                    any_path = next(iter(row))
-                    key = (any_path.source, any_path.target, any_path.weight)
-                    blocks.setdefault(key, []).append(row)
+            room = n - rel.min_length
+            for lq in range(room + 1):
+                for q in by_target.get((rel.source, lq), ()):
+                    terms = [(c, t.length + lq, compose(t, q)) for c, t in rel.terms
+                             if t.length + lq <= n]
+                    for lp in range(room - lq + 1):
+                        for p in by_source.get((rel.target, lp), ()):
+                            row = {}
+                            for c, length, tq in terms:
+                                if lp + length > n:
+                                    continue
+                                full = compose(p, tq)
+                                row[full] = row.get(full, zero) + c
+                            row = {path: c for path, c in row.items() if c}
+                            if not row:
+                                continue
+                            any_path = next(iter(row))
+                            key = (any_path.source, any_path.target, any_path.weight)
+                            blocks.setdefault(key, []).append(row)
         return blocks
 
     def _build(self):

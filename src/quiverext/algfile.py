@@ -223,6 +223,8 @@ def format_algebra(pres):
         lines.append(("arrow %s %s %s %s" % (a.name, a.source, a.target, w)).rstrip())
     lines.append("truncate %d" % pres.truncation)
     for terms in pres.relations:
+        if not terms:
+            continue
         bits = []
         for c, p in terms:
             factors = "*".join(p.arrows)

@@ -8,6 +8,14 @@ left by arithmetic (1/2 * 2) is harmless.  Prime-field elements are small
 wrapper objects supporting the same operators.  Since int / int is a
 float, no code divides scalars: it multiplies by `field.inv(x)`, an int
 for x = +-1 over Q, which raises ZeroDivisionError when x is zero.
+
+A prime field interns its elements: `field.elements[v]` is the one
+element of residue v in [0, p) that the field hands out, made the first
+time it is asked for, and `zero` and `one` are `elements[0]` and
+`elements[1]`.  Elimination (linalg.py) runs on the plain residues and
+reads its results back through this table, so it makes no element per
+entry.  Arithmetic between elements still makes new ones; they compare
+and hash by residue, so the two kinds mix freely.
 """
 
 from fractions import Fraction
@@ -70,27 +78,8 @@ class GFElement:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
     def __neg__(self):
         return GFElement(self.p, -self.v)
-
-    def inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return GFElement(self.p, pow(self.v, self.p - 2, self.p))
 
     def __bool__(self):
         return self.v != 0
@@ -123,6 +112,9 @@ class RationalField:
         q = Fraction(x)
         return q.numerator if q.denominator == 1 else q
 
+    def neg(self, x):
+        return -x
+
     def inv(self, x):
         if x == 1 or x == -1:
             return int(x)
@@ -138,6 +130,20 @@ class RationalField:
         return "Q"
 
 
+class _Residues(dict):
+    """The interned elements of F_p by residue, each made on first use."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, v):
+        x = self[v] = GFElement(self.p, v)
+        return x
+
+
 class PrimeField:
     """The field F_p for a prime p."""
 
@@ -147,8 +153,9 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = "F%d" % p
-        self.zero = GFElement(p, 0)
-        self.one = GFElement(p, 1)
+        self.elements = _Residues(p)
+        self.zero = self.elements[0]
+        self.one = self.elements[1]
 
     def of(self, x):
         if isinstance(x, GFElement):
@@ -156,17 +163,20 @@ class PrimeField:
                 raise ValueError("mixed characteristics")
             return x
         if isinstance(x, Fraction):
-            if x.denominator == 1:
-                return GFElement(self.p, x.numerator)
-            return GFElement(self.p, x.numerator) / GFElement(self.p, x.denominator)
-        if isinstance(x, int):
-            return GFElement(self.p, x)
+            return self.elements[x.numerator * self.inv(self.of(x.denominator)).v % self.p]
         if isinstance(x, str):
-            return GFElement(self.p, int(x))
+            x = int(x)
+        if isinstance(x, int):
+            return self.elements[x % self.p]
         raise TypeError("cannot coerce %r into F_%d" % (x, self.p))
 
     def inv(self, x):
-        return x.inverse()
+        if not x.v:
+            raise ZeroDivisionError("inverse of zero in F_p")
+        return self.elements[pow(x.v, self.p - 2, self.p)]
+
+    def neg(self, x):
+        return self.elements[-x.v % self.p]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -1,15 +1,112 @@
 """Exact dense linear algebra over Q or F_p.
 
 Reduced row echelon form is the single primitive; rank, kernels and solving
-are derived from it, with exact field arithmetic.  Over Q an entry is an
-int or a Fraction (see fields.py), so a pivot is inverted by `field.inv`,
-never by `/`.  Elimination is O(n^3) in the matrix size, so callers keep
-matrices small: graded modules are stored as one block per (vertex, degree)
-slice, so every rref, nullspace and solve runs on one block, with all
-right-hand sides of a block in one solve.  `apply` reads only the nonzero
-entries of its vector.
+are derived from it, with exact field arithmetic.  Elimination runs on
+plain values, not on field elements: over F_p on the residues, ints in
+[0, p), reduced mod p after each update, with a pivot inverted by
+pow(x, p - 2, p), in the word-size style of Dumas, Giorgi and Pernet's
+FFLAS/FFPACK (ACM TOMS 2008) but with no floating point; over Q on the
+entries themselves, ints and Fractions (see fields.py), with a pivot
+inverted by `field.inv`, never by `/`.  Results are read back through the
+field's interned elements, so no element is made per entry, and a
+`Subspace` keeps its echelon rows as values too.
+
+Each step scales the pivot row where it is nonzero and updates the other
+rows only where the pivot row is nonzero: over F_p by a loop over the pivot
+row's nonzero columns past the pivot, then setting the pivot column to 0;
+over Q by one comprehension per row that skips the multiply at a zero.
+
+Elimination is O(n^3) in the matrix size, so callers keep matrices small:
+graded modules are stored as one block per (vertex, degree) slice, so every
+rref, nullspace and solve runs on one block, with all right-hand sides of a
+block in one solve.  `apply` reads only the nonzero entries of its vector.
 Zero-dimensional shapes (0 x n, m x 0) are legal throughout.
 """
+
+from bisect import bisect
+
+
+def _values(field, row):
+    """A row as elimination values: its residues over F_p, a copy over Q."""
+    return [a.v for a in row] if field.characteristic else list(row)
+
+
+def _entries(field, values):
+    """Elimination values as field entries: the interned elements over F_p,
+    the list itself over Q."""
+    if field.characteristic:
+        elements = field.elements
+        return [elements[x] for x in values]
+    return values
+
+
+def _rref_mod(rows, ncols, p):
+    """Put rows of residues mod p in RREF in place; return the pivot columns."""
+    nrows = len(rows)
+    pivots = []
+    for pc in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if rows[i][pc]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        x = prow[pc]
+        if x != 1:
+            inv = pow(x, p - 2, p)
+            for j in range(pc, ncols):
+                if prow[j]:
+                    prow[j] = prow[j] * inv % p
+        cols = [j for j in range(pc + 1, ncols) if prow[j]]
+        vals = [prow[j] for j in cols]
+        for row in rows:
+            f = row[pc]
+            if f and row is not prow:
+                for j, b in zip(cols, vals):
+                    row[j] = (row[j] - f * b) % p
+                row[pc] = 0
+        pivots.append(pc)
+        if r + 1 == nrows:
+            break
+    return pivots
+
+
+def _rref_exact(rows, ncols, inv):
+    """Put rows of rationals in RREF in place; return the pivot columns."""
+    nrows = len(rows)
+    pivots = []
+    for pc in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if rows[i][pc]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        x = prow[pc]
+        if x != 1:
+            c = inv(x)
+            prow = [c * a if a else a for a in prow]
+        rows[i] = rows[r]
+        rows[r] = prow
+        for k, row in enumerate(rows):
+            f = row[pc]
+            if f and k != r:
+                rows[k] = [a - f * b if b else a for a, b in zip(row, prow)]
+        pivots.append(pc)
+        if r + 1 == nrows:
+            break
+    return pivots
+
+
+def _minus_multiple(row, f, prow, p):
+    """row - f * prow on values, computed only where prow is nonzero."""
+    if p:
+        return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
+    return [a - f * b if b else a for a, b in zip(row, prow)]
 
 
 class Matrix:
@@ -63,9 +160,6 @@ class Matrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def copy(self):
-        return Matrix(self.field, self.rows, ncols=self.ncols)
 
     def col(self, j):
         return [r[j] for r in self.rows]
@@ -146,29 +240,17 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
-        m = self.copy()
-        pivots = []
-        pr = 0
-        for pc in range(m.ncols):
-            pivot_row = None
-            for i in range(pr, m.nrows):
-                if m.rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m.rows[pr], m.rows[pivot_row] = m.rows[pivot_row], m.rows[pr]
-            inv = m.field.inv(m.rows[pr][pc])
-            m.rows[pr] = [inv * a for a in m.rows[pr]]
-            for i in range(m.nrows):
-                if i != pr and m.rows[i][pc]:
-                    f = m.rows[i][pc]
-                    m.rows[i] = [a - f * b for a, b in zip(m.rows[i], m.rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == m.nrows:
-                break
-        return m, pivots
+        field = self.field
+        p = field.characteristic
+        rows = [_values(field, r) for r in self.rows]
+        if p:
+            pivots = _rref_mod(rows, self.ncols, p)
+        else:
+            pivots = _rref_exact(rows, self.ncols, field.inv)
+        rank = len(pivots)
+        out = [_entries(field, r) for r in rows[:rank]]
+        out += [[field.zero] * self.ncols for _ in range(self.nrows - rank)]
+        return Matrix._owning(field, out, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -184,11 +266,12 @@ class Matrix:
         free = [j for j in range(self.ncols) if j not in pivset]
         basis = []
         z = self.field.zero
+        neg = self.field.neg
         for j in free:
             v = [z] * self.ncols
             v[j] = self.field.one
             for i, pc in enumerate(pivots):
-                v[pc] = -r.rows[i][j]
+                v[pc] = neg(r.rows[i][j])
             basis.append(v)
         return basis
 
@@ -233,49 +316,58 @@ class Matrix:
 
 
 class Subspace:
-    """An incrementally built subspace of K^n, kept in row echelon form."""
+    """An incrementally built subspace of K^n, kept in reduced row echelon
+    form: `echelon` holds its rows as elimination values, in increasing
+    order of their pivot columns `pivot_of_row`."""
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.echelon = []       # reduced rows
+        self.echelon = []       # reduced rows, as values
         self.pivot_of_row = []  # pivot column per echelon row
+
+    def _reduce(self, v):
+        """Residue of the value row v modulo the subspace."""
+        p = self.field.characteristic
+        for row, pc in zip(self.echelon, self.pivot_of_row):
+            f = v[pc]
+            if f:
+                v = _minus_multiple(v, f, row, p)
+        return v
 
     def reduce(self, vec):
         """Residue of vec modulo the subspace (a fresh list)."""
-        v = list(vec)
-        for row, p in zip(self.echelon, self.pivot_of_row):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return _entries(self.field, self._reduce(_values(self.field, vec)))
 
     def contains(self, vec):
-        return all(not a for a in self.reduce(vec))
+        return not any(self._reduce(_values(self.field, vec)))
 
     def add(self, vec):
         """Add vec to the span.  Returns True when the dimension grew."""
-        v = self.reduce(vec)
-        for p in range(self.n):
-            if v[p]:
-                inv = self.field.inv(v[p])
-                v = [inv * a for a in v]
-                # back-substitute into existing rows to stay reduced
-                for i, row in enumerate(self.echelon):
-                    if row[p]:
-                        f = row[p]
-                        self.echelon[i] = [a - f * b for a, b in zip(row, v)]
-                self.echelon.append(v)
-                self.pivot_of_row.append(p)
-                order = sorted(range(len(self.echelon)), key=lambda i: self.pivot_of_row[i])
-                self.echelon = [self.echelon[i] for i in order]
-                self.pivot_of_row = [self.pivot_of_row[i] for i in order]
-                return True
-        return False
+        field = self.field
+        p = field.characteristic
+        v = self._reduce(_values(field, vec))
+        for pc, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        if x != 1:
+            c = pow(x, p - 2, p) if p else field.inv(x)
+            v = [a * c % p for a in v] if p else [c * a if a else a for a in v]
+        # back-substitute into existing rows to stay reduced
+        for i, row in enumerate(self.echelon):
+            f = row[pc]
+            if f:
+                self.echelon[i] = _minus_multiple(row, f, v, p)
+        i = bisect(self.pivot_of_row, pc)
+        self.echelon.insert(i, v)
+        self.pivot_of_row.insert(i, pc)
+        return True
 
     @property
     def dim(self):
         return len(self.echelon)
 
     def basis(self):
-        return [list(r) for r in self.echelon]
+        return [_entries(self.field, list(r)) for r in self.echelon]

@@ -11,6 +11,11 @@ The Yoneda reference is the exception: it runs the package's own lift and
 pull-back, but lifts each right factor afresh for its product, without the
 basis lifts an Ext table stores.
 
+The padding reference is the all-pairs loop the engine once ran: it reads
+the engine's enumerated paths and uniform relations and composes with
+`quiver.compose`, but pairs every path with every other and drops the
+products too long to survive.
+
 The projective references build a sum of shifted projectives slot by slot,
 one `multiply_paths` per slot and arrow, and evaluate a map out of it by
 applying each slot's `path_action` matrix to its generator's image, in
@@ -20,7 +25,7 @@ from fractions import Fraction
 
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
 from quiverext.linalg import Matrix
-from quiverext.quiver import wadd
+from quiverext.quiver import compose, wadd
 
 
 def parse_lines(text):
@@ -93,8 +98,12 @@ def rref_rows(rows, ncols):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pv = mat[rank][col]
-        # an int pivot divides as a Fraction: int / int would be a float
-        inv = 1 / (Fraction(pv) if isinstance(pv, int) else pv)
+        if isinstance(pv, (int, Fraction)):
+            # an int pivot divides as a Fraction: int / int would be a float
+            inv = 1 / Fraction(pv)
+        else:
+            # an F_p element, inverted by Python's modular inverse
+            inv = type(pv)(pv.p, pow(pv.v, -1, pv.p))
         mat[rank] = [inv * x if x else x for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
@@ -159,6 +168,40 @@ def naive_normal_forms(text):
                                 if row[j] != 0}
     pivot_paths = {cols[pc] for pc in pivots}
     return reductions, [p for p in all_paths if p not in pivot_paths]
+
+
+def naive_padded_rows(engine):
+    """The engine's padded relation rows by (source, target, weight), from
+    every pair of paths q, p around each uniform relation r: the product
+    p*r*q with its terms longer than N dropped, when any term survives."""
+    n = engine.truncation
+    all_paths = [p for ps in engine.paths_by_length for p in ps]
+    by_target = {}
+    by_source = {}
+    for p in all_paths:
+        by_target.setdefault(p.target, []).append(p)
+        by_source.setdefault(p.source, []).append(p)
+    blocks = {}
+    for rel in engine.pres.uniform_relations:
+        for q in by_target.get(rel.source, []):
+            if q.length + rel.min_length > n:
+                continue
+            for p in by_source.get(rel.target, []):
+                if p.length + q.length + rel.min_length > n:
+                    continue
+                row = {}
+                for c, t in rel.terms:
+                    if p.length + t.length + q.length > n:
+                        continue
+                    full = compose(p, compose(t, q))
+                    row[full] = row.get(full, engine.field.zero) + c
+                row = {path: c for path, c in row.items() if c}
+                if not row:
+                    continue
+                any_path = next(iter(row))
+                key = (any_path.source, any_path.target, any_path.weight)
+                blocks.setdefault(key, []).append(row)
+    return blocks
 
 
 def naive_path_count_from(text, vertex):

@@ -6,12 +6,13 @@ import pytest
 from quiverext import (AdmissibilityError, AlgebraFileError, build_engine,
                        parse_algebra)
 from quiverext.algfile import format_algebra
+from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
 
 from conftest import (E24_TRIVIAL, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, MIXED,
                       MIXED_SIGN, NAK4, POLY_CORNER, RATIONAL, engine_for, engine_from,
                       fixture_text)
-from naive import naive_normal_forms, naive_path_count_from
+from naive import naive_normal_forms, naive_padded_rows, naive_path_count_from
 
 
 def test_parse_e24():
@@ -78,6 +79,19 @@ def test_normal_forms_against_naive_oracle(name):
     assert len(short) == len(reductions)
     for p in short:
         assert {key(q): c for q, c in eng.nf_path(p).items()} == reductions[key(p)]
+
+
+# 2/3 has no value in F3
+PADDING_CASES = [(name, field) for name in FIXTURE_NAMES + list(NORMAL_FORM_CASES)
+                 for field in ("Q", "F3") if (name, field) != ("RATIONAL_2_3", "F3")]
+
+
+@pytest.mark.parametrize("name, field", PADDING_CASES)
+def test_padded_rows_against_all_pairs_reference(name, field):
+    text = NORMAL_FORM_CASES.get(name) or fixture_text(name)
+    pres = parse_algebra(text).with_field(QQ if field == "Q" else PrimeField(3))
+    eng = build_engine(pres)
+    assert eng._padded_rows() == naive_padded_rows(eng)
 
 
 def test_one_elimination_per_block(monkeypatch):

@@ -302,6 +302,35 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
         assert err == "error: line 9: zero denominator in coefficient 1/0\n"
 
 
+ONE_LOOP = """field %s
+group %s
+vertices v
+arrow a v v%s
+truncate 3
+rel %s
+"""
+
+
+@pytest.mark.parametrize("field, group, relation, extra", [
+    pytest.param("Q", "Z 1", "0*a*a + a*a*a", [], id="zero-over-Q"),
+    pytest.param("Q", "Z 1", "0*a*a + a*a*a", ["--field", "F3"], id="zero-over-Q-as-F3"),
+    pytest.param("F 3", "Z 1", "3*a*a + a*a*a", [], id="zero-in-F3"),
+    # homogeneous over Q only because the grading is trivial; 3 is 0 in F3
+    pytest.param("Q", "trivial", "3*a*a + a*a*a", ["--field", "F3"],
+                 id="zero-in-F3-override"),
+])
+def test_relation_terms_zero_in_the_field_are_dropped(capsys, tmp_path, field, group,
+                                                       relation, extra):
+    src = tmp_path / "loop.alg"
+    src.write_text(ONE_LOOP % (field, group, " 1" if group == "Z 1" else "", relation))
+    code, out, err = run_cli(capsys, "analyze", str(src), *extra)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["mixed_length_relations"] is False
+    assert report["dim_lambda"] == 3
+    assert report["basis"] == ["e_v", "a", "aa"]
+
+
 @pytest.mark.parametrize("command, name, extra", [
     pytest.param("resolve", "tri", ["--bound", "6"], id="resolve"),
     # verdicts read off the shared store of simple resolutions

@@ -1,13 +1,19 @@
 """The scalar contract: over Q a value is an int when it is an integer and a
-Fraction only when it is not; `inv` is the one way to divide."""
+Fraction only when it is not; `inv` is the one way to divide.  Over F_p the
+elimination kernel runs on residues and hands back only the field's interned
+elements."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverext.fields import QQ, PrimeField, scalar_to_json
+from quiverext import build_engine, parse_algebra
+from quiverext.fields import QQ, GFElement, PrimeField, scalar_to_json
 from quiverext.linalg import Matrix, Subspace
+
+from conftest import EXTERIOR3_F3
+from naive import rref_rows
 
 
 def is_int(x):
@@ -107,3 +113,118 @@ def test_mixed_entries_match_all_fraction_entries(data):
     assert_exact(flat(mixed["solve"] or []))
     assert_exact(mixed["solve_single"] or [])
     assert_exact(flat(mixed["subspace"][1]))
+
+
+# -- the F_p kernel against the plain elimination of tests/naive.py -----------
+
+PRIME_FIELDS = {p: PrimeField(p) for p in (2, 3, 5, 7)}
+
+
+@st.composite
+def prime_field_matrices(draw):
+    field = PRIME_FIELDS[draw(st.sampled_from(sorted(PRIME_FIELDS)))]
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(1, 5))
+    residues = st.integers(0, field.p - 1)
+
+    def rows_of(n, m):
+        return [[field.of(x) for x in draw(st.lists(residues, min_size=m, max_size=m))]
+                for _ in range(n)]
+
+    return field, rows_of(nrows, ncols), ncols, rows_of(nrows, 2), rows_of(1, ncols)[0]
+
+
+def reference(field, rows, ncols, rhs, vec):
+    """What every kernel result must be, from `rref_rows` and plain element
+    arithmetic."""
+    z = field.zero
+    red, pivots = rref_rows(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    nullspace = []
+    for j in free:
+        v = [z] * ncols
+        v[j] = field.one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[j]
+        nullspace.append(v)
+
+    def solve(b_rows, width):
+        aug, aug_pivots = rref_rows([r + b for r, b in zip(rows, b_rows)], ncols + width)
+        if any(pc >= ncols for pc in aug_pivots):
+            return None
+        x = [[z] * width for _ in range(ncols)]
+        for row, pc in zip(aug, aug_pivots):
+            x[pc] = row[ncols:]
+        return x
+
+    residue = list(vec)
+    for row, pc in zip(red, pivots):
+        f = residue[pc]
+        residue = [a - f * b for a, b in zip(residue, row)]
+    grew = [len(rref_rows(rows[:i + 1], ncols)[1]) > len(rref_rows(rows[:i], ncols)[1])
+            for i in range(len(rows))]
+    single = solve([r[:1] for r in rhs], 1)
+    return {
+        "rref": (red + [[z] * ncols for _ in range(len(rows) - len(red))], pivots),
+        "nullspace": nullspace,
+        "solve": solve(rhs, 2),
+        "solve_single": None if single is None else [r[0] for r in single],
+        "subspace": (grew, red, pivots, residue),
+    }
+
+
+def assert_interned(field, values):
+    for x in values:
+        assert x is field.elements[x.v], x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(prime_field_matrices())
+def test_prime_field_kernel_matches_plain_elimination(data):
+    field, rows, ncols, rhs, vec = data
+    m = Matrix(field, rows, ncols=ncols)
+    r, pivots = m.rref()
+    many = m.solve(Matrix(field, rhs, ncols=2))
+    single = m.solve([row[0] for row in rhs])
+    space = Subspace(field, ncols)
+    grew = [space.add(row) for row in rows]
+    residue = space.reduce(vec)
+    got = {
+        "rref": (r.rows, pivots),
+        "nullspace": m.nullspace(),
+        "solve": None if many is None else many.rows,
+        "solve_single": single,
+        "subspace": (grew, space.basis(), space.pivot_of_row, residue),
+    }
+    assert got == reference(field, rows, ncols, rhs, vec)
+    assert space.contains(vec) == (not any(residue))
+    for rows_out in (r.rows, got["nullspace"], many.rows if many else [],
+                     [single or []], space.basis(), [residue]):
+        assert_interned(field, flat(rows_out))
+
+
+def test_engine_build_eliminates_without_element_arithmetic(monkeypatch):
+    calls = {"in_rref": 0, "arithmetic": 0}
+    rref = Matrix.rref
+
+    def traced_rref(self):
+        calls["in_rref"] += 1
+        try:
+            return rref(self)
+        finally:
+            calls["in_rref"] -= 1
+
+    def counted(op):
+        def wrapper(self, other):
+            if calls["in_rref"]:
+                calls["arithmetic"] += 1
+            return op(self, other)
+        return wrapper
+
+    pres = parse_algebra(EXTERIOR3_F3)
+    monkeypatch.setattr(Matrix, "rref", traced_rref)
+    monkeypatch.setattr(GFElement, "__mul__", counted(GFElement.__mul__))
+    monkeypatch.setattr(GFElement, "__sub__", counted(GFElement.__sub__))
+    eng = build_engine(pres)
+    assert eng.dim == 8
+    assert calls == {"in_rref": 0, "arithmetic": 0}

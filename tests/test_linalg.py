@@ -86,7 +86,7 @@ def test_f5_arithmetic():
     a = f5.of(3)
     assert a + a == f5.of(1)
     assert a * a == f5.of(4)
-    assert (a / f5.of(2)) * f5.of(2) == a
+    assert a * f5.inv(f5.of(2)) * f5.of(2) == a
     assert f5.of(Fraction(1, 2)) == f5.of(3)
 
 
