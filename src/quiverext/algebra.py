@@ -419,9 +419,11 @@ class ProjectiveTemplate:
     `slices[(w, d)]` lists the basis paths from v to w of weight d in
     (length, arrows) order; slices go vertex by vertex in quiver order, then
     by degree.  `action[(a, d)]` is the matrix of arrow a from slice
-    (a.source, d) to slice (a.target, d + W(a)), missing when zero.  These
-    blocks are shared by every projective built from the template and are
-    never mutated.
+    (a.source, d) to slice (a.target, d + W(a)), missing when zero.
+    `blocks_from[(w, d)]` lists the same blocks by source slice, as (arrow,
+    target slice, block) in quiver arrow order, so a projective places them
+    with no weight arithmetic.  These blocks are shared by every projective
+    built from the template and are never mutated.
 
     `tree` is the prefix tree of the basis paths: node i is (parent,
     arrow, weight of the parent, slot), the path "arrow after the parent's
@@ -430,7 +432,7 @@ class ProjectiveTemplate:
     be a basis path itself, so `slot` is (slice, position) or None.
     """
 
-    __slots__ = ("slices", "action", "tree")
+    __slots__ = ("slices", "action", "blocks_from", "tree")
 
     def __init__(self, engine, v):
         index = engine.quiver.vertex_index
@@ -443,9 +445,12 @@ class ProjectiveTemplate:
         slot = {p.arrows: (key, i) for key, ps in self.slices.items()
                 for i, p in enumerate(ps)}
         self.action = {}
+        self.blocks_from = {}
         for (w, d), src in self.slices.items():
+            out = self.blocks_from[(w, d)] = []
             for a in engine.quiver.arrows_from[w]:
-                tgt = self.slices.get((a.target, wadd(d, weights[a.name])))
+                tkey = (a.target, wadd(d, weights[a.name]))
+                tgt = self.slices.get(tkey)
                 if tgt is None:
                     continue
                 ap = engine.pres.arrow_path(a.name)
@@ -454,7 +459,8 @@ class ProjectiveTemplate:
                     for q, c in engine.multiply_paths(ap, p).items():
                         rows[slot[q.arrows][1]][j] = c
                 if any(any(r) for r in rows):
-                    self.action[(a.name, d)] = Matrix(engine.field, rows)
+                    b = self.action[(a.name, d)] = Matrix(engine.field, rows)
+                    out.append((a.name, tkey, b))
         prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
                           key=lambda t: (len(t), t))
         node = {}

@@ -24,6 +24,8 @@ from .quiver import Quiver
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
 _ARROW_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _NUM_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+# directives that may appear at most once
+_ONCE = ("field", "group", "vertices", "truncate", "idempotent")
 
 
 class AlgebraFileError(ValueError):
@@ -56,13 +58,15 @@ def parse_algebra(text):
     f_vertices = None
     seen = set()
 
-    # field and group first: arrow lines need the group rank
+    # field, group and vertices first: arrow lines need the group rank and
+    # the vertices, idempotent lines the vertices
     for lineno, toks in lines:
         key = toks[0]
+        if key in _ONCE:
+            if key in seen:
+                raise AlgebraFileError("duplicate %s line" % key, lineno)
+            seen.add(key)
         if key == "field":
-            if "field" in seen:
-                raise AlgebraFileError("duplicate field line", lineno)
-            seen.add("field")
             if len(toks) == 2 and toks[1] == "Q":
                 field = QQ
             elif len(toks) == 3 and toks[1] == "F":
@@ -72,9 +76,6 @@ def parse_algebra(text):
             else:
                 raise AlgebraFileError("expected 'field Q' or 'field F <prime>'", lineno)
         elif key == "group":
-            if "group" in seen:
-                raise AlgebraFileError("duplicate group line", lineno)
-            seen.add("group")
             if len(toks) == 2 and toks[1] == "trivial":
                 group_rank = 0
             elif len(toks) == 3 and toks[1] == "Z":
@@ -86,21 +87,23 @@ def parse_algebra(text):
                     raise AlgebraFileError("group rank must be >= 1 (or 'trivial')", lineno)
             else:
                 raise AlgebraFileError("expected 'group trivial' or 'group Z <k>'", lineno)
-
-    for lineno, toks in lines:
-        key = toks[0]
-        if key in ("field", "group"):
-            continue
-        if key == "vertices":
-            if vertices is not None:
-                raise AlgebraFileError("duplicate vertices line", lineno)
+        elif key == "vertices":
             if len(toks) < 2:
                 raise AlgebraFileError("vertices line needs at least one name", lineno)
             vertices = toks[1:]
-            for v in vertices:
+            for i, v in enumerate(vertices):
                 if not _NAME_RE.match(v):
                     raise AlgebraFileError("bad vertex name %r" % v, lineno)
-        elif key == "arrow":
+                if v in vertices[:i]:
+                    raise AlgebraFileError("duplicate vertex name %r" % v, lineno)
+    if vertices is None:
+        raise AlgebraFileError("missing vertices line")
+
+    for lineno, toks in lines:
+        key = toks[0]
+        if key in ("field", "group", "vertices"):
+            continue
+        if key == "arrow":
             expected = 4 + group_rank
             if len(toks) != expected:
                 raise AlgebraFileError(
@@ -109,15 +112,22 @@ def parse_algebra(text):
             name, src, dst = toks[1], toks[2], toks[3]
             if not _ARROW_RE.match(name):
                 raise AlgebraFileError("bad arrow name %r" % name, lineno)
+            if name in weights:
+                raise AlgebraFileError("duplicate arrow name %r" % name, lineno)
+            for end, v in (("source", src), ("target", dst)):
+                if v not in vertices:
+                    raise AlgebraFileError("arrow %s has unknown %s %r" % (name, end, v),
+                                           lineno)
             try:
                 w = tuple(int(x) for x in toks[4:])
             except ValueError:
                 raise AlgebraFileError("bad weight vector on arrow %s" % name, lineno)
+            if group_rank and not any(w):
+                raise AlgebraFileError("arrow %s has identity weight; a proper grading "
+                                       "needs nonzero arrow weights" % name, lineno)
             arrows.append((name, src, dst))
             weights[name] = w
         elif key == "truncate":
-            if truncation is not None:
-                raise AlgebraFileError("duplicate truncate line", lineno)
             try:
                 truncation = int(toks[1]) if len(toks) == 2 else None
             except ValueError:
@@ -129,24 +139,21 @@ def parse_algebra(text):
         elif key == "rel":
             relations.append((lineno, toks[1:]))
         elif key == "idempotent":
-            if f_vertices is not None:
-                raise AlgebraFileError("duplicate idempotent line", lineno)
             if len(toks) < 4 or toks[1] != "f" or toks[2] != "=":
                 raise AlgebraFileError("expected 'idempotent f = <vertex>+'", lineno)
             f_vertices = toks[3:]
+            for i, v in enumerate(f_vertices):
+                if v not in vertices:
+                    raise AlgebraFileError("unknown vertex %r in idempotent line" % v, lineno)
+                if v in f_vertices[:i]:
+                    raise AlgebraFileError("repeated vertex in idempotent line", lineno)
         else:
             raise AlgebraFileError("unknown directive %r" % key, lineno)
 
-    if vertices is None:
-        raise AlgebraFileError("missing vertices line")
     if truncation is None:
         raise AlgebraFileError("missing truncate line")
 
-    try:
-        quiver = Quiver(vertices, arrows)
-    except ValueError as exc:
-        raise AlgebraFileError(str(exc))
-
+    quiver = Quiver(vertices, arrows)
     parsed_rels = [_parse_relation(toks, lineno, field, quiver)
                    for lineno, toks in relations]
 
@@ -194,9 +201,19 @@ def _parse_relation(tokens, lineno, field, quiver):
             factors = factors[1:]
         if not factors:
             raise AlgebraFileError("relation term has no arrows", lineno)
+        arrows = quiver.arrow_by_name
         for name in factors:
-            if name not in quiver.arrow_by_name:
+            if name not in arrows:
                 raise AlgebraFileError("unknown arrow %r" % name, lineno)
+        if len(factors) < 2:
+            raise AlgebraFileError(
+                "relation term %s has length 1; relations must be combinations "
+                "of paths of length >= 2" % factors[0], lineno)
+        # the first junction that fails, reading from the first-applied arrow
+        for i in reversed(range(len(factors) - 1)):
+            if arrows[factors[i]].source != arrows[factors[i + 1]].target:
+                raise AlgebraFileError("arrows %s do not compose at %r"
+                                       % ("*".join(factors), factors[i]), lineno)
         parsed.append((coeff, tuple(factors)))
     return parsed
 

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over Q or F_p.
 
 Reduced row echelon form is the single primitive; rank, kernels and solving
-are derived from it, with exact field arithmetic.  Elimination runs on
+are derived from it, with exact field arithmetic.  `rref` and `solve` share
+one elimination kernel per field (`_eliminate`): `solve` puts the
+augmented rows [A | B] in RREF as values, with no intermediate matrix, and
+reads the solution back through the field's elements.  Elimination runs on
 plain values, not on field elements: over F_p on the residues, ints in
 [0, p), reduced mod p after each update, with a pivot inverted by
 pow(x, p - 2, p), in the word-size style of Dumas, Giorgi and Pernet's
@@ -100,6 +103,15 @@ def _rref_exact(rows, ncols, inv):
         if r + 1 == nrows:
             break
     return pivots
+
+
+def _eliminate(field, rows, ncols):
+    """Put rows of elimination values in RREF in place, with the field's
+    kernel; return the pivot columns."""
+    p = field.characteristic
+    if p:
+        return _rref_mod(rows, ncols, p)
+    return _rref_exact(rows, ncols, field.inv)
 
 
 def _minus_multiple(row, f, prow, p):
@@ -219,13 +231,6 @@ class Matrix:
                 out.rows[j][i] = self.rows[i][j]
         return out
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return Matrix(self.field,
-                      [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols + other.ncols)
-
     def is_zero(self):
         return all(not a for r in self.rows for a in r)
 
@@ -241,12 +246,8 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         field = self.field
-        p = field.characteristic
         rows = [_values(field, r) for r in self.rows]
-        if p:
-            pivots = _rref_mod(rows, self.ncols, p)
-        else:
-            pivots = _rref_exact(rows, self.ncols, field.inv)
+        pivots = _eliminate(field, rows, self.ncols)
         rank = len(pivots)
         out = [_entries(field, r) for r in rows[:rank]]
         out += [[field.zero] * self.ncols for _ in range(self.nrows - rank)]
@@ -281,26 +282,23 @@ class Matrix:
         Free variables are set to zero (first-solution pivot rule), so the
         result is deterministic.  Returns None when inconsistent.
         """
+        field = self.field
         single = not isinstance(rhs, Matrix)
-        if single:
-            b = Matrix.from_columns(self.field, [list(rhs)], self.nrows)
-        else:
-            b = rhs
-        if b.nrows != self.nrows:
+        b = [[x] for x in rhs] if single else rhs.rows
+        width = 1 if single else rhs.ncols
+        if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = self.hstack(b)
-        r, pivots = aug.rref()
-        for pc in pivots:
-            if pc >= self.ncols:
-                return None
-        z = self.field.zero
-        out = Matrix.zeros(self.field, self.ncols, b.ncols)
+        n = self.ncols
+        rows = [_values(field, r + s) for r, s in zip(self.rows, b)]
+        pivots = _eliminate(field, rows, n + width)
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [[field.zero] * width for _ in range(n)]
         for i, pc in enumerate(pivots):
-            for j in range(b.ncols):
-                out.rows[pc][j] = r.rows[i][self.ncols + j]
+            out[pc] = _entries(field, rows[i][n:])
         if single:
-            return out.col(0)
-        return out
+            return [r[0] for r in out]
+        return Matrix._owning(field, out, width)
 
     def inverse(self):
         if self.nrows != self.ncols:

@@ -368,9 +368,12 @@ class Projective:
 
     Everything is read off the engine's templates (`projective_template`):
     the slots are the template slices shifted by g, and the action is block
-    diagonal in the template blocks.  A block whose source and target slices
-    each come from one summand is the template's own block, shared and
-    re-keyed by the shift, so a single-summand projective copies no matrix.
+    diagonal in the template blocks.  Each summand places the blocks its
+    template lists for each source slice (`blocks_from`) at the offsets of
+    their source and target slices in this sum, with no weight arithmetic.
+    A block whose source and target slices each come from one summand is the
+    template's own block, shared and re-keyed by the shift, so a
+    single-summand projective copies no matrix.
     """
 
     def __init__(self, engine, summands):
@@ -403,28 +406,25 @@ class Projective:
         for idx, (key, i) in enumerate(self.gen_pos):
             self.generators.setdefault(key, {})[i] = idx
         field = engine.field
-        weights = engine.pres.weights
         action = {}
         for (w, h), members in parts.items():
+            pieces = {}     # arrow -> (target slice, [(col, row offset, block)])
+            for idx, tkey in members:
+                at = where[idx]
+                c = at[tkey][1]
+                for name, target, b in self._templates[idx].blocks_from[tkey]:
+                    key, r = at[target]
+                    pieces.setdefault(name, (key, []))[1].append((c, r, b))
             for a in engine.quiver.arrows_from[w]:
-                tkey = (a.target, wadd(h, weights[a.name]))
-                if tkey not in parts:
+                if a.name not in pieces:
                     continue
-                pieces = []     # (column offset, row offset, template block)
-                for idx, (_, d) in members:
-                    b = self._templates[idx].action.get((a.name, d))
-                    if b is not None:
-                        at = where[idx]
-                        pieces.append((at[(w, d)][1],
-                                       at[(a.target, wadd(d, weights[a.name]))][1], b))
-                if not pieces:
-                    continue
-                if len(members) == 1 and len(parts[tkey]) == 1:
-                    action[(a.name, h)] = pieces[0][2]
+                key, placed = pieces[a.name]
+                if len(members) == 1 and len(parts[key]) == 1:
+                    action[(a.name, h)] = placed[0][2]
                     continue
                 m = action[(a.name, h)] = Matrix.zeros(
-                    field, len(self.slots[tkey]), len(self.slots[(w, h)]))
-                for c, r, b in pieces:
+                    field, len(self.slots[key]), len(self.slots[(w, h)]))
+                for c, r, b in placed:
                     for i, row in enumerate(b.rows):
                         m.rows[r + i][c:c + b.ncols] = row
         self.rep = Representation(engine, {key: len(s) for key, s in self.slots.items()},
@@ -572,37 +572,35 @@ def kernel_subrep(mmap):
 
 
 def _subrep_from_homogeneous(parent, vectors):
-    """Build the subrepresentation on homogeneous spanning vectors.
+    """Build the subrepresentation with the given basis vectors.
 
-    vectors: {slice: [coordinates, ...]}.  The span must be closed under the
-    action (true for kernels of module maps).  Per slice, the vectors that
-    raise the rank form the basis; slices are ordered by vertex, then by
-    degree.  Each arrow a and source degree g is one solve: the basis of
-    slice (a.target, g + W(a)) as columns, the images of the basis of slice
-    (a.source, g) as right-hand sides.
+    vectors: {slice: [coordinates, ...]}, the vectors of each slice linearly
+    independent (a nullspace basis, unit vectors, or the vectors that raised
+    a rank), and their span closed under the action (true for kernels of
+    module maps); slices are ordered by vertex, then by degree.  Each arrow a
+    and source degree g is one product and one solve: the arrow block times
+    the basis of slice (a.source, g) gives the images, and solving against
+    the basis of slice (a.target, g + W(a)) gives their coordinates, or
+    raises ValueError when an image lies outside the span.
     """
     engine = parent.engine
     field = engine.field
     weights = engine.pres.weights
     index = engine.quiver.vertex_index
-    on_parent = {}
-    for key in sorted(vectors, key=lambda k: (index[k[0]], k[1])):
-        span = Subspace(field, parent.dims[key])
-        kept = [vec for vec in vectors[key] if span.add(vec)]
-        if kept:
-            on_parent[key] = Matrix.from_columns(field, kept, parent.dims[key])
+    on_parent = {key: Matrix.from_columns(field, vectors[key], parent.dims[key])
+                 for key in sorted(vectors, key=lambda k: (index[k[0]], k[1]))
+                 if vectors[key]}
     action = {}
     for (v, g), basis in on_parent.items():
         for a in engine.quiver.arrows_from[v]:
             m = parent.action.get((a.name, g))
             if m is None:
                 continue
-            images = [m.apply(basis.col(j)) for j in range(basis.ncols)]
-            if not any(any(img) for img in images):
+            images = m @ basis
+            if images.is_zero():
                 continue
             lhs = on_parent.get((a.target, wadd(g, weights[a.name])))
-            sol = None if lhs is None else \
-                lhs.solve(Matrix.from_columns(field, images, lhs.nrows))
+            sol = None if lhs is None else lhs.solve(images)
             if sol is None:
                 raise ValueError("span is not closed under the action")
             action[(a.name, g)] = sol

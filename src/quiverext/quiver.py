@@ -7,6 +7,7 @@ that the product p*q means "first q, then p".
 """
 
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,15 @@ def wzero(k):
 
 
 def wadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def wneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(neg, a))
 
 
 def wsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,47 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
         assert err == "error: line 9: zero denominator in coefficient 1/0\n"
 
 
+# one bad line in a valid two-vertex file; the error must name that line
+TWO_VERTICES = """field Q
+group Z 1
+vertices v w
+arrow a v w 1
+arrow b w v 1
+truncate 3
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(TWO_VERTICES.replace("vertices v w", "vertices v w v"),
+                 "line 3: duplicate vertex name 'v'", id="duplicate-vertex"),
+    pytest.param(TWO_VERTICES + "arrow a w v 1\n",
+                 "line 7: duplicate arrow name 'a'", id="duplicate-arrow"),
+    pytest.param(TWO_VERTICES.replace("arrow b w v", "arrow b w x"),
+                 "line 5: arrow b has unknown target 'x'", id="unknown-target"),
+    pytest.param(TWO_VERTICES.replace("arrow a v w 1", "arrow a x w 1"),
+                 "line 4: arrow a has unknown source 'x'", id="unknown-source"),
+    pytest.param(TWO_VERTICES.replace("arrow b w v 1", "arrow b w v 0"),
+                 "line 5: arrow b has identity weight; a proper grading needs "
+                 "nonzero arrow weights", id="identity-weight"),
+    pytest.param(TWO_VERTICES + "idempotent f = u\n",
+                 "line 7: unknown vertex 'u' in idempotent line", id="idempotent-vertex"),
+    pytest.param(TWO_VERTICES + "idempotent f = w w\n",
+                 "line 7: repeated vertex in idempotent line", id="idempotent-repeat"),
+    pytest.param(TWO_VERTICES + "rel b*a\nrel a*a\n",
+                 "line 8: arrows a*a do not compose at 'a'", id="relation-composes"),
+    pytest.param(TWO_VERTICES + "rel a*b*a + a\n",
+                 "line 7: relation term a has length 1; relations must be "
+                 "combinations of paths of length >= 2", id="relation-length"),
+])
+def test_structural_errors_name_their_line(capsys, tmp_path, text, message):
+    src = tmp_path / "bad.alg"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(src))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 ONE_LOOP = """field %s
 group %s
 vertices v

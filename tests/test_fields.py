@@ -115,6 +115,68 @@ def test_mixed_entries_match_all_fraction_entries(data):
     assert_exact(flat(mixed["subspace"][1]))
 
 
+# -- Matrix.solve over Q against the plain elimination of tests/naive.py -------
+
+@st.composite
+def rational_systems(draw):
+    """A x = B over Q, with 0-4 rows and columns and 0-3 right-hand sides;
+    half of the systems are consistent by construction (B = A X0)."""
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 4))
+    width = draw(st.integers(0, 3))
+
+    def block(n, m):
+        return [[QQ.of(x) for x in draw(st.lists(SCALARS, min_size=m, max_size=m))]
+                for _ in range(n)]
+
+    rows = block(nrows, ncols)
+    if draw(st.booleans()):
+        x0 = block(ncols, width)
+        rhs = [[QQ.of(sum(a * x0[k][j] for k, a in enumerate(row))) for j in range(width)]
+               for row in rows]
+    else:
+        rhs = block(nrows, width)
+    return rows, ncols, rhs, width
+
+
+def reference_solve(rows, ncols, rhs, width):
+    """The first solution of A x = B from `rref_rows` of [A | B]: each pivot
+    variable read off its row, every free variable zero; None when [A | B]
+    has a pivot among B's columns."""
+    aug, pivots = rref_rows([r + b for r, b in zip(rows, rhs)], ncols + width)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = [[0] * width for _ in range(ncols)]
+    for row, pc in zip(aug, pivots):
+        x[pc] = row[ncols:]
+    return x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rational_systems())
+def test_rational_solve_matches_plain_elimination(data):
+    rows, ncols, rhs, width = data
+    m = Matrix(QQ, rows, ncols=ncols)
+    many = m.solve(Matrix(QQ, rhs, ncols=width))
+    want = reference_solve(rows, ncols, rhs, width)
+    assert (None if many is None else many.rows) == want
+    # None exactly when the system is inconsistent
+    consistent = (len(rref_rows(rows, ncols)[1])
+                  == len(rref_rows([r + b for r, b in zip(rows, rhs)], ncols + width)[1]))
+    assert (many is None) == (not consistent)
+    if many is not None:
+        assert many.shape == (ncols, width)
+        assert_exact(flat(many.rows))
+        assert m @ many == Matrix(QQ, rhs, ncols=width)
+        # first-solution rule: every free variable is zero
+        pivots = rref_rows(rows, ncols)[1]
+        assert all(not x for j in range(ncols) if j not in pivots for x in many.rows[j])
+    for j in range(width):
+        single = m.solve([row[j] for row in rhs])
+        col = reference_solve(rows, ncols, [[row[j]] for row in rhs], 1)
+        assert single == (None if col is None else [x for (x,) in col])
+
+
 # -- the F_p kernel against the plain elimination of tests/naive.py -----------
 
 PRIME_FIELDS = {p: PrimeField(p) for p in (2, 3, 5, 7)}

@@ -7,9 +7,10 @@ from quiverext import (ModuleMap, Representation, direct_sum, dual_to_opposite,
                        projective_module, quotient_rep, semisimple_top,
                        shift_rep, simple_module, subrep_generated, zero_module)
 from quiverext.linalg import Matrix
-from quiverext.modules import kernel_subrep
+from quiverext.modules import Projective, kernel_subrep
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
+from naive import naive_projective
 
 
 def test_simple_module_dims():
@@ -213,3 +214,26 @@ def test_module_map_verification_catches_noncommuting():
     bad = {"v": Matrix(eng.field, [[eng.field.one], [eng.field.zero]])}
     with pytest.raises(ValueError, match="does not commute"):
         ModuleMap.from_dense(s, p, bad)
+
+
+# a kills p, b does not: on the shared slice at w, the summand P_u acts by b
+# alone and P_w by a and b
+FORK = """
+field Q
+group trivial
+vertices u w x y
+arrow p u w
+arrow a w x
+arrow b w y
+truncate 3
+rel a*p
+"""
+
+
+def test_projective_action_keys_follow_arrow_order_across_summands():
+    eng = engine_from(FORK)
+    summands = [("u", ()), ("w", ())]
+    proj = Projective(eng, summands)
+    action = naive_projective(eng, summands)[4]
+    assert list(proj.rep.action) == list(action) == [("p", ()), ("a", ()), ("b", ())]
+    assert all(proj.rep.action[key] == m for key, m in action.items())

@@ -1,3 +1,7 @@
+from math import comb
+
+import pytest
+
 from quiverext import (DimVerdict, belongs_to, global_dimension,
                        injective_dimension, minimal_resolution,
                        projective_dimension, simple_module, zero_module)
@@ -101,6 +105,36 @@ def test_trivial_group_periodicity():
     assert cert is not None
     assert cert.shift == ()
     assert res.pd_verdict(6).is_infinite
+
+
+# the exterior algebra on three square-zero commuting loops with no grading,
+# so every summand of P^n lies in the one slice (v, ())
+EXTERIOR3_UNGRADED = """
+field %s
+group trivial
+vertices v
+arrow x v v
+arrow y v v
+arrow z v v
+truncate 4
+rel x*x
+rel y*y
+rel z*z
+rel x*y + -1*y*x
+rel x*z + -1*z*x
+rel y*z + -1*z*y
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F 3"])
+def test_ungraded_exterior_ext_is_symmetric_algebra(field):
+    # Ext of the exterior algebra on three generators is the symmetric
+    # algebra on three degree-one classes: dim Ext^n(S, S) = C(n+2, 2)
+    eng = engine_from(EXTERIOR3_UNGRADED % field)
+    table = ExtTable(eng, 6)
+    assert table.entries == {(n, "v", "v", ()): comb(n + 2, 2) for n in range(7)}
+    for res in table.resolutions.values():
+        assert res.verify()
 
 
 def test_resolution_minimality_and_exactness_all_fixtures():
