@@ -24,7 +24,15 @@ from .quiver import arrow_path, compose, vertex_path, wadd, wzero
 
 
 class PresentationError(ValueError):
-    pass
+    """A malformed presentation.  `relation` is the index of the relation
+    at fault, when one is, and `reason` the message without its number."""
+
+    def __init__(self, message, relation=None):
+        self.relation = relation
+        self.reason = message
+        if relation is not None:
+            message = "relation %d: %s" % (relation + 1, message)
+        super().__init__(message)
 
 
 class AdmissibilityError(ValueError):
@@ -124,8 +132,8 @@ class AlgebraPresentation:
                 weights = {p.weight for _, p in piece}
                 if len(weights) > 1:
                     raise PresentationError(
-                        "relation %d: uniform piece from %s to %s mixes weights %s"
-                        % (idx + 1, s, t, sorted(weights)))
+                        "uniform piece from %s to %s mixes weights %s"
+                        % (s, t, sorted(weights)), relation=idx)
                 pieces.append(UniformRelation(s, t, piece[0][1].weight, piece))
         return pieces
 
@@ -430,9 +438,10 @@ class ProjectiveTemplate:
     path", with parents before children and node 0 the vertex path e_v.  It
     holds every first-applied part of each basis path; such a part need not
     be a basis path itself, so `slot` is (slice, position) or None.
+    `node_of[arrows]` is the node of the path with those arrows.
     """
 
-    __slots__ = ("slices", "action", "blocks_from", "tree")
+    __slots__ = ("slices", "action", "blocks_from", "tree", "node_of")
 
     def __init__(self, engine, v):
         index = engine.quiver.vertex_index
@@ -463,7 +472,7 @@ class ProjectiveTemplate:
                     out.append((a.name, tkey, b))
         prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
                           key=lambda t: (len(t), t))
-        node = {}
+        node = self.node_of = {}
         weight = {(): wzero(engine.group_rank)}
         self.tree = []
         for arrows in prefixes:

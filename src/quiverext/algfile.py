@@ -161,7 +161,9 @@ def parse_algebra(text):
         return AlgebraPresentation(quiver, group_rank, weights, field,
                                    parsed_rels, truncation, f_vertices=f_vertices)
     except PresentationError as exc:
-        raise AlgebraFileError(str(exc))
+        if exc.relation is None:
+            raise AlgebraFileError(str(exc))
+        raise AlgebraFileError(exc.reason, relations[exc.relation][0])
 
 
 def _parse_relation(tokens, lineno, field, quiver):

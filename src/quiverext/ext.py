@@ -5,7 +5,12 @@ Ext^n(S_u, S_v[g]) is read off a minimal resolution of S_u as the
 multiplicity of the summand (v, g) in P^n: maps to a simple kill the
 radical, and minimality makes every such map a cocycle and no nonzero one
 a coboundary.  Chain maps between resolutions are lifted generator by
-generator with one primitive, `lift_chain_map`.
+generator with one primitive, `lift_chain_map`.  A lift step reads the
+previous map only at the slots where a generator's column of the source
+differential is nonzero, and solves against blocks of the target
+differential factored once per map; a pull-back reads a map only at
+generators.  So a lifted map is kept as its generator images, and the rest
+of it is evaluated only where read.
 
 Lifts and pull-backs are linear in the cocycle (every solve takes the
 first solution), so a table lifts each standard basis class once, extending
@@ -15,7 +20,7 @@ those lifts.
 
 import math
 
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .quiver import wadd, wsub, wzero
 from .resolution import simple_resolutions
 
@@ -130,35 +135,38 @@ def ext_table(engine, bound, seed=0):
     return ExtTable(engine, bound, seed=seed)
 
 
-def _solve_generator_lift(proj, lhs_map, rhs_vectors, grade):
-    """Find a module map phi: proj.rep -> lhs_map.source (degree drop
-    `grade`) with lhs_map o phi prescribed on generators.
+def _solve_generator_lift(proj, d_tgt, rhs, grade):
+    """The module map phi: proj.rep -> d_tgt.source (degree drop `grade`)
+    with d_tgt o phi prescribed on generators.
 
-    rhs_vectors[idx] is the required value of (lhs_map o phi) on generator
-    idx, as coordinates on its slice of lhs_map.target.  Unknowns are the
-    generator images.  The generators of one slice (v, g) share one system:
-    the block of lhs_map on slice (v, g - grade), solved for all their
-    right-hand sides at once with the first-solution pivot rule.  Where that
-    block is missing, the generators map to zero without a solve.
+    rhs[idx] is the required value of (d_tgt o phi) on generator idx, as
+    coordinates on its slice of d_tgt.target ([] for zero).  Its image is
+    the first solution against the block of d_tgt at slice (v, g - grade)
+    for summand (v, g), factored once per map (`ModuleMap.factor`); a zero
+    value maps it to zero without a solve.
     """
-    field = proj.engine.field
-    groups = {}
-    for idx, key in enumerate(proj.summands):
-        groups.setdefault(key, []).append(idx)
-    images = [[] for _ in proj.summands]
-    for (v, g), members in groups.items():
-        lhs = lhs_map.blocks.get((v, wsub(g, grade)))
-        rhs = [rhs_vectors[idx] for idx in members]
-        if lhs is None:     # the generators map to zero
-            if any(any(vec) for vec in rhs):
+    images = []
+    for (v, g), b in zip(proj.summands, rhs):
+        x = []
+        if any(b):
+            f = d_tgt.factor((v, wsub(g, grade)))
+            x = None if f is None else f.solve(b)
+            if x is None:
                 raise AssertionError("lifting system is inconsistent")
-            continue
-        sol = lhs.solve(Matrix.from_columns(field, rhs, lhs.nrows))
-        if sol is None:
-            raise AssertionError("lifting system is inconsistent")
-        for c, idx in enumerate(members):
-            images[idx] = sol.col(c)
-    return proj.map_from_generator_images(lhs_map.source, images, grade=grade)
+        images.append(x)
+    return proj.map_from_generator_images(d_tgt.source, images, grade=grade)
+
+
+def _image(phi, terms):
+    """phi at the vector sum c * (slot of tree node i of summand idx) over
+    terms (idx, i, c), reading only those nodes: coordinates, [] for zero."""
+    acc = []
+    for idx, i, c in terms:
+        x = phi.node(idx, i)
+        if x is not None:
+            acc = ([c * a for a in x] if not acc else
+                   [s + c * a if a else s for s, a in zip(acc, x)])
+    return acc
 
 
 def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
@@ -171,19 +179,21 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
     phi_0 solves target_diffs[0] o phi_0 = rhs0 on generators (rhs0[idx]
     is a vector of M on generator idx's slice shifted down by `grade`); each
     later phi_k solves target_diffs[k] o phi_k = phi_{k-1} o d_{start+k} on
-    generators.  The maps `done`, lifted earlier, are kept and the lift
-    continues after the last of them.
+    generators.  That right-hand side reads phi_{k-1} only at the slots
+    where a generator's column of d_{start+k} is nonzero
+    (`MinimalResolution.generator_terms`), so each phi_k is kept as its
+    generator images and evaluates no other slot until one is read.  The
+    maps `done`, lifted earlier, are kept and the lift continues after the
+    last of them.
     """
     lifts = list(done)
     rhs = rhs0
     for k in range(len(lifts), len(target_diffs)):
-        d_tgt = target_diffs[k]
-        proj = source.term(start + k)
         if k:
-            d_src = source.differential(start + k)
             prev = lifts[-1]
-            rhs = [prev.apply(*d_src.column(*pos))[1] for pos in proj.gen_pos]
-        lifts.append(_solve_generator_lift(proj, d_tgt, rhs, grade))
+            rhs = [_image(prev, terms) for terms in source.generator_terms(start + k)]
+        lifts.append(_solve_generator_lift(source.term(start + k), target_diffs[k],
+                                           rhs, grade))
     return lifts
 
 
@@ -225,15 +235,12 @@ def pull_back(x, phi, top, mid, target_degree):
     for idx, summand in enumerate(top.summands):
         if summand != slot:
             continue
-        key, col = top.gen_pos[idx]
-        block = phi.blocks.get(key)
-        if block is None:
-            continue
+        tkey, image = phi.column(*top.gen_pos[idx])
         acc = field.zero
-        for row, j in mid.generators.get((key[0], wsub(key[1], phi.grade)), {}).items():
+        for row, j in mid.generators.get(tkey, {}).items():
             c = x.coeffs.get(j)
-            if c and block.rows[row][col]:
-                acc = acc + c * block.rows[row][col]
+            if c and image[row]:
+                acc = acc + c * image[row]
         if acc:
             coeffs[idx] = acc
     return coeffs

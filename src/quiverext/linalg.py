@@ -313,6 +313,53 @@ class Matrix:
         return [[scalar_to_json(a) for a in r] for r in self.rows]
 
 
+class Factor:
+    """A matrix A (m x n) eliminated once, to solve A x = b for many b.
+
+    [A | I] is put in RREF as values, [E | T], so T is invertible with
+    T A = E.  For any b, the first r = rank A entries of T b are the
+    solution `Matrix.solve` returns (free variables zero) at the pivot
+    columns of E, and the other m - r entries are all zero exactly when
+    A x = b is consistent.  T is kept as rows of values.
+    """
+
+    __slots__ = ("field", "ncols", "pivots", "transform")
+
+    def __init__(self, matrix):
+        field = self.field = matrix.field
+        n = self.ncols = matrix.ncols
+        m = matrix.nrows
+        rows = []
+        for i, r in enumerate(matrix.rows):
+            row = _values(field, r) + [0] * m
+            row[n + i] = 1
+            rows.append(row)
+        self.pivots = [pc for pc in _eliminate(field, rows, n + m) if pc < n]
+        self.transform = [row[n:] for row in rows]
+
+    def solve(self, vec):
+        """The first solution of A x = vec (a plain list), or None when
+        there is none."""
+        field = self.field
+        p = field.characteristic
+        support = [(j, x.v if p else x) for j, x in enumerate(vec) if x]
+        out = [field.zero] * self.ncols
+        rank = len(self.pivots)
+        for i, row in enumerate(self.transform):
+            acc = 0
+            for j, x in support:
+                t = row[j]
+                if t:
+                    acc += t * x
+            if p:
+                acc %= p
+            if acc:
+                if i >= rank:
+                    return None
+                out[self.pivots[i]] = field.elements[acc] if p else acc
+        return out
+
+
 class Subspace:
     """An incrementally built subspace of K^n, kept in reduced row echelon
     form: `echelon` holds its rows as elimination values, in increasing

@@ -17,14 +17,16 @@ indecomposable projectives (`NormalFormEngine.projective_template`), built
 once per engine: their slices, their arrow blocks, and a prefix tree of
 their basis paths.  A projective's action is block diagonal in the template
 blocks and shares every block that one summand fills on its own.  A map out
-of a projective is fixed by its generator images and evaluated by walking
-each summand's prefix tree, one matrix-vector product per tree node.
+of a projective (`ProjectiveMap`) is kept as its generator images; the image
+of any other slot is evaluated on demand, walking its summand's prefix tree
+one matrix-vector product per node and keeping each node's image.  Its
+blocks are built on first read, by the same walk over every node.
 """
 
 import random
 from itertools import islice
 
-from .linalg import Matrix, Subspace
+from .linalg import Factor, Matrix, Subspace
 from .quiver import wadd, wneg, wsub, wzero
 
 
@@ -280,16 +282,6 @@ class ModuleMap:
                 if not _same(lhs, rhs):
                     raise ValueError("map does not commute with arrow %s" % a.name)
 
-    def apply(self, key, vec):
-        """The image of a vector of source slice `key`, as (target slice,
-        coordinates)."""
-        v, g = key
-        tkey = (v, wsub(g, self.grade))
-        b = self.blocks.get(key)
-        if b is None:
-            return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
-        return tkey, b.apply(vec)
-
     def column(self, key, i):
         """The image of the i-th unit vector of source slice `key`, as
         (target slice, coordinates): column i of its block."""
@@ -299,6 +291,19 @@ class ModuleMap:
         if b is None:
             return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
         return tkey, b.col(i)
+
+    _factors = None     # block key -> Factor, made by `factor`
+
+    def factor(self, key):
+        """The `Factor` of block `key` (None where the block is missing),
+        made on first use and kept with the map, so every lift through this
+        map eliminates each block once."""
+        if self._factors is None:
+            self._factors = {}
+        if key not in self._factors:
+            b = self.blocks.get(key)
+            self._factors[key] = None if b is None else Factor(b)
+        return self._factors[key]
 
     def compose(self, other):
         """self after other."""
@@ -388,20 +393,16 @@ class Projective:
         index = engine.quiver.vertex_index
         parts = {key: parts[key] for key in sorted(parts, key=lambda k: (index[k[0]], k[1]))}
         # where[idx][template slice] = (slice, offset) of its copy in this sum
-        where = [{} for _ in self.summands]
+        where = self._where = [{} for _ in self.summands]
         self.slots = {}
         for key, members in parts.items():
             slots = self.slots[key] = []
             for idx, tkey in members:
                 where[idx][tkey] = (key, len(slots))
                 slots.extend((idx, p) for p in self._templates[idx].slices[tkey])
-        # each tree node's (slice, coordinate) in this sum, None off the basis
-        self._place = []
-        for t, at in zip(self._templates, where):
-            self._place.append([None if slot is None else
-                                (at[slot[0]][0], at[slot[0]][1] + slot[1])
-                                for _, _, _, slot in t.tree])
-        self.gen_pos = [place[0] for place in self._place]
+        # e_v comes first in its template slice (v, 0)
+        zero = wzero(engine.group_rank)
+        self.gen_pos = [at[(v, zero)] for (v, _), at in zip(self.summands, where)]
         self.generators = {}
         for idx, (key, i) in enumerate(self.gen_pos):
             self.generators.setdefault(key, {})[i] = idx
@@ -437,47 +438,101 @@ class Projective:
     def is_zero(self):
         return not self.summands
 
+    def node_at(self, key, i):
+        """The (summand index, template tree node) of coordinate i of slice
+        `key`."""
+        idx, p = self.slots[key][i]
+        return idx, self._templates[idx].node_of[p.arrows]
+
     def map_from_generator_images(self, target, images, grade=None):
         """The module map sending generator idx to images[idx], the
         coordinates on target slice (v, g - grade) for summand (v, g) ([] or
-        zeros for zero).  The other slots follow by the path action: each
-        summand walks its template's prefix tree from its image, one
-        `Matrix.apply` per node reached, a missing block or a zero vector
-        ending the branch.  So the result commutes with the algebra action."""
+        zeros for zero).  The other slots follow by the path action, so the
+        result commutes with the algebra action; they are evaluated on
+        demand (see `ProjectiveMap`)."""
         grade = grade if grade is not None else wzero(self.engine.group_rank)
-        field = self.engine.field
-        columns = {}
-        for t, (_, g), image, place in zip(self._templates, self.summands, images,
-                                           self._place):
-            if not any(image):
-                continue
-            start = wsub(g, grade)
-            vecs = [image]
-            for parent, name, d, _ in islice(t.tree, 1, None):
+        return ProjectiveMap(self, target, images, grade)
+
+    def to_json(self):
+        return [[v, list(g)] for v, g in self.summands]
+
+
+class ProjectiveMap(ModuleMap):
+    """A map out of a projective, kept as its generator images.
+
+    The image of tree node i of summand idx (a slot, when the node's path
+    is a basis path) is the target's arrow block applied to the image of
+    node i's parent: one `Matrix.apply`.  Each summand keeps the images of
+    a prefix of its tree, in tree order, so parents come first; reading
+    node i extends that prefix through i.  A missing block or a zero vector
+    is kept as None and ends the branch.  So `node` and `column` evaluate no
+    node past the one they read, and a generator's image, node 0, none at
+    all; `blocks` are built on first read from the whole tree, and kept.
+    """
+
+    def __init__(self, proj, target, images, grade):
+        self.source = proj.rep
+        self.target = target
+        self.grade = grade
+        self._proj = proj
+        self._memo = [[image] if any(image) else None for image in images]
+
+    def node(self, idx, i):
+        """The image of tree node i of summand idx, as coordinates on its
+        target slice, or None when it is zero.  The list is the memo's own
+        and must not be changed."""
+        vecs = self._memo[idx]
+        if vecs is None:
+            return None
+        if i >= len(vecs):
+            action = self.target.action
+            start = wsub(self._proj.summands[idx][1], self.grade)
+            for parent, name, d, _ in islice(self._proj._templates[idx].tree,
+                                             len(vecs), i + 1):
                 x = vecs[parent]
                 if x is not None:
-                    b = target.action.get((name, wadd(d, start)))
+                    b = action.get((name, wadd(d, start)))
                     x = b.apply(x) if b is not None else None
                     if x is not None and not any(x):
                         x = None
                 vecs.append(x)
-            for x, at in zip(vecs, place):
-                if x is not None and at is not None:
-                    columns.setdefault(at[0], {})[at[1]] = x
-        blocks = {}
-        for (v, h), slots in self.slots.items():
-            cols = columns.get((v, h))
-            if cols is None:
-                continue
-            nrows = target.dims.get((v, wsub(h, grade)))
-            if nrows:
-                zero = [field.zero] * nrows
-                blocks[(v, h)] = Matrix.from_columns(
-                    field, [cols.get(j, zero) for j in range(len(slots))], nrows)
-        return ModuleMap(self.rep, target, blocks, grade=grade, check=False)
+        return vecs[i]
 
-    def to_json(self):
-        return [[v, list(g)] for v, g in self.summands]
+    def column(self, key, i):
+        """As `ModuleMap.column`, evaluating no node past the slot's; the
+        coordinates may be the memo's own list."""
+        v, g = key
+        tkey = (v, wsub(g, self.grade))
+        x = self.node(*self._proj.node_at(key, i))
+        if x is None:
+            return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
+        return tkey, x
+
+    _blocks = None
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            proj = self._proj
+            columns = {}
+            for idx, (t, at) in enumerate(zip(proj._templates, proj._where)):
+                self.node(idx, len(t.tree) - 1)
+                vecs = self._memo[idx] or ()
+                for x, (_, _, _, slot) in zip(vecs, t.tree):
+                    if x is not None and slot is not None:
+                        key, offset = at[slot[0]]
+                        columns.setdefault(key, {})[offset + slot[1]] = x
+            field = self.source.engine.field
+            blocks = {}
+            for (v, h), slots in proj.slots.items():
+                cols = columns.get((v, h))
+                if cols is not None:
+                    nrows = self.target.dims[(v, wsub(h, self.grade))]
+                    zero = [field.zero] * nrows
+                    blocks[(v, h)] = Matrix.from_columns(
+                        field, [cols.get(j, zero) for j in range(len(slots))], nrows)
+            self._blocks = blocks
+        return self._blocks
 
 
 def projective_module(engine, vertex, shift=None):
@@ -563,9 +618,10 @@ def kernel_subrep(mmap):
     """Graded kernel of a module map, with its induced action and inclusion:
     the nullspace of each block, the whole slice where the block is zero."""
     field = mmap.source.engine.field
+    blocks = mmap.blocks
     vectors = {}
     for key, n in mmap.source.dims.items():
-        b = mmap.blocks.get(key)
+        b = blocks.get(key)
         vectors[key] = b.nullspace() if b is not None else \
             [_unit(field, n, i) for i in range(n)]
     return _subrep_from_homogeneous(mmap.source, vectors)

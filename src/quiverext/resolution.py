@@ -123,6 +123,7 @@ class MinimalResolution:
         self.covers = []
         self.certificate = None
         self._differentials = {}
+        self._generator_terms = {}
         self._dim_vectors = []
 
     def syzygy(self, n):
@@ -184,6 +185,21 @@ class MinimalResolution:
             d = self.covers[n - 1].kernel_inclusion.compose(self.covers[n].epi)
         self._differentials[n] = d
         return d
+
+    def generator_terms(self, n):
+        """The column of differential n (n >= 1) at each generator of P^n,
+        as terms (summand, tree node, coefficient) over the nonzero slots
+        of P^{n-1}: what a chain-map lift reads of it, kept per step."""
+        terms = self._generator_terms.get(n)
+        if terms is None:
+            d = self.differential(n)
+            below = self.term(n - 1)
+            terms = self._generator_terms[n] = []
+            for pos in self.term(n).gen_pos:
+                tkey, col = d.column(*pos)
+                terms.append([below.node_at(tkey, j) + (c,)
+                              for j, c in enumerate(col) if c])
+        return terms
 
     def pd_verdict(self, bound):
         """Projective dimension as a resolution to `bound` steps settles it.

@@ -71,6 +71,24 @@ rel x*z + -1*z*x
 rel y*z + -1*z*y
 """
 
+# the exterior algebra on three square-zero commuting loops with no grading,
+# so every summand of P^n lies in the one slice (v, ())
+EXTERIOR3_UNGRADED = """
+field %s
+group trivial
+vertices v
+arrow x v v
+arrow y v v
+arrow z v v
+truncate 4
+rel x*x
+rel y*y
+rel z*z
+rel x*y + -1*y*x
+rel x*z + -1*z*x
+rel y*z + -1*z*y
+"""
+
 # four square-zero commuting loops over Q, graded over Z^4: one basis path
 # in each weight in {0,1}^4, dimension 16
 EXTERIOR4 = """

@@ -19,7 +19,12 @@ products too long to survive.
 The projective references build a sum of shifted projectives slot by slot,
 one `multiply_paths` per slot and arrow, and evaluate a map out of it by
 applying each slot's `path_action` matrix to its generator's image, in
-place of the engine's templates and the prefix-tree walk."""
+place of the engine's templates and the prefix-tree walk.
+
+The lift reference is the eager chain-map lift: every step's map is built
+in full by that slot-by-slot evaluation, and the generators of one slice
+are solved together by one `Matrix.solve`, in place of maps evaluated only
+where the next step reads them and solves against a stored factor."""
 
 from fractions import Fraction
 
@@ -422,3 +427,76 @@ def naive_map_from_generator_images(proj, target, images, grade):
         if any(any(col) for col in cols):
             blocks[(v, g)] = Matrix.from_columns(field, cols, nrows)
     return blocks
+
+
+# -- chain-map lifts with every step's map in full -----------------------------
+
+def _shifted(key, grade):
+    v, g = key
+    return (v, tuple(x - y for x, y in zip(g, grade)))
+
+
+def naive_column(mmap, key, i):
+    """Column i of the map's block at source slice `key`, read off `blocks`."""
+    b = mmap.blocks.get(key)
+    if b is not None:
+        return b.col(i)
+    nrows = mmap.target.dims.get(_shifted(key, mmap.grade), 0)
+    return [mmap.source.engine.field.zero] * nrows
+
+
+def naive_lift_chain_map(source, start, rhs0, target_diffs, grade):
+    """The generator images of each step of `ext.lift_chain_map`, by the
+    eager algorithm: each step's map is built in full
+    (`naive_map_from_generator_images`), a generator's right-hand side is
+    that map's block applied to the generator's column of the source
+    differential, and the generators of one slice share one `Matrix.solve`.
+    A zero image is a zero vector."""
+    field = source.engine.field
+    steps = []
+    prev = None
+    rhs = rhs0
+    for k, d_tgt in enumerate(target_diffs):
+        proj = source.term(start + k)
+        if k:
+            d_src = source.differential(start + k)
+            rhs = []
+            for key, i in proj.gen_pos:
+                tkey = _shifted(key, d_src.grade)
+                b = prev.get(tkey)
+                nrows = target_diffs[k - 1].source.dims.get(_shifted(tkey, grade), 0)
+                rhs.append([field.zero] * nrows if b is None
+                           else b.apply(naive_column(d_src, key, i)))
+        groups = {}
+        for idx, key in enumerate(proj.summands):
+            groups.setdefault(key, []).append(idx)
+        images = [None] * len(proj.summands)
+        for key, members in groups.items():
+            tkey = _shifted(key, grade)
+            lhs = d_tgt.blocks.get(tkey)
+            if lhs is None:
+                assert not any(any(rhs[idx]) for idx in members), "inconsistent"
+                sol = Matrix.zeros(field, d_tgt.source.dims.get(tkey, 0), len(members))
+            else:
+                cols = [rhs[idx] or [field.zero] * lhs.nrows for idx in members]
+                sol = lhs.solve(Matrix.from_columns(field, cols, lhs.nrows))
+                assert sol is not None, "inconsistent"
+            for c, idx in enumerate(members):
+                images[idx] = sol.col(c)
+        steps.append(images)
+        prev = naive_map_from_generator_images(proj, d_tgt.source, images, grade)
+    return steps
+
+
+def naive_lift_cocycle(table, y, depth):
+    """`naive_lift_chain_map` for the cocycle y, set up as `ext.lift_cocycle`
+    does, on resolutions already extended far enough."""
+    field = table.engine.field
+    res_a = table.resolutions[y.source]
+    res_b = table.resolutions[y.target_vertex]
+    slot = (y.target_vertex, y.target_degree)
+    rhs0 = [[y.coeffs.get(idx, field.zero)] if summand == slot else []
+            for idx, summand in enumerate(res_a.term(y.degree).summands)]
+    return naive_lift_chain_map(res_a, y.degree, rhs0,
+                                [res_b.differential(k) for k in range(depth + 1)],
+                                y.target_degree)

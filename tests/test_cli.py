@@ -302,13 +302,21 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
         assert err == "error: line 9: zero denominator in coefficient 1/0\n"
 
 
-# one bad line in a valid two-vertex file; the error must name that line
+# one bad line in a valid file; the error must name that line
 TWO_VERTICES = """field Q
 group Z 1
 vertices v w
 arrow a v w 1
 arrow b w v 1
 truncate 3
+"""
+
+TWO_LOOPS = """field Q
+group Z 1
+vertices v
+arrow a v v 1
+arrow b v v 1
+truncate 4
 """
 
 
@@ -333,6 +341,9 @@ truncate 3
     pytest.param(TWO_VERTICES + "rel a*b*a + a\n",
                  "line 7: relation term a has length 1; relations must be "
                  "combinations of paths of length >= 2", id="relation-length"),
+    pytest.param(TWO_LOOPS + "rel b*b\nrel a*b + a*a*a\n",
+                 "line 8: uniform piece from v to v mixes weights [(2,), (3,)]",
+                 id="relation-mixes-weights"),
 ])
 def test_structural_errors_name_their_line(capsys, tmp_path, text, message):
     src = tmp_path / "bad.alg"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiverext import build_engine, parse_algebra
 from quiverext.fields import QQ, GFElement, PrimeField, scalar_to_json
-from quiverext.linalg import Matrix, Subspace
+from quiverext.linalg import Factor, Matrix, Subspace
 
 from conftest import EXTERIOR3_F3
 from naive import rref_rows
@@ -175,6 +175,58 @@ def test_rational_solve_matches_plain_elimination(data):
         single = m.solve([row[j] for row in rhs])
         col = reference_solve(rows, ncols, [[row[j]] for row in rhs], 1)
         assert single == (None if col is None else [x for (x,) in col])
+
+
+# -- Factor against Matrix.solve -----------------------------------------------
+
+FACTOR_FIELDS = {"Q": QQ, "F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5)}
+
+
+@st.composite
+def factored_systems(draw):
+    """A x = b over Q (with Fractions), F2, F3 or F5, with 0-5 rows and
+    columns; A = L R through an inner dimension that may be below both, so
+    many systems are rank deficient, and half of the right-hand sides are
+    consistent by construction (b = A x0)."""
+    field = FACTOR_FIELDS[draw(st.sampled_from(sorted(FACTOR_FIELDS)))]
+    scalars = SCALARS if field is QQ else st.integers(0, field.p - 1)
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    inner = draw(st.integers(0, 5))
+
+    def block(n, m):
+        return Matrix(field, [[field.of(x) for x in
+                               draw(st.lists(scalars, min_size=m, max_size=m))]
+                              for _ in range(n)], ncols=m)
+
+    a = block(nrows, inner) @ block(inner, ncols)
+    if draw(st.booleans()):
+        b = a.apply(block(1, ncols).rows[0] if ncols else [])
+    else:
+        b = block(1, nrows).rows[0] if nrows else []
+    return a, [block(1, nrows).rows[0] if nrows else [] for _ in range(2)] + [b]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(factored_systems())
+def test_factor_solves_as_matrix_solve(data):
+    a, rhs = data
+    factor = Factor(a)
+    rank = a.rank()
+    for b in rhs:
+        want = a.solve(b)
+        got = factor.solve(b)
+        assert got == want
+        # None exactly when the system is inconsistent
+        consistent = rank == Matrix(a.field, [r + [x] for r, x in zip(a.rows, b)],
+                                    ncols=a.ncols + 1).rank()
+        assert (got is None) == (not consistent)
+        if got is not None:
+            assert a.apply(got) == b
+            if a.field is QQ:
+                assert_exact(got)
+            else:
+                assert_interned(a.field, got)
 
 
 # -- the F_p kernel against the plain elimination of tests/naive.py -----------

@@ -7,7 +7,9 @@ resolutions of the algebra (product compatibility).
 
 Products read off the basis lifts an Ext table stores are checked against
 products that lift their right factor afresh, and a stored lift extended
-to a greater depth against a fresh lift of that depth.
+to a greater depth against a fresh lift of that depth.  The generator
+images of every step, which lifts evaluate without building the rest of
+each map, are checked against the eager reference lift of `naive.py`.
 """
 
 import random
@@ -15,14 +17,17 @@ import zlib
 
 import pytest
 
-from quiverext import (ExtClass, IdempotentPair, apply_F, corner_algebra,
-                       ext_table, lift_cocycle, yoneda_product)
+from quiverext import (ExtClass, IdempotentPair, apply_F, build_engine, corner_algebra,
+                       ext_table, lift_cocycle, parse_algebra, yoneda_product)
 from quiverext.comparison import TransportCorrespondence
 from quiverext.corner import apply_F_map
+from quiverext.fields import PrimeField
+from quiverext.quiver import wzero
 
 from conftest import (EXTERIOR2_Z, FIXTURE_NAMES, MIXED_SIGN, POLY_CORNER,
-                      engine_for, engine_from)
-from naive import ext_combination, naive_yoneda_product
+                      engine_for, engine_from, fixture_text)
+from naive import (ext_combination, naive_column, naive_lift_chain_map,
+                   naive_lift_cocycle, naive_yoneda_product)
 
 CASES = FIXTURE_NAMES + ["POLY_CORNER"]
 IN_TEST = {"POLY_CORNER": POLY_CORNER, "MIXED_SIGN": MIXED_SIGN,
@@ -168,3 +173,46 @@ def test_product_with_cocycle_off_its_slot_raises():
     assert not wrong.is_zero()
     with pytest.raises(AssertionError, match="different vertex"):
         yoneda_product(table, table.identity_class("v"), wrong)
+
+
+def assert_generator_images(lifts, source, start, want):
+    for k, (phi, images) in enumerate(zip(lifts, want)):
+        proj = source.term(start + k)
+        got = [phi.column(*pos)[1] for pos in proj.gen_pos]
+        assert got == images, "step %d" % k
+
+
+@pytest.mark.parametrize("field", ["Q", "F3"])
+@pytest.mark.parametrize("name", CASES)
+def test_lifts_match_eager_reference(name, field):
+    text = POLY_CORNER if name == "POLY_CORNER" else fixture_text(name)
+    pres = parse_algebra(text)
+    if field == "F3":
+        pres = pres.with_field(PrimeField(3))
+    eng = build_engine(pres)
+    table = ext_table(eng, 5)
+    for n in range(3):
+        for y in table.basis_classes(n):
+            (idx,) = y.coeffs
+            table.basis_lift(y.source, n, idx, 1)
+            # extended from the stored prefix of depth 1
+            lifts = table.basis_lift(y.source, n, idx, 3)
+            assert_generator_images(lifts, table.resolutions[y.source], n,
+                                    naive_lift_cocycle(table, y, 3))
+    f_vertices = ["2"] if name == "POLY_CORNER" else list(eng.pres.f_vertices)
+    corner = corner_algebra(eng, IdempotentPair(eng, f_vertices))
+    cor = ext_table(corner.corner_engine, 4)
+    tc = TransportCorrespondence(corner, table, cor, 4)
+    for u in f_vertices:
+        res_lam = table.resolutions[u]
+        res_cor = cor.resolutions[u]
+        f_terms = [apply_F(corner, res_lam.module)] + \
+            [apply_F(corner, res_lam.term(k).rep) for k in range(5)]
+        f_diffs = [apply_F_map(corner, res_lam.differential(k),
+                               source_F=f_terms[k + 1], target_F=f_terms[k])
+                   for k in range(5)]
+        aug = res_cor.differential(0)
+        rhs0 = [naive_column(aug, *pos) for pos in res_cor.term(0).gen_pos]
+        want = naive_lift_chain_map(res_cor, 0, rhs0, f_diffs,
+                                    wzero(corner.corner_engine.group_rank))
+        assert_generator_images(tc.psi[u], res_cor, 0, want)

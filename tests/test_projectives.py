@@ -1,19 +1,25 @@
 """Projectives read off the engine's templates, and maps out of them by the
-prefix-tree walk, against the slot-by-slot references in `naive.py`."""
+prefix-tree walk, against the slot-by-slot references in `naive.py`.  A map
+out of a projective evaluates a slot only when it is read, so its columns
+are checked before any block is built, as well as its blocks."""
 
 import functools
+import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext import Representation, build_engine, parse_algebra
 from quiverext.fields import PrimeField
+from quiverext.linalg import Matrix
 from quiverext.modules import (Projective, projective_cover, projective_module,
                                simple_module)
 from quiverext.quiver import wadd, wsub, wzero
 from quiverext.resolution import minimal_resolution
 
-from conftest import FIXTURE_NAMES, POLY_CORNER, RATIONAL, fixture_text
+from conftest import (EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER, RATIONAL,
+                      fixture_text, random_homogeneous_vectors)
 from naive import naive_map_from_generator_images, naive_projective
 
 ALGEBRAS = FIXTURE_NAMES + ["poly_corner", "rational"]
@@ -27,6 +33,8 @@ def engine_over(name, field):
     elif name == "rational":
         # 2/3 has no value in F3, so over F3 the coefficient is 1/2 = 2
         text = RATIONAL % ("2/3" if field == "Q" else "1/2")
+    elif name == "exterior3_ungraded":
+        text = EXTERIOR3_UNGRADED % "Q"
     else:
         text = fixture_text(name)
     pres = parse_algebra(text)
@@ -90,6 +98,64 @@ def test_projective_and_its_maps_match_slot_by_slot_reference(case):
 
 
 @pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["exterior3_ungraded"])
+def test_maps_evaluate_columns_on_demand(name, field, monkeypatch):
+    eng = engine_over(name, field)
+    zero = wzero(eng.group_rank)
+    applied = []
+    apply = Matrix.apply
+
+    def counted(self, vec):
+        applied.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    target = Projective(eng, [(v, zero) for v in eng.quiver.vertices]).rep
+    rng = random.Random(zlib.crc32(("%s/%s" % (name, field)).encode()))
+    grades = {zero, (1,) * eng.group_rank}
+    for grade in sorted(grades):
+        picked = random_homogeneous_vectors(target, rng, 4)
+        # one more summand whose image is zero
+        summands = [(v, wadd(g, grade)) for v, g, _ in picked] + [picked[0][:2]]
+        images = [vec for _, _, vec in picked] + [[]]
+        proj = Projective(eng, summands)
+        want = naive_map_from_generator_images(proj, target, images, grade)
+        phi = proj.map_from_generator_images(target, images, grade=grade)
+        del applied[:]
+        # a generator's column is its image, read with no product
+        for idx, pos in enumerate(proj.gen_pos):
+            tkey, col = phi.column(*pos)
+            assert tkey == (summands[idx][0], wsub(summands[idx][1], grade))
+            assert col == (images[idx] or [eng.field.zero] * target.dims.get(tkey, 0))
+        assert not applied
+        # every other column, before any block is built, with each tree node
+        # evaluated at most once
+        for key, slots in proj.slots.items():
+            tkey = (key[0], wsub(key[1], grade))
+            for i in range(len(slots)):
+                col = phi.column(key, i)[1]
+                assert col == (want[key].col(i) if key in want
+                               else [eng.field.zero] * target.dims.get(tkey, 0))
+        nodes = sum(len(proj._templates[idx].tree) - 1 for idx in range(len(summands)))
+        assert len(applied) <= nodes
+        # the blocks reuse the evaluated nodes, and are built once
+        evaluated = len(applied)
+        blocks = phi.blocks
+        assert len(applied) == evaluated
+        assert list(blocks) == list(want)
+        assert all(blocks[key] == b for key, b in want.items())
+        again = phi.blocks
+        assert again is blocks and all(again[key] is b for key, b in blocks.items())
+        phi._verify()
+        # blocks read first give the same columns
+        fresh = proj.map_from_generator_images(target, images, grade=grade)
+        assert list(fresh.blocks) == list(want)
+        for key, slots in proj.slots.items():
+            for i in range(len(slots)):
+                assert fresh.column(key, i) == phi.column(key, i)
+
+
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_cover_of_single_summand_leaves_it_and_its_template_intact(name, field):
     eng = engine_over(name, field)
@@ -115,7 +181,8 @@ def test_cover_of_single_summand_leaves_it_and_its_template_intact(name, field):
 def test_prefix_tree_holds_every_first_applied_part():
     eng = engine_over("tri", "Q")
     for v in eng.quiver.vertices:
-        tree = eng.projective_template(v).tree
+        t = eng.projective_template(v)
+        tree = t.tree
         assert tree[0][0] is None and tree[0][3] == ((v, wzero(1)), 0)
         paths = {p.arrows for p in eng.basis_paths_from(v)}
         seen = [()]
@@ -125,3 +192,4 @@ def test_prefix_tree_holds_every_first_applied_part():
             assert (slot is not None) == (seen[-1] in paths)
         assert paths <= set(seen)
         assert set(seen) == {p[i:] for p in paths for i in range(len(p) + 1)}
+        assert t.node_of == {arrows: i for i, arrows in enumerate(seen)}

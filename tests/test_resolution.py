@@ -9,8 +9,8 @@ from quiverext import resolution
 from quiverext.ext import ExtTable
 from quiverext.resolution import MinimalResolution, combine_verdicts, simple_resolutions
 
-from conftest import (EXTERIOR2, KB2, NAK4, SEMISIMPLE2, E24_TRIVIAL, engine_for,
-                      engine_from)
+from conftest import (EXTERIOR2, EXTERIOR3_UNGRADED, KB2, NAK4, SEMISIMPLE2, E24_TRIVIAL,
+                      engine_for, engine_from)
 
 
 def test_a2_simple_resolution_stops():
@@ -105,25 +105,6 @@ def test_trivial_group_periodicity():
     assert cert is not None
     assert cert.shift == ()
     assert res.pd_verdict(6).is_infinite
-
-
-# the exterior algebra on three square-zero commuting loops with no grading,
-# so every summand of P^n lies in the one slice (v, ())
-EXTERIOR3_UNGRADED = """
-field %s
-group trivial
-vertices v
-arrow x v v
-arrow y v v
-arrow z v v
-truncate 4
-rel x*x
-rel y*y
-rel z*z
-rel x*y + -1*y*x
-rel x*z + -1*z*x
-rel y*z + -1*z*y
-"""
 
 
 @pytest.mark.parametrize("field", ["Q", "F 3"])
