@@ -254,6 +254,10 @@ class NormalFormEngine:
         for p in self.basis:
             self._paths_from.setdefault(p.source, []).append(p)
         self._templates = {}
+        # weak references to the covers `modules.projective_cover` computed:
+        # {module slices relative to the first slice's degree:
+        # [(degree of the first slice, weakref to the Cover)]}
+        self.covers = {}
 
     # -- construction ------------------------------------------------------
 

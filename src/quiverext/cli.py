@@ -252,6 +252,9 @@ def main(argv=None):
     if not 0 <= args.seed < 2 ** 64:
         sys.stderr.write("error: --seed must fit in 64 unsigned bits\n")
         return 1
+    if getattr(args, "products_bound", 0) < 0:
+        sys.stderr.write("error: --products-bound must be at least 0\n")
+        return 1
     try:
         engine = _load(args)
         report, status = _COMMANDS[args.command](engine, args)

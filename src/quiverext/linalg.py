@@ -237,8 +237,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
+        return self.shape == other.shape and self.rows == other.rows
 
     def __repr__(self):
         return "Matrix(%d x %d)" % self.shape

@@ -21,9 +21,27 @@ of a projective (`ProjectiveMap`) is kept as its generator images; the image
 of any other slot is evaluated on demand, walking its summand's prefix tree
 one matrix-vector product per node and keeping each node's image.  Its
 blocks are built on first read, by the same walk over every node.
+
+Covers are shared up to a degree shift.  The engine keeps, for its
+lifetime, a weak reference to every cover `projective_cover` computes,
+keyed by the covered module's slices taken relative to its first slice's
+degree, in order (`engine.covers`).  A module whose key and action blocks,
+at the keys moved by h = (its first degree) - (the kept module's first
+degree), equal those of a kept module is covered by that module's cover
+shifted by h (`Cover.shifted`): the projective, the epi's blocks, the
+kernel and the inclusion are re-keyed, and the epi's node images are
+shared.  Every step of a cover commutes with the shift and uses no seed, so
+this is the cover a fresh computation gives.  So a periodic syzygy
+(Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a shifted module met before
+such as a shifted simple, is not covered again.  A kept cover is found
+while its resolution, or any other caller, still holds it.  The reference
+is weak because every cover refers to its engine: a strong one would leave
+each engine in a reference cycle that only the cyclic garbage collector
+frees.
 """
 
 import random
+import weakref
 from itertools import islice
 
 from .linalg import Factor, Matrix, Subspace
@@ -453,6 +471,23 @@ class Projective:
         grade = grade if grade is not None else wzero(self.engine.group_rank)
         return ProjectiveMap(self, target, images, grade)
 
+    def shifted(self, h):
+        """This sum with every summand moved up by h: the same templates,
+        slot lists and action blocks, re-keyed."""
+        def up(key):
+            return key[0], wadd(key[1], h)
+
+        out = Projective.__new__(Projective)
+        out.engine = self.engine
+        out.summands = tuple(up(s) for s in self.summands)
+        out._templates = self._templates
+        out._where = [{t: (up(key), i) for t, (key, i) in at.items()} for at in self._where]
+        out.slots = {up(key): s for key, s in self.slots.items()}
+        out.gen_pos = [(up(key), i) for key, i in self.gen_pos]
+        out.generators = {up(key): g for key, g in self.generators.items()}
+        out.rep = shift_rep(self.rep, h)
+        return out
+
     def to_json(self):
         return [[v, list(g)] for v, g in self.summands]
 
@@ -534,6 +569,16 @@ class ProjectiveMap(ModuleMap):
             self._blocks = blocks
         return self._blocks
 
+    def shifted(self, proj, target, h):
+        """This map moved up by h, from `proj` (the source projective
+        shifted by h) into `target` (the target shifted by h).  The node
+        images do not depend on the shift, so the memo is shared; the
+        blocks are re-keyed."""
+        out = ProjectiveMap(proj, target, (), self.grade)
+        out._memo = self._memo
+        out._blocks = {(v, wadd(g, h)): b for (v, g), b in self.blocks.items()}
+        return out
+
 
 def projective_module(engine, vertex, shift=None):
     if vertex not in engine.quiver.vertices:
@@ -605,13 +650,23 @@ def top_lifts(rep):
 class Cover:
     """A projective cover: epi P -> M with kernel K inside rad(P)."""
 
-    __slots__ = ("projective", "epi", "kernel", "kernel_inclusion")
+    __slots__ = ("projective", "epi", "kernel", "kernel_inclusion", "__weakref__")
 
     def __init__(self, projective, epi, kernel, kernel_inclusion):
         self.projective = projective
         self.epi = epi
         self.kernel = kernel
         self.kernel_inclusion = kernel_inclusion
+
+    def shifted(self, module, h):
+        """This cover moved up by h, as the cover of `module`, which equals
+        the covered module shifted by h.  Every step of a cover commutes
+        with the shift, so this is the cover computed afresh."""
+        proj = self.projective.shifted(h)
+        kernel = shift_rep(self.kernel, h)
+        incl = {(v, wadd(g, h)): b for (v, g), b in self.kernel_inclusion.blocks.items()}
+        return Cover(proj, self.epi.shifted(proj, module, h), kernel,
+                     ModuleMap(kernel, proj.rep, incl, check=False))
 
 
 def kernel_subrep(mmap):
@@ -742,13 +797,30 @@ def projective_cover(engine, rep):
     """Graded projective cover of a representation.
 
     Returns a Cover: P built from the semisimple top, the covering epi,
-    and the kernel (a subrepresentation of P, contained in rad P).
+    and the kernel (a subrepresentation of P, contained in rad P).  A
+    module equal to one the engine has covered before, up to a degree
+    shift, gets that cover shifted (see the module docstring).
     """
+    start = next(iter(rep.dims))[1] if rep.dims else wzero(engine.group_rank)
+    bucket = engine.covers.setdefault(
+        tuple((v, wsub(g, start), n) for (v, g), n in rep.dims.items()), [])
+    for old_start, kept in bucket:
+        cover = kept()
+        if cover is None:
+            continue
+        old = cover.epi.target
+        h = wsub(start, old_start)
+        if len(old.action) == len(rep.action) and all(
+                old.action.get((name, wsub(g, h))) == m
+                for (name, g), m in rep.action.items()):
+            return cover.shifted(rep, h)
     lifts = top_lifts(rep)
     proj = Projective(engine, [(v, g) for v, g, _ in lifts])
     epi = proj.map_from_generator_images(rep, [vec for _, _, vec in lifts])
     kernel, incl = kernel_subrep(epi)
-    return Cover(proj, epi, kernel, incl)
+    cover = Cover(proj, epi, kernel, incl)
+    bucket.append((start, weakref.ref(cover)))
+    return cover
 
 
 def direct_sum(reps):

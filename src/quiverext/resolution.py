@@ -124,7 +124,8 @@ class MinimalResolution:
         self.certificate = None
         self._differentials = {}
         self._generator_terms = {}
-        self._dim_vectors = []
+        self._dim_keys = []     # dimension vector of each syzygy indexed so far
+        self._by_dims = {}      # dimension vector -> those syzygies, increasing
 
     def syzygy(self, n):
         if n == 0:
@@ -151,21 +152,20 @@ class MinimalResolution:
                 self._scan_periodicity(n + 1)
         return self
 
-    def _dim_vector(self, n):
-        """The dimension vector of syzygy n, computed once per syzygy."""
-        while len(self._dim_vectors) <= n:
-            self._dim_vectors.append(self.syzygy(len(self._dim_vectors)).dim_vector())
-        return self._dim_vectors[n]
-
     def _scan_periodicity(self, n):
+        """Look for Omega^n ~ Omega^m[h] with m < n, trying in increasing m
+        only the syzygies with the dimension vector of Omega^n."""
         new = self.syzygy(n)
         if new.is_zero():
             return
-        new_dims = self._dim_vector(n)
-        for m in range(n):
+        for k in range(len(self._dim_keys), n + 1):
+            key = tuple(self.syzygy(k).dim_vector().values())
+            self._dim_keys.append(key)
+            self._by_dims.setdefault(key, []).append(k)
+        for m in self._by_dims[self._dim_keys[n]]:
+            if m >= n:
+                break
             old = self.syzygy(m)
-            if old.is_zero() or self._dim_vector(m) != new_dims:
-                continue
             h = _uniform_shift(old, new)
             if h is None:
                 continue

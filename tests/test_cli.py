@@ -106,6 +106,14 @@ def test_ext_table_products(capsys, fixtures_dir):
     assert degrees
 
 
+def test_negative_products_bound_is_input_error(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "ext-table", fix(fixtures_dir, "pos"),
+                             "--products-bound", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --products-bound must be at least 0\n"
+
+
 def test_corner_round_trip_through_cli(capsys, fixtures_dir, tmp_path):
     code, out, _ = run_cli(capsys, "corner", fix(fixtures_dir, "e41"))
     assert code == 0
@@ -129,6 +137,20 @@ RESOLVE_GOLDEN = [(name, ["--bound", "6"], name + "_resolve_b6.json")
                          ids=FIXTURE_NAMES + ["e24-simple-u"])
 def test_resolve_matches_golden(capsys, fixtures_dir, name, extra, golden):
     code, out, _ = run_cli(capsys, "resolve", fix(fixtures_dir, name), *extra)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+# bound 12 reaches past the nak and e24 periods, where resolutions reuse
+# covers up to a degree shift
+BOUND12_GOLDEN = [(name, command, "%s_%s_b12.json" % (name, tag)) for name in FIXTURE_NAMES
+                  for command, tag in (("resolve", "resolve"), ("ext-table", "ext"))]
+
+
+@pytest.mark.parametrize("name,command,golden", BOUND12_GOLDEN,
+                         ids=[g[:-len(".json")] for _, _, g in BOUND12_GOLDEN])
+def test_bound12_reports_match_golden(capsys, fixtures_dir, name, command, golden):
+    code, out, _ = run_cli(capsys, command, fix(fixtures_dir, name), "--bound", "12")
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -188,6 +188,31 @@ def test_over_extended_resolution_trusts_only_in_bound_certificates():
     shared = ExtTable(eng, k - 2, resolutions=store)
     assert shared.undetermined == ExtTable(eng, k - 2).undetermined == {"1", "2", "3", "4"}
     assert ExtTable(eng, k - 1, resolutions=store).undetermined == set()
+
+
+def cyclic_nakayama(n, loewy):
+    """The cyclic Nakayama algebra with n vertices and J^loewy = 0, arrows of
+    weight 1."""
+    lines = ["field Q", "group Z 1", "vertices " + " ".join(str(i) for i in range(n))]
+    lines += ["arrow a%d %d %d 1" % (i, i, (i + 1) % n) for i in range(n)]
+    lines.append("truncate %d" % (loewy + 1))
+    lines += ["rel " + "*".join("a%d" % ((i + j) % n) for j in reversed(range(loewy)))
+              for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("loewy", [3, 4, 5])
+@pytest.mark.parametrize("n", range(6, 13))
+def test_cyclic_nakayama_certificate(n, loewy):
+    # Omega^2 S_i = S_{i+L}[L], so Omega^{2k} S_0 = S_0[kL] first for
+    # k = n / gcd(L, n); the odd syzygies are uniserial of length L - 1 >= 2
+    eng = engine_from(cyclic_nakayama(n, loewy))
+    k = n // gcd(loewy, n)
+    verdict = projective_dimension(eng, simple_module(eng, "0"), 2 * k)
+    assert verdict.is_infinite
+    cert = verdict.certificate
+    assert (cert.n0, cert.period, cert.shift) == (0, 2 * k, (k * loewy,))
+    assert cert.witness.is_iso()
 
 
 def test_zero_cover_reused_after_zero_syzygy(monkeypatch):
