@@ -5,18 +5,33 @@ of length >= 2 that, after splitting by (source, target), are homogeneous
 for the weight grading.  The presentation carries a truncation bound N
 with J^N contained in I (J the arrow ideal); this is checked, not assumed.
 
-Normal forms come from one elimination.  Every padded relation product
-p*r*q, with its terms longer than N dropped, is a row of its (source,
-target, weight) block, and each block is put in reduced row echelon form
-once, over its path monomials in (length, arrows) order.  A pivot of length
-< N reduces to a combination of non-pivot monomials, which form the basis
-of the algebra.  The length-N monomials sort last, so J^N lies in I exactly
-when each of them is a pivot whose row has no other entry; the first
-length-N path that is not is reported as the witness.  All arithmetic is
-exact (Q or F_p).
+Normal forms come from a reduced Groebner basis of I + J^(N+1) in the path
+algebra (Farkas, Feustel and Green, Canad. J. Math. 45, 1993; Green,
+"Noncommutative Groebner bases, and projective resolutions", Progress in
+Math. 173, 1999).  Paths are ordered by (length, arrows), and the tip of an
+element is its smallest path, so rewriting a tip brings in only larger
+paths and the paths longer than N drop out.  Buchberger's completion starts
+from the uniform relation pieces and reduces the overlap of every two tips
+(a path t*w = u*s for tips t and s), on sparse {arrows: coefficient} rows
+over Q or on residues over F_p; two monomials have no overlap to reduce.
+An element whose tip a new tip divides is reduced again, so the tips stay
+minimal.
+
+The paths that no tip divides are the standard paths, and those of length
+< N are the basis.  A subpath of a standard path is standard, so they are
+found by a walk per length from the vertices, each kept path extended by
+the arrows leaving its target in quiver order, that stops at the first
+length with no standard path.  J^N lies in I exactly when no standard path
+has length N.  Otherwise the witness is the first length-N path in the
+same walk order whose normal form is nonzero; that walk drops each path
+that reduces to zero, whose extensions do too.  The normal form of a path
+is its first arrow times the normal form of the rest, reduced, and is kept
+for the life of the engine.  All arithmetic is exact (Q or F_p).
 """
 
+from collections import deque
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .fields import GFElement
 from .linalg import Matrix
@@ -171,14 +186,13 @@ class AlgebraPresentation:
 
 
 class UniformRelation:
-    __slots__ = ("source", "target", "weight", "terms", "min_length")
+    __slots__ = ("source", "target", "weight", "terms")
 
     def __init__(self, source, target, weight, terms):
         self.source = source
         self.target = target
         self.weight = weight
         self.terms = terms
-        self.min_length = min(p.length for _, p in terms)
 
 
 def add_scaled(out, terms, c):
@@ -244,11 +258,26 @@ class NormalFormEngine:
         self.quiver = pres.quiver
         self.group_rank = pres.group_rank
         self.truncation = pres.truncation
-        self.paths_by_length = self._enumerate_paths(pres.truncation)
-        self._reduction = {}
-        self._build()
+        # the Groebner basis, {tip arrows: tail}: a tail is {arrows: value},
+        # its paths larger than the tip; values are residues over F_p
+        self._tails = {}
+        # {first arrow: lengths of the tips that start with it}; a length
+        # left by a tip taken out of the basis only costs a failed lookup
+        self._tip_lengths = {}
+        self._complete()
+        # normal forms as {arrows: value}, by the arrows of a path of length >= 1
+        self._word_nf = {}
+        self.basis = self._standard_paths()
         self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self.dim = len(self.basis)
+        # normal forms as {basis path: coefficient}, filled for every basis
+        # path and every arrow times one, so templates reduce nothing
+        self._basis_path = {p.arrows: p for p in self.basis if p.arrows}
+        self._normal_forms = {w: {p: self.field.one} for w, p in self._basis_path.items()}
+        for p in self.basis:
+            if p.length + 1 < self.truncation:
+                for a in self.quiver.arrows_from[p.target]:
+                    self._normal_form((a.name,) + p.arrows)
         self._opposite = None
         self._paths_from = {}
         for p in self.basis:
@@ -261,86 +290,154 @@ class NormalFormEngine:
 
     # -- construction ------------------------------------------------------
 
-    def _enumerate_paths(self, max_len):
-        """All paths of length 0..max_len, grouped by length."""
-        k = self.group_rank
-        by_len = [[vertex_path(v, k) for v in self.quiver.vertices]]
-        for _ in range(max_len):
+    def _complete(self):
+        """Buchberger's algorithm on the uniform relation pieces, modulo
+        J^(N+1).  Each new element is reduced and made monic at its tip; a
+        basis element whose tip the new tip divides goes back to be reduced
+        again, and each overlap of the new tip with a tip, shortest overlap
+        path first, is reduced in turn.  Last, every tail is reduced."""
+        n = self.truncation
+        p = self.field.characteristic
+        tails = self._tails
+        queue = deque({path.arrows: c.v if p else c for c, path in rel.terms
+                       if path.length <= n} for rel in self.pres.uniform_relations)
+        overlaps = []
+        while queue or overlaps:
+            if queue:
+                f = queue.popleft()
+            else:
+                word, t, s = heappop(overlaps)[1:]
+                if t not in tails or s not in tails:
+                    continue
+                # tail(t)*w - u*tail(s), for the overlap word = t*w = u*s
+                w, u = word[len(t):], word[:len(word) - len(s)]
+                f = {m + w: c for m, c in tails[t].items() if len(m) + len(w) <= n}
+                for m, c in tails[s].items():
+                    if len(u) + len(m) <= n:
+                        d = f.get(u + m, 0) - c
+                        f[u + m] = d % p if p else d
+            f = self._reduce(f)
+            if not f:
+                continue
+            tip = next(iter(f))
+            inv = pow(f.pop(tip), p - 2, p) if p else self.field.inv(f.pop(tip))
+            tail = {w: c * inv % p if p else c * inv for w, c in f.items()}
+            for s in [s for s in tails if len(s) > len(tip) and _divides(tip, s)]:
+                queue.append({s: 1, **tails.pop(s)})
+            tails[tip] = tail
+            lengths = self._tip_lengths.setdefault(tip[0], [])
+            if len(tip) not in lengths:
+                lengths.append(len(tip))
+            for s, s_tail in tails.items():
+                if tail or s_tail:
+                    for x, y in [(tip, s), (s, tip)] if s != tip else [(tip, tip)]:
+                        for k in range(max(1, len(x) + len(y) - n), min(len(x), len(y))):
+                            if x[-k:] == y[:k]:
+                                word = x + y[k:]
+                                heappush(overlaps, (len(word), word, x, y))
+        for t in tails:
+            tails[t] = self._reduce(dict(tails[t]))
+
+    def _tip_at(self, w, i):
+        """The tip that starts at position i of the arrows w, or None."""
+        for length in self._tip_lengths.get(w[i], ()):
+            t = w[i:i + length]
+            if t in self._tails:
+                return t
+        return None
+
+    def _reduce(self, f):
+        """Reduce {arrows: value} modulo the Groebner basis, emptying f.
+        The smallest path with a tip in it is rewritten at its leftmost
+        tip, bringing in only larger paths, and paths longer than N drop
+        out; the remainder comes back in (length, arrows) order."""
+        n = self.truncation
+        p = self.field.characteristic
+        heap = [(len(w), w) for w in f]
+        heapify(heap)
+        out = {}
+        while heap:
+            w = heappop(heap)[1]
+            c = f.pop(w)
+            if not c:
+                continue
+            for i in range(len(w) - 1):
+                t = self._tip_at(w, i)
+                if t is not None:
+                    break
+            else:
+                out[w] = c
+                continue
+            u, v = w[:i], w[i + len(t):]
+            for m, d in self._tails[t].items():
+                x = u + m + v
+                if len(x) > n:
+                    continue
+                if x not in f:
+                    heappush(heap, (len(x), x))
+                s = f.get(x, 0) - c * d
+                f[x] = s % p if p else s
+        return out
+
+    def _standard_paths(self):
+        """The paths no tip divides, by a walk per length from the vertices:
+        each kept path is extended by the arrows leaving its target, in
+        quiver order, and kept when no tip starts the extension.  A standard
+        path of length N means J^N is not inside I."""
+        step = {a.name: self.pres.arrow_path(a.name) for a in self.quiver.arrows}
+        level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
+        basis = list(level)
+        for length in range(1, self.truncation + 1):
             nxt = []
-            for p in by_len[-1]:
-                for a in self.quiver.arrows_from[p.target]:
-                    nxt.append(compose(self.pres.arrow_path(a.name), p))
-            by_len.append(nxt)
-        return by_len
+            for q in level:
+                for a in self.quiver.arrows_from[q.target]:
+                    w = (a.name,) + q.arrows
+                    if self._tip_at(w, 0) is None:
+                        self._word_nf[w] = {w: 1}
+                        nxt.append(compose(step[a.name], q))
+            if not nxt:
+                break
+            if length == self.truncation:
+                raise AdmissibilityError(self._witness())
+            basis += nxt
+            level = nxt
+        return basis
 
-    def _padded_rows(self):
-        """Spanning vectors of I modulo J^(N+1), by (source, target, weight).
+    def _witness(self):
+        """The first length-N path in the walk order whose normal form is
+        nonzero.  The walk drops each path that reduces to zero, since its
+        extensions do too."""
+        level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
+        for _ in range(self.truncation):
+            level = [compose(self.pres.arrow_path(a.name), q) for q in level
+                     for a in self.quiver.arrows_from[q.target]
+                     if self._nf_word((a.name,) + q.arrows)]
+        return level[0]
 
-        Every product p*r*q with a surviving term of length <= N is included;
-        longer terms are dropped (they lie in J^(N+1)).  q and p come from
-        (endpoint, length) buckets, at only the lengths that leave room for
-        r; rows go by q, then p, each by length and then in enumeration
-        order.
-        """
-        n = self.truncation
-        zero = self.field.zero
-        by_target = {}
-        by_source = {}
-        for length, ps in enumerate(self.paths_by_length):
-            for p in ps:
-                by_target.setdefault((p.target, length), []).append(p)
-                by_source.setdefault((p.source, length), []).append(p)
-        blocks = {}
-        for rel in self.pres.uniform_relations:
-            room = n - rel.min_length
-            for lq in range(room + 1):
-                for q in by_target.get((rel.source, lq), ()):
-                    terms = [(c, t.length + lq, compose(t, q)) for c, t in rel.terms
-                             if t.length + lq <= n]
-                    for lp in range(room - lq + 1):
-                        for p in by_source.get((rel.target, lp), ()):
-                            row = {}
-                            for c, length, tq in terms:
-                                if lp + length > n:
-                                    continue
-                                full = compose(p, tq)
-                                row[full] = row.get(full, zero) + c
-                            row = {path: c for path, c in row.items() if c}
-                            if not row:
-                                continue
-                            any_path = next(iter(row))
-                            key = (any_path.source, any_path.target, any_path.weight)
-                            blocks.setdefault(key, []).append(row)
-        return blocks
+    def _nf_word(self, w):
+        """Normal form of the path with arrows w: its first arrow times the
+        normal form of the rest, reduced; as {arrows: value}, memoized.
+        The standard walk has put in every standard path, arrows included."""
+        nf = self._word_nf.get(w)
+        if nf is None:
+            a = w[:1]
+            nf = self._word_nf[w] = self._reduce(
+                {a + y: c for y, c in self._nf_word(w[1:]).items() if len(y) < self.truncation})
+        return nf
 
-    def _build(self):
-        """One RREF per block of the padded rows, columns in (length, arrows)
-        order.  A pivot of length < N reduces to minus the rest of its row.
-        J^N lies in I exactly when every length-N path is a pivot whose row
-        has no other entry; the first that is not is the witness."""
-        n = self.truncation
-        blocks = self._padded_rows()
-        killed = set()
-        for key in sorted(blocks):
-            rows = blocks[key]
-            cols = sorted({p for row in rows for p in row}, key=lambda p: (p.length, p.arrows))
-            col_index = {p: j for j, p in enumerate(cols)}
-            mat = Matrix.zeros(self.field, len(rows), len(cols))
-            for i, row in enumerate(rows):
-                for p, c in row.items():
-                    mat.rows[i][col_index[p]] = c
-            red, pivots = mat.rref()
-            for row, pc in zip(red.rows, pivots):
-                rest = {cols[j]: -row[j] for j in range(pc + 1, len(cols)) if row[j]}
-                if cols[pc].length < n:
-                    self._reduction[cols[pc]] = rest
-                elif not rest:
-                    killed.add(cols[pc])
-        for p in self.paths_by_length[n]:
-            if p not in killed:
-                raise AdmissibilityError(p)
-        self.basis = [p for ps in self.paths_by_length[:n] for p in ps
-                      if p not in self._reduction]
+    def _normal_form(self, w):
+        """Normal form of the path with arrows w, of length 1 to N - 1, as
+        {basis path: coefficient}, memoized."""
+        nf = self._normal_forms.get(w)
+        if nf is None:
+            path = self._basis_path
+            if self.field.characteristic:
+                elements = self.field.elements
+                nf = {path[x]: elements[c] for x, c in self._nf_word(w).items()}
+            else:
+                nf = {path[x]: c for x, c in self._nf_word(w).items()}
+            self._normal_forms[w] = nf
+        return nf
 
     # -- reduction and arithmetic -----------------------------------------
 
@@ -348,10 +445,9 @@ class NormalFormEngine:
         """Normal form of a single path, as {basis path: coeff}."""
         if path.length >= self.truncation:
             return {}
-        red = self._reduction.get(path)
-        if red is None:
+        if not path.arrows:
             return {path: self.field.one}
-        return dict(red)
+        return dict(self._normal_form(path.arrows))
 
     def nf_terms(self, terms):
         out = {}
@@ -487,6 +583,11 @@ class ProjectiveTemplate:
                 self.tree.append((node[rest], arrows[0], weight[rest], slot.get(arrows)))
             else:
                 self.tree.append((None, None, None, slot[()]))
+
+
+def _divides(t, w):
+    """True when the arrows t occur consecutively in the arrows w."""
+    return any(w[i:i + len(t)] == t for i in range(len(w) - len(t) + 1))
 
 
 def build_engine(pres):

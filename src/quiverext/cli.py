@@ -263,7 +263,7 @@ def main(argv=None):
             sys.stderr.write("hypotheses unmet: %s\n" % reasons)
         _emit(report, args)
     except (AlgebraFileError, PresentationError, AdmissibilityError,
-            FileNotFoundError, ValueError, ArithmeticError) as exc:
+            OSError, ValueError, ArithmeticError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     return status

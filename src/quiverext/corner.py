@@ -17,7 +17,7 @@ from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_
 from .linalg import Matrix, Subspace
 from .modules import (ModuleMap, Representation, projective_cover,
                       radical_subspaces, simple_module)
-from .quiver import Quiver, compose, interior_vertices, wsub
+from .quiver import Quiver, compose, wsub
 from .resolution import MinimalResolution, belongs_to, projective_dimension
 
 
@@ -83,14 +83,18 @@ class CornerPresentation:
         linearly independent modulo the square of the corner radical."""
         eng = self.engine
         f = set(self.pair.f_vertices)
-        e = set(self.pair.e_vertices)
+        # walk from each f-vertex through e-vertices, stopping at an
+        # f-vertex; a path with zero normal form has only zero extensions
         candidates = []
-        for length in range(1, eng.truncation):
-            for p in eng.paths_by_length[length]:
-                if p.source in f and p.target in f \
-                        and all(v in e for v in interior_vertices(p, eng.quiver)):
-                    if eng.nf_path(p):
-                        candidates.append(p)
+        level = [eng.pres.vertex_path(v) for v in self.pair.f_vertices]
+        while level:
+            nxt = []
+            for p in level:
+                for a in eng.quiver.arrows_from[p.target]:
+                    q = compose(eng.pres.arrow_path(a.name), p)
+                    if eng.nf_path(q):
+                        (candidates if a.target in f else nxt).append(q)
+            level = nxt
         candidates.sort(key=lambda p: (p.length, p.arrows))
         # span of (corner radical)^2 in corner coordinates
         square = Subspace(eng.field, self.dim)

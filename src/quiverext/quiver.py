@@ -115,11 +115,3 @@ def compose(p, q):
         return p
     return Path(p.arrows + q.arrows, q.source, p.target, wadd(p.weight, q.weight))
 
-
-def interior_vertices(path, quiver):
-    """Vertices strictly inside the walk of a path (length >= 2 to be nonempty)."""
-    inner = []
-    arrows = list(reversed(path.arrows))  # traversal order
-    for name in arrows[:-1]:
-        inner.append(quiver.arrow_by_name[name].target)
-    return inner

@@ -12,9 +12,10 @@ pull-back, but lifts each right factor afresh for its product, without the
 basis lifts an Ext table stores.
 
 The padding reference is the all-pairs loop the engine once ran: it reads
-the engine's enumerated paths and uniform relations and composes with
-`quiver.compose`, but pairs every path with every other and drops the
-products too long to survive.
+the engine's uniform relations, takes its paths from `enumerate_paths` and
+composes with `quiver.compose`, but pairs every path with every other and
+drops the products too long to survive.  The normal-form and witness
+references eliminate those padded rows, over Q or F_p, as one matrix.
 
 The projective references build a sum of shifted projectives slot by slot,
 one `multiply_paths` per slot and arrow, and evaluate a map out of it by
@@ -29,6 +30,7 @@ where the next step reads them and solves against a stored factor."""
 from fractions import Fraction
 
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
+from quiverext.fields import QQ
 from quiverext.linalg import Matrix
 from quiverext.quiver import compose, wadd
 
@@ -124,16 +126,13 @@ def rank_fraction(rows, ncols):
     return len(rref_rows(rows, ncols)[1])
 
 
-def naive_normal_forms(text):
-    """Normal forms of KQ/(I + J^N) from one big matrix over Q.  Every padded
-    relation product, its terms of length >= N dropped, is a row over all
-    paths of length < N, with columns in (length, arrows) order; the local
-    elimination puts the matrix in RREF.  Returns (reductions, basis): each
-    short path's normal form as {path: coeff}, a pivot reducing to minus the
-    rest of its row, and the non-pivot paths in enumeration order.  A path is
-    (arrows in composition order, source, target)."""
-    vertices, arrows, rels, trunc = parse_lines(text)
-    paths, names = enumerate_paths(vertices, arrows, trunc - 1)
+def _padded_rref(text, field, top):
+    """One big matrix over the paths of length <= top, in (length, arrows)
+    order: every padded relation product, its terms longer than top
+    dropped, is a row, and the local elimination puts the matrix in RREF.
+    Returns (paths by length, columns, reduced rows, pivots)."""
+    vertices, arrows, rels, _ = parse_lines(text)
+    paths, names = enumerate_paths(vertices, arrows, top)
     all_paths = [p for ps in paths.values() for p in ps]
     cols = sorted(all_paths, key=lambda p: (len(p[0]), p[0], p[1]))
     index = {p: i for i, p in enumerate(cols)}
@@ -143,7 +142,7 @@ def naive_normal_forms(text):
         for coeff, word in terms:
             p = path_of_word(word, names)
             assert p is not None, "relation word does not compose"
-            uniform.setdefault((p[1], p[2]), []).append((coeff, p))
+            uniform.setdefault((p[1], p[2]), []).append((field.of(coeff), p))
         for piece in uniform.values():
             r_src = piece[0][1][1]
             r_tgt = piece[0][1][2]
@@ -153,13 +152,13 @@ def naive_normal_forms(text):
                     continue
                 for right in all_paths:
                     if right[2] != r_src or \
-                            len(left[0]) + shortest + len(right[0]) >= trunc:
+                            len(left[0]) + shortest + len(right[0]) > top:
                         continue
-                    row = [0] * len(cols)
+                    row = [field.zero] * len(cols)
                     nonzero = False
                     for coeff, (word, _, _) in piece:
                         seq = left[0] + word + right[0]
-                        if len(seq) >= trunc:
+                        if len(seq) > top:
                             continue
                         full = (seq, right[1], left[2])
                         row[index[full]] += coeff
@@ -167,7 +166,20 @@ def naive_normal_forms(text):
                     if nonzero and any(row):
                         rows.append(row)
     red, pivots = rref_rows(rows, len(cols))
-    reductions = {p: {p: Fraction(1)} for p in all_paths}
+    return paths, cols, red, pivots
+
+
+def naive_normal_forms(text, field=QQ):
+    """Normal forms of KQ/(I + J^N) over the field from one big matrix over
+    the paths of length < N (see `_padded_rref`).  Returns (reductions,
+    basis): each short path's normal form as {path: coeff}, a pivot
+    reducing to minus the rest of its row, and the non-pivot paths in
+    enumeration order.  A path is (arrows in composition order, source,
+    target)."""
+    trunc = parse_lines(text)[3]
+    paths, cols, red, pivots = _padded_rref(text, field, trunc - 1)
+    all_paths = [p for ps in paths.values() for p in ps]
+    reductions = {p: {p: field.one} for p in all_paths}
     for row, pc in zip(red, pivots):
         reductions[cols[pc]] = {cols[j]: -row[j] for j in range(pc + 1, len(cols))
                                 if row[j] != 0}
@@ -175,12 +187,41 @@ def naive_normal_forms(text):
     return reductions, [p for p in all_paths if p not in pivot_paths]
 
 
+def naive_witness(text, field=QQ):
+    """The first length-N path in enumeration order whose unit vector lies
+    outside the row span of the padded rows modulo J^(N+1), that is, which
+    is not a pivot whose reduced row has no other entry; None when every
+    length-N path lies in I + J^(N+1)."""
+    trunc = parse_lines(text)[3]
+    paths, cols, red, pivots = _padded_rref(text, field, trunc)
+    killed = {cols[pc] for row, pc in zip(red, pivots)
+              if not any(row[j] != 0 for j in range(pc + 1, len(cols)))}
+    return next((p for p in paths[trunc] if p not in killed), None)
+
+
+def engine_paths(engine, max_len):
+    """The paths of the engine's quiver of length 0..max_len, grouped by
+    length, from `enumerate_paths`: each path of one length is extended by
+    every arrow in quiver order."""
+    quiver = engine.quiver
+    paths, _ = enumerate_paths(quiver.vertices,
+                               [(a.name, a.source, a.target) for a in quiver.arrows],
+                               max_len)
+    return [[engine.pres.path_from_arrows(seq) if seq else engine.pres.vertex_path(src)
+             for seq, src, _ in paths[length]] for length in range(max_len + 1)]
+
+
+def interior_vertices(path, quiver):
+    """Vertices strictly inside the walk of a path (length >= 2 to be nonempty)."""
+    return [quiver.arrow_by_name[name].target for name in reversed(path.arrows[1:])]
+
+
 def naive_padded_rows(engine):
     """The engine's padded relation rows by (source, target, weight), from
     every pair of paths q, p around each uniform relation r: the product
     p*r*q with its terms longer than N dropped, when any term survives."""
     n = engine.truncation
-    all_paths = [p for ps in engine.paths_by_length for p in ps]
+    all_paths = [p for ps in engine_paths(engine, n) for p in ps]
     by_target = {}
     by_source = {}
     for p in all_paths:
@@ -188,11 +229,12 @@ def naive_padded_rows(engine):
         by_source.setdefault(p.source, []).append(p)
     blocks = {}
     for rel in engine.pres.uniform_relations:
+        shortest = min(t.length for _, t in rel.terms)
         for q in by_target.get(rel.source, []):
-            if q.length + rel.min_length > n:
+            if q.length + shortest > n:
                 continue
             for p in by_source.get(rel.target, []):
-                if p.length + q.length + rel.min_length > n:
+                if p.length + q.length + shortest > n:
                     continue
                 row = {}
                 for c, t in rel.terms:

@@ -24,6 +24,7 @@ from quiverext.quiver import compose, wadd
 from quiverext.resolution import MinimalResolution
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
+from naive import engine_paths
 from oracle import ext_oracle
 
 ALL = ["e24", "e41", "a2", "pos", "nak", "tri"]
@@ -160,7 +161,7 @@ def test_criterion_5_structural_invariants():
 
 
 def _check_normal_form_laws(eng, rng):
-    paths = [p for ps in eng.paths_by_length[:eng.truncation] for p in ps]
+    paths = [p for ps in engine_paths(eng, eng.truncation - 1) for p in ps]
 
     def raw():
         terms = {}

@@ -7,12 +7,12 @@ from quiverext import (AdmissibilityError, AlgebraFileError, build_engine,
                        parse_algebra)
 from quiverext.algfile import format_algebra
 from quiverext.fields import QQ, PrimeField
-from quiverext.linalg import Matrix
 
 from conftest import (E24_TRIVIAL, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, MIXED,
                       MIXED_SIGN, NAK4, POLY_CORNER, RATIONAL, engine_for, engine_from,
                       fixture_text)
-from naive import naive_normal_forms, naive_padded_rows, naive_path_count_from
+from naive import (engine_paths, naive_normal_forms, naive_padded_rows,
+                   naive_path_count_from, rref_rows)
 
 
 def test_parse_e24():
@@ -59,9 +59,25 @@ def test_engine_dimensions_against_naive_oracle():
         assert engine_for(name).dim == expected == naive_dim
 
 
+# the tip ab of the second relation divides the tip aab of the first, which
+# goes back to be reduced to baa - bbb
+REQUEUED = """
+field Q
+group trivial
+vertices v
+arrow a v v
+arrow b v v
+truncate 5
+rel a*a*b + -1*b*b*b
+rel a*b + -1*b*a
+rel a*a*a
+rel b*b*b*b
+"""
+
 NORMAL_FORM_CASES = {
     "MIXED": MIXED, "MIXED_SIGN": MIXED_SIGN, "POLY_CORNER": POLY_CORNER, "NAK4": NAK4,
     "EXTERIOR2_Z": EXTERIOR2_Z, "RATIONAL_2_3": RATIONAL % "2/3", "EXTERIOR4": EXTERIOR4,
+    "REQUEUED": REQUEUED,
 }
 
 
@@ -75,7 +91,7 @@ def test_normal_forms_against_naive_oracle(name):
         return (p.arrows, p.source, p.target)
 
     assert [key(p) for p in eng.basis] == basis
-    short = [p for ps in eng.paths_by_length[:eng.truncation] for p in ps]
+    short = [p for ps in engine_paths(eng, eng.truncation - 1) for p in ps]
     assert len(short) == len(reductions)
     for p in short:
         assert {key(q): c for q, c in eng.nf_path(p).items()} == reductions[key(p)]
@@ -88,30 +104,24 @@ PADDING_CASES = [(name, field) for name in FIXTURE_NAMES + list(NORMAL_FORM_CASE
 
 @pytest.mark.parametrize("name, field", PADDING_CASES)
 def test_padded_rows_against_all_pairs_reference(name, field):
+    # every Groebner basis element tip + tail lies in I + J^(N+1): adding it
+    # to the all-pairs padded rows of its (source, target, weight) block
+    # leaves the rank alone
     text = NORMAL_FORM_CASES.get(name) or fixture_text(name)
     pres = parse_algebra(text).with_field(QQ if field == "Q" else PrimeField(3))
     eng = build_engine(pres)
-    assert eng._padded_rows() == naive_padded_rows(eng)
-
-
-def test_one_elimination_per_block(monkeypatch):
-    blocks = []
-    rref = Matrix.rref
-
-    def counting_rref(self):
-        blocks.append(self.shape)
-        return rref(self)
-
-    for text in [fixture_text(name) for name in FIXTURE_NAMES] + [MIXED, EXTERIOR4]:
-        pres = parse_algebra(text)
-        with monkeypatch.context() as m:
-            m.setattr(Matrix, "rref", counting_rref)
-            eng = build_engine(pres)
-        padded = eng._padded_rows()
-        assert len(blocks) == len(padded)
-        assert sorted(blocks) == sorted((len(rows), len({p for row in rows for p in row}))
-                                        for rows in padded.values())
-        blocks.clear()
+    blocks = naive_padded_rows(eng)
+    for tip, tail in eng._tails.items():
+        element = {pres.path_from_arrows(w): pres.field.of(c)
+                   for w, c in {tip: 1, **tail}.items()}
+        any_path = next(iter(element))
+        rows = blocks[(any_path.source, any_path.target, any_path.weight)]
+        cols = sorted({p for row in rows for p in row} | set(element),
+                      key=lambda p: (p.length, p.arrows))
+        dense = [[row.get(p, pres.field.zero) for p in cols] for row in rows]
+        rank = len(rref_rows(dense, len(cols))[1])
+        extended = dense + [[element.get(p, pres.field.zero) for p in cols]]
+        assert len(rref_rows(extended, len(cols))[1]) == rank, (tip, tail)
 
 
 def test_e24_basis_names():
@@ -198,8 +208,11 @@ E41_TRUNCATE3 = fixture_text("e41").replace("truncate 4", "truncate 3")
 @pytest.mark.parametrize("text, witness", [
     (E41_TRUNCATE3, "cba"),
     (ALTERNATING_LOOPS, "yxyx"),
+    (ALTERNATING_LOOPS.replace("truncate 4", "truncate 12"), "yx" * 6),
+    (ALTERNATING_LOOPS.replace("truncate 4", "truncate 14"), "yx" * 7),
     (COMMUTING_SQUARES, "xy"),
-], ids=["e41_truncate3", "alternating_loops", "commuting_squares"])
+], ids=["e41_truncate3", "alternating_loops", "alternating_loops_truncate12",
+        "alternating_loops_truncate14", "commuting_squares"])
 def test_admissibility_failure_reports_witness(text, witness):
     pres = parse_algebra(text)
     with pytest.raises(AdmissibilityError) as err:
@@ -209,6 +222,30 @@ def test_admissibility_failure_reports_witness(text, witness):
     assert str(err.value) == (
         "ideal is not admissible at the stated truncation: path %s of length %d "
         "does not reduce to 0" % (witness, pres.truncation))
+
+
+def exterior_text(names, group, field, truncation):
+    """The exterior algebra on square-zero anticommuting loops, each of
+    weight 1 when the group is Z."""
+    weight = " 1" if group == "Z 1" else ""
+    lines = ["field %s" % field, "group %s" % group, "vertices v"]
+    lines += ["arrow %s v v%s" % (x, weight) for x in names]
+    lines += ["truncate %d" % truncation]
+    lines += ["rel %s*%s" % (x, x) for x in names]
+    lines += ["rel %s*%s + %s*%s" % (x, y, y, x)
+              for i, x in enumerate(names) for y in names[i + 1:]]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("group", ["Z 1", "trivial"])
+@pytest.mark.parametrize("field", ["Q", "F 3"])
+def test_exterior5_engines(group, field):
+    # 2^5 basis paths, one per subset of the generators, on both sides
+    eng = build_engine(parse_algebra(exterior_text("xyzuw", group, field, 6)))
+    for e in (eng, eng.opposite_engine):
+        assert e.dim == 32
+        assert all(len(set(p.arrows)) == p.length for p in e.basis)
+        assert len({frozenset(p.arrows) for p in e.basis}) == 32
 
 
 def test_mixed_sign_weights_supported():
@@ -301,9 +338,9 @@ def test_dimension_identity_per_block():
     # dim equals path count minus assembled relation rank, fixture by fixture
     for name in ["e24", "e41", "pos", "nak", "tri"]:
         eng = engine_for(name)
-        n_paths = sum(len(ps) for ps in eng.paths_by_length[:eng.truncation])
-        n_reduced = sum(1 for ps in eng.paths_by_length[:eng.truncation]
-                        for p in ps if p not in eng.basis_index)
+        short = engine_paths(eng, eng.truncation - 1)
+        n_paths = sum(len(ps) for ps in short)
+        n_reduced = sum(1 for ps in short for p in ps if p not in eng.basis_index)
         assert eng.dim == n_paths - n_reduced
 
 

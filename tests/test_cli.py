@@ -59,6 +59,20 @@ def test_missing_file_is_input_error(capsys):
     assert "error" in err
 
 
+def test_directory_input_is_input_error(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "analyze", str(fixtures_dir))
+    assert code == 1
+    assert out == ""
+    assert err == "error: [Errno 21] Is a directory: %r\n" % str(fixtures_dir)
+
+
+def test_directory_out_is_input_error(capsys, fixtures_dir, tmp_path):
+    code, out, err = run_cli(capsys, "analyze", fix(fixtures_dir, "a2"), "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: [Errno 21] Is a directory: %r\n" % str(tmp_path)
+
+
 def test_bad_file_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("vertices v\ntruncate 1\n")

@@ -11,10 +11,10 @@ from quiverext import (IdempotentPair, apply_F, build_engine, corner_algebra,
 from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
 from quiverext.modules import direct_sum
-from quiverext.quiver import interior_vertices
 from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import engine_for, engine_from, random_homogeneous_vectors
+from naive import engine_paths, interior_vertices
 
 
 def corner_for(name):
@@ -56,8 +56,8 @@ def test_arrow_count_equals_nonzero_minimal_f_paths():
         f = set(c.pair.f_vertices)
         e = set(c.pair.e_vertices)
         count = 0
-        for length in range(1, eng.truncation):
-            for p in eng.paths_by_length[length]:
+        for ps in engine_paths(eng, eng.truncation - 1)[1:]:
+            for p in ps:
                 if p.source in f and p.target in f and \
                         all(v in e for v in interior_vertices(p, eng.quiver)) and \
                         eng.nf_path(p):
