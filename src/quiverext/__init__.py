@@ -16,11 +16,10 @@ from .ext import (ExtClass, ExtTable, ext_table, generation_window_check,
                   gk_estimate, gk_estimate_from_dims, lift_cocycle,
                   yoneda_product)
 from .fields import QQ, PrimeField, RationalField, field_from_name
-from .modules import (ModuleMap, Projective, Representation, direct_sum,
-                      dual_to_opposite, hom_space, module_iso_test,
-                      projective_cover, projective_module, quotient_rep,
-                      semisimple_top, shift_rep, simple_module,
-                      subrep_generated, zero_module)
+from .modules import (ModuleMap, Projective, Representation, dual_to_opposite,
+                      hom_space, module_iso_test, projective_cover,
+                      projective_module, semisimple_top, shift_rep,
+                      simple_module, subrep_generated, zero_module)
 from .quiver import Arrow, Path, Quiver, compose, vertex_path
 from .resolution import (DimVerdict, MinimalResolution, belongs_to,
                          combine_verdicts, global_dimension, injective_dimension,

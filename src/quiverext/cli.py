@@ -12,8 +12,9 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AdmissibilityError, PresentationError, build_engine
 from .algfile import AlgebraFileError, format_algebra, parse_algebra_file
@@ -22,9 +23,7 @@ from .corner import (IdempotentPair, corner_algebra, gexact_condition,
                      is_H_exact, pair_from_presentation)
 from .ext import ExtTable, yoneda_product
 from .fields import field_from_name, scalar_to_json
-from .modules import simple_module
-from .resolution import (MinimalResolution, combine_verdicts, global_dimension,
-                         simple_resolutions)
+from .resolution import combine_verdicts, global_dimension, simple_resolutions
 
 
 @functools.cache
@@ -111,12 +110,12 @@ def cmd_analyze(engine, args):
 
 def cmd_resolve(engine, args):
     vertices = [args.simple] if args.simple else list(engine.quiver.vertices)
+    store = simple_resolutions(engine, seed=args.seed)
     report = {}
     for v in vertices:
-        if v not in engine.quiver.vertices:
+        if v not in store:
             raise AlgebraFileError("unknown vertex %r" % v)
-        res = MinimalResolution(engine, simple_module(engine, v), seed=args.seed)
-        res.extend_to(args.bound)
+        res = store[v].extend_to(args.bound)
         res.verify()
         report["S_" + v] = res.to_json()
         report["S_" + v]["pd"] = res.pd_verdict(args.bound).to_json()
@@ -221,9 +220,44 @@ def _render_csv(report):
     return buf.getvalue()
 
 
+def _json_scalar(o):
+    """A scalar or dict key as `json.dumps` writes it (keys then quoted)."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+def _json(o, pad="\n"):
+    """The text of json.dumps(o, indent=2, sort_keys=True), written by one
+    recursion instead of the encoder's pure-Python generators (the C
+    encoder does not indent); `pad` is the newline and current indent."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + ",".join(
+            inner + encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
+            + ": " + _json(v, inner) for k, v in sorted(o.items())) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        return "[" + ",".join(inner + _json(v, inner) for v in o) + pad + "]" if o else "[]"
+    return _json_scalar(o)
+
+
 def _emit(report, args):
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _json(report) + "\n"
     elif args.format == "csv":
         text = _render_csv(report)
     else:

@@ -118,8 +118,6 @@ class TransportCorrespondence:
         corner = self.corner
         res_lam = self.lam_table.resolutions[u]
         res_cor = self.cor_table.resolutions[u]
-        res_lam.extend_to(depth)
-        res_cor.extend_to(depth)
         # the restricted complex F(P^k), with F of the augmentation as map 0
         f_terms = [apply_F(corner, res_lam.module)] + \
             [apply_F(corner, res_lam.term(k).rep) for k in range(depth + 1)]

@@ -427,7 +427,6 @@ def transport_resolution(corner, res, cutoff, upto):
     radical (so it is again minimal).  Returns the transported terms and
     differentials for steps cutoff+1 .. upto.
     """
-    res.extend_to(upto)
     fset = set(corner.pair.f_vertices)
     terms = {}
     for n in range(cutoff + 1, upto + 1):

@@ -4,7 +4,12 @@ finite-generation window checks, and a heuristic GK-dimension estimator.
 Ext^n(S_u, S_v[g]) is read off a minimal resolution of S_u as the
 multiplicity of the summand (v, g) in P^n: maps to a simple kill the
 radical, and minimality makes every such map a cocycle and no nonzero one
-a coboundary.  Chain maps between resolutions are lifted generator by
+a coboundary.  A table resolves each simple only as far as its pd verdict
+at the bound: to a zero syzygy, to a periodicity certificate, or to the
+bound when neither comes first.  Past a certificate it reads the summands
+off the period (`MinimalResolution.summands`, based at step max(n0, 1),
+whose order a shift keeps), and the terms that lifts and products read are
+resolved on demand.  Chain maps between resolutions are lifted generator by
 generator with one primitive, `lift_chain_map`.  A lift step reads the
 previous map only at the slots where a generator's column of the source
 differential is nonzero, and solves against blocks of the target
@@ -66,16 +71,14 @@ class ExtTable:
         self.engine = engine
         self.bound = bound
         self.resolutions = resolutions or simple_resolutions(engine, seed=seed)
-        for res in self.resolutions.values():
-            res.extend_to(bound)
+        self.undetermined = {u for u, res in self.resolutions.items()
+                             if res.pd_verdict(bound).is_undetermined}
         self.entries = {}
         for u, res in self.resolutions.items():
             for n in range(bound + 1):
                 for (v, g) in res.summands(n):
                     key = (n, u, v, g)
                     self.entries[key] = self.entries.get(key, 0) + 1
-        self.undetermined = {u for u, res in self.resolutions.items()
-                             if res.pd_verdict(bound).is_undetermined}
         self.lifts = {}     # (source, degree, summand index) -> [phi_0, ...]
 
     def entry(self, n, u, v, g):
@@ -110,7 +113,7 @@ class ExtTable:
         key = (source, degree, idx)
         lifts = self.lifts.get(key, [])
         if len(lifts) <= depth:
-            v, g = self.resolutions[source].term(degree).summands[idx]
+            v, g = self.resolutions[source].summands(degree)[idx]
             y = ExtClass(degree, source, v, g, {idx: self.engine.field.one})
             lifts = self.lifts[key] = lift_cocycle(self, y, depth, lifts)
         return lifts
@@ -205,8 +208,6 @@ def lift_cocycle(table, y, depth, done=()):
     field = table.engine.field
     res_a = table.resolutions[y.source]
     res_b = table.resolutions[y.target_vertex]
-    res_a.extend_to(y.degree + depth)
-    res_b.extend_to(depth)
     # y as values in S_b, whose single slot is slice (b, 0); only the
     # summands (b, g) map there
     rhs0 = []

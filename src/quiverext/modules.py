@@ -755,44 +755,6 @@ def subrep_generated(parent, vectors):
     return _subrep_from_homogeneous(parent, collected)
 
 
-def quotient_rep(parent, incl):
-    """Quotient of parent by the image of a degree-preserving inclusion, with
-    the projection."""
-    engine = parent.engine
-    field = engine.field
-    weights = engine.pres.weights
-    arrows = engine.quiver.arrow_by_name
-    dims = {}
-    keep = {}
-    proj_blocks = {}
-    for key, n in parent.dims.items():
-        span = Subspace(field, n)
-        b = incl.blocks.get(key)
-        if b is not None:
-            for j in range(b.ncols):
-                span.add(b.col(j))
-        pivots = set(span.pivot_of_row)
-        kept = keep[key] = [i for i in range(n) if i not in pivots]
-        if kept:
-            dims[key] = len(kept)
-            # reduce each unit vector modulo the subspace, then read off the
-            # kept coordinates
-            cols = []
-            for j in range(n):
-                res = span.reduce(_unit(field, n, j))
-                cols.append([res[i] for i in kept])
-            proj_blocks[key] = Matrix.from_columns(field, cols, len(kept))
-    action = {}
-    for (name, g), m in parent.action.items():
-        kept = keep[(arrows[name].source, g)]
-        proj = proj_blocks.get((arrows[name].target, wadd(g, weights[name])))
-        if kept and proj is not None:
-            action[(name, g)] = Matrix.from_columns(
-                field, [proj.apply(m.col(j)) for j in kept], proj.nrows)
-    quot = Representation(engine, dims, action, check=False)
-    return quot, ModuleMap(parent, quot, proj_blocks, check=False)
-
-
 def projective_cover(engine, rep):
     """Graded projective cover of a representation.
 
@@ -821,35 +783,6 @@ def projective_cover(engine, rep):
     cover = Cover(proj, epi, kernel, incl)
     bucket.append((start, weakref.ref(cover)))
     return cover
-
-
-def direct_sum(reps):
-    """Direct sum of representations (block diagonal actions): slice (v, g)
-    holds the slices (v, g) of the summands one after another."""
-    if not reps:
-        raise ValueError("empty direct sum")
-    engine = reps[0].engine
-    field = engine.field
-    weights = engine.pres.weights
-    arrows = engine.quiver.arrow_by_name
-    dims = {}
-    offsets = []
-    for r in reps:
-        offsets.append({key: dims.get(key, 0) for key in r.dims})
-        for key, n in r.dims.items():
-            dims[key] = dims.get(key, 0) + n
-    action = {}
-    for r, offset in zip(reps, offsets):
-        for (name, g), b in r.action.items():
-            skey = (arrows[name].source, g)
-            tkey = (arrows[name].target, wadd(g, weights[name]))
-            if (name, g) not in action:
-                action[(name, g)] = Matrix.zeros(field, dims[tkey], dims[skey])
-            m = action[(name, g)]
-            ro, co = offset[tkey], offset[skey]
-            for i, row in enumerate(b.rows):
-                m.rows[ro + i][co:co + b.ncols] = row
-    return Representation(engine, dims, action, check=False)
 
 
 def dual_to_opposite(engine, rep):

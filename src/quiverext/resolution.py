@@ -9,6 +9,16 @@ A verdict extends the resolution only to the first zero syzygy or in-bound
 certificate, and ignores certificates past its bound, so it never depends on
 earlier extension.  One call shares one store of simple resolutions per
 engine (`simple_resolutions`) among its readers, and drops it on return.
+
+A resolution is a lazily extended sequence: `term`, `syzygy`,
+`differential` and `generator_terms` compute the covers they read on
+demand.  Past a certificate the terms repeat up to shift, P^{b+kt} =
+P^b[kh], so `summands(n)` for a step not yet covered reads the summands
+off the period instead of resolving to n.  The base b is taken from step
+max(n0, 1) on: the cover of a syzygy lists its summands by vertex, then by
+degree (a kernel's slices are sorted), an order that a shift keeps, while
+P^0 lists them in the order of the resolved module's slices, which need
+not be sorted.
 """
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
@@ -130,13 +140,30 @@ class MinimalResolution:
     def syzygy(self, n):
         if n == 0:
             return self.module
-        return self.covers[n - 1].kernel
+        return self._cover(n - 1).kernel
+
+    def _cover(self, n):
+        if n >= len(self.covers):
+            self.extend_to(n)
+        return self.covers[n]
 
     def term(self, n):
-        return self.covers[n].projective
+        try:                # no length check on the hot path: lifts read terms often
+            return self.covers[n].projective
+        except IndexError:
+            return self._cover(n).projective
 
     def summands(self, n):
-        return list(self.covers[n].projective.summands)
+        """The (vertex, degree) summands of P^n, in order; read off the
+        period when step n is past a certificate and not yet covered."""
+        c = self.certificate
+        if n >= len(self.covers) and c is not None:
+            base = max(c.n0, 1)
+            k, r = divmod(n - base, c.period)
+            if k > 0:
+                return [(v, tuple(a + k * b for a, b in zip(g, c.shift)))
+                        for v, g in self.summands(base + r)]
+        return list(self.term(n).summands)
 
     def extend_to(self, bound):
         """Compute covers through step `bound` (syzygies through bound + 1).
@@ -180,9 +207,9 @@ class MinimalResolution:
         if n in self._differentials:
             return self._differentials[n]
         if n == 0:
-            d = self.covers[0].epi
+            d = self._cover(0).epi
         else:
-            d = self.covers[n - 1].kernel_inclusion.compose(self.covers[n].epi)
+            d = self._cover(n - 1).kernel_inclusion.compose(self._cover(n).epi)
         self._differentials[n] = d
         return d
 

@@ -200,6 +200,17 @@ rel a2*a1*a4
 """
 
 
+def cyclic_nakayama(n, loewy):
+    """The cyclic Nakayama algebra with n vertices and J^loewy = 0, arrows of
+    weight 1."""
+    lines = ["field Q", "group Z 1", "vertices " + " ".join(str(i) for i in range(n))]
+    lines += ["arrow a%d %d %d 1" % (i, i, (i + 1) % n) for i in range(n)]
+    lines.append("truncate %d" % (loewy + 1))
+    lines += ["rel " + "*".join("a%d" % ((i + j) % n) for j in reversed(range(loewy)))
+              for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
 def random_homogeneous_vectors(rep, rng, count):
     """Random homogeneous vectors (v, g, coordinates) of rep, for property tests."""
     slices = list(rep.dims.items())

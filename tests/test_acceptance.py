@@ -13,18 +13,17 @@ from quiverext import (DimVerdict, IdempotentPair, apply_F,
                        f_lambda_e_module, gexact_condition, gk_estimate,
                        global_dimension, generation_window_check,
                        injective_dimension, module_iso_test, parse_algebra,
-                       projective_dimension, projective_module, quotient_rep,
+                       projective_dimension, projective_module,
                        restricted_ext_table, simple_module, shift_rep,
                        subrep_generated, verify_comparison, yoneda_product)
 from quiverext.cli import main as cli_main
 from quiverext.comparison import compute_abc
 from quiverext.corner import apply_F_map
-from quiverext.modules import direct_sum
 from quiverext.quiver import compose, wadd
 from quiverext.resolution import MinimalResolution
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
-from naive import engine_paths
+from naive import direct_sum, engine_paths, quotient_rep
 from oracle import ext_oracle
 
 ALL = ["e24", "e41", "a2", "pos", "nak", "tri"]

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quiverext import parse_algebra
-from quiverext.cli import main
+from quiverext.cli import _json, main
 from quiverext.fields import PrimeField
 
 from conftest import EXTERIOR3_F3, FIXTURE_NAMES, RATIONAL
@@ -167,6 +169,15 @@ def test_bound12_reports_match_golden(capsys, fixtures_dir, name, command, golde
     code, out, _ = run_cli(capsys, command, fix(fixtures_dir, name), "--bound", "12")
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+# bound 40 reaches far past every certificate, where Ext tables read the
+# terms off the period instead of resolving
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_bound40_ext_tables_match_golden(capsys, fixtures_dir, name):
+    code, out, _ = run_cli(capsys, "ext-table", fix(fixtures_dir, name), "--bound", "40")
+    assert code == 0
+    assert out == (GOLDEN / (name + "_ext_b40.json")).read_text()
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -456,3 +467,25 @@ def test_python_dash_m_package_runs_the_cli(capsys, fixtures_dir):
     assert code == proc.returncode == 0
     assert proc.stdout.decode() == out
     assert json.loads(out)["dim_lambda"] == 3
+
+
+# values json.dumps writes: every key type it converts (one per dict, so the
+# keys sort), floats with NaN and the infinities, non-ASCII and control
+# characters, tuples and empty containers
+JSON_KEYS = st.sampled_from([st.text(), st.integers(), st.floats(allow_nan=False),
+                             st.booleans(), st.none()])
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, children))),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example({"degrees": {10: [], 9: {}}, "f": [math.nan, math.inf, -math.inf, -0.0, 1e-7],
+          "s": ("\u00e9\n\x7f", "\U0001f600"),
+          "k": [{None: True}, {2.5: False, -1.0: 0}, {True: 1, False: None}]})
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -5,16 +5,14 @@ import pytest
 from quiverext import (IdempotentPair, apply_F, build_engine, corner_algebra,
                        f_lambda_e_module, gexact_condition, global_dimension,
                        is_H_exact, module_iso_test, parse_algebra,
-                       pd_finite_sufficient, projective_module, quotient_rep,
-                       simple_module, shift_rep, subrep_generated,
-                       transport_resolution)
+                       pd_finite_sufficient, projective_module, simple_module,
+                       shift_rep, subrep_generated, transport_resolution)
 from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
-from quiverext.modules import direct_sum
 from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import engine_for, engine_from, random_homogeneous_vectors
-from naive import engine_paths, interior_vertices
+from naive import direct_sum, engine_paths, interior_vertices, quotient_rep
 
 
 def corner_for(name):

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from quiverext import (ModuleMap, Representation, direct_sum, dual_to_opposite,
-                       hom_space, module_iso_test, projective_cover,
-                       projective_module, quotient_rep, semisimple_top,
-                       shift_rep, simple_module, subrep_generated, zero_module)
+from quiverext import (ModuleMap, Representation, dual_to_opposite, hom_space,
+                       module_iso_test, projective_cover, projective_module,
+                       semisimple_top, shift_rep, simple_module, subrep_generated,
+                       zero_module)
 from quiverext.linalg import Matrix
 from quiverext.modules import Projective, kernel_subrep
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
-from naive import naive_projective
+from naive import direct_sum, naive_projective, quotient_rep
 
 
 def test_simple_module_dims():

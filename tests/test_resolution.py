@@ -10,7 +10,7 @@ from quiverext.ext import ExtTable
 from quiverext.resolution import MinimalResolution, combine_verdicts, simple_resolutions
 
 from conftest import (EXTERIOR2, EXTERIOR3_UNGRADED, KB2, NAK4, SEMISIMPLE2, E24_TRIVIAL,
-                      engine_for, engine_from)
+                      cyclic_nakayama, engine_for, engine_from)
 
 
 def test_a2_simple_resolution_stops():
@@ -188,17 +188,6 @@ def test_over_extended_resolution_trusts_only_in_bound_certificates():
     shared = ExtTable(eng, k - 2, resolutions=store)
     assert shared.undetermined == ExtTable(eng, k - 2).undetermined == {"1", "2", "3", "4"}
     assert ExtTable(eng, k - 1, resolutions=store).undetermined == set()
-
-
-def cyclic_nakayama(n, loewy):
-    """The cyclic Nakayama algebra with n vertices and J^loewy = 0, arrows of
-    weight 1."""
-    lines = ["field Q", "group Z 1", "vertices " + " ".join(str(i) for i in range(n))]
-    lines += ["arrow a%d %d %d 1" % (i, i, (i + 1) % n) for i in range(n)]
-    lines.append("truncate %d" % (loewy + 1))
-    lines += ["rel " + "*".join("a%d" % ((i + j) % n) for j in reversed(range(loewy)))
-              for i in range(n)]
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("loewy", [3, 4, 5])

@@ -10,14 +10,14 @@ import pytest
 from quiverext import ModuleMap, Representation, build_engine, parse_algebra_file
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
-from quiverext.modules import (Projective, _subrep_from_homogeneous, direct_sum,
-                               kernel_subrep, projective_cover, projective_module,
-                               simple_module, subrep_generated)
+from quiverext.modules import (Projective, _subrep_from_homogeneous, kernel_subrep,
+                               projective_cover, projective_module, simple_module,
+                               subrep_generated)
 from quiverext.quiver import wadd
 
 from conftest import (FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import dense_generated, dense_kernel
+from naive import dense_generated, dense_kernel, direct_sum
 
 
 def _engine(name, field):
