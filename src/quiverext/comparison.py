@@ -17,10 +17,10 @@ from .corner import apply_F, apply_F_map, corner_algebra, f_lambda_e_module
 from .ext import (ExtClass, ExtTable, generation_window_check, gk_estimate,
                   lift_chain_map, pull_back, yoneda_product)
 from .linalg import Matrix
-from .modules import dual_to_opposite, simple_module
+from .modules import simple_module
 from .quiver import wzero
-from .resolution import (belongs_to, combine_verdicts, projective_dimension,
-                         simple_resolutions)
+from .resolution import (belongs_to, combine_verdicts, injective_dimension,
+                         projective_dimension, simple_resolutions)
 
 
 class ThresholdData:
@@ -65,11 +65,8 @@ def compute_abc(engine, pair, bound, seed=0, corner=None, resolutions=None):
         corner = corner_algebra(engine, pair)
     lam_store = resolutions or simple_resolutions(engine, seed=seed)
     a = combine_verdicts(lam_store[v].pd_verdict(bound) for v in pair.e_vertices)
-    b = combine_verdicts(
-        projective_dimension(engine.opposite_engine,
-                             dual_to_opposite(engine, simple_module(engine, v)),
-                             bound, seed=seed)
-        for v in pair.e_vertices)
+    b = combine_verdicts(injective_dimension(engine, simple_module(engine, v), bound, seed=seed)
+                         for v in pair.e_vertices)
     fle, _ = f_lambda_e_module(corner)
     c = projective_dimension(corner.corner_engine, fle, bound, seed=seed)
     return ThresholdData(a, b, c)

@@ -442,9 +442,9 @@ def transport_resolution(corner, res, cutoff, upto):
     for n in range(cutoff + 2, upto):
         if not diffs[n].compose(diffs[n + 1]).is_zero():
             raise AssertionError("transported differentials do not compose to zero")
+        rank_lo = diffs[n].rank() if n == cutoff + 2 else rank_hi   # carried over
         rank_hi = diffs[n + 1].rank()
-        ker_lo = terms[n].total_dim - diffs[n].rank()
-        if rank_hi != ker_lo:
+        if rank_hi != terms[n].total_dim - rank_lo:
             raise AssertionError("transported complex is not exact at step %d" % n)
     for n in range(cutoff + 2, upto + 1):
         rad = radical_subspaces(terms[n - 1])
@@ -460,14 +460,15 @@ def transport_resolution(corner, res, cutoff, upto):
 
 def is_H_exact(corner, bound=4, seed=0):
     """The right adjoint is exact iff the e-to-f module is corner-projective,
-    i.e. its projective cover has zero kernel.  Returns (flag, witness)."""
+    i.e. its projective cover has zero kernel (`kernel_dims`).  Returns
+    (flag, witness)."""
     rep, check = f_lambda_e_module(corner)
     if rep.is_zero():
         return True, {"projective": True, "kernel_dim": 0, "cover": []}
     cov = projective_cover(corner.corner_engine, rep)
-    flag = cov.kernel.is_zero()
+    flag = not cov.kernel_dims
     witness = {"projective": flag,
-               "kernel_dim": cov.kernel.total_dim,
+               "kernel_dim": sum(cov.kernel_dims.values()),
                "cover": cov.projective.to_json(),
                "decomposition": check}
     return flag, witness

@@ -319,19 +319,19 @@ def generation_window_check(table, gen_bound, check_bound):
     first_failure = None
     for j in range(gen_bound + 1, check_bound + 1):
         layout = layout_at(j)
-        span = Subspace(field, layout["size"]) if layout["size"] else None
+        full = layout["size"]
+        span = Subspace(field, full)
         produced = []
-        for x in generators:
-            lower = span_basis.get(j - x.degree, [])
-            for y in lower:
-                if x.source != y.target_vertex:
-                    continue
-                z = yoneda_product(table, x, y)
-                if not z.is_zero():
-                    if span.add(coords(z, layout)):
-                        produced.append(z)
-        full = table.total_dim_at(j)
-        got = span.dim if span else 0
+        # once the span is all of Ext^j, no product can add to it
+        pairs = ((x, y) for x in generators for y in span_basis.get(j - x.degree, [])
+                 if x.source == y.target_vertex)
+        for x, y in pairs:
+            if span.dim == full:
+                break
+            z = yoneda_product(table, x, y)
+            if not z.is_zero() and span.add(coords(z, layout)):
+                produced.append(z)
+        got = span.dim
         details[j] = {"dim": full, "generated": got}
         span_basis[j] = produced
         if got != full and first_failure is None:

@@ -9,8 +9,9 @@ the order of cover summands.  Dense per-vertex matrices appear only at the
 boundary: `from_dense` cuts them into blocks, raising ValueError on any entry
 off its block (the grading and homogeneity check), and `dense` lays the
 slices of each vertex out one after another.  Relations and commutation are
-checked on the blocks.  Everything is immutable after construction, and
-blocks may be shared between modules.
+checked on the blocks.  Nothing changes once built, and blocks may be
+shared between modules.  The action of a projective or a shifted module and
+a cover's kernel are built on first read into a plain attribute.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -28,10 +29,10 @@ keyed by the covered module's slices taken relative to its first slice's
 degree, in order (`engine.covers`).  A module whose key and action blocks,
 at the keys moved by h = (its first degree) - (the kept module's first
 degree), equal those of a kept module is covered by that module's cover
-shifted by h (`Cover.shifted`): the projective, the epi's blocks, the
-kernel and the inclusion are re-keyed, and the epi's node images are
-shared.  Every step of a cover commutes with the shift and uses no seed, so
-this is the cover a fresh computation gives.  So a periodic syzygy
+shifted by h (`Cover.shifted`): the projective is re-keyed, the epi's node
+images are shared, and the kernel and the inclusion are re-keyed when read.
+Every step of a cover commutes with the shift and uses no seed, so this is
+the cover a fresh computation gives.  So a periodic syzygy
 (Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a shifted module met before
 such as a shifted simple, is not covered again.  A kept cover is found
 while its resolution, or any other caller, still holds it.  The reference
@@ -124,6 +125,7 @@ class Representation:
     `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
     order.  `action[(a, g)]` is the matrix of arrow a from slice
     (a.source, g) to slice (a.target, g + W(a)); it is missing when zero.
+    An action given as a function of no arguments is built on first read.
     """
 
     def __init__(self, engine, dims, action, check=True):
@@ -131,9 +133,18 @@ class Representation:
         index = engine.quiver.vertex_index
         self.dims = dict(sorted(((key, n) for key, n in dims.items() if n),
                                 key=lambda kn: index[kn[0][0]]))
-        self.action = action
+        if callable(action):
+            self._build_action = action
+        else:
+            self.action = action
         if check:
             self._verify()
+
+    def __getattr__(self, name):
+        if name == "action" and "_build_action" in self.__dict__:
+            self.action = self.__dict__.pop("_build_action")()
+            return self.action
+        raise AttributeError(name)
 
     @classmethod
     def from_dense(cls, engine, degrees, action, check=True):
@@ -390,64 +401,48 @@ class Projective:
     `generators[slice]` maps coordinates to summand indices.
 
     Everything is read off the engine's templates (`projective_template`):
-    the slots are the template slices shifted by g, and the action is block
-    diagonal in the template blocks.  Each summand places the blocks its
-    template lists for each source slice (`blocks_from`) at the offsets of
-    their source and target slices in this sum, with no weight arithmetic.
-    A block whose source and target slices each come from one summand is the
-    template's own block, shared and re-keyed by the shift, so a
-    single-summand projective copies no matrix.
+    the slots are the template slices shifted by g, in order (a shift keeps
+    a template's order, so only a sum of summands sorts), and the action,
+    built on first read, is block diagonal in the template blocks.  Each
+    summand places the blocks its template lists for each source slice
+    (`blocks_from`) at the offsets of their source and target slices in this
+    sum, with no weight arithmetic.  A block whose source and target slices
+    each come from one summand is the template's own block, shared and
+    re-keyed by the shift, so a single-summand projective copies no matrix.
     """
 
     def __init__(self, engine, summands):
         self.engine = engine
         self.summands = tuple((v, tuple(g)) for v, g in summands)
-        self._templates = [engine.projective_template(v) for v, _ in self.summands]
-        # the summands meeting each slice, with their template slices
-        parts = {}
-        for idx, (t, (_, g)) in enumerate(zip(self._templates, self.summands)):
-            for w, d in t.slices:
-                parts.setdefault((w, wadd(d, g)), []).append((idx, (w, d)))
-        index = engine.quiver.vertex_index
-        parts = {key: parts[key] for key in sorted(parts, key=lambda k: (index[k[0]], k[1]))}
-        # where[idx][template slice] = (slice, offset) of its copy in this sum
-        where = self._where = [{} for _ in self.summands]
-        self.slots = {}
-        for key, members in parts.items():
-            slots = self.slots[key] = []
-            for idx, tkey in members:
-                where[idx][tkey] = (key, len(slots))
-                slots.extend((idx, p) for p in self._templates[idx].slices[tkey])
-        # e_v comes first in its template slice (v, 0)
+        templates = self._templates = [engine.projective_template(v) for v, _ in self.summands]
+        # where[idx][template slice] = (slice, offset) of its copy in this
+        # sum; the summands meeting in a slice follow one another there
+        where = self._where = []
+        slots = self.slots = {}
         zero = wzero(engine.group_rank)
-        self.gen_pos = [at[(v, zero)] for (v, _), at in zip(self.summands, where)]
+        self.gen_pos = []
         self.generators = {}
-        for idx, (key, i) in enumerate(self.gen_pos):
+        for idx, (t, (v, g)) in enumerate(zip(templates, self.summands)):
+            at = {}
+            for (w, d), paths in t.slices.items():
+                key = (w, wadd(d, g))
+                s = slots.setdefault(key, [])
+                at[(w, d)] = (key, len(s))
+                s += [(idx, p) for p in paths]
+            where.append(at)
+            key, i = at[(v, zero)]      # e_v comes first in its template slice
+            self.gen_pos.append((key, i))
             self.generators.setdefault(key, {})[i] = idx
-        field = engine.field
-        action = {}
-        for (w, h), members in parts.items():
-            pieces = {}     # arrow -> (target slice, [(col, row offset, block)])
-            for idx, tkey in members:
-                at = where[idx]
-                c = at[tkey][1]
-                for name, target, b in self._templates[idx].blocks_from[tkey]:
-                    key, r = at[target]
-                    pieces.setdefault(name, (key, []))[1].append((c, r, b))
-            for a in engine.quiver.arrows_from[w]:
-                if a.name not in pieces:
-                    continue
-                key, placed = pieces[a.name]
-                if len(members) == 1 and len(parts[key]) == 1:
-                    action[(a.name, h)] = placed[0][2]
-                    continue
-                m = action[(a.name, h)] = Matrix.zeros(
-                    field, len(self.slots[key]), len(self.slots[(w, h)]))
-                for c, r, b in placed:
-                    for i, row in enumerate(b.rows):
-                        m.rows[r + i][c:c + b.ncols] = row
-        self.rep = Representation(engine, {key: len(s) for key, s in self.slots.items()},
-                                  action, check=False)
+        if len(templates) > 1:
+            index = engine.quiver.vertex_index
+            self.slots = {key: slots[key]
+                          for key in sorted(slots, key=lambda k: (index[k[0]], k[1]))}
+        dims = {key: len(s) for key, s in self.slots.items()}
+        # the builder holds the parts it reads, never this projective: a
+        # reference back would leave every projective in a cycle
+        self.rep = Representation(
+            engine, dims, lambda: _block_action(engine, templates, where, dims),
+            check=False)
 
     @property
     def total_dim(self):
@@ -572,12 +567,34 @@ class ProjectiveMap(ModuleMap):
     def shifted(self, proj, target, h):
         """This map moved up by h, from `proj` (the source projective
         shifted by h) into `target` (the target shifted by h).  The node
-        images do not depend on the shift, so the memo is shared; the
-        blocks are re-keyed."""
+        images do not depend on the shift, so the memo is shared; blocks
+        already built are re-keyed."""
         out = ProjectiveMap(proj, target, (), self.grade)
         out._memo = self._memo
-        out._blocks = {(v, wadd(g, h)): b for (v, g), b in self.blocks.items()}
+        if self._blocks is not None:
+            out._blocks = {(v, wadd(g, h)): b for (v, g), b in self._blocks.items()}
         return out
+
+
+def _block_action(engine, templates, where, dims):
+    """The action of a sum of projectives: each summand's template blocks at
+    the offsets of their slices, the block itself where the summand fills
+    both slices alone.  Keys go slice by slice, arrows in quiver order."""
+    action = {}
+    for t, at in zip(templates, where):
+        for tkey, blocks in t.blocks_from.items():
+            (w, h), c = at[tkey]
+            for name, target, b in blocks:
+                key, r = at[target]
+                if dims[(w, h)] == len(t.slices[tkey]) and dims[key] == len(t.slices[target]):
+                    action[(name, h)] = b
+                    continue
+                if (name, h) not in action:
+                    action[(name, h)] = Matrix.zeros(engine.field, dims[key], dims[(w, h)])
+                for i, row in enumerate(b.rows):
+                    action[(name, h)].rows[r + i][c:c + b.ncols] = row
+    return {(a.name, h): action[(a.name, h)] for w, h in dims
+            for a in engine.quiver.arrows_from[w] if (a.name, h) in action}
 
 
 def projective_module(engine, vertex, shift=None):
@@ -589,10 +606,13 @@ def projective_module(engine, vertex, shift=None):
 
 
 def shift_rep(rep, h):
-    """Shift all degrees up by h; matrices are untouched."""
+    """Shift all degrees up by h; matrices are untouched, and the action is
+    re-keyed on first read."""
     dims = {(v, wadd(g, h)): n for (v, g), n in rep.dims.items()}
-    action = {(name, wadd(g, h)): m for (name, g), m in rep.action.items()}
-    return Representation(rep.engine, dims, action, check=False)
+    return Representation(
+        rep.engine, dims,
+        lambda: {(name, wadd(g, h)): m for (name, g), m in rep.action.items()},
+        check=False)
 
 
 def radical_subspaces(rep):
@@ -648,25 +668,41 @@ def top_lifts(rep):
 
 
 class Cover:
-    """A projective cover: epi P -> M with kernel K inside rad(P)."""
+    """A projective cover: epi P -> M with kernel K inside rad(P).  `kernel`
+    and `kernel_inclusion` are filled on first read (for a shifted cover, the
+    base cover's, re-keyed); `kernel_dims` is dim P - dim M slice by slice."""
 
-    __slots__ = ("projective", "epi", "kernel", "kernel_inclusion", "__weakref__")
+    __slots__ = ("projective", "epi", "kernel", "kernel_inclusion", "kernel_dims",
+                 "_base", "__weakref__")
 
-    def __init__(self, projective, epi, kernel, kernel_inclusion):
+    def __init__(self, projective, epi, base=None):
         self.projective = projective
         self.epi = epi
-        self.kernel = kernel
-        self.kernel_inclusion = kernel_inclusion
+        self._base = base   # (cover, h) when this is that cover shifted by h
+        covered = epi.target.dims
+        self.kernel_dims = {key: n - covered.get(key, 0) for key, n
+                            in projective.rep.dims.items() if n > covered.get(key, 0)}
+
+    def __getattr__(self, name):
+        if name not in ("kernel", "kernel_inclusion"):
+            raise AttributeError(name)
+        if self._base is None:
+            self.kernel, self.kernel_inclusion = kernel_subrep(self.epi)
+        else:
+            base, h = self._base
+            self.kernel = shift_rep(base.kernel, h)
+            self.kernel_inclusion = ModuleMap(self.kernel, self.projective.rep, {
+                (v, wadd(g, h)): b for (v, g), b in base.kernel_inclusion.blocks.items()},
+                check=False)
+            self._base = None
+        return getattr(self, name)
 
     def shifted(self, module, h):
         """This cover moved up by h, as the cover of `module`, which equals
         the covered module shifted by h.  Every step of a cover commutes
         with the shift, so this is the cover computed afresh."""
         proj = self.projective.shifted(h)
-        kernel = shift_rep(self.kernel, h)
-        incl = {(v, wadd(g, h)): b for (v, g), b in self.kernel_inclusion.blocks.items()}
-        return Cover(proj, self.epi.shifted(proj, module, h), kernel,
-                     ModuleMap(kernel, proj.rep, incl, check=False))
+        return Cover(proj, self.epi.shifted(proj, module, h), (self, h))
 
 
 def kernel_subrep(mmap):
@@ -759,9 +795,9 @@ def projective_cover(engine, rep):
     """Graded projective cover of a representation.
 
     Returns a Cover: P built from the semisimple top, the covering epi,
-    and the kernel (a subrepresentation of P, contained in rad P).  A
-    module equal to one the engine has covered before, up to a degree
-    shift, gets that cover shifted (see the module docstring).
+    and the kernel (a subrepresentation of P, contained in rad P), computed
+    on first read.  A module equal to one the engine has covered before, up
+    to a degree shift, gets that cover shifted (see the module docstring).
     """
     start = next(iter(rep.dims))[1] if rep.dims else wzero(engine.group_rank)
     bucket = engine.covers.setdefault(
@@ -778,9 +814,7 @@ def projective_cover(engine, rep):
             return cover.shifted(rep, h)
     lifts = top_lifts(rep)
     proj = Projective(engine, [(v, g) for v, g, _ in lifts])
-    epi = proj.map_from_generator_images(rep, [vec for _, _, vec in lifts])
-    kernel, incl = kernel_subrep(epi)
-    cover = Cover(proj, epi, kernel, incl)
+    cover = Cover(proj, proj.map_from_generator_images(rep, [vec for _, _, vec in lifts]))
     bucket.append((start, weakref.ref(cover)))
     return cover
 

@@ -18,12 +18,14 @@ off the period instead of resolving to n.  The base b is taken from step
 max(n0, 1) on: the cover of a syzygy lists its summands by vertex, then by
 degree (a kernel's slices are sorted), an order that a shift keeps, while
 P^0 lists them in the order of the resolved module's slices, which need
-not be sorted.
+not be sorted.  Verdicts and the scan read only `syzygy_dims(n)`, dim
+P^{n-1} - dim Omega^{n-1} slice by slice as a cover is onto, so a resolution
+to bound B computes the kernels of P^0..P^{B-1} and not that of P^B.
 """
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
                       shift_rep, simple_module)
-from .quiver import wadd, wsub, wzero
+from .quiver import wadd, wsub
 
 
 class DimVerdict:
@@ -134,13 +136,19 @@ class MinimalResolution:
         self.certificate = None
         self._differentials = {}
         self._generator_terms = {}
-        self._dim_keys = []     # dimension vector of each syzygy indexed so far
-        self._by_dims = {}      # dimension vector -> those syzygies, increasing
+        self._dim_keys = []     # slice sizes by vertex of each syzygy indexed so far
+        self._by_dims = {}      # slice sizes by vertex -> those syzygies, increasing
 
     def syzygy(self, n):
         if n == 0:
             return self.module
         return self._cover(n - 1).kernel
+
+    def syzygy_dims(self, n):
+        """The slice dimensions of Omega^n; no kernel is computed."""
+        if n == 0:
+            return self.module.dims
+        return self._cover(n - 1).kernel_dims
 
     def _cover(self, n):
         if n >= len(self.covers):
@@ -181,22 +189,22 @@ class MinimalResolution:
 
     def _scan_periodicity(self, n):
         """Look for Omega^n ~ Omega^m[h] with m < n, trying in increasing m
-        only the syzygies with the dimension vector of Omega^n."""
-        new = self.syzygy(n)
-        if new.is_zero():
+        only the syzygies with its slice sizes at each vertex, and computing
+        only those whose slices are its own moved by some h."""
+        new = self.syzygy_dims(n)
+        if not new:
             return
         for k in range(len(self._dim_keys), n + 1):
-            key = tuple(self.syzygy(k).dim_vector().values())
+            key = tuple(sorted((v, d) for (v, _), d in self.syzygy_dims(k).items()))
             self._dim_keys.append(key)
             self._by_dims.setdefault(key, []).append(k)
         for m in self._by_dims[self._dim_keys[n]]:
             if m >= n:
                 break
-            old = self.syzygy(m)
-            h = _uniform_shift(old, new)
+            h = _uniform_shift(self.syzygy_dims(m), new)
             if h is None:
                 continue
-            status, witness = module_iso_test(shift_rep(old, h), new,
+            status, witness = module_iso_test(shift_rep(self.syzygy(m), h), self.syzygy(n),
                                               seed=self.seed + 7919 * n + m)
             if status == "isomorphic":
                 self.certificate = PeriodicityCertificate(m, n - m, h, witness)
@@ -239,7 +247,7 @@ class MinimalResolution:
             return DimVerdict.finite(-1)
         for n in range(1, bound + 2):
             self.extend_to(n - 1)
-            if self.syzygy(n).is_zero():
+            if not self.syzygy_dims(n):
                 return DimVerdict.finite(n - 1)
             c = self.certificate
             if c is not None and c.n0 + c.period <= n:
@@ -255,8 +263,8 @@ class MinimalResolution:
             if not d_prev.compose(d_n).is_zero():
                 raise AssertionError("differential composite is nonzero at step %d" % n)
             # exactness: rank d_n = dim ker d_{n-1}
+            rank_prev = d_prev.rank() if n == 1 else rank_n     # carried over
             rank_n = d_n.rank()
-            rank_prev = d_prev.rank()
             dim_prev = self.term(n - 1).total_dim
             if rank_n != dim_prev - rank_prev:
                 raise AssertionError("resolution is not exact at step %d" % (n - 1))
@@ -290,15 +298,14 @@ class MinimalResolution:
 
 
 def _uniform_shift(old, new):
-    """The h with new = old shifted by h slice by slice, or None."""
-    if not old.dims:
-        return wzero(old.engine.group_rank) if not new.dims else None
-    v = next(iter(old.dims))[0]
-    lows = [g for u, g in new.dims if u == v]
+    """The h with new = old shifted by h slice by slice, or None, for
+    nonempty slice dimensions old and new."""
+    v = next(iter(old))[0]
+    lows = [g for u, g in new if u == v]
     if not lows:
         return None
-    h = wsub(min(lows), min(g for u, g in old.dims if u == v))
-    if {(u, wadd(g, h)): n for (u, g), n in old.dims.items()} != new.dims:
+    h = wsub(min(lows), min(g for u, g in old if u == v))
+    if {(u, wadd(g, h)): n for (u, g), n in old.items()} != new:
         return None
     return h
 
