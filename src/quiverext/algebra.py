@@ -555,6 +555,10 @@ class ProjectiveTemplate:
                 for i, p in enumerate(ps)}
         self.action = {}
         self.blocks_from = {}
+        # a times p, read off the engine's normal forms: every one of length
+        # below N is there, and a longer one is zero
+        normal_forms = engine._normal_forms
+        zero = engine.field.zero
         for (w, d), src in self.slices.items():
             out = self.blocks_from[(w, d)] = []
             for a in engine.quiver.arrows_from[w]:
@@ -562,13 +566,12 @@ class ProjectiveTemplate:
                 tgt = self.slices.get(tkey)
                 if tgt is None:
                     continue
-                ap = engine.pres.arrow_path(a.name)
-                rows = [[engine.field.zero] * len(src) for _ in tgt]
+                rows = [[zero] * len(src) for _ in tgt]
                 for j, p in enumerate(src):
-                    for q, c in engine.multiply_paths(ap, p).items():
+                    for q, c in normal_forms.get((a.name,) + p.arrows, {}).items():
                         rows[slot[q.arrows][1]][j] = c
                 if any(any(r) for r in rows):
-                    b = self.action[(a.name, d)] = Matrix(engine.field, rows)
+                    b = self.action[(a.name, d)] = Matrix._owning(engine.field, rows, len(src))
                     out.append((a.name, tkey, b))
         prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
                           key=lambda t: (len(t), t))

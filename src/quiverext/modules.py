@@ -10,8 +10,9 @@ boundary: `from_dense` cuts them into blocks, raising ValueError on any entry
 off its block (the grading and homogeneity check), and `dense` lays the
 slices of each vertex out one after another.  Relations and commutation are
 checked on the blocks.  Nothing changes once built, and blocks may be
-shared between modules.  The action of a projective or a shifted module and
-a cover's kernel are built on first read into a plain attribute.
+shared between modules.  The action of a projective or a shifted module, a
+cover's kernel and the blocks of a kernel's inclusion are built on first
+read into a plain attribute.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -22,6 +23,21 @@ of a projective (`ProjectiveMap`) is kept as its generator images; the image
 of any other slot is evaluated on demand, walking its summand's prefix tree
 one matrix-vector product per node and keeping each node's image.  Its
 blocks are built on first read, by the same walk over every node.
+
+A kernel is spanned by slots wherever it can be.  `kernel_subrep` takes
+each slice of the map on its own.  A block is slot-like when no row has two
+nonzero entries: its nonzero columns then have disjoint supports, so they
+are independent, and the kernel on its slice is the unit vectors at its
+zero columns (what `nullspace` returns).  Between two such slices the
+kernel's action is the parent's block restricted to their slots, so no
+elimination, product or solve runs.  Other slices take the nullspace, and
+an arrow out of one costs a product, into one a solve.  Over a monomial
+algebra, such as a Nakayama cycle, every slice is slot-like in a resolution
+of a simple: its syzygies are direct sums of path-generated modules
+(Green-Happel-Zacharia, Illinois J. Math. 29, 1985), spanned by slots, and
+a cover sends the slot q of a summand with generator image p to 0 or to
+the slot qp, distinct for distinct (q, p).  An exterior algebra still needs
+elimination on some slices.
 
 Covers are shared up to a degree shift.  The engine keeps, for its
 lifetime, a weak reference to every cover `projective_cover` computes,
@@ -119,7 +135,20 @@ def _assemble(field, row_slices, col_slices, blocks, shift):
     return out
 
 
-class Representation:
+class _Lazy:
+    """An attribute `name` given as a function of no arguments, kept as
+    `_build_<name>`, is built on first read into a plain attribute."""
+
+    def __getattr__(self, name):
+        build = self.__dict__.pop("_build_" + name, None)
+        if build is None:
+            raise AttributeError(name)
+        value = build()
+        setattr(self, name, value)
+        return value
+
+
+class Representation(_Lazy):
     """A graded left module, stored by (vertex, degree) slice.
 
     `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
@@ -131,20 +160,17 @@ class Representation:
     def __init__(self, engine, dims, action, check=True):
         self.engine = engine
         index = engine.quiver.vertex_index
-        self.dims = dict(sorted(((key, n) for key, n in dims.items() if n),
-                                key=lambda kn: index[kn[0][0]]))
-        if callable(action):
-            self._build_action = action
-        else:
-            self.action = action
+        items = [(key, n) for key, n in dims.items() if n]
+        last = 0        # one pass; most callers pass their slices in order
+        for (v, _), _ in items:
+            if index[v] < last:
+                items.sort(key=lambda kn: index[kn[0][0]])
+                break
+            last = index[v]
+        self.dims = dict(items)
+        setattr(self, "_build_action" if callable(action) else "action", action)
         if check:
             self._verify()
-
-    def __getattr__(self, name):
-        if name == "action" and "_build_action" in self.__dict__:
-            self.action = self.__dict__.pop("_build_action")()
-            return self.action
-        raise AttributeError(name)
 
     @classmethod
     def from_dense(cls, engine, degrees, action, check=True):
@@ -261,19 +287,21 @@ class Representation:
         return "Representation(%s)" % ({v: d for v, d in self.dim_vector().items() if d},)
 
 
-class ModuleMap:
+class ModuleMap(_Lazy):
     """A homogeneous map between representations, stored by slice.
 
     `grade` is the uniform degree drop: `blocks[(v, g)]` maps slice (v, g) of
     the source into slice (v, g - grade) of the target, and is missing when
-    zero.  Plain degree-preserving maps have grade zero.
+    zero.  Plain degree-preserving maps have grade zero.  Blocks given as a
+    function of no arguments are built on first read, as a kernel's
+    inclusion's are: only differentials, `verify` and lifts read them.
     """
 
     def __init__(self, source, target, blocks, grade=None, check=True):
         self.source = source
         self.target = target
         self.grade = grade if grade is not None else wzero(source.engine.group_rank)
-        self.blocks = blocks
+        setattr(self, "_build_blocks" if callable(blocks) else "blocks", blocks)
         if check:
             self._verify()
 
@@ -690,10 +718,10 @@ class Cover:
             self.kernel, self.kernel_inclusion = kernel_subrep(self.epi)
         else:
             base, h = self._base
+            inclusion = base.kernel_inclusion
             self.kernel = shift_rep(base.kernel, h)
-            self.kernel_inclusion = ModuleMap(self.kernel, self.projective.rep, {
-                (v, wadd(g, h)): b for (v, g), b in base.kernel_inclusion.blocks.items()},
-                check=False)
+            self.kernel_inclusion = ModuleMap(self.kernel, self.projective.rep, lambda: {
+                (v, wadd(g, h)): b for (v, g), b in inclusion.blocks.items()}, check=False)
             self._base = None
         return getattr(self, name)
 
@@ -705,55 +733,91 @@ class Cover:
         return Cover(proj, self.epi.shifted(proj, module, h), (self, h))
 
 
+def _zero_columns(b):
+    """The zero columns of a slot-like block (see the module docstring), or
+    None when it is not one."""
+    hit = set()
+    for row in b.rows:
+        cols = [j for j, x in enumerate(row) if x]
+        if len(cols) > 1:
+            return None
+        hit.update(cols)
+    return [j for j in range(b.ncols) if j not in hit]
+
+
 def kernel_subrep(mmap):
-    """Graded kernel of a module map, with its induced action and inclusion:
-    the nullspace of each block, the whole slice where the block is zero."""
-    field = mmap.source.engine.field
+    """Graded kernel of a module map, with its induced action and inclusion,
+    slice by slice: spanned by the slots at the zero columns of a missing or
+    slot-like block, with no elimination; else the block's nullspace."""
     blocks = mmap.blocks
     vectors = {}
+    slots = {}
     for key, n in mmap.source.dims.items():
         b = blocks.get(key)
-        vectors[key] = b.nullspace() if b is not None else \
-            [_unit(field, n, i) for i in range(n)]
-    return _subrep_from_homogeneous(mmap.source, vectors)
+        zero = range(n) if b is None else _zero_columns(b)
+        if zero is None:
+            vectors[key] = b.nullspace()
+        else:
+            slots[key] = zero
+    return _subrep_from_homogeneous(mmap.source, vectors, slots)
 
 
-def _subrep_from_homogeneous(parent, vectors):
+def _subrep_from_homogeneous(parent, vectors, slots=None):
     """Build the subrepresentation with the given basis vectors.
 
-    vectors: {slice: [coordinates, ...]}, the vectors of each slice linearly
-    independent (a nullspace basis, unit vectors, or the vectors that raised
-    a rank), and their span closed under the action (true for kernels of
-    module maps); slices are ordered by vertex, then by degree.  Each arrow a
-    and source degree g is one product and one solve: the arrow block times
-    the basis of slice (a.source, g) gives the images, and solving against
-    the basis of slice (a.target, g + W(a)) gives their coordinates, or
-    raises ValueError when an image lies outside the span.
+    vectors: {slice: [coordinates, ...]}, linearly independent (a nullspace
+    basis, or the vectors that raised a rank); slots: {slice: [increasing
+    slot indices]}, a slice spanned by those unit vectors.  The span must be
+    closed under the action (true for kernels of module maps); slices are
+    ordered by vertex, then by degree.  For each arrow a and source degree
+    g, the images of the basis of slice (a.source, g) are the arrow block's
+    columns at its slots, else the block times the basis; their coordinates
+    on slice (a.target, g + W(a)) are their rows at its slots, else one
+    solve.  An image outside the span (a nonzero row off the slots, or no
+    solution) raises ValueError.  The inclusion's blocks, unit columns or
+    the basis, are built on first read.
     """
     engine = parent.engine
     field = engine.field
     weights = engine.pres.weights
     index = engine.quiver.vertex_index
-    on_parent = {key: Matrix.from_columns(field, vectors[key], parent.dims[key])
-                 for key in sorted(vectors, key=lambda k: (index[k[0]], k[1]))
-                 if vectors[key]}
+    bases = {key: Matrix.from_columns(field, vecs, parent.dims[key])
+             for key, vecs in vectors.items() if vecs}
+    slots = {key: s for key, s in (slots or {}).items() if s}
+    keys = sorted(bases.keys() | slots.keys(), key=lambda k: (index[k[0]], k[1]))
     action = {}
-    for (v, g), basis in on_parent.items():
+    for v, g in keys:
+        cols = slots.get((v, g))
         for a in engine.quiver.arrows_from[v]:
             m = parent.action.get((a.name, g))
             if m is None:
                 continue
-            images = m @ basis
-            if images.is_zero():
+            images = (m @ bases[(v, g)]).rows if cols is None else \
+                [[row[j] for j in cols] for row in m.rows]
+            if not any(any(r) for r in images):
                 continue
-            lhs = on_parent.get((a.target, wadd(g, weights[a.name])))
-            sol = None if lhs is None else lhs.solve(images)
+            tkey = (a.target, wadd(g, weights[a.name]))
+            width = len(images[0])
+            rows = slots.get(tkey)
+            if rows is not None:
+                kept = set(rows)
+                sol = None if any(any(r) for i, r in enumerate(images) if i not in kept) \
+                    else Matrix._owning(field, [images[i] for i in rows], width)
+            else:
+                lhs = bases.get(tkey)
+                sol = None if lhs is None else lhs.solve(Matrix._owning(field, images, width))
             if sol is None:
                 raise ValueError("span is not closed under the action")
             action[(a.name, g)] = sol
-    sub = Representation(engine, {key: b.ncols for key, b in on_parent.items()},
-                         action, check=False)
-    return sub, ModuleMap(sub, parent, on_parent, check=False)
+    dims = {key: len(slots[key]) if key in slots else bases[key].ncols for key in keys}
+
+    def inclusion():
+        return {key: bases[key] if key in bases else Matrix.from_columns(
+            field, [_unit(field, parent.dims[key], i) for i in slots[key]], parent.dims[key])
+            for key in keys}
+
+    sub = Representation(engine, dims, action, check=False)
+    return sub, ModuleMap(sub, parent, inclusion, check=False)
 
 
 def subrep_generated(parent, vectors):

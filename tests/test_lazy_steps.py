@@ -4,9 +4,9 @@ A cover keeps its projective and epi and computes its kernel on first read;
 `kernel_dims` reads the kernel's slice dimensions off the cover, dim P - dim M
 slice by slice, as the epi is onto.  Verdicts and the periodicity scan
 read only those dimensions (`MinimalResolution.syzygy_dims`), so the last
-step of a bounded resolution computes no kernel.  Nothing lazy may refer
-back to its owner: a dropped resolution is freed without the cyclic garbage
-collector."""
+step of a bounded resolution computes no kernel, and a kernel's inclusion
+builds its blocks only when read.  Nothing lazy may refer back to its owner:
+a dropped resolution is freed without the cyclic garbage collector."""
 
 import gc
 import weakref
@@ -130,8 +130,15 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         objects += [c.projective.rep for c in covers]
         objects += [r.syzygy(n) for r in res.values() for n in range(1, len(r.covers))]
         objects.append(shifted[1].kernel)
+        # inclusions whose blocks are built lazily: every other one read
+        inclusions = [c.kernel_inclusion for r in res.values() for c in r.covers[:-1]]
+        inclusions.append(shifted[1].kernel_inclusion)
+        assert all("_build_blocks" in inc.__dict__ for inc in inclusions)
+        for inc in inclusions[::2]:
+            inc.blocks
+        objects += inclusions
         refs = [weakref.ref(x) for x in objects]
-        del res, r, moved, shifted, covers, objects
+        del res, r, moved, shifted, covers, objects, inclusions, inc
         assert [ref() for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
