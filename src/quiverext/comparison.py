@@ -107,6 +107,7 @@ class TransportCorrespondence:
         self.lam_table = lam_table
         self.cor_table = cor_table
         self.depth = depth
+        self._transported = {}      # (key, coefficients) -> corner class
         self.psi = {}
         for u in corner.pair.f_vertices:
             self.psi[u] = self._build_psi(u, depth)
@@ -129,12 +130,14 @@ class TransportCorrespondence:
 
     def transport_class(self, x):
         """Corner Ext class of a big-algebra class with f-vertex source
-        and target: pull the restricted cocycle back along psi."""
-        u = x.source
-        n = x.degree
-        coeffs = pull_back(x, self.psi[u][n], self.cor_table.resolutions[u].term(n),
-                           self.lam_table.resolutions[u].term(n), x.target_degree)
-        return ExtClass(n, u, x.target_vertex, x.target_degree, coeffs)
+        and target: pull the restricted cocycle back along psi, once."""
+        memo = (x.key(), tuple(sorted(x.coeffs.items())))
+        if memo not in self._transported:
+            u, n = x.source, x.degree
+            coeffs = pull_back(x, self.psi[u][n], self.cor_table.resolutions[u].term(n),
+                               self.lam_table.resolutions[u].term(n), x.target_degree)
+            self._transported[memo] = ExtClass(n, u, x.target_vertex, x.target_degree, coeffs)
+        return self._transported[memo]
 
 
 def verify_product_compatibility(corner, lam_table, cor_table, t_value, window):
@@ -176,10 +179,11 @@ def verify_product_compatibility(corner, lam_table, cor_table, t_value, window):
         for n in range(lo, hi + 1):
             if m + n > hi:
                 continue
+            ys = lam_table.basis_classes(n)
             for x in lam_table.basis_classes(m):
                 if x.source not in fset or x.target_vertex not in fset:
                     continue
-                for y in lam_table.basis_classes(n):
+                for y in ys:
                     if y.source not in fset or y.target_vertex != x.source:
                         continue
                     z = yoneda_product(lam_table, x, y)

@@ -22,22 +22,24 @@ blocks and shares every block that one summand fills on its own.  A map out
 of a projective (`ProjectiveMap`) is kept as its generator images; the image
 of any other slot is evaluated on demand, walking its summand's prefix tree
 one matrix-vector product per node and keeping each node's image.  Its
-blocks are built on first read, by the same walk over every node.
+columns, and on first read its blocks, come from a walk over every node.
 
-A kernel is spanned by slots wherever it can be.  `kernel_subrep` takes
-each slice of the map on its own.  A block is slot-like when no row has two
-nonzero entries: its nonzero columns then have disjoint supports, so they
-are independent, and the kernel on its slice is the unit vectors at its
-zero columns (what `nullspace` returns).  Between two such slices the
-kernel's action is the parent's block restricted to their slots, so no
-elimination, product or solve runs.  Other slices take the nullspace, and
-an arrow out of one costs a product, into one a solve.  Over a monomial
-algebra, such as a Nakayama cycle, every slice is slot-like in a resolution
-of a simple: its syzygies are direct sums of path-generated modules
-(Green-Happel-Zacharia, Illinois J. Math. 29, 1985), spanned by slots, and
-a cover sends the slot q of a summand with generator image p to 0 or to
+A kernel is spanned by slots wherever it can be.  `kernel_subrep` reads
+each source slice of a map off its nonzero columns {column: image}
+(`columns`, a `ProjectiveMap`'s node images).  When their supports are
+pairwise disjoint (no row of the block has two nonzero entries), the kernel
+there is the unit vectors at the columns with no image (what `nullspace`
+returns).  Between two such slices the kernel's action is the parent's
+block restricted to their slots, or the block itself when the slots fill
+both slices.  Other slices build their block and take its nullspace, and an
+arrow out of one costs a product, into one a solve.  So an epi's blocks are
+built only when a differential, `verify`, `to_json` or a lift reads them.
+Over a monomial algebra, such as a Nakayama cycle, every slice is
+slot-spanned in a resolution of a simple: its syzygies are direct sums of
+path-generated modules (Green-Happel-Zacharia, Illinois J. Math. 29, 1985),
+and a cover sends the slot q of a summand with generator image p to 0 or to
 the slot qp, distinct for distinct (q, p).  An exterior algebra still needs
-elimination on some slices.
+elimination on some slices.  Tops are read off hit rows (`top_lifts`).
 
 Covers are shared up to a degree shift.  The engine keeps, for its
 lifetime, a weak reference to every cover `projective_cover` computes,
@@ -59,6 +61,7 @@ frees.
 
 import random
 import weakref
+from collections import Counter
 from itertools import islice
 
 from .linalg import Factor, Matrix, Subspace
@@ -82,6 +85,13 @@ def _same(x, y):
         rest = y if x is None else x
         return rest is None or rest.is_zero()
     return x == y
+
+
+def _block(field, cols, n):
+    """The block with n columns whose nonzero ones are {column: image}."""
+    nrows = len(next(iter(cols.values())))
+    zero = [field.zero] * nrows
+    return Matrix.from_columns(field, [cols.get(j, zero) for j in range(n)], nrows)
 
 
 def _by_degree(degrees):
@@ -349,6 +359,13 @@ class ModuleMap(_Lazy):
             return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
         return tkey, b.col(i)
 
+    def columns(self):
+        """{source slice: {column: image}}: the nonzero columns of each block,
+        a slice with none left out."""
+        out = {key: {j: list(c) for j, c in enumerate(zip(*b.rows)) if any(c)}
+               for key, b in self.blocks.items()}
+        return {key: cols for key, cols in out.items() if cols}
+
     _factors = None     # block key -> Factor, made by `factor`
 
     def factor(self, key):
@@ -525,7 +542,8 @@ class ProjectiveMap(ModuleMap):
     node i extends that prefix through i.  A missing block or a zero vector
     is kept as None and ends the branch.  So `node` and `column` evaluate no
     node past the one they read, and a generator's image, node 0, none at
-    all; `blocks` are built on first read from the whole tree, and kept.
+    all.  `columns` walks the whole tree; `blocks` are built from them on
+    first read, and kept, for the readers other than a kernel.
     """
 
     def __init__(self, proj, target, images, grade):
@@ -566,30 +584,27 @@ class ProjectiveMap(ModuleMap):
             return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
         return tkey, x
 
+    def columns(self):
+        """As `ModuleMap.columns`, slices in slot order, the images being
+        the memo's own lists: every node is evaluated, each once."""
+        proj = self._proj
+        columns = {}
+        for idx, (t, at) in enumerate(zip(proj._templates, proj._where)):
+            self.node(idx, len(t.tree) - 1)
+            for x, (_, _, _, slot) in zip(self._memo[idx] or (), t.tree):
+                if x is not None and slot is not None:
+                    key, offset = at[slot[0]]
+                    columns.setdefault(key, {})[offset + slot[1]] = x
+        return {key: columns[key] for key in proj.slots if key in columns}
+
     _blocks = None
 
     @property
     def blocks(self):
         if self._blocks is None:
-            proj = self._proj
-            columns = {}
-            for idx, (t, at) in enumerate(zip(proj._templates, proj._where)):
-                self.node(idx, len(t.tree) - 1)
-                vecs = self._memo[idx] or ()
-                for x, (_, _, _, slot) in zip(vecs, t.tree):
-                    if x is not None and slot is not None:
-                        key, offset = at[slot[0]]
-                        columns.setdefault(key, {})[offset + slot[1]] = x
             field = self.source.engine.field
-            blocks = {}
-            for (v, h), slots in proj.slots.items():
-                cols = columns.get((v, h))
-                if cols is not None:
-                    nrows = self.target.dims[(v, wsub(h, self.grade))]
-                    zero = [field.zero] * nrows
-                    blocks[(v, h)] = Matrix.from_columns(
-                        field, [cols.get(j, zero) for j in range(len(slots))], nrows)
-            self._blocks = blocks
+            self._blocks = {key: _block(field, cols, len(self._proj.slots[key]))
+                            for key, cols in self.columns().items()}
         return self._blocks
 
     def shifted(self, proj, target, h):
@@ -665,15 +680,10 @@ def radical_subspaces(rep):
 
 
 def semisimple_top(rep):
-    """Dimensions of M / rM as a sorted list of (vertex, degree, multiplicity)."""
-    spans = radical_subspaces(rep)
-    out = []
-    for (v, g), n in rep.dims.items():
-        r = spans.get((v, g))
-        mult = n - (r.dim if r else 0)
-        if mult:
-            out.append((v, g, mult))
-    return sorted(out)
+    """Dimensions of M / rM as a sorted list of (vertex, degree, multiplicity):
+    the lifts `top_lifts` chooses, counted per slice."""
+    counts = Counter((v, g) for v, g, _ in top_lifts(rep))
+    return sorted((v, g, m) for (v, g), m in counts.items())
 
 
 def top_lifts(rep):
@@ -681,17 +691,34 @@ def top_lifts(rep):
 
     Returns a list of (vertex, degree, coordinates): unit vectors at the
     non-pivot coordinates of each slice's radical span, slices in visiting
-    order, so the choice is deterministic.
+    order, so the choice is deterministic.  Where each nonzero arrow column
+    into a slice has one nonzero entry, its pivots are the rows hit; only
+    other slices put the columns in a `Subspace`.
     """
-    spans = radical_subspaces(rep)
     field = rep.engine.field
+    weights = rep.engine.pres.weights
+    arrows = rep.engine.quiver.arrow_by_name
+    into = {}
+    for (name, g), m in rep.action.items():
+        into.setdefault((arrows[name].target, wadd(g, weights[name])), []).append(m)
     lifts = []
     for (v, g), n in rep.dims.items():
-        r = spans.get((v, g))
-        pivots = set(r.pivot_of_row) if r else ()
-        for i in range(n):
-            if i not in pivots:
-                lifts.append((v, g, _unit(field, n, i)))
+        blocks = into.get((v, g), ())
+        pivots = set()
+        for m in blocks:
+            hit = []
+            for i, row in enumerate(m.rows):
+                cols = [j for j, x in enumerate(row) if x]
+                if cols:
+                    pivots.add(i)
+                    hit += cols
+            if len(hit) != len(set(hit)):       # a column with two nonzero entries
+                span = Subspace(field, n)
+                for c in (c for b in blocks for c in zip(*b.rows) if any(c)):
+                    span.add(list(c))
+                pivots = set(span.pivot_of_row)
+                break
+        lifts += [(v, g, _unit(field, n, i)) for i in range(n) if i not in pivots]
     return lifts
 
 
@@ -733,32 +760,34 @@ class Cover:
         return Cover(proj, self.epi.shifted(proj, module, h), (self, h))
 
 
-def _zero_columns(b):
-    """The zero columns of a slot-like block (see the module docstring), or
-    None when it is not one."""
-    hit = set()
-    for row in b.rows:
-        cols = [j for j, x in enumerate(row) if x]
-        if len(cols) > 1:
-            return None
-        hit.update(cols)
-    return [j for j in range(b.ncols) if j not in hit]
+def _kernel_slots(cols, n):
+    """The columns of a slice of n with no image, when its nonzero images
+    {column: image} have pairwise disjoint supports, so that these unit
+    vectors span the kernel there; else None."""
+    if not cols:
+        return list(range(n))
+    hit = [i for x in cols.values() for i, c in enumerate(x) if c]
+    if len(hit) != len(set(hit)):
+        return None
+    return [j for j in range(n) if j not in cols]
 
 
 def kernel_subrep(mmap):
     """Graded kernel of a module map, with its induced action and inclusion,
-    slice by slice: spanned by the slots at the zero columns of a missing or
-    slot-like block, with no elimination; else the block's nullspace."""
-    blocks = mmap.blocks
+    slice by slice from the map's `columns`: spanned by the slots with no
+    image where the nonzero images have disjoint supports, with no block
+    built; else the nullspace of the slice's block, built once here."""
+    field = mmap.source.engine.field
+    columns = mmap.columns()
     vectors = {}
     slots = {}
     for key, n in mmap.source.dims.items():
-        b = blocks.get(key)
-        zero = range(n) if b is None else _zero_columns(b)
-        if zero is None:
-            vectors[key] = b.nullspace()
+        cols = columns.get(key, {})
+        free = _kernel_slots(cols, n)
+        if free is None:
+            vectors[key] = _block(field, cols, n).nullspace()
         else:
-            slots[key] = zero
+            slots[key] = free
     return _subrep_from_homogeneous(mmap.source, vectors, slots)
 
 
@@ -773,7 +802,8 @@ def _subrep_from_homogeneous(parent, vectors, slots=None):
     g, the images of the basis of slice (a.source, g) are the arrow block's
     columns at its slots, else the block times the basis; their coordinates
     on slice (a.target, g + W(a)) are their rows at its slots, else one
-    solve.  An image outside the span (a nonzero row off the slots, or no
+    solve; the parent's block itself, shared, when the slots fill both
+    slices.  An image outside the span (a nonzero row off the slots, or no
     solution) raises ValueError.  The inclusion's blocks, unit columns or
     the basis, are built on first read.
     """
@@ -788,17 +818,22 @@ def _subrep_from_homogeneous(parent, vectors, slots=None):
     action = {}
     for v, g in keys:
         cols = slots.get((v, g))
+        whole = cols is not None and len(cols) == parent.dims[(v, g)]
         for a in engine.quiver.arrows_from[v]:
             m = parent.action.get((a.name, g))
             if m is None:
+                continue
+            tkey = (a.target, wadd(g, weights[a.name]))
+            rows = slots.get(tkey)
+            if whole and rows is not None and len(rows) == m.nrows:
+                if any(any(r) for r in m.rows):
+                    action[(a.name, g)] = m     # no row lies off the slots
                 continue
             images = (m @ bases[(v, g)]).rows if cols is None else \
                 [[row[j] for j in cols] for row in m.rows]
             if not any(any(r) for r in images):
                 continue
-            tkey = (a.target, wadd(g, weights[a.name]))
             width = len(images[0])
-            rows = slots.get(tkey)
             if rows is not None:
                 kept = set(rows)
                 sol = None if any(any(r) for i, r in enumerate(images) if i not in kept) \

@@ -27,6 +27,11 @@ in full by that slot-by-slot evaluation, and the generators of one slice
 are solved together by one `Matrix.solve`, in place of maps evaluated only
 where the next step reads them and solves against a stored factor.
 
+The slot rule and the top reference are the row-form and Subspace-based
+versions of what the package reads off columns and hit rows: a block is
+slot-like when no row has two nonzero entries, and a top is the unit
+vectors at the non-pivots of the radical spans, every slice eliminated.
+
 Two module constructions only tests need live here too, built on the
 package's matrices and representations: the direct sum of representations
 and the quotient by a submodule."""
@@ -379,6 +384,41 @@ def dense_subrep(parent, vectors_by_vertex):
             cols.append(x)
         action[a.name] = [[c[i] for c in cols] for i in range(len(tgt))]
     return degrees, action, inclusion
+
+
+# -- the slot rule by rows, tops by elimination ----------------------------------
+
+def zero_columns(b):
+    """The zero columns of a slot-like block (no row with two nonzero
+    entries), or None when it is not one."""
+    hit = set()
+    for row in b.rows:
+        cols = [j for j, x in enumerate(row) if x]
+        if len(cols) > 1:
+            return None
+        hit.update(cols)
+    return [j for j in range(b.ncols) if j not in hit]
+
+
+def naive_top_lifts(rep):
+    """Unit vectors at the non-pivot coordinates of each slice's radical
+    span, every nonzero arrow column added to a `Subspace`, slices in
+    visiting order: (vertex, degree, coordinates)."""
+    field = rep.engine.field
+    spans = {}
+    for (name, g), m in rep.action.items():
+        a = rep.engine.quiver.arrow_by_name[name]
+        key = (a.target, wadd(g, rep.engine.pres.weights[name]))
+        for j in range(m.ncols):
+            col = m.col(j)
+            if any(col):
+                spans.setdefault(key, Subspace(field, rep.dims[key])).add(col)
+    lifts = []
+    for (v, g), n in rep.dims.items():
+        pivots = set(spans[(v, g)].pivot_of_row) if (v, g) in spans else set()
+        lifts += [(v, g, [field.one if i == j else field.zero for i in range(n)])
+                  for j in range(n) if j not in pivots]
+    return lifts
 
 
 # -- Yoneda products without stored lifts -------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 from quiverext import (ExtTable, IdempotentPair, apply_F, compute_abc,
                        corner_algebra, ext_table, restricted_ext_table,
                        semisimple_top, simple_module, verify_comparison)
+from quiverext import comparison
 from quiverext.comparison import (TransportCorrespondence,
                                   verify_product_compatibility)
 from quiverext.resolution import MinimalResolution
@@ -202,6 +203,23 @@ def test_polynomial_corner_report_matches_golden():
     blocks = {k: report[k] for k in ("window", "products", "generation")}
     assert (json.dumps(blocks, indent=2, sort_keys=True) + "\n"
             == (GOLDEN / "poly_corner_compare.json").read_text())
+
+
+def test_product_check_transports_each_class_once(monkeypatch):
+    # 198 transports in the product check, of 39 distinct classes: each is
+    # pulled back once
+    pulled = []
+    pull_back = comparison.pull_back
+
+    def counting(*args):
+        pulled.append(1)
+        return pull_back(*args)
+
+    monkeypatch.setattr(comparison, "pull_back", counting)
+    eng = engine_from(POLY_CORNER)
+    report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
+    assert report["verdict"] == "PASS"
+    assert len(pulled) == 39
 
 
 def test_verify_comparison_resolves_each_module_once(resolutions_built):

@@ -4,8 +4,9 @@ A cover keeps its projective and epi and computes its kernel on first read;
 `kernel_dims` reads the kernel's slice dimensions off the cover, dim P - dim M
 slice by slice, as the epi is onto.  Verdicts and the periodicity scan
 read only those dimensions (`MinimalResolution.syzygy_dims`), so the last
-step of a bounded resolution computes no kernel, and a kernel's inclusion
-builds its blocks only when read.  Nothing lazy may refer back to its owner:
+step of a bounded resolution computes no kernel; a kernel's inclusion
+builds its blocks only when read, and an epi too, its kernel reading only
+its columns.  Nothing lazy may refer back to its owner:
 a dropped resolution is freed without the cyclic garbage collector."""
 
 import gc
@@ -137,8 +138,16 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         for inc in inclusions[::2]:
             inc.blocks
         objects += inclusions
+        # every epi's columns read, which builds no block; then every other
+        # epi's blocks
+        epis = [c.epi for c in covers]
+        for epi in epis:
+            epi.columns()
+        assert all(epi._blocks is None for epi in epis)
+        for epi in epis[::2]:
+            epi.blocks
         refs = [weakref.ref(x) for x in objects]
-        del res, r, moved, shifted, covers, objects, inclusions, inc
+        del res, r, moved, shifted, covers, objects, inclusions, inc, epis, epi
         assert [ref() for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

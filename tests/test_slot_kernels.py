@@ -1,12 +1,15 @@
-"""Slot-spanned kernels against the dense reference in naive.py.
+"""Slot-spanned kernels and tops against the references in naive.py.
 
-`kernel_subrep` reads the kernel of a missing or slot-like block (no row
-with two nonzero entries) off its zero columns, and the action between two
-such slices off the parent's block, with no elimination.  Over a monomial
-algebra every block of an epi in a resolution of simples is slot-like; over
-the exterior algebra some are not, and an arrow may join a slot-spanned
-slice to an eliminated one.  Every cover of every simple, through step 6,
-must give the dense reference's kernel, action and inclusion; and which
+`kernel_subrep` reads the kernel of a slice whose nonzero columns have
+pairwise disjoint supports off its columns with no image, and the action
+between two such slices off the parent's block, with no elimination.  The
+slices it reads so are exactly those whose block is slot-like by the row
+rule (no row with two nonzero entries, `naive.zero_columns`).  Over a
+monomial algebra every block of an epi in a resolution of simples is
+slot-like; over the exterior algebra some are not, and an arrow may join a
+slot-spanned slice to an eliminated one.  Every cover of every simple,
+through step 6, must give the dense reference's kernel, action and
+inclusion, and every syzygy the top of `naive.naive_top_lifts`; and which
 path runs is counted."""
 
 import pytest
@@ -17,14 +20,15 @@ from quiverext import (AdmissibilityError, build_engine, corner_algebra, ext_tab
                        parse_algebra_file, simple_resolutions)
 from quiverext import modules
 from quiverext.fields import QQ, PrimeField
-from quiverext.linalg import Matrix
-from quiverext.modules import (Projective, _subrep_from_homogeneous, _zero_columns,
-                               kernel_subrep, projective_module)
+from quiverext.linalg import Matrix, Subspace
+from quiverext.modules import (Projective, Representation, _kernel_slots,
+                               _subrep_from_homogeneous, kernel_subrep, projective_module,
+                               top_lifts)
 from quiverext.quiver import wadd
 
 from conftest import (EXTERIOR3_F3, FIXTURE_NAMES, FIXTURES, cyclic_nakayama, engine_for,
                       engine_from)
-from naive import dense_kernel
+from naive import dense_kernel, naive_top_lifts, zero_columns as by_rows
 from test_engine_generated import algebras
 from test_slices import _assert_same
 
@@ -48,12 +52,19 @@ def assert_kernels_match_dense(eng, bound=BOUND):
         _assert_same(got, dense_kernel(cover.epi))
         assert got[0] == cover.kernel
         assert got[1].blocks == cover.kernel_inclusion.blocks
+        slice_kinds(cover.epi)
+        assert top_lifts(cover.kernel) == naive_top_lifts(cover.kernel)
 
 
 def slice_kinds(mmap):
-    """{source slice: "slots" or "eliminated"}, as `kernel_subrep` sees it."""
-    return {key: "eliminated" if key in mmap.blocks and _zero_columns(mmap.blocks[key]) is None
-            else "slots" for key in mmap.source.dims}
+    """{source slice: "slots" or "eliminated"}, as `kernel_subrep` reads it
+    off the map's columns, after checking that the slot-spanned slices and
+    their slots are those the row rule finds on the blocks."""
+    columns = mmap.columns()
+    slots = {key: _kernel_slots(columns.get(key, {}), n) for key, n in mmap.source.dims.items()}
+    assert slots == {key: by_rows(mmap.blocks[key]) if key in mmap.blocks else list(range(n))
+                     for key, n in mmap.source.dims.items()}
+    return {key: "eliminated" if s is None else "slots" for key, s in slots.items()}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -76,6 +87,7 @@ def test_nakayama_kernels_match_dense_and_span_slots(n, field):
         assert all(kind == "slots" for c in covers for kind in slice_kinds(c.epi).values())
         for cover in covers:
             _assert_same(kernel_subrep(cover.epi), dense_kernel(cover.epi))
+            assert top_lifts(cover.kernel) == naive_top_lifts(cover.kernel)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -94,6 +106,7 @@ def joined_kinds(mmap):
     joins, after checking the kernel against the dense reference."""
     got = kernel_subrep(mmap)
     _assert_same(got, dense_kernel(mmap))
+    assert top_lifts(got[0]) == naive_top_lifts(got[0])
     kinds = slice_kinds(mmap)
     weights = mmap.source.engine.pres.weights
     arrows = mmap.source.engine.quiver.arrow_by_name
@@ -130,7 +143,9 @@ def test_slot_like_blocks():
              ([[zero, one, zero], [one, zero, two]], None)]
     for rows, zero_columns in cases:
         m = Matrix(eng.field, rows)
-        assert _zero_columns(m) == zero_columns
+        assert by_rows(m) == zero_columns
+        cols = {j: m.col(j) for j in range(m.ncols) if any(m.col(j))}
+        assert _kernel_slots(cols, m.ncols) == zero_columns
         if zero_columns is not None:
             assert m.nullspace() == [[one if i == j else zero for i in range(m.ncols)]
                                      for j in zero_columns]
@@ -200,3 +215,70 @@ def test_exterior_kernels_still_eliminate(counted):
     ext_table(build_engine(parse_algebra(EXTERIOR3_F3)), 3)
     assert counted["solve"] > 0
     assert counted["rref"] > 0
+
+
+def test_nakayama24_epis_build_no_blocks_until_verified():
+    eng = build_engine(parse_algebra(cyclic_nakayama(24, 5)))
+    resolutions = simple_resolutions(eng)
+    for res in resolutions.values():
+        assert res.pd_verdict(50).is_infinite
+    epis = [c.epi for res in resolutions.values() for c in res.covers]
+    assert all(epi._blocks is None for epi in epis)
+    res = resolutions[eng.quiver.vertices[0]]
+    assert res.verify()
+    assert all(c.epi._blocks is not None for c in res.covers)
+
+
+def columns_into(rep):
+    """{slice: the nonzero arrow columns into it}."""
+    arrows = rep.engine.quiver.arrow_by_name
+    out = {}
+    for (name, g), m in rep.action.items():
+        key = (arrows[name].target, wadd(g, rep.engine.pres.weights[name]))
+        out.setdefault(key, []).extend(c for c in zip(*m.rows) if any(c))
+    return out
+
+
+@pytest.fixture
+def added(monkeypatch):
+    """The number of `Subspace.add` calls so far, as a one-item list."""
+    calls = [0]
+    add = Subspace.add
+
+    def counting(self, vec):
+        calls[0] += 1
+        return add(self, vec)
+
+    monkeypatch.setattr(Subspace, "add", counting)
+    return calls
+
+
+def test_exterior_tops_mix_hit_rows_and_elimination(added):
+    eng = engine_from(EXTERIOR3_F3)
+    syzygies = [c.kernel for c in covers_to(eng, 3)]
+    kinds = set()
+    for rep in syzygies:
+        into = columns_into(rep)
+        # only the slices with a column of two nonzero entries eliminate
+        mixed = {key for key, cols in into.items()
+                 if any(sum(1 for x in c if x) > 1 for c in cols)}
+        kinds.update("eliminated" if key in mixed else "hit rows" for key in into)
+        added[0] = 0
+        got = top_lifts(rep)
+        assert added[0] == sum(len(into[key]) for key in mixed)
+        assert got == naive_top_lifts(rep)
+    assert kinds == {"eliminated", "hit rows"}
+
+
+def test_top_with_a_two_entry_column_falls_back(added):
+    # e24: a: u -> v, b: v -> v with b*a = b*b = 0.  a hits (v, 1) in the
+    # column (1, 1), and b sends it on to (v, 2) by the unit columns 1, -1
+    eng = engine_for("e24")
+    one = eng.field.one
+    rep = Representation(eng, {("u", (0,)): 1, ("v", (1,)): 2, ("v", (2,)): 1},
+                         {("a", (0,)): Matrix(eng.field, [[one], [one]]),
+                          ("b", (1,)): Matrix(eng.field, [[one, -one]])})
+    got = top_lifts(rep)
+    assert added[0] == 1
+    assert got == naive_top_lifts(rep) == [("u", (0,), [one]),
+                                           ("v", (1,), [eng.field.zero, one])]
