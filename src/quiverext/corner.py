@@ -442,9 +442,7 @@ def transport_resolution(corner, res, cutoff, upto):
     for n in range(cutoff + 2, upto):
         if not diffs[n].compose(diffs[n + 1]).is_zero():
             raise AssertionError("transported differentials do not compose to zero")
-        rank_lo = diffs[n].rank() if n == cutoff + 2 else rank_hi   # carried over
-        rank_hi = diffs[n + 1].rank()
-        if rank_hi != terms[n].total_dim - rank_lo:
+        if diffs[n + 1].rank() != terms[n].total_dim - diffs[n].rank():    # ranks are kept
             raise AssertionError("transported complex is not exact at step %d" % n)
     for n in range(cutoff + 2, upto + 1):
         rad = radical_subspaces(terms[n - 1])

@@ -79,6 +79,9 @@ class ExtTable:
                 for (v, g) in res.summands(n):
                     key = (n, u, v, g)
                     self.entries[key] = self.entries.get(key, 0) + 1
+        self._by_degree = {}    # n -> {(u, v, g): dim}, in the order of `entries`
+        for (n, u, v, g), d in self.entries.items():
+            self._by_degree.setdefault(n, {})[(u, v, g)] = d
         self.lifts = {}     # (source, degree, summand index) -> [phi_0, ...]
 
     def entry(self, n, u, v, g):
@@ -86,14 +89,14 @@ class ExtTable:
 
     def entry_total(self, n, u, v):
         """Ungraded Ext dimension: summed over the group degrees."""
-        return sum(d for (m, a, b, _), d in self.entries.items()
-                   if m == n and a == u and b == v)
+        return sum(d for (a, b, _), d in self._by_degree.get(n, {}).items()
+                   if a == u and b == v)
 
     def dims_at(self, n):
-        return {(u, v, g): d for (m, u, v, g), d in self.entries.items() if m == n}
+        return dict(self._by_degree.get(n, {}))
 
     def total_dim_at(self, n):
-        return sum(d for (m, _, _, _), d in self.entries.items() if m == n)
+        return sum(self._by_degree.get(n, {}).values())
 
     def basis_classes(self, n, source=None):
         """The standard basis of Ext^n: one class per matching summand."""

@@ -53,10 +53,14 @@ Every step of a cover commutes with the shift and uses no seed, so this is
 the cover a fresh computation gives.  So a periodic syzygy
 (Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a shifted module met before
 such as a shifted simple, is not covered again.  A kept cover is found
-while its resolution, or any other caller, still holds it.  The reference
-is weak because every cover refers to its engine: a strong one would leave
-each engine in a reference cycle that only the cyclic garbage collector
-frees.
+while its resolution, or any other caller, still holds it; a walk drops
+the entries of covers gone.  The reference is weak because every cover
+refers to its engine: a strong one would leave each engine in a reference
+cycle that only the cyclic garbage collector frees.  A resolution step
+past a repeat is its base step re-keyed: a shifted cover's successor is
+the base's successor shifted, with no store walk, its step map has the
+base step's blocks under keys moved by h (`_ShiftedMap`) and the base's
+factors, rank and JSON rows, and its generator terms are the base's list.
 """
 
 import random
@@ -394,8 +398,12 @@ class ModuleMap(_Lazy):
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks.values())
 
+    _rank = None    # kept: the blocks never change
+
     def rank(self):
-        return sum(b.rank() for b in self.blocks.values())
+        if self._rank is None:
+            self._rank = sum(b.rank() for b in self.blocks.values())
+        return self._rank
 
     def is_iso(self):
         if self.source.total_dim != self.target.total_dim:
@@ -417,9 +425,34 @@ class ModuleMap(_Lazy):
                              {g: b for (u, g), b in self.blocks.items() if u == v}, shift)
                 for v in self.source.engine.quiver.vertices}
 
+    _json = None
+
     def to_json(self):
-        dense = self.dense()
-        return {v: dense[v].to_json() for v in sorted(dense)}
+        """The dense view as lists, kept: readers must not change it."""
+        if self._json is None:
+            dense = self.dense()
+            self._json = {v: dense[v].to_json() for v in sorted(dense)}
+        return self._json
+
+
+class _ShiftedMap(ModuleMap):
+    """`base` moved up by h, into `target` from `source` (both moved up by h):
+    its blocks re-keyed on first read, and, as a shift keeps slice order,
+    its factors, rank and dense view."""
+
+    def __init__(self, base, source, target, h):
+        super().__init__(source, target, lambda: {
+            (v, wadd(g, h)): b for (v, g), b in base.blocks.items()}, base.grade, check=False)
+        self._base, self._h = base, h
+
+    def factor(self, key):
+        return self._base.factor((key[0], wsub(key[1], self._h)))
+
+    def rank(self):
+        return self._base.rank()
+
+    def to_json(self):
+        return self._base.to_json()
 
 
 def zero_module(engine):
@@ -723,41 +756,84 @@ def top_lifts(rep):
 
 
 class Cover:
-    """A projective cover: epi P -> M with kernel K inside rad(P).  `kernel`
-    and `kernel_inclusion` are filled on first read (for a shifted cover, the
-    base cover's, re-keyed); `kernel_dims` is dim P - dim M slice by slice."""
+    """A projective cover: epi P -> M with kernel K inside rad(P), a step of
+    a resolution (a chain of covers, each the `successor` of the last).
+    `kernel` and `kernel_inclusion` are filled on first read; `kernel_dims`
+    is dim P - dim M slice by slice.  A shifted cover derives all else from
+    its live base, re-keyed, and afresh once the base is gone."""
 
     __slots__ = ("projective", "epi", "kernel", "kernel_inclusion", "kernel_dims",
-                 "_base", "__weakref__")
+                 "_base", "_successor", "_step", "_terms", "__weakref__")
 
     def __init__(self, projective, epi, base=None):
         self.projective = projective
         self.epi = epi
-        self._base = base   # (cover, h) when this is that cover shifted by h
+        self._base = base   # (weak reference to a cover B, h): B shifted by h
+        self._successor = self._step = self._terms = None
         covered = epi.target.dims
         self.kernel_dims = {key: n - covered.get(key, 0) for key, n
                             in projective.rep.dims.items() if n > covered.get(key, 0)}
 
+    def _live_base(self):
+        """(base cover, h) while the base is alive, else (None, None)."""
+        base = self._base and self._base[0]()
+        return (base, self._base[1]) if base else (None, None)
+
     def __getattr__(self, name):
         if name not in ("kernel", "kernel_inclusion"):
             raise AttributeError(name)
-        if self._base is None:
+        base, h = self._live_base()
+        if base is None:
             self.kernel, self.kernel_inclusion = kernel_subrep(self.epi)
         else:
-            base, h = self._base
-            inclusion = base.kernel_inclusion
             self.kernel = shift_rep(base.kernel, h)
-            self.kernel_inclusion = ModuleMap(self.kernel, self.projective.rep, lambda: {
-                (v, wadd(g, h)): b for (v, g), b in inclusion.blocks.items()}, check=False)
-            self._base = None
+            self.kernel_inclusion = _ShiftedMap(base.kernel_inclusion, self.kernel,
+                                                self.projective.rep, h)
         return getattr(self, name)
 
     def shifted(self, module, h):
         """This cover moved up by h, as the cover of `module`, which equals
         the covered module shifted by h.  Every step of a cover commutes
-        with the shift, so this is the cover computed afresh."""
+        with the shift, so this is the cover computed afresh.  Its base is
+        this cover's live base, if any: bases form no chain."""
+        base, h0 = self._live_base()
         proj = self.projective.shifted(h)
-        return Cover(proj, self.epi.shifted(proj, module, h), (self, h))
+        return Cover(proj, self.epi.shifted(proj, module, h),
+                     (weakref.ref(base), wadd(h0, h)) if base else (weakref.ref(self), h))
+
+    def successor(self, request=None):
+        """The cover of the kernel, kept: a zero cover's is itself, a shifted
+        cover's its base's shifted, any other's is asked of `request`."""
+        if self._successor is None and not self.projective.is_zero():
+            base, h = self._live_base()
+            self._successor = base.successor(request).shifted(self.kernel, h) if base \
+                else (request or projective_cover)(self.projective.engine, self.kernel)
+        return self._successor or self
+
+    def step(self):
+        """The kernel inclusion after the successor's epi, kept; a shifted
+        cover's is its base's, re-keyed."""
+        if self._step is None:
+            succ = self.successor()
+            base, h = self._live_base()
+            self._step = self.kernel_inclusion.compose(succ.epi) if base is None else \
+                _ShiftedMap(base.step(), succ.projective.rep, self.projective.rep, h)
+        return self._step
+
+    def generator_terms(self):
+        """The column of `step` at each generator of the successor, as terms
+        (summand, tree node, coefficient) over the nonzero slots of this
+        projective, kept; a shift changes none: a shifted cover's are its base's."""
+        if self._terms is None:
+            base, _ = self._live_base()
+            if base is not None:
+                self._terms = base.generator_terms()
+            else:
+                d = self.step()
+                cols = (d.column(*pos) for pos in self.successor().projective.gen_pos)
+                self._terms = [[self.projective.node_at(tkey, j) + (c,)
+                                for j, c in enumerate(col) if c] for tkey, col in cols]
+        return self._terms
 
 
 def _kernel_slots(cols, n):
@@ -901,6 +977,7 @@ def projective_cover(engine, rep):
     start = next(iter(rep.dims))[1] if rep.dims else wzero(engine.group_rank)
     bucket = engine.covers.setdefault(
         tuple((v, wsub(g, start), n) for (v, g), n in rep.dims.items()), [])
+    bucket[:] = [entry for entry in bucket if entry[1]() is not None]   # drop the dead
     for old_start, kept in bucket:
         cover = kept()
         if cover is None:

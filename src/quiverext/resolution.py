@@ -10,17 +10,22 @@ certificate, and ignores certificates past its bound, so it never depends on
 earlier extension.  One call shares one store of simple resolutions per
 engine (`simple_resolutions`) among its readers, and drops it on return.
 
-A resolution is a lazily extended sequence: `term`, `syzygy`,
-`differential` and `generator_terms` compute the covers they read on
-demand.  Past a certificate the terms repeat up to shift, P^{b+kt} =
-P^b[kh], so `summands(n)` for a step not yet covered reads the summands
-off the period instead of resolving to n.  The base b is taken from step
-max(n0, 1) on: the cover of a syzygy lists its summands by vertex, then by
-degree (a kernel's slices are sorted), an order that a shift keeps, while
-P^0 lists them in the order of the resolved module's slices, which need
-not be sorted.  Verdicts and the scan read only `syzygy_dims(n)`, dim
-P^{n-1} - dim Omega^{n-1} slice by slice as a cover is onto, so a resolution
-to bound B computes the kernels of P^0..P^{B-1} and not that of P^B.
+A resolution is a lazily extended chain of covers, each the `successor`
+of the one before: `term`, `syzygy`, `differential` and `generator_terms`
+compute the covers they read on demand, and differential n >= 1 is step
+n - 1's `Cover.step`.  A step past a repeat is the step it repeats,
+re-keyed by the shift (see `modules`): its cover, differential, rank,
+factors, JSON rows and generator terms are not computed again, while
+`verify` still composes and ranks every step.  Past a certificate the
+terms repeat up to shift, P^{b+kt} = P^b[kh], so `summands(n)` for a step
+not yet covered reads the summands off the period instead of resolving to
+n.  The base b is taken from step max(n0, 1) on: the cover of a syzygy
+lists its summands by vertex, then by degree (a kernel's slices are
+sorted), an order that a shift keeps, while P^0 lists them in the order of
+the resolved module's slices, which need not be sorted.  Verdicts and the
+scan read only `syzygy_dims(n)`, dim P^{n-1} - dim Omega^{n-1} slice by
+slice as a cover is onto, so a resolution to bound B computes the kernels
+of P^0..P^{B-1} and not that of P^B.
 """
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
@@ -134,8 +139,6 @@ class MinimalResolution:
         self.seed = seed
         self.covers = []
         self.certificate = None
-        self._differentials = {}
-        self._generator_terms = {}
         self._dim_keys = []     # slice sizes by vertex of each syzygy indexed so far
         self._by_dims = {}      # slice sizes by vertex -> those syzygies, increasing
 
@@ -174,17 +177,14 @@ class MinimalResolution:
         return list(self.term(n).summands)
 
     def extend_to(self, bound):
-        """Compute covers through step `bound` (syzygies through bound + 1).
-        Once a syzygy is zero, its zero cover serves every later step."""
+        """Compute covers through step `bound` (syzygies through bound + 1),
+        each the `successor` of the last.  Once a syzygy is zero, its zero
+        cover serves every later step."""
         while len(self.covers) <= bound:
-            n = len(self.covers)
-            if n and self.covers[-1].projective.is_zero():
-                self.covers.append(self.covers[-1])
-                continue
-            omega = self.syzygy(n)
-            self.covers.append(projective_cover(self.engine, omega))
-            if self.certificate is None and not omega.is_zero():
-                self._scan_periodicity(n + 1)
+            self.covers.append(self.covers[-1].successor(projective_cover) if self.covers
+                               else projective_cover(self.engine, self.module))
+            if self.certificate is None and not self.covers[-1].projective.is_zero():
+                self._scan_periodicity(len(self.covers))
         return self
 
     def _scan_periodicity(self, n):
@@ -211,30 +211,18 @@ class MinimalResolution:
                 return
 
     def differential(self, n):
-        """The map P^n -> P^{n-1} (n >= 1) or P^0 -> M (n = 0)."""
-        if n in self._differentials:
-            return self._differentials[n]
-        if n == 0:
-            d = self._cover(0).epi
-        else:
-            d = self._cover(n - 1).kernel_inclusion.compose(self._cover(n).epi)
-        self._differentials[n] = d
-        return d
+        """The map P^n -> P^{n-1} (n >= 1), step n - 1's `Cover.step`, or
+        P^0 -> M (n = 0)."""
+        self._cover(n)
+        return self.covers[n - 1].step() if n else self.covers[0].epi
 
     def generator_terms(self, n):
         """The column of differential n (n >= 1) at each generator of P^n,
         as terms (summand, tree node, coefficient) over the nonzero slots
-        of P^{n-1}: what a chain-map lift reads of it, kept per step."""
-        terms = self._generator_terms.get(n)
-        if terms is None:
-            d = self.differential(n)
-            below = self.term(n - 1)
-            terms = self._generator_terms[n] = []
-            for pos in self.term(n).gen_pos:
-                tkey, col = d.column(*pos)
-                terms.append([below.node_at(tkey, j) + (c,)
-                              for j, c in enumerate(col) if c])
-        return terms
+        of P^{n-1}: what a chain-map lift reads of it, kept with the step
+        (`Cover.generator_terms`)."""
+        self._cover(n)
+        return self.covers[n - 1].generator_terms()
 
     def pd_verdict(self, bound):
         """Projective dimension as a resolution to `bound` steps settles it.
@@ -262,11 +250,8 @@ class MinimalResolution:
             d_prev = self.differential(n - 1)
             if not d_prev.compose(d_n).is_zero():
                 raise AssertionError("differential composite is nonzero at step %d" % n)
-            # exactness: rank d_n = dim ker d_{n-1}
-            rank_prev = d_prev.rank() if n == 1 else rank_n     # carried over
-            rank_n = d_n.rank()
-            dim_prev = self.term(n - 1).total_dim
-            if rank_n != dim_prev - rank_prev:
+            # exactness: rank d_n = dim ker d_{n-1} (each rank is kept)
+            if d_n.rank() != self.term(n - 1).total_dim - d_prev.rank():
                 raise AssertionError("resolution is not exact at step %d" % (n - 1))
             # minimality: no generator maps onto a generator slot downstairs
             prev = self.term(n - 1).generators

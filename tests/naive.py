@@ -32,6 +32,11 @@ versions of what the package reads off columns and hit rows: a block is
 slot-like when no row has two nonzero entries, and a top is the unit
 vectors at the non-pivots of the radical spans, every slice eliminated.
 
+The step references compose each differential of a resolution afresh,
+the kernel inclusion of a fresh `kernel_subrep` of step n - 1's epi after
+step n's epi, and read its generator terms off those blocks, in place of
+steps a shifted cover takes from its base, re-keyed.
+
 Two module constructions only tests need live here too, built on the
 package's matrices and representations: the direct sum of representations
 and the quotient by a submodule."""
@@ -41,7 +46,7 @@ from fractions import Fraction
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
 from quiverext.fields import QQ
 from quiverext.linalg import Matrix, Subspace
-from quiverext.modules import ModuleMap, Representation
+from quiverext.modules import ModuleMap, Representation, kernel_subrep
 from quiverext.quiver import compose, wadd
 
 
@@ -573,6 +578,23 @@ def naive_lift_chain_map(source, start, rhs0, target_diffs, grade):
         steps.append(images)
         prev = naive_map_from_generator_images(proj, d_tgt.source, images, grade)
     return steps
+
+
+def naive_differential(res, n):
+    """Differential n >= 1 of a resolution, composed afresh: the inclusion of
+    a kernel computed anew from step n - 1's epi, after step n's epi."""
+    _, inclusion = kernel_subrep(res.covers[n - 1].epi)
+    return inclusion.compose(res.covers[n].epi)
+
+
+def naive_generator_terms(res, n):
+    """The (summand, tree node, coefficient) terms of `naive_differential`
+    at each generator of P^n, read off its blocks."""
+    d = naive_differential(res, n)
+    below = res.term(n - 1)
+    return [[below.node_at(_shifted(key, d.grade), j) + (c,)
+             for j, c in enumerate(naive_column(d, key, i)) if c]
+            for key, i in res.term(n).gen_pos]
 
 
 def naive_lift_cocycle(table, y, depth):

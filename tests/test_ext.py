@@ -7,7 +7,7 @@ from quiverext import (ext_table, generation_window_check, gk_estimate,
                        gk_estimate_from_dims, yoneda_product)
 from quiverext.quiver import wadd
 
-from conftest import (EXTERIOR2, EXTERIOR2_Z, KB2, SEMISIMPLE2, engine_for,
+from conftest import (EXTERIOR2, EXTERIOR2_Z, FIXTURE_NAMES, KB2, SEMISIMPLE2, engine_for,
                       engine_from)
 from naive import ext_combination
 from oracle import ext_oracle
@@ -51,6 +51,24 @@ def test_semisimple_table_concentrated_in_degree_zero():
     assert table.total_dim_at(0) == 2
     for n in range(1, 6):
         assert table.total_dim_at(n) == 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_totals_by_degree_match_a_scan(name):
+    # the totals read the entries grouped by degree; a plain scan of every
+    # entry must give the same values, in the same order, at the CLI bound
+    eng = engine_for(name)
+    table = ext_table(eng, 40)
+    vs = eng.quiver.vertices
+    for n in range(42):
+        rows = [(k[1:], d) for k, d in table.entries.items() if k[0] == n]
+        assert list(table.dims_at(n).items()) == rows
+        assert table.total_dim_at(n) == sum(d for _, d in rows)
+        for u in vs:
+            for v in vs:
+                assert table.entry_total(n, u, v) == sum(
+                    d for (a, b, _), d in rows if (a, b) == (u, v))
+    assert sum(table.total_dim_at(n) for n in range(41)) == sum(table.entries.values())
 
 
 def test_oracle_spot_values():

@@ -151,3 +151,33 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         assert [ref() for ref in refs if ref() is not None] == []
     finally:
         gc.enable()
+
+
+def test_dropped_shifted_steps_are_freed_without_the_cycle_collector():
+    # a shifted cover refers to its base weakly, as the base's successor may
+    # be that cover shifted; steps, terms, factors and JSON rows read first
+    eng = build_engine(parse_algebra(NAK4))
+    gc.disable()
+    try:
+        res = simple_resolutions(eng)
+        for r in res.values():
+            r.extend_to(12)
+            for n in range(13):
+                r.differential(n).to_json()
+            for n in range(1, 13):
+                r.generator_terms(n)
+            r.verify()
+        covers = [c for r in res.values() for c in r.covers]
+        shifted = [c for c in covers if c._live_base()[0] is not None]
+        assert len(shifted) > len(covers) // 2
+        assert res["1"].covers[11]._live_base()[0] is not None
+        d = res["1"].differential(12)
+        key = next(iter(d.blocks))
+        assert d.factor(key) is not None
+        objects = covers + [c.step() for c in covers] + [c.kernel for c in covers]
+        objects += [c.kernel_inclusion for c in covers] + [c.epi for c in covers]
+        refs = [weakref.ref(x) for x in objects]
+        del res, r, covers, shifted, d, objects
+        assert [ref() for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()

@@ -14,9 +14,10 @@ from quiverext.fields import PrimeField
 from quiverext.modules import (Representation, projective_cover, projective_module,
                                shift_rep, simple_module)
 from quiverext.quiver import wadd
-from quiverext.resolution import minimal_resolution
+from quiverext.resolution import global_dimension, minimal_resolution
 
-from conftest import EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER, fixture_text
+from conftest import (EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER, cyclic_nakayama,
+                      fixture_text)
 
 ALGEBRAS = FIXTURE_NAMES + ["poly_corner", "exterior3_ungraded"]
 FIELDS = ["Q", "F3"]
@@ -37,7 +38,8 @@ def presentation(name, field):
 
 
 def stored(engine):
-    """The number of covers the engine has computed."""
+    """The number of entries in the engine's cover store: the covers it has
+    computed, less those dropped after they were gone."""
     return sum(len(bucket) for bucket in engine.covers.values())
 
 
@@ -104,14 +106,32 @@ def test_resolving_nak_reuses_covers(monkeypatch):
     cover = resolution.projective_cover
 
     def counting_cover(engine, rep):
-        requested.append(rep)
-        return cover(engine, rep)
+        requested.append(cover(engine, rep))
+        return requested[-1]
 
     monkeypatch.setattr(resolution, "projective_cover", counting_cover)
     eng = build_engine(presentation("nak", "Q"))
+    steps = 0
     for v in eng.quiver.vertices:
-        minimal_resolution(eng, simple_module(eng, v), 12)
-    assert stored(eng) < len(requested)
+        steps += len(minimal_resolution(eng, simple_module(eng, v), 12).covers)
+    # the store serves some requests, and a step past a repeat makes none
+    fresh = sum(c._base is None for c in requested)
+    assert fresh < len(requested) < steps
+
+
+def test_repeated_jobs_leave_no_more_entries_than_one():
+    # a walk drops the entries of covers gone, so a long-lived engine's store
+    # stays the size one job leaves
+    eng = build_engine(parse_algebra(cyclic_nakayama(24, 5)))      # J^5 = 0
+    first = global_dimension(eng, 50)
+    assert first.is_infinite and first.certificate.period == 48
+    one_job = stored(eng)
+    for _ in range(49):
+        verdict = global_dimension(eng, 50)
+        assert verdict == first
+        assert (verdict.certificate.n0, verdict.certificate.period,
+                verdict.certificate.shift) == (0, 48, (120,))
+        assert stored(eng) <= one_job
 
 
 @st.composite

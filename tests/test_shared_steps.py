@@ -1,0 +1,67 @@
+"""Resolution steps past a repeat against steps computed each on its own.
+
+A resolution is a chain of covers, each the successor of the last.  A cover
+shifted from a base that is still alive takes its successor, its step map
+(the differential), that map's rank, factors and JSON rows, and its
+generator terms from the base, re-keyed by the shift.  Every differential
+must equal the naive composite of `naive.naive_differential` block for
+block and in its JSON rows, every list of generator terms its naive
+recomputation, and `verify` must pass; a shifted step's blocks, factors,
+rank and rows must be its base step's own objects."""
+
+import pytest
+
+from quiverext import (build_engine, corner_algebra, pair_from_presentation,
+                       parse_algebra_file, simple_resolutions)
+from quiverext.fields import QQ, PrimeField
+from quiverext.quiver import wsub
+
+from conftest import FIXTURE_NAMES, FIXTURES, cyclic_nakayama, engine_from
+from naive import naive_differential, naive_generator_terms
+
+BOUND = 12
+
+
+def assert_steps_match_naive(eng, bound=BOUND):
+    """Check every step of every simple's resolution through `bound`, and
+    return the number of steps taken from a base."""
+    shared = 0
+    for res in simple_resolutions(eng).values():
+        res.extend_to(bound)
+        for n in range(1, bound + 1):
+            d = res.differential(n)
+            want = naive_differential(res, n)
+            assert d.source is res.term(n).rep and d.target is res.term(n - 1).rep
+            assert d.blocks == want.blocks
+            assert d.to_json() == want.to_json()
+            assert res.generator_terms(n) == naive_generator_terms(res, n)
+            base, h = res.covers[n - 1]._live_base()
+            if base is None:
+                continue
+            shared += 1
+            b = base.step()
+            for (v, g), block in d.blocks.items():
+                assert block is b.blocks[(v, wsub(g, h))]
+                assert d.factor((v, g)) is b.factor((v, wsub(g, h)))
+            assert d.rank() == b.rank() == want.rank()
+            assert d.to_json() is b.to_json()
+            assert res.generator_terms(n) is base.generator_terms()
+        assert res.verify()
+    return shared
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_steps_match_naive(name, field):
+    eng = build_engine(parse_algebra_file(str(FIXTURES / (name + ".alg"))).with_field(field))
+    corner = corner_algebra(eng, pair_from_presentation(eng)).corner_engine
+    shared = [assert_steps_match_naive(e) for e in (eng, corner, eng.opposite_engine)]
+    assert shared[0] > 0     # each fixture's resolutions meet a shifted module
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_nakayama_steps_match_naive(n):
+    for loewy in (2, 3, 4):
+        # Omega^2 S_i = S_{i+L}[L]: the resolutions meet shifted simples
+        # covered before
+        assert assert_steps_match_naive(engine_from(cyclic_nakayama(n, loewy))) > 0
