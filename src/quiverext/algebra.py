@@ -35,7 +35,7 @@ from heapq import heapify, heappop, heappush
 
 from .fields import GFElement
 from .linalg import Matrix
-from .quiver import arrow_path, compose, vertex_path, wadd, wzero
+from .quiver import Path, compose, vertex_path, wadd, wzero
 
 
 class PresentationError(ValueError):
@@ -120,20 +120,23 @@ class AlgebraPresentation:
         arrow = self.quiver.arrow_by_name.get(name)
         if arrow is None:
             raise PresentationError("unknown arrow %r" % name)
-        return arrow_path(arrow, self.weights[name])
+        return Path((name,), arrow.source, arrow.target, self.weights[name])
 
     def path_from_arrows(self, names):
-        """Build a path from arrow names in composition order."""
+        """Build a path from arrow names in composition order, in one pass."""
         if not names:
             raise PresentationError("empty path")
-        path = self.arrow_path(names[-1])
-        for name in reversed(names[:-1]):
-            step = self.arrow_path(name)
-            if step.source != path.target:
+        target = None
+        for name in reversed(names):
+            arrow = self.quiver.arrow_by_name.get(name)
+            if arrow is None:
+                raise PresentationError("unknown arrow %r" % name)
+            if target is not None and arrow.source != target:
                 raise PresentationError(
                     "arrows %s do not compose at %r" % ("*".join(names), name))
-            path = compose(step, path)
-        return path
+            target = arrow.target
+        return Path(tuple(names), self.quiver.arrow_by_name[names[-1]].source, target,
+                    tuple(map(sum, zip(*map(self.weights.get, names)))))
 
     def _split_uniform(self):
         """Split every relation into uniform (source, target) pieces and
@@ -268,7 +271,6 @@ class NormalFormEngine:
         # normal forms as {arrows: value}, by the arrows of a path of length >= 1
         self._word_nf = {}
         self.basis = self._standard_paths()
-        self.basis_index = {p: i for i, p in enumerate(self.basis)}
         self.dim = len(self.basis)
         # normal forms as {basis path: coefficient}, filled for every basis
         # path and every arrow times one, so templates reduce nothing
@@ -384,7 +386,7 @@ class NormalFormEngine:
         each kept path is extended by the arrows leaving its target, in
         quiver order, and kept when no tip starts the extension.  A standard
         path of length N means J^N is not inside I."""
-        step = {a.name: self.pres.arrow_path(a.name) for a in self.quiver.arrows}
+        weights = self.pres.weights
         level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
         basis = list(level)
         for length in range(1, self.truncation + 1):
@@ -394,7 +396,7 @@ class NormalFormEngine:
                     w = (a.name,) + q.arrows
                     if self._tip_at(w, 0) is None:
                         self._word_nf[w] = {w: 1}
-                        nxt.append(compose(step[a.name], q))
+                        nxt.append(Path(w, q.source, a.target, wadd(q.weight, weights[a.name])))
             if not nxt:
                 break
             if length == self.truncation:
@@ -409,8 +411,9 @@ class NormalFormEngine:
         extensions do too."""
         level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
         for _ in range(self.truncation):
-            level = [compose(self.pres.arrow_path(a.name), q) for q in level
-                     for a in self.quiver.arrows_from[q.target]
+            level = [Path((a.name,) + q.arrows, q.source, a.target,
+                          wadd(q.weight, self.pres.weights[a.name]))
+                     for q in level for a in self.quiver.arrows_from[q.target]
                      if self._nf_word((a.name,) + q.arrows)]
         return level[0]
 

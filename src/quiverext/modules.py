@@ -66,6 +66,7 @@ factors, rank and JSON rows, and its generator terms are the base's list.
 import random
 import weakref
 from collections import Counter
+from functools import cached_property
 from itertools import islice
 
 from .linalg import Factor, Matrix, Subspace
@@ -554,12 +555,18 @@ class Projective:
         out.engine = self.engine
         out.summands = tuple(up(s) for s in self.summands)
         out._templates = self._templates
-        out._where = [{t: (up(key), i) for t, (key, i) in at.items()} for at in self._where]
+        out._shift_of = self, up
         out.slots = {up(key): s for key, s in self.slots.items()}
         out.gen_pos = [(up(key), i) for key, i in self.gen_pos]
         out.generators = {up(key): g for key, g in self.generators.items()}
         out.rep = shift_rep(self.rep, h)
         return out
+
+    @cached_property
+    def _where(self):
+        """A shifted sum's offsets, its base's re-keyed on first read."""
+        base, up = self._shift_of
+        return [{t: (up(key), i) for t, (key, i) in at.items()} for at in base._where]
 
     def to_json(self):
         return [[v, list(g)] for v, g in self.summands]

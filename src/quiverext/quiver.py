@@ -3,7 +3,8 @@
 Grading groups are free abelian Z^k (k = 0 gives the trivial group), so a
 weight is a length-k tuple of ints.  Paths store their arrows in function
 composition order: the RIGHTMOST arrow acts first, matching the convention
-that the product p*q means "first q, then p".
+that the product p*q means "first q, then p".  A path is an immutable
+slotted value whose hash is computed once, when it is made.
 """
 
 from dataclasses import dataclass
@@ -28,21 +29,16 @@ class Quiver:
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate arrow names")
-        vset = set(self.vertices)
-        for a in self.arrows:
-            if a.source not in vset:
-                raise ValueError("arrow %s has unknown source %r" % (a.name, a.source))
-            if a.target not in vset:
-                raise ValueError("arrow %s has unknown target %r" % (a.name, a.target))
         self.arrow_by_name = {a.name: a for a in self.arrows}
+        if len(self.arrow_by_name) != len(self.arrows):
+            raise ValueError("duplicate arrow names")
         self.arrows_from = {v: [] for v in self.vertices}
-        self.arrows_into = {v: [] for v in self.vertices}
         for a in self.arrows:
+            if a.source not in self.vertex_index:
+                raise ValueError("arrow %s has unknown source %r" % (a.name, a.source))
+            if a.target not in self.vertex_index:
+                raise ValueError("arrow %s has unknown target %r" % (a.name, a.target))
             self.arrows_from[a.source].append(a)
-            self.arrows_into[a.target].append(a)
 
     def opposite(self):
         """Same vertex and arrow names, every arrow reversed."""
@@ -68,17 +64,36 @@ def wsub(a, b):
     return tuple(map(sub, a, b))
 
 
-@dataclass(frozen=True)
 class Path:
     """A path in a quiver, arrows in composition order (rightmost first).
 
     Length-0 paths are vertices; their weight is the identity (zero vector).
+    A path is an immutable slotted value, equal only to a path with the same
+    fields; its hash, that of the tuple of its fields, is computed once.
     """
 
-    arrows: tuple
-    source: str
-    target: str
-    weight: tuple
+    __slots__ = ("arrows", "source", "target", "weight", "_hash")
+
+    def __init__(self, arrows, source, target, weight):
+        _set_arrows(self, arrows)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_weight(self, weight)
+        _set_hash(self, hash((arrows, source, target, weight)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("a Path is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return type(other) is Path and self.__reduce__() == other.__reduce__()
+
+    def __reduce__(self):
+        return Path, (self.arrows, self.source, self.target, self.weight)
 
     @property
     def length(self):
@@ -97,12 +112,13 @@ class Path:
         return self.name()
 
 
+# the slots' own setters: `Path.__setattr__` refuses every assignment
+_set_arrows, _set_source, _set_target, _set_weight, _set_hash = (
+    Path.__dict__[name].__set__ for name in Path.__slots__)
+
+
 def vertex_path(vertex, k):
     return Path((), vertex, vertex, wzero(k))
-
-
-def arrow_path(arrow, weight):
-    return Path((arrow.name,), arrow.source, arrow.target, tuple(weight))
 
 
 def compose(p, q):

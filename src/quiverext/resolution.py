@@ -8,7 +8,8 @@ Verdicts that cannot be settled within the bound stay honest ("at_least").
 A verdict extends the resolution only to the first zero syzygy or in-bound
 certificate, and ignores certificates past its bound, so it never depends on
 earlier extension.  One call shares one store of simple resolutions per
-engine (`simple_resolutions`) among its readers, and drops it on return.
+engine (`simple_resolutions`, or in `global_dimension` each made when
+reached) among its readers, and drops it on return.
 
 A resolution is a lazily extended chain of covers, each the `successor`
 of the one before: `term`, `syzygy`, `differential` and `generator_terms`
@@ -321,10 +322,12 @@ def simple_resolutions(engine, seed=0):
 
 def global_dimension(engine, bound, seed=0):
     """Max projective dimension over the graded simples, in vertex order;
-    returns at the first infinite one without resolving the rest."""
+    returns at the first infinite one without resolving the rest.  Each
+    resolution is kept to the return: later simples reuse its covers."""
+    kept = {}       # each simple's resolution, made when its simple is reached
     return combine_verdicts(
-        projective_dimension(engine, simple_module(engine, v), bound, seed=seed)
-        for v in engine.quiver.vertices)
+        kept.setdefault(v, MinimalResolution(engine, simple_module(engine, v), seed=seed))
+        .pd_verdict(bound) for v in engine.quiver.vertices)
 
 
 def belongs_to(summands, vertex_set):

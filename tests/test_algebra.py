@@ -340,7 +340,8 @@ def test_dimension_identity_per_block():
         eng = engine_for(name)
         short = engine_paths(eng, eng.truncation - 1)
         n_paths = sum(len(ps) for ps in short)
-        n_reduced = sum(1 for ps in short for p in ps if p not in eng.basis_index)
+        basis = set(eng.basis)
+        n_reduced = sum(1 for ps in short for p in ps if p not in basis)
         assert eng.dim == n_paths - n_reduced
 
 

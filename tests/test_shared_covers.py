@@ -5,16 +5,21 @@ and covers a module that equals a kept one up to a degree shift by shifting
 the kept cover.  Each cover of a resolution is compared, field by field,
 with the cover of the same module on a fresh engine, whose store is empty."""
 
+import gc
+import math
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext import build_engine, parse_algebra
-from quiverext import resolution
+from quiverext import modules, resolution
 from quiverext.fields import PrimeField
 from quiverext.modules import (Representation, projective_cover, projective_module,
                                shift_rep, simple_module)
 from quiverext.quiver import wadd
-from quiverext.resolution import global_dimension, minimal_resolution
+from quiverext.resolution import (MinimalResolution, combine_verdicts, global_dimension,
+                                  minimal_resolution, projective_dimension)
 
 from conftest import (EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER, cyclic_nakayama,
                       fixture_text)
@@ -134,6 +139,50 @@ def test_repeated_jobs_leave_no_more_entries_than_one():
         assert stored(eng) <= one_job
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+def test_global_dimension_keeps_each_resolution_to_the_return(monkeypatch, n):
+    # J^3 = 0: Omega^2 S_i = S_{i+3}[3], so a simple's resolution meets the
+    # simples three vertices on, shifted, and recurs only after
+    # 2n / gcd(3, n) steps; the bound stops short of that, so every simple
+    # is resolved to it
+    pres = parse_algebra(cyclic_nakayama(n, 3))
+    bound = 2 * n // math.gcd(3, n) - 2
+    fresh = [0]
+    top_lifts = modules.top_lifts
+
+    def counting(rep):
+        fresh[0] += 1
+        return top_lifts(rep)
+
+    monkeypatch.setattr(modules, "top_lifts", counting)
+    singly = []
+    for v in pres.quiver.vertices:
+        eng = build_engine(pres)
+        singly.append(projective_dimension(eng, simple_module(eng, v), bound))
+    fresh_singly, fresh[0] = fresh[0], 0
+
+    covers = []
+    pd_verdict = MinimalResolution.pd_verdict
+
+    def recording(res, bound):
+        assert all(c() is not None for c in covers)     # earlier ones are kept
+        verdict = pd_verdict(res, bound)
+        covers.extend(weakref.ref(c) for c in res.covers)
+        return verdict
+
+    monkeypatch.setattr(MinimalResolution, "pd_verdict", recording)
+    eng = build_engine(pres)
+    gc.disable()
+    try:
+        verdict = global_dimension(eng, bound)
+        assert len(covers) == n * (bound + 1)
+        assert [c for c in covers if c() is not None] == []
+    finally:
+        gc.enable()
+    assert verdict == combine_verdicts(singly) == resolution.DimVerdict.at_least(bound)
+    assert 0 < fresh[0] < fresh_singly
+
+
 @st.composite
 def shifted_syzygies(draw):
     pres = presentation(draw(st.sampled_from(ALGEBRAS[:-1])), draw(st.sampled_from(FIELDS)))
@@ -151,7 +200,12 @@ def test_cover_of_shifted_module_is_shifted_cover(case):
     res = minimal_resolution(eng, simple_module(eng, v), n)
     moved = shift_rep(res.syzygy(n), h)
     want = projective_cover(build_engine(pres), moved)
-    assert_same_cover(res.covers[n].shifted(moved, h), want)
+    shifted = res.covers[n].shifted(moved, h)
+    # the offsets of the template slices are re-keyed when first read, here
+    # by the epi's blocks
+    assert "_where" not in vars(shifted.projective)
+    assert_same_cover(shifted, want)
+    assert shifted.projective._where == want.projective._where
     # found in the store while the resolution holds the cover
     before = stored(eng)
     assert_same_cover(projective_cover(eng, moved), want)
