@@ -31,6 +31,7 @@ for the life of the engine.  All arithmetic is exact (Q or F_p).
 
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .fields import GFElement
@@ -280,7 +281,6 @@ class NormalFormEngine:
             if p.length + 1 < self.truncation:
                 for a in self.quiver.arrows_from[p.target]:
                     self._normal_form((a.name,) + p.arrows)
-        self._opposite = None
         self._paths_from = {}
         for p in self.basis:
             self._paths_from.setdefault(p.source, []).append(p)
@@ -513,11 +513,9 @@ class NormalFormEngine:
     def radical_basis(self):
         return [p for p in self.basis if p.length >= 1]
 
-    @property
+    @cached_property
     def opposite_engine(self):
-        if self._opposite is None:
-            self._opposite = NormalFormEngine(self.pres.opposite())
-        return self._opposite
+        return NormalFormEngine(self.pres.opposite())
 
     def __repr__(self):
         return "NormalFormEngine(dim=%d, vertices=%d)" % (self.dim, len(self.quiver.vertices))

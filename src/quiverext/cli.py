@@ -152,7 +152,7 @@ def cmd_ext_table(engine, args):
 def cmd_corner(engine, args):
     pair = _pair(engine, args)
     cp = corner_algebra(engine, pair)
-    h_flag, witness = is_H_exact(cp, seed=args.seed)
+    h_flag, witness = is_H_exact(cp)
     report = {
         "f": list(pair.f_vertices),
         "e": list(pair.e_vertices),

@@ -239,7 +239,7 @@ def finiteness_and_growth_report(lam_table, cor_table, t_value, window, bound):
 
 
 def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
-                      with_products=True, with_growth=True):
+                      with_products=True):
     """Run the whole pipeline and return the comparison report as a dict."""
     if corner is None:
         corner = corner_algebra(engine, pair)
@@ -300,11 +300,10 @@ def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
         products_ok = prod["iso"] and not prod["mismatches"]
 
     report["pd_equivalence"] = pd_equivalence_report(corner, bound, lam_store, cor_store)
-    if with_growth:
-        growth = finiteness_and_growth_report(lam_table, cor_table, t_value,
-                                              window, table_bound)
-        report["generation"] = growth["generation"]
-        report["gk"] = growth["gk"]
+    growth = finiteness_and_growth_report(lam_table, cor_table, t_value,
+                                          window, table_bound)
+    report["generation"] = growth["generation"]
+    report["gk"] = growth["gk"]
 
     # per-simple pd verdicts that stayed open do not affect the window
     # comparison, which is exact degree by degree; record them as context

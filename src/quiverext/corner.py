@@ -456,7 +456,7 @@ def transport_resolution(corner, res, cutoff, upto):
     return terms, diffs
 
 
-def is_H_exact(corner, bound=4, seed=0):
+def is_H_exact(corner):
     """The right adjoint is exact iff the e-to-f module is corner-projective,
     i.e. its projective cover has zero kernel (`kernel_dims`).  Returns
     (flag, witness)."""

@@ -11,8 +11,8 @@ off its block (the grading and homogeneity check), and `dense` lays the
 slices of each vertex out one after another.  Relations and commutation are
 checked on the blocks.  Nothing changes once built, and blocks may be
 shared between modules.  The action of a projective or a shifted module, a
-cover's kernel and the blocks of a kernel's inclusion are built on first
-read into a plain attribute.
+cover's kernel and the blocks of a kernel's inclusion are each a
+`functools.cached_property`: built on first read and kept in the instance.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -150,20 +150,7 @@ def _assemble(field, row_slices, col_slices, blocks, shift):
     return out
 
 
-class _Lazy:
-    """An attribute `name` given as a function of no arguments, kept as
-    `_build_<name>`, is built on first read into a plain attribute."""
-
-    def __getattr__(self, name):
-        build = self.__dict__.pop("_build_" + name, None)
-        if build is None:
-            raise AttributeError(name)
-        value = build()
-        setattr(self, name, value)
-        return value
-
-
-class Representation(_Lazy):
+class Representation:
     """A graded left module, stored by (vertex, degree) slice.
 
     `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
@@ -186,6 +173,11 @@ class Representation(_Lazy):
         setattr(self, "_build_action" if callable(action) else "action", action)
         if check:
             self._verify()
+
+    @cached_property
+    def action(self):
+        """The action given as a function, run once and then dropped."""
+        return self.__dict__.pop("_build_action")()
 
     @classmethod
     def from_dense(cls, engine, degrees, action, check=True):
@@ -302,7 +294,7 @@ class Representation(_Lazy):
         return "Representation(%s)" % ({v: d for v, d in self.dim_vector().items() if d},)
 
 
-class ModuleMap(_Lazy):
+class ModuleMap:
     """A homogeneous map between representations, stored by slice.
 
     `grade` is the uniform degree drop: `blocks[(v, g)]` maps slice (v, g) of
@@ -319,6 +311,11 @@ class ModuleMap(_Lazy):
         setattr(self, "_build_blocks" if callable(blocks) else "blocks", blocks)
         if check:
             self._verify()
+
+    @cached_property
+    def blocks(self):
+        """The blocks given as a function, run once and then dropped."""
+        return self.__dict__.pop("_build_blocks")()
 
     @classmethod
     def from_dense(cls, source, target, blocks, grade=None, check=True):
@@ -371,14 +368,12 @@ class ModuleMap(_Lazy):
                for key, b in self.blocks.items()}
         return {key: cols for key, cols in out.items() if cols}
 
-    _factors = None     # block key -> Factor, made by `factor`
+    _factors = cached_property(lambda self: {})     # block key -> Factor, by `factor`
 
     def factor(self, key):
         """The `Factor` of block `key` (None where the block is missing),
         made on first use and kept with the map, so every lift through this
         map eliminates each block once."""
-        if self._factors is None:
-            self._factors = {}
         if key not in self._factors:
             b = self.blocks.get(key)
             self._factors[key] = None if b is None else Factor(b)
@@ -399,12 +394,13 @@ class ModuleMap(_Lazy):
     def is_zero(self):
         return all(b.is_zero() for b in self.blocks.values())
 
-    _rank = None    # kept: the blocks never change
-
     def rank(self):
-        if self._rank is None:
-            self._rank = sum(b.rank() for b in self.blocks.values())
         return self._rank
+
+    @cached_property
+    def _rank(self):
+        """Kept: the blocks never change."""
+        return sum(b.rank() for b in self.blocks.values())
 
     def is_iso(self):
         if self.source.total_dim != self.target.total_dim:
@@ -426,14 +422,14 @@ class ModuleMap(_Lazy):
                              {g: b for (u, g), b in self.blocks.items() if u == v}, shift)
                 for v in self.source.engine.quiver.vertices}
 
-    _json = None
-
     def to_json(self):
         """The dense view as lists, kept: readers must not change it."""
-        if self._json is None:
-            dense = self.dense()
-            self._json = {v: dense[v].to_json() for v in sorted(dense)}
         return self._json
+
+    @cached_property
+    def _json(self):
+        dense = self.dense()
+        return {v: dense[v].to_json() for v in sorted(dense)}
 
 
 class _ShiftedMap(ModuleMap):
@@ -442,9 +438,13 @@ class _ShiftedMap(ModuleMap):
     its factors, rank and dense view."""
 
     def __init__(self, base, source, target, h):
-        super().__init__(source, target, lambda: {
-            (v, wadd(g, h)): b for (v, g), b in base.blocks.items()}, base.grade, check=False)
+        self.source, self.target, self.grade = source, target, base.grade
         self._base, self._h = base, h
+
+    @cached_property
+    def blocks(self):
+        h = self._h
+        return {(v, wadd(g, h)): b for (v, g), b in self._base.blocks.items()}
 
     def factor(self, key):
         return self._base.factor((key[0], wsub(key[1], self._h)))
@@ -637,15 +637,11 @@ class ProjectiveMap(ModuleMap):
                     columns.setdefault(key, {})[offset + slot[1]] = x
         return {key: columns[key] for key in proj.slots if key in columns}
 
-    _blocks = None
-
-    @property
+    @cached_property
     def blocks(self):
-        if self._blocks is None:
-            field = self.source.engine.field
-            self._blocks = {key: _block(field, cols, len(self._proj.slots[key]))
-                            for key, cols in self.columns().items()}
-        return self._blocks
+        field = self.source.engine.field
+        return {key: _block(field, cols, len(self._proj.slots[key]))
+                for key, cols in self.columns().items()}
 
     def shifted(self, proj, target, h):
         """This map moved up by h, from `proj` (the source projective
@@ -654,8 +650,8 @@ class ProjectiveMap(ModuleMap):
         already built are re-keyed."""
         out = ProjectiveMap(proj, target, (), self.grade)
         out._memo = self._memo
-        if self._blocks is not None:
-            out._blocks = {(v, wadd(g, h)): b for (v, g), b in self._blocks.items()}
+        if "blocks" in vars(self):
+            out.blocks = {(v, wadd(g, h)): b for (v, g), b in self.blocks.items()}
         return out
 
 
@@ -765,18 +761,16 @@ def top_lifts(rep):
 class Cover:
     """A projective cover: epi P -> M with kernel K inside rad(P), a step of
     a resolution (a chain of covers, each the `successor` of the last).
-    `kernel` and `kernel_inclusion` are filled on first read; `kernel_dims`
-    is dim P - dim M slice by slice.  A shifted cover derives all else from
-    its live base, re-keyed, and afresh once the base is gone."""
-
-    __slots__ = ("projective", "epi", "kernel", "kernel_inclusion", "kernel_dims",
-                 "_base", "_successor", "_step", "_terms", "__weakref__")
+    `kernel_dims` is dim P - dim M slice by slice.  The rest (`kernel`,
+    `kernel_inclusion`, the successor, `step`, `generator_terms`) is each a
+    `cached_property`, never the cover itself, so no cover is in a cycle.  A
+    shifted cover derives them from its live base, re-keyed, and afresh once
+    the base is gone."""
 
     def __init__(self, projective, epi, base=None):
         self.projective = projective
         self.epi = epi
         self._base = base   # (weak reference to a cover B, h): B shifted by h
-        self._successor = self._step = self._terms = None
         covered = epi.target.dims
         self.kernel_dims = {key: n - covered.get(key, 0) for key, n
                             in projective.rep.dims.items() if n > covered.get(key, 0)}
@@ -786,17 +780,22 @@ class Cover:
         base = self._base and self._base[0]()
         return (base, self._base[1]) if base else (None, None)
 
-    def __getattr__(self, name):
-        if name not in ("kernel", "kernel_inclusion"):
-            raise AttributeError(name)
+    @cached_property
+    def kernel(self):
+        """The kernel, built with `kernel_inclusion`, which it sets."""
         base, h = self._live_base()
         if base is None:
-            self.kernel, self.kernel_inclusion = kernel_subrep(self.epi)
+            kernel, self.kernel_inclusion = kernel_subrep(self.epi)
         else:
-            self.kernel = shift_rep(base.kernel, h)
-            self.kernel_inclusion = _ShiftedMap(base.kernel_inclusion, self.kernel,
+            kernel = shift_rep(base.kernel, h)
+            self.kernel_inclusion = _ShiftedMap(base.kernel_inclusion, kernel,
                                                 self.projective.rep, h)
-        return getattr(self, name)
+        return kernel
+
+    @cached_property
+    def kernel_inclusion(self):
+        self.kernel         # sets it
+        return self.__dict__["kernel_inclusion"]
 
     def shifted(self, module, h):
         """This cover moved up by h, as the cover of `module`, which equals
@@ -808,39 +807,38 @@ class Cover:
         return Cover(proj, self.epi.shifted(proj, module, h),
                      (weakref.ref(base), wadd(h0, h)) if base else (weakref.ref(self), h))
 
-    def successor(self, request=None):
-        """The cover of the kernel, kept: a zero cover's is itself, a shifted
-        cover's its base's shifted, any other's is asked of `request`."""
-        if self._successor is None and not self.projective.is_zero():
-            base, h = self._live_base()
-            self._successor = base.successor(request).shifted(self.kernel, h) if base \
-                else (request or projective_cover)(self.projective.engine, self.kernel)
-        return self._successor or self
+    def successor(self):
+        """The cover of the kernel: a zero cover's is itself, kept nowhere, as
+        a cover must not refer to itself."""
+        return self if self.projective.is_zero() else self._kernel_cover
 
+    @cached_property
+    def _kernel_cover(self):
+        """A shifted cover's is its base's shifted, any other's is computed."""
+        base, h = self._live_base()
+        return base.successor().shifted(self.kernel, h) if base \
+            else projective_cover(self.projective.engine, self.kernel)
+
+    @cached_property
     def step(self):
-        """The kernel inclusion after the successor's epi, kept; a shifted
-        cover's is its base's, re-keyed."""
-        if self._step is None:
-            succ = self.successor()
-            base, h = self._live_base()
-            self._step = self.kernel_inclusion.compose(succ.epi) if base is None else \
-                _ShiftedMap(base.step(), succ.projective.rep, self.projective.rep, h)
-        return self._step
+        """The kernel inclusion after the successor's epi; a shifted cover's
+        is its base's, re-keyed."""
+        succ = self.successor()
+        base, h = self._live_base()
+        return self.kernel_inclusion.compose(succ.epi) if base is None else \
+            _ShiftedMap(base.step, succ.projective.rep, self.projective.rep, h)
 
+    @cached_property
     def generator_terms(self):
         """The column of `step` at each generator of the successor, as terms
         (summand, tree node, coefficient) over the nonzero slots of this
-        projective, kept; a shift changes none: a shifted cover's are its base's."""
-        if self._terms is None:
-            base, _ = self._live_base()
-            if base is not None:
-                self._terms = base.generator_terms()
-            else:
-                d = self.step()
-                cols = (d.column(*pos) for pos in self.successor().projective.gen_pos)
-                self._terms = [[self.projective.node_at(tkey, j) + (c,)
-                                for j, c in enumerate(col) if c] for tkey, col in cols]
-        return self._terms
+        projective; a shift changes none: a shifted cover's are its base's."""
+        base, _ = self._live_base()
+        if base is not None:
+            return base.generator_terms
+        cols = (self.step.column(*pos) for pos in self.successor().projective.gen_pos)
+        return [[self.projective.node_at(tkey, j) + (c,)
+                 for j, c in enumerate(col) if c] for tkey, col in cols]
 
 
 def _kernel_slots(cols, n):

@@ -182,7 +182,7 @@ class MinimalResolution:
         each the `successor` of the last.  Once a syzygy is zero, its zero
         cover serves every later step."""
         while len(self.covers) <= bound:
-            self.covers.append(self.covers[-1].successor(projective_cover) if self.covers
+            self.covers.append(self.covers[-1].successor() if self.covers
                                else projective_cover(self.engine, self.module))
             if self.certificate is None and not self.covers[-1].projective.is_zero():
                 self._scan_periodicity(len(self.covers))
@@ -215,7 +215,7 @@ class MinimalResolution:
         """The map P^n -> P^{n-1} (n >= 1), step n - 1's `Cover.step`, or
         P^0 -> M (n = 0)."""
         self._cover(n)
-        return self.covers[n - 1].step() if n else self.covers[0].epi
+        return self.covers[n - 1].step if n else self.covers[0].epi
 
     def generator_terms(self, n):
         """The column of differential n (n >= 1) at each generator of P^n,
@@ -223,7 +223,7 @@ class MinimalResolution:
         of P^{n-1}: what a chain-map lift reads of it, kept with the step
         (`Cover.generator_terms`)."""
         self._cover(n)
-        return self.covers[n - 1].generator_terms()
+        return self.covers[n - 1].generator_terms
 
     def pd_verdict(self, bound):
         """Projective dimension as a resolution to `bound` steps settles it.

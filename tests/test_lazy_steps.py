@@ -22,7 +22,7 @@ from quiverext import modules
 from quiverext.resolution import MinimalResolution
 
 from conftest import EXTERIOR3_F3, FIXTURE_NAMES, NAK4, cyclic_nakayama, engine_for, \
-    engine_from
+    engine_from, fixture_text
 from test_engine_generated import algebras
 
 
@@ -134,7 +134,7 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         # inclusions whose blocks are built lazily: every other one read
         inclusions = [c.kernel_inclusion for r in res.values() for c in r.covers[:-1]]
         inclusions.append(shifted[1].kernel_inclusion)
-        assert all("_build_blocks" in inc.__dict__ for inc in inclusions)
+        assert all("blocks" not in vars(inc) for inc in inclusions)
         for inc in inclusions[::2]:
             inc.blocks
         objects += inclusions
@@ -143,7 +143,7 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         epis = [c.epi for c in covers]
         for epi in epis:
             epi.columns()
-        assert all(epi._blocks is None for epi in epis)
+        assert all("blocks" not in vars(epi) for epi in epis)
         for epi in epis[::2]:
             epi.blocks
         refs = [weakref.ref(x) for x in objects]
@@ -174,10 +174,32 @@ def test_dropped_shifted_steps_are_freed_without_the_cycle_collector():
         d = res["1"].differential(12)
         key = next(iter(d.blocks))
         assert d.factor(key) is not None
-        objects = covers + [c.step() for c in covers] + [c.kernel for c in covers]
+        objects = covers + [c.step for c in covers] + [c.kernel for c in covers]
         objects += [c.kernel_inclusion for c in covers] + [c.epi for c in covers]
         refs = [weakref.ref(x) for x in objects]
         del res, r, covers, shifted, d, objects
+        assert [ref() for ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_dropped_zero_covers_are_freed_without_the_cycle_collector():
+    # a zero cover is its own successor, so it must not keep itself as one
+    eng = build_engine(parse_algebra(fixture_text("a2")))
+    gc.disable()
+    try:
+        res = simple_resolutions(eng)
+        for r in res.values():
+            r.extend_to(6)
+            for n in range(1, 7):
+                r.differential(n).to_json()
+                r.generator_terms(n)
+            r.verify()
+        covers = [c for r in res.values() for c in r.covers]
+        assert any(c.projective.is_zero() and c.successor() is c for c in covers)
+        objects = covers + [c.step for c in covers] + [c.kernel for c in covers]
+        refs = [weakref.ref(x) for x in objects]
+        del res, r, covers, objects
         assert [ref() for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

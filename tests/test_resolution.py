@@ -5,7 +5,7 @@ import pytest
 from quiverext import (DimVerdict, belongs_to, global_dimension,
                        injective_dimension, minimal_resolution,
                        projective_dimension, simple_module, zero_module)
-from quiverext import resolution
+from quiverext import modules, resolution
 from quiverext.ext import ExtTable
 from quiverext.resolution import MinimalResolution, combine_verdicts, simple_resolutions
 
@@ -212,7 +212,9 @@ def test_zero_cover_reused_after_zero_syzygy(monkeypatch):
         covers.append(rep)
         return cover(engine, rep)
 
+    # the first cover is asked of resolution's name, a successor of modules'
     monkeypatch.setattr(resolution, "projective_cover", counting_cover)
+    monkeypatch.setattr(modules, "projective_cover", counting_cover)
     eng = engine_for("a2")
     res = minimal_resolution(eng, simple_module(eng, "u"), 10)
     assert len(covers) == 3              # S_u, Omega^1 and the zero Omega^2

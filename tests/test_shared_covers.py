@@ -114,7 +114,9 @@ def test_resolving_nak_reuses_covers(monkeypatch):
         requested.append(cover(engine, rep))
         return requested[-1]
 
+    # the first cover is asked of resolution's name, a successor of modules'
     monkeypatch.setattr(resolution, "projective_cover", counting_cover)
+    monkeypatch.setattr(modules, "projective_cover", counting_cover)
     eng = build_engine(presentation("nak", "Q"))
     steps = 0
     for v in eng.quiver.vertices:

@@ -7,16 +7,21 @@ generator terms from the base, re-keyed by the shift.  Every differential
 must equal the naive composite of `naive.naive_differential` block for
 block and in its JSON rows, every list of generator terms its naive
 recomputation, and `verify` must pass; a shifted step's blocks, factors,
-rank and rows must be its base step's own objects."""
+rank and rows must be its base step's own objects.  Once its base is gone,
+a shifted cover builds each of these on first read as a fresh cover does."""
+
+import gc
 
 import pytest
 
 from quiverext import (build_engine, corner_algebra, pair_from_presentation,
-                       parse_algebra_file, simple_resolutions)
+                       parse_algebra, parse_algebra_file, simple_module, simple_resolutions)
 from quiverext.fields import QQ, PrimeField
+from quiverext.modules import projective_cover, shift_rep
 from quiverext.quiver import wsub
+from quiverext.resolution import MinimalResolution
 
-from conftest import FIXTURE_NAMES, FIXTURES, cyclic_nakayama, engine_from
+from conftest import FIXTURE_NAMES, FIXTURES, NAK4, cyclic_nakayama, engine_from, fixture_text
 from naive import naive_differential, naive_generator_terms
 
 BOUND = 12
@@ -39,13 +44,13 @@ def assert_steps_match_naive(eng, bound=BOUND):
             if base is None:
                 continue
             shared += 1
-            b = base.step()
+            b = base.step
             for (v, g), block in d.blocks.items():
                 assert block is b.blocks[(v, wsub(g, h))]
                 assert d.factor((v, g)) is b.factor((v, wsub(g, h)))
             assert d.rank() == b.rank() == want.rank()
             assert d.to_json() is b.to_json()
-            assert res.generator_terms(n) is base.generator_terms()
+            assert res.generator_terms(n) is base.generator_terms
         assert res.verify()
     return shared
 
@@ -65,3 +70,34 @@ def test_nakayama_steps_match_naive(n):
         # Omega^2 S_i = S_{i+L}[L]: the resolutions meet shifted simples
         # covered before
         assert assert_steps_match_naive(engine_from(cyclic_nakayama(n, loewy))) > 0
+
+
+LAZY = ("kernel", "kernel_inclusion", "step", "generator_terms")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["nak4"])
+def test_shifted_cover_read_after_its_base_is_gone(name):
+    # once its base is freed, a shifted cover builds each lazy attribute on
+    # first read as a fresh cover does, with the same result
+    pres = parse_algebra(NAK4 if name == "nak4" else fixture_text(name))
+    h = (1,) * pres.group_rank
+    for v in pres.quiver.vertices:
+        # an engine of its own, so no earlier cover keeps the base alive
+        eng = build_engine(pres)
+        res = MinimalResolution(eng, simple_module(eng, v)).extend_to(1)
+        moved = shift_rep(res.syzygy(1), h)
+        shifted = res.covers[1].shifted(moved, h)
+        assert shifted._live_base()[0] is not None
+        del res
+        gc.collect()
+        assert shifted._live_base() == (None, None)
+        assert not set(LAZY) & set(vars(shifted))
+        want = projective_cover(build_engine(pres), moved)
+        assert want._live_base() == (None, None)
+        got_kernel, want_kernel = shifted.kernel, want.kernel
+        assert list(got_kernel.dims.items()) == list(want_kernel.dims.items())
+        assert list(got_kernel.action.items()) == list(want_kernel.action.items())
+        assert shifted.kernel_inclusion.blocks == want.kernel_inclusion.blocks
+        assert list(shifted.step.blocks.items()) == list(want.step.blocks.items())
+        assert shifted.generator_terms == want.generator_terms
+        assert set(LAZY) <= set(vars(shifted))
