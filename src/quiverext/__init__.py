@@ -10,8 +10,7 @@ from .comparison import (ThresholdData, compute_abc, finiteness_and_growth_repor
                          verify_comparison, verify_product_compatibility)
 from .corner import (CornerPresentation, IdempotentPair, apply_F, corner_algebra,
                      f_lambda_e_module, gexact_condition, is_H_exact,
-                     pair_from_presentation, pd_finite_sufficient,
-                     transport_resolution)
+                     pair_from_presentation)
 from .ext import (ExtClass, ExtTable, ext_table, generation_window_check,
                   gk_estimate, gk_estimate_from_dims, lift_cocycle,
                   yoneda_product)
@@ -19,7 +18,7 @@ from .fields import QQ, PrimeField, RationalField, field_from_name
 from .modules import (ModuleMap, Projective, Representation, dual_to_opposite,
                       hom_space, module_iso_test, projective_cover,
                       projective_module, semisimple_top, shift_rep,
-                      simple_module, subrep_generated, zero_module)
+                      simple_module, zero_module)
 from .quiver import Arrow, Path, Quiver, compose, vertex_path
 from .resolution import (DimVerdict, MinimalResolution, belongs_to,
                          combine_verdicts, global_dimension, injective_dimension,

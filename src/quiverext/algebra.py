@@ -527,12 +527,11 @@ class ProjectiveTemplate:
 
     `slices[(w, d)]` lists the basis paths from v to w of weight d in
     (length, arrows) order; slices go vertex by vertex in quiver order, then
-    by degree.  `action[(a, d)]` is the matrix of arrow a from slice
-    (a.source, d) to slice (a.target, d + W(a)), missing when zero.
-    `blocks_from[(w, d)]` lists the same blocks by source slice, as (arrow,
-    target slice, block) in quiver arrow order, so a projective places them
-    with no weight arithmetic.  These blocks are shared by every projective
-    built from the template and are never mutated.
+    by degree.  `blocks_from[(w, d)]` lists, as (arrow, target slice, block)
+    in quiver arrow order, the matrix of each arrow a from slice (w, d) to
+    slice (a.target, d + W(a)), left out when zero, so a projective places
+    them with no weight arithmetic.  These blocks are shared by every
+    projective built from the template and are never mutated.
 
     `tree` is the prefix tree of the basis paths: node i is (parent,
     arrow, weight of the parent, slot), the path "arrow after the parent's
@@ -542,7 +541,7 @@ class ProjectiveTemplate:
     `node_of[arrows]` is the node of the path with those arrows.
     """
 
-    __slots__ = ("slices", "action", "blocks_from", "tree", "node_of")
+    __slots__ = ("slices", "blocks_from", "tree", "node_of")
 
     def __init__(self, engine, v):
         index = engine.quiver.vertex_index
@@ -554,7 +553,6 @@ class ProjectiveTemplate:
             self.slices.setdefault((p.target, p.weight), []).append(p)
         slot = {p.arrows: (key, i) for key, ps in self.slices.items()
                 for i, p in enumerate(ps)}
-        self.action = {}
         self.blocks_from = {}
         # a times p, read off the engine's normal forms: every one of length
         # below N is there, and a longer one is zero
@@ -572,8 +570,7 @@ class ProjectiveTemplate:
                     for q, c in normal_forms.get((a.name,) + p.arrows, {}).items():
                         rows[slot[q.arrows][1]][j] = c
                 if any(any(r) for r in rows):
-                    b = self.action[(a.name, d)] = Matrix._owning(engine.field, rows, len(src))
-                    out.append((a.name, tkey, b))
+                    out.append((a.name, tkey, Matrix._owning(engine.field, rows, len(src))))
         prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
                           key=lambda t: (len(t), t))
         node = self.node_of = {}

@@ -91,11 +91,13 @@ def parse_algebra(text):
             if len(toks) < 2:
                 raise AlgebraFileError("vertices line needs at least one name", lineno)
             vertices = toks[1:]
-            for i, v in enumerate(vertices):
+            named = set()
+            for v in vertices:
                 if not _NAME_RE.match(v):
                     raise AlgebraFileError("bad vertex name %r" % v, lineno)
-                if v in vertices[:i]:
+                if v in named:
                     raise AlgebraFileError("duplicate vertex name %r" % v, lineno)
+                named.add(v)
     if vertices is None:
         raise AlgebraFileError("missing vertices line")
 
@@ -115,7 +117,7 @@ def parse_algebra(text):
             if name in weights:
                 raise AlgebraFileError("duplicate arrow name %r" % name, lineno)
             for end, v in (("source", src), ("target", dst)):
-                if v not in vertices:
+                if v not in named:
                     raise AlgebraFileError("arrow %s has unknown %s %r" % (name, end, v),
                                            lineno)
             try:
@@ -142,11 +144,13 @@ def parse_algebra(text):
             if len(toks) < 4 or toks[1] != "f" or toks[2] != "=":
                 raise AlgebraFileError("expected 'idempotent f = <vertex>+'", lineno)
             f_vertices = toks[3:]
-            for i, v in enumerate(f_vertices):
-                if v not in vertices:
+            listed = set()
+            for v in f_vertices:
+                if v not in named:
                     raise AlgebraFileError("unknown vertex %r in idempotent line" % v, lineno)
-                if v in f_vertices[:i]:
+                if v in listed:
                     raise AlgebraFileError("repeated vertex in idempotent line", lineno)
+                listed.add(v)
         else:
             raise AlgebraFileError("unknown directive %r" % key, lineno)
 

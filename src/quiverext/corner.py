@@ -9,16 +9,15 @@ the corner, computed degreewise.  The canonical map is verified to be an
 algebra isomorphism (dimension plus full multiplication table).
 
 Also here: the exact restriction functor (tensoring with the corner
-bimodule), the module of e-to-f paths, resolution transport, and the
-exactness test for the right adjoint.
+bimodule), the module of e-to-f paths, and the exactness test for the
+right adjoint.
 """
 
 from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
-from .modules import (ModuleMap, Representation, projective_cover,
-                      radical_subspaces, simple_module)
-from .quiver import Quiver, compose, wsub
-from .resolution import MinimalResolution, belongs_to, projective_dimension
+from .modules import ModuleMap, Representation, projective_cover, simple_module
+from .quiver import Quiver, compose
+from .resolution import projective_dimension
 
 
 class IdempotentPair:
@@ -38,9 +37,6 @@ class IdempotentPair:
             raise ValueError("the corner part must contain at least one vertex")
         self.f_vertices = tuple(v for v in vs if v in set(f))
         self.e_vertices = tuple(v for v in vs if v not in set(f))
-        # f Lambda e sits in the radical: its basis paths have length >= 1
-        assert all(p.length >= 1 for p in
-                   engine.basis_paths_between(self.e_vertices, self.f_vertices))
 
     def __repr__(self):
         return "IdempotentPair(f=%s, e=%s)" % (list(self.f_vertices), list(self.e_vertices))
@@ -410,50 +406,12 @@ def apply_F(corner, rep):
     return Representation(corner.corner_engine, dims, action, check=True)
 
 
-def apply_F_map(corner, mmap, source_F=None, target_F=None):
-    """Restrict a module map to the f-vertices."""
-    src = source_F if source_F is not None else apply_F(corner, mmap.source)
-    tgt = target_F if target_F is not None else apply_F(corner, mmap.target)
+def apply_F_map(corner, mmap, source_F, target_F):
+    """Restrict a module map to the f-vertices, between the restrictions
+    `source_F` and `target_F` of its source and target."""
     fset = set(corner.pair.f_vertices)
     blocks = {key: b for key, b in mmap.blocks.items() if key[0] in fset}
-    return ModuleMap(src, tgt, blocks, grade=mmap.grade, check=False)
-
-
-def transport_resolution(corner, res, cutoff, upto):
-    """Apply the restriction functor to a minimal resolution beyond a cutoff.
-
-    Checks that every term past the cutoff belongs to f, and that the
-    transported complex is exact with differentials inside the corner
-    radical (so it is again minimal).  Returns the transported terms and
-    differentials for steps cutoff+1 .. upto.
-    """
-    fset = set(corner.pair.f_vertices)
-    terms = {}
-    for n in range(cutoff + 1, upto + 1):
-        if not belongs_to(res.summands(n), fset):
-            raise ValueError(
-                "term %d does not belong to f; transport needs a larger cutoff" % n)
-        terms[n] = apply_F(corner, res.term(n).rep)
-    diffs = {}
-    for n in range(cutoff + 2, upto + 1):
-        d = res.differential(n)
-        diffs[n] = apply_F_map(corner, d, source_F=terms[n], target_F=terms[n - 1])
-    # exactness and minimality of the transported tail
-    for n in range(cutoff + 2, upto):
-        if not diffs[n].compose(diffs[n + 1]).is_zero():
-            raise AssertionError("transported differentials do not compose to zero")
-        if diffs[n + 1].rank() != terms[n].total_dim - diffs[n].rank():    # ranks are kept
-            raise AssertionError("transported complex is not exact at step %d" % n)
-    for n in range(cutoff + 2, upto + 1):
-        rad = radical_subspaces(terms[n - 1])
-        d = diffs[n]
-        for (w, g), block in d.blocks.items():
-            span = rad.get((w, wsub(g, d.grade)))
-            for j in range(block.ncols):
-                col = block.col(j)
-                if any(col) and (span is None or not span.contains(col)):
-                    raise AssertionError("transported differential leaves the radical")
-    return terms, diffs
+    return ModuleMap(source_F, target_F, blocks, grade=mmap.grade, check=False)
 
 
 def is_H_exact(corner):
@@ -490,27 +448,3 @@ def gexact_condition(corner, seed=0):
         conclusion = projective_dimension(corner.corner_engine, rep, 1,
                                           seed=seed).is_finite
     return {"e_vertex": v, "hypothesis": hypothesis, "conclusion": conclusion}
-
-
-def pd_finite_sufficient(corner, bound=40, seed=0):
-    """If each e-simple has a finite resolution whose terms from step 1 on
-    belong to f, conclude (and verify) that the e-to-f module has finite
-    corner projective dimension."""
-    eng = corner.engine
-    pair = corner.pair
-    fset = set(pair.f_vertices)
-    applicable = True
-    details = []
-    for v in pair.e_vertices:
-        res = MinimalResolution(eng, simple_module(eng, v), seed=seed)
-        verdict = res.pd_verdict(bound)
-        ok = verdict.is_finite and all(belongs_to(res.summands(n), fset)
-                                       for n in range(1, verdict.value + 1))
-        details.append({"vertex": v, "pd": verdict.describe(), "hypothesis": ok})
-        applicable = applicable and ok
-    if not applicable:
-        return {"applicable": False, "details": details, "conclusion": None}
-    rep, _ = f_lambda_e_module(corner)
-    verdict = projective_dimension(corner.corner_engine, rep, bound, seed=seed)
-    return {"applicable": True, "details": details,
-            "conclusion": verdict.describe(), "finite": verdict.is_finite}

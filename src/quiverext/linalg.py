@@ -180,7 +180,6 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch %s @ %s" % (self.shape, other.shape))
-            z = self.field.zero
             out = Matrix.zeros(self.field, self.nrows, other.ncols)
             for i in range(self.nrows):
                 ri = self.rows[i]

@@ -694,27 +694,6 @@ def shift_rep(rep, h):
         check=False)
 
 
-def radical_subspaces(rep):
-    """Per slice (v, g): the subspace r*M, spanned by all arrow images.
-
-    The graded radical is generated by the arrows (positive-length normal
-    form paths), so r*M is the sum of the arrow-action images.
-    """
-    field = rep.engine.field
-    weights = rep.engine.pres.weights
-    arrows = rep.engine.quiver.arrow_by_name
-    spans = {}
-    for (name, g), m in rep.action.items():
-        key = (arrows[name].target, wadd(g, weights[name]))
-        for j in range(m.ncols):
-            col = m.col(j)
-            if any(col):
-                if key not in spans:
-                    spans[key] = Subspace(field, rep.dims[key])
-                spans[key].add(col)
-    return spans
-
-
 def semisimple_top(rep):
     """Dimensions of M / rM as a sorted list of (vertex, degree, multiplicity):
     the lifts `top_lifts` chooses, counted per slice."""
@@ -872,7 +851,7 @@ def kernel_subrep(mmap):
     return _subrep_from_homogeneous(mmap.source, vectors, slots)
 
 
-def _subrep_from_homogeneous(parent, vectors, slots=None):
+def _subrep_from_homogeneous(parent, vectors, slots):
     """Build the subrepresentation with the given basis vectors.
 
     vectors: {slice: [coordinates, ...]}, linearly independent (a nullspace
@@ -894,7 +873,7 @@ def _subrep_from_homogeneous(parent, vectors, slots=None):
     index = engine.quiver.vertex_index
     bases = {key: Matrix.from_columns(field, vecs, parent.dims[key])
              for key, vecs in vectors.items() if vecs}
-    slots = {key: s for key, s in (slots or {}).items() if s}
+    slots = {key: s for key, s in slots.items() if s}
     keys = sorted(bases.keys() | slots.keys(), key=lambda k: (index[k[0]], k[1]))
     action = {}
     for v, g in keys:
@@ -934,41 +913,6 @@ def _subrep_from_homogeneous(parent, vectors, slots=None):
 
     sub = Representation(engine, dims, action, check=False)
     return sub, ModuleMap(sub, parent, inclusion, check=False)
-
-
-def subrep_generated(parent, vectors):
-    """The submodule generated by homogeneous vectors (v, g, coordinates):
-    close under arrows."""
-    engine = parent.engine
-    field = engine.field
-    weights = engine.pres.weights
-    spans = {}
-    collected = {}
-
-    def add(key, vec):
-        if key not in spans:
-            spans[key] = Subspace(field, parent.dims[key])
-        if spans[key].add(vec):
-            collected.setdefault(key, []).append(vec)
-            return True
-        return False
-
-    frontier = []
-    for v, g, vec in vectors:
-        if add((v, g), list(vec)):
-            frontier.append(((v, g), vec))
-    while frontier:
-        (v, g), vec = frontier.pop()
-        for a in engine.quiver.arrows_from[v]:
-            m = parent.action.get((a.name, g))
-            if m is None:
-                continue
-            img = m.apply(vec)
-            if any(img):
-                key = (a.target, wadd(g, weights[a.name]))
-                if add(key, img):
-                    frontier.append((key, img))
-    return _subrep_from_homogeneous(parent, collected)
 
 
 def projective_cover(engine, rep):

@@ -39,15 +39,27 @@ steps a shifted cover takes from its base, re-keyed.
 
 Two module constructions only tests need live here too, built on the
 package's matrices and representations: the direct sum of representations
-and the quotient by a submodule."""
+and the quotient by a submodule.
+
+So do four checks that no part of the package calls, built on its own
+code.  `subrep_generated` closes homogeneous vectors under the arrows and
+hands their span to `modules._subrep_from_homogeneous`, so comparing it
+with `dense_generated` tests that solve path.  `radical_subspaces` spans
+r*M slice by slice.  `transport_resolution` restricts a minimal resolution
+to the corner past a cutoff and checks that the result is again minimal,
+and `pd_finite_sufficient` checks the sufficient condition for a finite
+corner projective dimension of the e-to-f module."""
 
 from fractions import Fraction
 
+from quiverext.corner import apply_F, apply_F_map, f_lambda_e_module
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
 from quiverext.fields import QQ
 from quiverext.linalg import Matrix, Subspace
-from quiverext.modules import ModuleMap, Representation, kernel_subrep
-from quiverext.quiver import compose, wadd
+from quiverext.modules import (ModuleMap, Representation, _subrep_from_homogeneous,
+                               kernel_subrep, simple_module)
+from quiverext.quiver import compose, wadd, wsub
+from quiverext.resolution import MinimalResolution, belongs_to, projective_dimension
 
 
 def parse_lines(text):
@@ -676,3 +688,120 @@ def direct_sum(reps):
             for i, row in enumerate(b.rows):
                 m.rows[ro + i][co:co + b.ncols] = row
     return Representation(engine, dims, action, check=False)
+
+
+def radical_subspaces(rep):
+    """Per slice (v, g): the subspace r*M, spanned by all arrow images.
+
+    The graded radical is generated by the arrows (positive-length normal
+    form paths), so r*M is the sum of the arrow-action images.
+    """
+    field = rep.engine.field
+    weights = rep.engine.pres.weights
+    arrows = rep.engine.quiver.arrow_by_name
+    spans = {}
+    for (name, g), m in rep.action.items():
+        key = (arrows[name].target, wadd(g, weights[name]))
+        for j in range(m.ncols):
+            col = m.col(j)
+            if any(col):
+                if key not in spans:
+                    spans[key] = Subspace(field, rep.dims[key])
+                spans[key].add(col)
+    return spans
+
+
+def subrep_generated(parent, vectors):
+    """The submodule generated by homogeneous vectors (v, g, coordinates):
+    close under arrows."""
+    engine = parent.engine
+    field = engine.field
+    weights = engine.pres.weights
+    spans = {}
+    collected = {}
+
+    def add(key, vec):
+        if key not in spans:
+            spans[key] = Subspace(field, parent.dims[key])
+        if spans[key].add(vec):
+            collected.setdefault(key, []).append(vec)
+            return True
+        return False
+
+    frontier = []
+    for v, g, vec in vectors:
+        if add((v, g), list(vec)):
+            frontier.append(((v, g), vec))
+    while frontier:
+        (v, g), vec = frontier.pop()
+        for a in engine.quiver.arrows_from[v]:
+            m = parent.action.get((a.name, g))
+            if m is None:
+                continue
+            img = m.apply(vec)
+            if any(img):
+                key = (a.target, wadd(g, weights[a.name]))
+                if add(key, img):
+                    frontier.append((key, img))
+    return _subrep_from_homogeneous(parent, collected, {})
+
+
+def transport_resolution(corner, res, cutoff, upto):
+    """Apply the restriction functor to a minimal resolution beyond a cutoff.
+
+    Checks that every term past the cutoff belongs to f, and that the
+    transported complex is exact with differentials inside the corner
+    radical (so it is again minimal).  Returns the transported terms and
+    differentials for steps cutoff+1 .. upto.
+    """
+    fset = set(corner.pair.f_vertices)
+    terms = {}
+    for n in range(cutoff + 1, upto + 1):
+        if not belongs_to(res.summands(n), fset):
+            raise ValueError(
+                "term %d does not belong to f; transport needs a larger cutoff" % n)
+        terms[n] = apply_F(corner, res.term(n).rep)
+    diffs = {}
+    for n in range(cutoff + 2, upto + 1):
+        d = res.differential(n)
+        diffs[n] = apply_F_map(corner, d, source_F=terms[n], target_F=terms[n - 1])
+    # exactness and minimality of the transported tail
+    for n in range(cutoff + 2, upto):
+        if not diffs[n].compose(diffs[n + 1]).is_zero():
+            raise AssertionError("transported differentials do not compose to zero")
+        if diffs[n + 1].rank() != terms[n].total_dim - diffs[n].rank():    # ranks are kept
+            raise AssertionError("transported complex is not exact at step %d" % n)
+    for n in range(cutoff + 2, upto + 1):
+        rad = radical_subspaces(terms[n - 1])
+        d = diffs[n]
+        for (w, g), block in d.blocks.items():
+            span = rad.get((w, wsub(g, d.grade)))
+            for j in range(block.ncols):
+                col = block.col(j)
+                if any(col) and (span is None or not span.contains(col)):
+                    raise AssertionError("transported differential leaves the radical")
+    return terms, diffs
+
+
+def pd_finite_sufficient(corner, bound=40, seed=0):
+    """If each e-simple has a finite resolution whose terms from step 1 on
+    belong to f, conclude (and verify) that the e-to-f module has finite
+    corner projective dimension."""
+    eng = corner.engine
+    pair = corner.pair
+    fset = set(pair.f_vertices)
+    applicable = True
+    details = []
+    for v in pair.e_vertices:
+        res = MinimalResolution(eng, simple_module(eng, v), seed=seed)
+        verdict = res.pd_verdict(bound)
+        ok = verdict.is_finite and all(belongs_to(res.summands(n), fset)
+                                       for n in range(1, verdict.value + 1))
+        details.append({"vertex": v, "pd": verdict.describe(), "hypothesis": ok})
+        applicable = applicable and ok
+    if not applicable:
+        return {"applicable": False, "details": details, "conclusion": None}
+    rep, _ = f_lambda_e_module(corner)
+    verdict = projective_dimension(corner.corner_engine, rep, bound, seed=seed)
+    return {"applicable": True, "details": details,
+            "conclusion": verdict.describe(), "finite": verdict.is_finite}

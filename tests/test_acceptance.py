@@ -15,7 +15,7 @@ from quiverext import (DimVerdict, IdempotentPair, apply_F,
                        injective_dimension, module_iso_test, parse_algebra,
                        projective_dimension, projective_module,
                        restricted_ext_table, simple_module, shift_rep,
-                       subrep_generated, verify_comparison, yoneda_product)
+                       verify_comparison, yoneda_product)
 from quiverext.cli import main as cli_main
 from quiverext.comparison import compute_abc
 from quiverext.corner import apply_F_map
@@ -23,7 +23,7 @@ from quiverext.quiver import compose, wadd
 from quiverext.resolution import MinimalResolution
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
-from naive import direct_sum, engine_paths, quotient_rep
+from naive import direct_sum, engine_paths, quotient_rep, subrep_generated
 from oracle import ext_oracle
 
 ALL = ["e24", "e41", "a2", "pos", "nak", "tri"]

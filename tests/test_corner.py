@@ -5,14 +5,14 @@ import pytest
 from quiverext import (IdempotentPair, apply_F, build_engine, corner_algebra,
                        f_lambda_e_module, gexact_condition, global_dimension,
                        is_H_exact, module_iso_test, parse_algebra,
-                       pd_finite_sufficient, projective_module, simple_module,
-                       shift_rep, subrep_generated, transport_resolution)
+                       projective_module, simple_module, shift_rep)
 from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
 from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import engine_for, engine_from, random_homogeneous_vectors
-from naive import direct_sum, engine_paths, interior_vertices, quotient_rep
+from naive import (direct_sum, engine_paths, interior_vertices, pd_finite_sufficient,
+                   quotient_rep, subrep_generated, transport_resolution)
 
 
 def corner_for(name):

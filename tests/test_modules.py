@@ -4,13 +4,13 @@ import pytest
 
 from quiverext import (ModuleMap, Representation, dual_to_opposite, hom_space,
                        module_iso_test, projective_cover, projective_module,
-                       semisimple_top, shift_rep, simple_module, subrep_generated,
-                       zero_module)
+                       semisimple_top, shift_rep, simple_module, zero_module)
 from quiverext.linalg import Matrix
 from quiverext.modules import Projective, kernel_subrep
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
-from naive import direct_sum, naive_projective, quotient_rep
+from naive import (direct_sum, naive_projective, quotient_rep, radical_subspaces,
+                   subrep_generated)
 
 
 def test_simple_module_dims():
@@ -81,7 +81,6 @@ def test_dim_top_plus_radical():
 
 
 def test_dim_top_plus_radical_generic():
-    from quiverext.modules import radical_subspaces
     rng = random.Random(31)
     for name in ["e24", "e41", "tri"]:
         eng = engine_for(name)

@@ -11,13 +11,12 @@ from quiverext import ModuleMap, Representation, build_engine, parse_algebra_fil
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
 from quiverext.modules import (Projective, _subrep_from_homogeneous, kernel_subrep,
-                               projective_cover, projective_module, simple_module,
-                               subrep_generated)
+                               projective_cover, projective_module, simple_module)
 from quiverext.quiver import wadd
 
 from conftest import (FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import dense_generated, dense_kernel, direct_sum
+from naive import dense_generated, dense_kernel, direct_sum, subrep_generated
 
 
 def _engine(name, field):
@@ -82,7 +81,7 @@ def test_span_not_closed_raises():
                                         for key, n in p.rep.dims.items()})
     key, gen = identity.column(*p.gen_pos[0])
     with pytest.raises(ValueError, match="span is not closed under the action"):
-        _subrep_from_homogeneous(p.rep, {key: [gen]})
+        _subrep_from_homogeneous(p.rep, {key: [gen]}, {})
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
