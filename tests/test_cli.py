@@ -196,7 +196,10 @@ PRIME_FIELD_GOLDEN = [
     (name, ["ext-table", "--field", "F3", "--bound", "8", "--products-bound", "5"],
      name + "_products_f3.json") for name in ("pos", "tri")] + [
     (None, ["ext-table", "--bound", "4", "--products-bound", "4"],
-     "exterior3_f3_products.json")]
+     "exterior3_f3_products.json")] + [
+    (name, [command, "--field", "F3", "--bound", "10"],
+     "%s_%s_f3_b10.json" % (name, command))
+    for name in ("pos", "tri") for command in ("compare", "corner")]
 
 
 @pytest.mark.parametrize("name,argv,golden", PRIME_FIELD_GOLDEN,
