@@ -12,8 +12,8 @@ Math. 173, 1999).  Paths are ordered by (length, arrows), and the tip of an
 element is its smallest path, so rewriting a tip brings in only larger
 paths and the paths longer than N drop out.  Buchberger's completion starts
 from the uniform relation pieces and reduces the overlap of every two tips
-(a path t*w = u*s for tips t and s), on sparse {arrows: coefficient} rows
-over Q or on residues over F_p; two monomials have no overlap to reduce.
+(a path t*w = u*s for tips t and s), on sparse {arrows: coefficient} rows;
+two monomials have no overlap to reduce.
 An element whose tip a new tip divides is reduced again, so the tips stay
 minimal.
 
@@ -26,7 +26,13 @@ has length N.  Otherwise the witness is the first length-N path in the
 same walk order whose normal form is nonzero; that walk drops each path
 that reduces to zero, whose extensions do too.  The normal form of a path
 is its first arrow times the normal form of the rest, reduced, and is kept
-for the life of the engine.  All arithmetic is exact (Q or F_p).
+for the life of the engine.
+
+Coefficients are the field's plain scalars (see fields.py), so an element
+of F_p is its residue in [0, p), in relations, Groebner tails, normal forms
+and elements alike; each sum of coefficients (`add_scaled`, the reduction
+and the completion) is reduced mod p as it is formed.  All arithmetic is
+exact (Q or F_p).
 """
 
 from collections import deque
@@ -34,7 +40,6 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .fields import GFElement
 from .linalg import Matrix
 from .quiver import Path, compose, vertex_path, wadd, wzero
 
@@ -108,7 +113,7 @@ class AlgebraPresentation:
                         "relation term %r has length %d; relations must be "
                         "combinations of paths of length >= 2" % (path, path.length))
                 c = self.field.of(coeff)
-                terms[path] = terms[path] + c if path in terms else c
+                terms[path] = self.field.of(terms[path] + c) if path in terms else c
             self.relations.append([(c, path) for path, c in terms.items() if c])
         self.uniform_relations = self._split_uniform()
 
@@ -174,7 +179,7 @@ class AlgebraPresentation:
                     raise PresentationError(
                         "relation %d: coefficient %s of term %s has no value in %s"
                         % (idx + 1, c, "*".join(path.arrows), field.name))
-                mapped.append((c.v if isinstance(c, GFElement) else c, path.arrows))
+                mapped.append((c, path.arrows))
             rels.append(mapped)
         return AlgebraPresentation(self.quiver, self.group_rank, self.weights, field,
                                    rels, self.truncation, f_vertices=self.f_vertices)
@@ -199,11 +204,14 @@ class UniformRelation:
         self.terms = terms
 
 
-def add_scaled(out, terms, c):
-    """out += c * terms, for sparse {key: coefficient} dicts.  A key whose
-    sum vanishes is dropped; a new key goes last."""
+def add_scaled(out, terms, c, p):
+    """out += c * terms, for sparse {key: coefficient} dicts, each sum reduced
+    mod p over F_p (p = 0 over Q).  A key whose sum vanishes is dropped; a
+    new key goes last."""
     for t, d in terms.items():
         s = out.get(t, 0) + c * d
+        if p:
+            s %= p
         if s:
             out[t] = s
         else:
@@ -221,14 +229,17 @@ class AlgebraElement:
 
     def __add__(self, other):
         out = dict(self.terms)
-        add_scaled(out, other.terms, self.engine.field.one)
+        add_scaled(out, other.terms, 1, self.engine.field.characteristic)
         return AlgebraElement(self.engine, out)
 
     def __sub__(self, other):
-        return self + other.scaled(-self.engine.field.one)
+        field = self.engine.field
+        return self + other.scaled(field.neg(field.one))
 
     def scaled(self, c):
-        return AlgebraElement(self.engine, {p: c * v for p, v in self.terms.items()})
+        p = self.engine.field.characteristic
+        return AlgebraElement(self.engine, {t: c * v % p if p else c * v
+                                            for t, v in self.terms.items()})
 
     def __mul__(self, other):
         return self.engine.multiply(self, other)
@@ -262,14 +273,14 @@ class NormalFormEngine:
         self.quiver = pres.quiver
         self.group_rank = pres.group_rank
         self.truncation = pres.truncation
-        # the Groebner basis, {tip arrows: tail}: a tail is {arrows: value},
-        # its paths larger than the tip; values are residues over F_p
+        # the Groebner basis, {tip arrows: tail}: a tail is
+        # {arrows: coefficient}, its paths larger than the tip
         self._tails = {}
         # {first arrow: lengths of the tips that start with it}; a length
         # left by a tip taken out of the basis only costs a failed lookup
         self._tip_lengths = {}
         self._complete()
-        # normal forms as {arrows: value}, by the arrows of a path of length >= 1
+        # normal forms as {arrows: coefficient}, by the arrows of a path of length >= 1
         self._word_nf = {}
         self.basis = self._standard_paths()
         self.dim = len(self.basis)
@@ -301,7 +312,7 @@ class NormalFormEngine:
         n = self.truncation
         p = self.field.characteristic
         tails = self._tails
-        queue = deque({path.arrows: c.v if p else c for c, path in rel.terms
+        queue = deque({path.arrows: c for c, path in rel.terms
                        if path.length <= n} for rel in self.pres.uniform_relations)
         overlaps = []
         while queue or overlaps:
@@ -322,7 +333,7 @@ class NormalFormEngine:
             if not f:
                 continue
             tip = next(iter(f))
-            inv = pow(f.pop(tip), p - 2, p) if p else self.field.inv(f.pop(tip))
+            inv = self.field.inv(f.pop(tip))
             tail = {w: c * inv % p if p else c * inv for w, c in f.items()}
             for s in [s for s in tails if len(s) > len(tip) and _divides(tip, s)]:
                 queue.append({s: 1, **tails.pop(s)})
@@ -349,7 +360,7 @@ class NormalFormEngine:
         return None
 
     def _reduce(self, f):
-        """Reduce {arrows: value} modulo the Groebner basis, emptying f.
+        """Reduce {arrows: coefficient} modulo the Groebner basis, emptying f.
         The smallest path with a tip in it is rewritten at its leftmost
         tip, bringing in only larger paths, and paths longer than N drop
         out; the remainder comes back in (length, arrows) order."""
@@ -419,7 +430,7 @@ class NormalFormEngine:
 
     def _nf_word(self, w):
         """Normal form of the path with arrows w: its first arrow times the
-        normal form of the rest, reduced; as {arrows: value}, memoized.
+        normal form of the rest, reduced; as {arrows: coefficient}, memoized.
         The standard walk has put in every standard path, arrows included."""
         nf = self._word_nf.get(w)
         if nf is None:
@@ -434,12 +445,7 @@ class NormalFormEngine:
         nf = self._normal_forms.get(w)
         if nf is None:
             path = self._basis_path
-            if self.field.characteristic:
-                elements = self.field.elements
-                nf = {path[x]: elements[c] for x, c in self._nf_word(w).items()}
-            else:
-                nf = {path[x]: c for x, c in self._nf_word(w).items()}
-            self._normal_forms[w] = nf
+            nf = self._normal_forms[w] = {path[x]: c for x, c in self._nf_word(w).items()}
         return nf
 
     # -- reduction and arithmetic -----------------------------------------
@@ -456,7 +462,7 @@ class NormalFormEngine:
         out = {}
         for p, c in terms.items():
             if c:
-                add_scaled(out, self.nf_path(p), c)
+                add_scaled(out, self.nf_path(p), c, self.field.characteristic)
         return out
 
     def element(self, terms):
@@ -488,7 +494,7 @@ class NormalFormEngine:
         out = {}
         for p, c in x.terms.items():
             for q, d in y.terms.items():
-                add_scaled(out, self.multiply_paths(p, q), c * d)
+                add_scaled(out, self.multiply_paths(p, q), c * d, self.field.characteristic)
         return AlgebraElement(self, out)
 
     # -- structure ---------------------------------------------------------

@@ -70,7 +70,11 @@ def parse_algebra(text):
             if len(toks) == 2 and toks[1] == "Q":
                 field = QQ
             elif len(toks) == 3 and toks[1] == "F":
-                if not toks[2].isdigit() or not is_prime(int(toks[2])):
+                try:
+                    prime = toks[2].isdigit() and is_prime(int(toks[2]))
+                except ValueError as exc:       # too large to test
+                    raise AlgebraFileError(str(exc), lineno)
+                if not prime:
                     raise AlgebraFileError("modulus %r is not prime" % toks[2], lineno)
                 field = PrimeField(int(toks[2]))
             else:

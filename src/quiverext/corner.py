@@ -118,7 +118,7 @@ class CornerPresentation:
             i = self._f_index.get(p)
             if i is None:
                 return None
-            vec[i] = vec[i] + c
+            vec[i] = c
         return vec
 
     def _factor(self, path):
@@ -157,8 +157,9 @@ class CornerPresentation:
     def _radical_nilpotency(self):
         """Smallest m with (corner radical)^m = 0."""
         eng = self.engine
-        positive = [self._nf_vector(eng.nf_path(p))
-                    for p in self.f_basis if p.length >= 1]
+        p = eng.field.characteristic
+        positive = [self._nf_vector(eng.nf_path(path))
+                    for path in self.f_basis if path.length >= 1]
         power = positive
         m = 1
         while any(any(v) for v in power):
@@ -169,16 +170,15 @@ class CornerPresentation:
                     if q.length == 0:
                         continue
                     prod = [eng.field.zero] * self.dim
-                    any_term = False
                     for i, c in enumerate(vec):
                         if not c:
                             continue
-                        p = self.f_basis[i]
-                        for t, d in eng.multiply_paths(p, q).items():
+                        for t, d in eng.multiply_paths(self.f_basis[i], q).items():
                             j = self._f_index[t]
-                            prod[j] = prod[j] + c * d
-                            any_term = True
-                    if any_term and any(prod) and span.add(prod):
+                            prod[j] += c * d
+                    if p:
+                        prod = [x % p for x in prod]
+                    if any(prod) and span.add(prod):
                         nxt.append(prod)
             power = nxt
             m += 1
@@ -195,7 +195,7 @@ class CornerPresentation:
             p = self.arrow_paths[i]
             out = {}
             for q, c in acc.items():
-                add_scaled(out, eng.multiply_paths(p, q), c)
+                add_scaled(out, eng.multiply_paths(p, q), c, eng.field.characteristic)
             acc = out
         return acc
 
@@ -272,13 +272,9 @@ class CornerPresentation:
             maxlen = self.nilpotency
             for yw in into.get(src, []):       # applied before the relation
                 for xw in out_of.get(tgt, []):  # applied after
-                    padded = {}
-                    for w, c in row.items():
-                        if len(yw) + len(w) + len(xw) > maxlen:
-                            continue
-                        pw = yw + w + xw
-                        padded[pw] = padded.get(pw, eng.field.zero) + c
-                    padded = {w: c for w, c in padded.items() if c}
+                    # distinct words stay distinct padded by the same yw, xw
+                    padded = {yw + w + xw: c for w, c in row.items()
+                              if len(yw) + len(w) + len(xw) <= maxlen}
                     if padded:
                         add_covered(padded)
 
@@ -339,7 +335,7 @@ class CornerPresentation:
     def _push(self, corner_terms):
         out = {}
         for bp, c in corner_terms.items():
-            add_scaled(out, self.theta[bp], c)
+            add_scaled(out, self.theta[bp], c, self.engine.field.characteristic)
         return out
 
     def witness_json(self):

@@ -25,6 +25,7 @@ those lifts.
 
 import math
 
+from .algebra import add_scaled
 from .linalg import Subspace
 from .quiver import wadd, wsub, wzero
 from .resolution import simple_resolutions
@@ -163,16 +164,17 @@ def _solve_generator_lift(proj, d_tgt, rhs, grade):
     return proj.map_from_generator_images(d_tgt.source, images, grade=grade)
 
 
-def _image(phi, terms):
+def _image(phi, terms, p):
     """phi at the vector sum c * (slot of tree node i of summand idx) over
-    terms (idx, i, c), reading only those nodes: coordinates, [] for zero."""
+    terms (idx, i, c), reading only those nodes: coordinates, [] for zero,
+    reduced mod p over F_p (p = 0 over Q)."""
     acc = []
     for idx, i, c in terms:
         x = phi.node(idx, i)
         if x is not None:
             acc = ([c * a for a in x] if not acc else
                    [s + c * a if a else s for s, a in zip(acc, x)])
-    return acc
+    return [s % p for s in acc] if p else acc
 
 
 def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
@@ -194,10 +196,11 @@ def lift_chain_map(source, start, rhs0, target_diffs, grade, done=()):
     """
     lifts = list(done)
     rhs = rhs0
+    p = source.engine.field.characteristic
     for k in range(len(lifts), len(target_diffs)):
         if k:
             prev = lifts[-1]
-            rhs = [_image(prev, terms) for terms in source.generator_terms(start + k)]
+            rhs = [_image(prev, terms, p) for terms in source.generator_terms(start + k)]
         lifts.append(_solve_generator_lift(source.term(start + k), target_diffs[k],
                                            rhs, grade))
     return lifts
@@ -234,6 +237,7 @@ def pull_back(x, phi, top, mid, target_degree):
     only summands (x.target_vertex, target_degree) can be nonzero, by
     homogeneity, so only those are evaluated."""
     field = top.engine.field
+    p = field.characteristic
     slot = (x.target_vertex, tuple(target_degree))
     coeffs = {}
     for idx, summand in enumerate(top.summands):
@@ -244,7 +248,9 @@ def pull_back(x, phi, top, mid, target_degree):
         for row, j in mid.generators.get(tkey, {}).items():
             c = x.coeffs.get(j)
             if c and image[row]:
-                acc = acc + c * image[row]
+                acc += c * image[row]
+        if p:
+            acc %= p
         if acc:
             coeffs[idx] = acc
     return coeffs
@@ -259,7 +265,7 @@ def yoneda_product(table, x, y):
     tdeg = wadd(x.target_degree, y.target_degree)
     if x.source != y.target_vertex or x.is_zero() or y.is_zero():
         return ExtClass(degree, y.source, x.target_vertex, tdeg, {})
-    field = table.engine.field
+    p = table.engine.field.characteristic
     res_a = table.resolutions[y.source]
     summands = res_a.term(y.degree).summands
     mid = table.resolutions[x.source].term(x.degree)
@@ -268,8 +274,7 @@ def yoneda_product(table, x, y):
         if summands[i] != (y.target_vertex, y.target_degree):
             raise AssertionError("cocycle targets a different vertex or degree")
         phi = table.basis_lift(y.source, y.degree, i, x.degree)[x.degree]
-        for idx, z in pull_back(x, phi, res_a.term(degree), mid, tdeg).items():
-            coeffs[idx] = coeffs.get(idx, field.zero) + c * z
+        add_scaled(coeffs, pull_back(x, phi, res_a.term(degree), mid, tdeg), c, p)
     return ExtClass(degree, y.source, x.target_vertex, tdeg, coeffs)
 
 

@@ -1,27 +1,33 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
 All linear algebra in this package runs over one of these two kinds of
-field, and matrix code is field-agnostic.  A rational is a Python int when
-it is an integer and a fractions.Fraction only when it is not: the two mix
-exactly under + - * and compare and hash alike, so an integral Fraction
-left by arithmetic (1/2 * 2) is harmless.  Prime-field elements are small
-wrapper objects supporting the same operators.  Since int / int is a
+field, and every scalar is a plain Python number.  A rational is an int
+when it is an integer and a fractions.Fraction only when it is not: the
+two mix exactly under + - * and compare and hash alike, so an integral
+Fraction left by arithmetic (1/2 * 2) is harmless.  An element of F_p is
+its residue, an int in [0, p), as in the word-size representation of
+Dumas, Giorgi and Pernet's FFLAS/FFPACK (ACM TOMS 2008).  Python's ints do
+not wrap, so every place that adds or multiplies scalars reduces its
+result mod p itself, once per accumulated value: it reads
+p = field.characteristic once and keeps x % p if p else x, and Q, whose
+characteristic is 0, runs the same loops unreduced.  Since int / int is a
 float, no code divides scalars: it multiplies by `field.inv(x)`, an int
 for x = +-1 over Q, which raises ZeroDivisionError when x is zero.
-
-A prime field interns its elements: `field.elements[v]` is the one
-element of residue v in [0, p) that the field hands out, made the first
-time it is asked for, and `zero` and `one` are `elements[0]` and
-`elements[1]`.  Elimination (linalg.py) runs on the plain residues and
-reads its results back through this table, so it makes no element per
-entry.  Arithmetic between elements still makes new ones; they compare
-and hash by residue, so the two kinds mix freely.
 """
 
 from fractions import Fraction
 
 
+# Above this modulus trial division takes too long, and a product of two
+# residues no longer fits a machine word.
+MAX_MODULUS = 2 ** 31 - 1
+
+
 def is_prime(n):
+    """Primality by trial division, for n up to MAX_MODULUS; a larger n
+    raises ValueError."""
+    if n > MAX_MODULUS:
+        raise ValueError("modulus %d is too large (at most %d)" % (n, MAX_MODULUS))
     if n < 2:
         return False
     d = 2
@@ -32,79 +38,15 @@ def is_prime(n):
     return True
 
 
-class GFElement:
-    """An element of F_p, stored as an int in [0, p)."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return GFElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GFElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GFElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GFElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GFElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GFElement(self.p, -self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __repr__(self):
-        return "%d" % self.v
-
-
 class RationalField:
     """The field Q of exact rationals."""
 
     name = "Q"
-    characteristic = 0
 
     def __init__(self):
+        # instance attributes: the interpreter reads them faster than class
+        # attributes, and every matrix product reads `characteristic`
+        self.characteristic = 0
         self.zero = 0
         self.one = 1
 
@@ -130,22 +72,8 @@ class RationalField:
         return "Q"
 
 
-class _Residues(dict):
-    """The interned elements of F_p by residue, each made on first use."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, v):
-        x = self[v] = GFElement(self.p, v)
-        return x
-
-
 class PrimeField:
-    """The field F_p for a prime p."""
+    """The field F_p for a prime p, its elements the residues in [0, p)."""
 
     def __init__(self, p):
         if not is_prime(p):
@@ -153,30 +81,25 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = "F%d" % p
-        self.elements = _Residues(p)
-        self.zero = self.elements[0]
-        self.one = self.elements[1]
+        self.zero = 0
+        self.one = 1
 
     def of(self, x):
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise ValueError("mixed characteristics")
-            return x
         if isinstance(x, Fraction):
-            return self.elements[x.numerator * self.inv(self.of(x.denominator)).v % self.p]
+            return x.numerator * self.inv(x.denominator % self.p) % self.p
         if isinstance(x, str):
             x = int(x)
         if isinstance(x, int):
-            return self.elements[x % self.p]
+            return x % self.p
         raise TypeError("cannot coerce %r into F_%d" % (x, self.p))
 
     def inv(self, x):
-        if not x.v:
+        if not x:
             raise ZeroDivisionError("inverse of zero in F_p")
-        return self.elements[pow(x.v, self.p - 2, self.p)]
+        return pow(x, self.p - 2, self.p)
 
     def neg(self, x):
-        return self.elements[-x.v % self.p]
+        return -x % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -205,8 +128,6 @@ def field_from_name(name):
 
 def scalar_to_json(x):
     """Serialize a field element: int when integral, "a/b" otherwise."""
-    if isinstance(x, GFElement):
-        return x.v
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)

@@ -1,18 +1,16 @@
 """Exact dense linear algebra over Q or F_p.
 
-Reduced row echelon form is the single primitive; rank, kernels and solving
-are derived from it, with exact field arithmetic.  `rref` and `solve` share
-one elimination kernel per field (`_eliminate`): `solve` puts the
-augmented rows [A | B] in RREF as values, with no intermediate matrix, and
-reads the solution back through the field's elements.  Elimination runs on
-plain values, not on field elements: over F_p on the residues, ints in
-[0, p), reduced mod p after each update, with a pivot inverted by
+Entries are the field's plain scalars (see fields.py): ints and Fractions
+over Q, residues in [0, p) over F_p.  Reduced row echelon form is the
+single primitive; rank, kernels and solving are derived from it, with
+exact field arithmetic.  `rref` and `solve` share one elimination kernel
+per field (`_eliminate`): `solve` puts the augmented rows [A | B] in RREF,
+with no intermediate matrix, and reads the solution off them.  Over F_p
+the kernel reduces mod p after each update and inverts a pivot by
 pow(x, p - 2, p), in the word-size style of Dumas, Giorgi and Pernet's
-FFLAS/FFPACK (ACM TOMS 2008) but with no floating point; over Q on the
-entries themselves, ints and Fractions (see fields.py), with a pivot
-inverted by `field.inv`, never by `/`.  Results are read back through the
-field's interned elements, so no element is made per entry, and a
-`Subspace` keeps its echelon rows as values too.
+FFLAS/FFPACK (ACM TOMS 2008) but with no floating point; over Q it inverts
+a pivot by `field.inv`, never by `/`.  Products and sums (`@`, `apply`,
+`+`, `scaled`) accumulate each entry and reduce it mod p once.
 
 Each step scales the pivot row where it is nonzero and updates the other
 rows only where the pivot row is nonzero: over F_p by a loop over the pivot
@@ -27,20 +25,6 @@ Zero-dimensional shapes (0 x n, m x 0) are legal throughout.
 """
 
 from bisect import bisect
-
-
-def _values(field, row):
-    """A row as elimination values: its residues over F_p, a copy over Q."""
-    return [a.v for a in row] if field.characteristic else list(row)
-
-
-def _entries(field, values):
-    """Elimination values as field entries: the interned elements over F_p,
-    the list itself over Q."""
-    if field.characteristic:
-        elements = field.elements
-        return [elements[x] for x in values]
-    return values
 
 
 def _rref_mod(rows, ncols, p):
@@ -106,8 +90,8 @@ def _rref_exact(rows, ncols, inv):
 
 
 def _eliminate(field, rows, ncols):
-    """Put rows of elimination values in RREF in place, with the field's
-    kernel; return the pivot columns."""
+    """Put rows in RREF in place, with the field's kernel; return the pivot
+    columns."""
     p = field.characteristic
     if p:
         return _rref_mod(rows, ncols, p)
@@ -115,7 +99,7 @@ def _eliminate(field, rows, ncols):
 
 
 def _minus_multiple(row, f, prow, p):
-    """row - f * prow on values, computed only where prow is nonzero."""
+    """row - f * prow, computed only where prow is nonzero."""
     if p:
         return [(a - f * b) % p if b else a for a, b in zip(row, prow)]
     return [a - f * b if b else a for a, b in zip(row, prow)]
@@ -180,10 +164,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch %s @ %s" % (self.shape, other.shape))
-            out = Matrix.zeros(self.field, self.nrows, other.ncols)
-            for i in range(self.nrows):
-                ri = self.rows[i]
-                oi = out.rows[i]
+            p = self.field.characteristic
+            rows = [[0] * other.ncols for _ in range(self.nrows)]
+            for ri, oi in zip(self.rows, rows):
                 for k in range(self.ncols):
                     a = ri[k]
                     if not a:
@@ -192,36 +175,42 @@ class Matrix:
                     for j in range(other.ncols):
                         b = rk[j]
                         if b:
-                            oi[j] = oi[j] + a * b
-            return out
+                            oi[j] += a * b
+            if p:
+                rows = [[x % p for x in r] for r in rows]
+            return Matrix._owning(self.field, rows, other.ncols)
         return NotImplemented
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        z = self.field.zero
+        p = self.field.characteristic
         support = [(j, x) for j, x in enumerate(vec) if x]
         out = []
         for ri in self.rows:
-            acc = None
+            acc = 0
             for j, x in support:
                 a = ri[j]
                 if a:
-                    acc = a * x if acc is None else acc + a * x
-            out.append(z if acc is None else acc)
-        return out
+                    acc += a * x
+            out.append(acc)
+        return [x % p for x in out] if p else out
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)],
-                      ncols=self.ncols)
+        p = self.field.characteristic
+        pairs = zip(self.rows, other.rows)
+        rows = ([[(a + b) % p for a, b in zip(r1, r2)] for r1, r2 in pairs] if p else
+                [[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs])
+        return Matrix._owning(self.field, rows, self.ncols)
 
     def scaled(self, c):
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
+        p = self.field.characteristic
+        rows = ([[c * a % p for a in r] for r in self.rows] if p else
+                [[c * a for a in r] for r in self.rows])
+        return Matrix._owning(self.field, rows, self.ncols)
 
     def transpose(self):
         out = Matrix.zeros(self.field, self.ncols, self.nrows)
@@ -244,11 +233,10 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         field = self.field
-        rows = [_values(field, r) for r in self.rows]
+        rows = [list(r) for r in self.rows]
         pivots = _eliminate(field, rows, self.ncols)
         rank = len(pivots)
-        out = [_entries(field, r) for r in rows[:rank]]
-        out += [[field.zero] * self.ncols for _ in range(self.nrows - rank)]
+        out = rows[:rank] + [[field.zero] * self.ncols for _ in range(self.nrows - rank)]
         return Matrix._owning(field, out, self.ncols), pivots
 
     def rank(self):
@@ -287,13 +275,13 @@ class Matrix:
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
         n = self.ncols
-        rows = [_values(field, r + s) for r, s in zip(self.rows, b)]
+        rows = [r + s for r, s in zip(self.rows, b)]
         pivots = _eliminate(field, rows, n + width)
         if pivots and pivots[-1] >= n:
             return None
         out = [[field.zero] * width for _ in range(n)]
         for i, pc in enumerate(pivots):
-            out[pc] = _entries(field, rows[i][n:])
+            out[pc] = rows[i][n:]
         if single:
             return [r[0] for r in out]
         return Matrix._owning(field, out, width)
@@ -314,11 +302,11 @@ class Matrix:
 class Factor:
     """A matrix A (m x n) eliminated once, to solve A x = b for many b.
 
-    [A | I] is put in RREF as values, [E | T], so T is invertible with
+    [A | I] is put in RREF, [E | T], so T is invertible with
     T A = E.  For any b, the first r = rank A entries of T b are the
     solution `Matrix.solve` returns (free variables zero) at the pivot
     columns of E, and the other m - r entries are all zero exactly when
-    A x = b is consistent.  T is kept as rows of values.
+    A x = b is consistent.  T is kept as its rows.
     """
 
     __slots__ = ("field", "ncols", "pivots", "transform")
@@ -329,7 +317,7 @@ class Factor:
         m = matrix.nrows
         rows = []
         for i, r in enumerate(matrix.rows):
-            row = _values(field, r) + [0] * m
+            row = r + [0] * m
             row[n + i] = 1
             rows.append(row)
         self.pivots = [pc for pc in _eliminate(field, rows, n + m) if pc < n]
@@ -340,7 +328,7 @@ class Factor:
         there is none."""
         field = self.field
         p = field.characteristic
-        support = [(j, x.v if p else x) for j, x in enumerate(vec) if x]
+        support = [(j, x) for j, x in enumerate(vec) if x]
         out = [field.zero] * self.ncols
         rank = len(self.pivots)
         for i, row in enumerate(self.transform):
@@ -354,23 +342,23 @@ class Factor:
             if acc:
                 if i >= rank:
                     return None
-                out[self.pivots[i]] = field.elements[acc] if p else acc
+                out[self.pivots[i]] = acc
         return out
 
 
 class Subspace:
     """An incrementally built subspace of K^n, kept in reduced row echelon
-    form: `echelon` holds its rows as elimination values, in increasing
-    order of their pivot columns `pivot_of_row`."""
+    form: `echelon` holds its rows in increasing order of their pivot
+    columns `pivot_of_row`."""
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.echelon = []       # reduced rows, as values
+        self.echelon = []       # reduced rows
         self.pivot_of_row = []  # pivot column per echelon row
 
     def _reduce(self, v):
-        """Residue of the value row v modulo the subspace."""
+        """Residue of the row v modulo the subspace."""
         p = self.field.characteristic
         for row, pc in zip(self.echelon, self.pivot_of_row):
             f = v[pc]
@@ -380,23 +368,23 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec modulo the subspace (a fresh list)."""
-        return _entries(self.field, self._reduce(_values(self.field, vec)))
+        return self._reduce(list(vec))
 
     def contains(self, vec):
-        return not any(self._reduce(_values(self.field, vec)))
+        return not any(self._reduce(vec))
 
     def add(self, vec):
         """Add vec to the span.  Returns True when the dimension grew."""
         field = self.field
         p = field.characteristic
-        v = self._reduce(_values(field, vec))
+        v = self._reduce(list(vec))
         for pc, x in enumerate(v):
             if x:
                 break
         else:
             return False
         if x != 1:
-            c = pow(x, p - 2, p) if p else field.inv(x)
+            c = field.inv(x)
             v = [a * c % p for a in v] if p else [c * a if a else a for a in v]
         # back-substitute into existing rows to stay reduced
         for i, row in enumerate(self.echelon):
@@ -413,4 +401,4 @@ class Subspace:
         return len(self.echelon)
 
     def basis(self):
-        return [_entries(self.field, list(r)) for r in self.echelon]
+        return [list(r) for r in self.echelon]

@@ -963,6 +963,7 @@ def hom_space(M, N):
     """
     engine = M.engine
     field = engine.field
+    p = field.characteristic
     weights = engine.pres.weights
     var_index = {}
     for key, n in N.dims.items():
@@ -986,6 +987,8 @@ def hom_space(M, N):
                         row[var_index[(tkey, i, k)]] += Am.rows[k][j]
                     for k in range(An.ncols if An else 0):
                         row[var_index[((u, g), k, j)]] -= An.rows[i][k]
+                    if p:
+                        row = [x % p for x in row]
                     if any(row):
                         rows.append(row)
     mat = Matrix(field, rows, ncols=len(var_index))

@@ -115,11 +115,25 @@ def path_of_word(word, names):
     return (tuple(word), src, tgt)
 
 
-def rref_rows(rows, ncols):
-    """Reduced row echelon form by plain Gaussian elimination over any exact
-    field: ints and Fractions over Q, or F_p elements.  Returns (nonzero
-    rows, pivot columns); no entry is ever a float."""
-    mat = [list(r) for r in rows]
+def _red(x, p):
+    """x mod p over F_p; x itself over Q (p = 0)."""
+    return x % p if p else x
+
+
+def _scalar(c, p):
+    """A rational coefficient as a scalar: the residue of a / b over F_p."""
+    c = Fraction(c)
+    if p:
+        return c.numerator * pow(c.denominator, -1, p) % p
+    return c.numerator if c.denominator == 1 else c
+
+
+def rref_rows(rows, ncols, p=0):
+    """Reduced row echelon form by plain Gaussian elimination over Q (p = 0,
+    ints and Fractions) or over F_p (residues, reduced here with % p and
+    inverted by pow(x, -1, p)).  Returns (nonzero rows, pivot columns); no
+    entry is ever a float."""
+    mat = [[_red(x, p) for x in r] for r in rows]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -132,25 +146,21 @@ def rref_rows(rows, ncols):
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pv = mat[rank][col]
-        if isinstance(pv, (int, Fraction)):
-            # an int pivot divides as a Fraction: int / int would be a float
-            inv = 1 / Fraction(pv)
-        else:
-            # an F_p element, inverted by Python's modular inverse
-            inv = type(pv)(pv.p, pow(pv.v, -1, pv.p))
-        mat[rank] = [inv * x if x else x for x in mat[rank]]
+        # an int pivot over Q divides as a Fraction: int / int would be a float
+        inv = pow(pv, -1, p) if p else 1 / Fraction(pv)
+        mat[rank] = [_red(inv * x, p) if x else x for x in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[rank])]
+                mat[i] = [_red(a - f * b, p) if b else a for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
     assert not any(isinstance(x, float) for row in mat for x in row)
     return mat[:len(pivots)], pivots
 
 
-def rank_fraction(rows, ncols):
+def rank_fraction(rows, ncols, p=0):
     """Row rank by plain Gaussian elimination."""
-    return len(rref_rows(rows, ncols)[1])
+    return len(rref_rows(rows, ncols, p)[1])
 
 
 def _padded_rref(text, field, top):
@@ -158,18 +168,19 @@ def _padded_rref(text, field, top):
     order: every padded relation product, its terms longer than top
     dropped, is a row, and the local elimination puts the matrix in RREF.
     Returns (paths by length, columns, reduced rows, pivots)."""
+    p = field.characteristic
     vertices, arrows, rels, _ = parse_lines(text)
     paths, names = enumerate_paths(vertices, arrows, top)
-    all_paths = [p for ps in paths.values() for p in ps]
-    cols = sorted(all_paths, key=lambda p: (len(p[0]), p[0], p[1]))
-    index = {p: i for i, p in enumerate(cols)}
+    all_paths = [q for qs in paths.values() for q in qs]
+    cols = sorted(all_paths, key=lambda q: (len(q[0]), q[0], q[1]))
+    index = {q: i for i, q in enumerate(cols)}
     rows = []
     for terms in rels:
         uniform = {}
         for coeff, word in terms:
-            p = path_of_word(word, names)
-            assert p is not None, "relation word does not compose"
-            uniform.setdefault((p[1], p[2]), []).append((field.of(coeff), p))
+            path = path_of_word(word, names)
+            assert path is not None, "relation word does not compose"
+            uniform.setdefault((path[1], path[2]), []).append((_scalar(coeff, p), path))
         for piece in uniform.values():
             r_src = piece[0][1][1]
             r_tgt = piece[0][1][2]
@@ -181,18 +192,18 @@ def _padded_rref(text, field, top):
                     if right[2] != r_src or \
                             len(left[0]) + shortest + len(right[0]) > top:
                         continue
-                    row = [field.zero] * len(cols)
+                    row = [0] * len(cols)
                     nonzero = False
                     for coeff, (word, _, _) in piece:
                         seq = left[0] + word + right[0]
                         if len(seq) > top:
                             continue
                         full = (seq, right[1], left[2])
-                        row[index[full]] += coeff
+                        row[index[full]] = _red(row[index[full]] + coeff, p)
                         nonzero = True
                     if nonzero and any(row):
                         rows.append(row)
-    red, pivots = rref_rows(rows, len(cols))
+    red, pivots = rref_rows(rows, len(cols), p)
     return paths, cols, red, pivots
 
 
@@ -206,10 +217,10 @@ def naive_normal_forms(text, field=QQ):
     trunc = parse_lines(text)[3]
     paths, cols, red, pivots = _padded_rref(text, field, trunc - 1)
     all_paths = [p for ps in paths.values() for p in ps]
-    reductions = {p: {p: field.one} for p in all_paths}
+    reductions = {p: {p: 1} for p in all_paths}
     for row, pc in zip(red, pivots):
-        reductions[cols[pc]] = {cols[j]: -row[j] for j in range(pc + 1, len(cols))
-                                if row[j] != 0}
+        reductions[cols[pc]] = {cols[j]: _red(-row[j], field.characteristic)
+                                for j in range(pc + 1, len(cols)) if row[j] != 0}
     pivot_paths = {cols[pc] for pc in pivots}
     return reductions, [p for p in all_paths if p not in pivot_paths]
 
@@ -268,7 +279,7 @@ def naive_padded_rows(engine):
                     if p.length + t.length + q.length > n:
                         continue
                     full = compose(p, compose(t, q))
-                    row[full] = row.get(full, engine.field.zero) + c
+                    row[full] = _red(row.get(full, 0) + c, engine.field.characteristic)
                 row = {path: c for path, c in row.items() if c}
                 if not row:
                     continue
@@ -286,24 +297,18 @@ def naive_path_count_from(text, vertex):
 
 # -- dense subrepresentation references --------------------------------------
 
-def _matvec(field, rows, vec):
-    out = []
-    for row in rows:
-        acc = field.zero
-        for a, x in zip(row, vec):
-            acc = acc + a * x
-        out.append(acc)
-    return out
+def _matvec(p, rows, vec):
+    return [_red(sum(a * x for a, x in zip(row, vec)), p) for row in rows]
 
 
-def _solve_column(field, cols, rhs):
+def _solve_column(p, cols, rhs):
     """The unique x with sum_j x_j cols[j] = rhs over all rows, or None."""
     k = len(cols)
     aug = [[c[i] for c in cols] + [rhs[i]] for i in range(len(rhs))]
-    reduced, pivots = rref_rows(aug, k + 1)
+    reduced, pivots = rref_rows(aug, k + 1, p)
     if k in pivots:
         return None
-    x = [field.zero] * k
+    x = [0] * k
     for row, pc in zip(reduced, pivots):
         x[pc] = row[k]
     return x
@@ -315,7 +320,7 @@ def dense_kernel(mmap):
     carries a 1 in position j), then `dense_subrep` on those vectors."""
     source = mmap.source
     engine = source.engine
-    field = engine.field
+    p = engine.field.characteristic
     source_degrees = source.dense_degrees()
     dense = mmap.dense()
     vectors = {v: [] for v in engine.quiver.vertices}
@@ -324,14 +329,14 @@ def dense_kernel(mmap):
         rows = dense[v].rows
         for g in sorted(set(degs), key=degs.index):
             cols = [j for j, d in enumerate(degs) if d == g]
-            reduced, pivots = rref_rows([[r[j] for j in cols] for r in rows], len(cols))
+            reduced, pivots = rref_rows([[r[j] for j in cols] for r in rows], len(cols), p)
             for f in range(len(cols)):
                 if f in pivots:
                     continue
-                vec = [field.zero] * len(degs)
-                vec[cols[f]] = field.one
+                vec = [0] * len(degs)
+                vec[cols[f]] = 1
                 for row, pc in zip(reduced, pivots):
-                    vec[cols[pc]] = -row[f]
+                    vec[cols[pc]] = _red(-row[f], p)
                 vectors[v].append((g, vec))
     return dense_subrep(source, vectors)
 
@@ -341,13 +346,14 @@ def dense_generated(parent, vectors):
     closed under arrows in the same order as the package, then
     `dense_subrep`."""
     engine = parent.engine
+    p = engine.field.characteristic
     action = parent.dense()
     spans = {}
     collected = {v: [] for v in engine.quiver.vertices}
 
     def add(v, g, vec):
         span = spans.setdefault((v, g), [])
-        if rank_fraction(span + [vec], len(vec)) > len(span):
+        if rank_fraction(span + [vec], len(vec), p) > len(span):
             span.append(vec)
             collected[v].append((g, vec))
             return True
@@ -360,7 +366,7 @@ def dense_generated(parent, vectors):
     while frontier:
         v, g, vec = frontier.pop()
         for a in engine.quiver.arrows_from[v]:
-            img = _matvec(engine.field, action[a.name].rows, vec)
+            img = _matvec(p, action[a.name].rows, vec)
             if any(x != 0 for x in img):
                 g2 = tuple(x + y for x, y in zip(g, engine.pres.weights[a.name]))
                 if add(a.target, g2, img):
@@ -376,14 +382,14 @@ def dense_subrep(parent, vectors_by_vertex):
     image of a kept vector is solved on its own against all kept vectors at
     the target."""
     engine = parent.engine
-    field = engine.field
+    p = engine.field.characteristic
     action_of = parent.dense()
     basis = {v: [] for v in engine.quiver.vertices}
     for v, vecs in vectors_by_vertex.items():
         kept = {}
         for g, vec in sorted(vecs, key=lambda t: t[0]):
             span = kept.setdefault(g, [])
-            if rank_fraction(span + [vec], len(vec)) > len(span):
+            if rank_fraction(span + [vec], len(vec), p) > len(span):
                 span.append(vec)
                 basis[v].append((g, vec))
     degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
@@ -395,7 +401,7 @@ def dense_subrep(parent, vectors_by_vertex):
         tgt = [vec for _, vec in basis[a.target]]
         cols = []
         for _, vec in basis[a.source]:
-            x = _solve_column(field, tgt, _matvec(field, action_of[a.name].rows, vec))
+            x = _solve_column(p, tgt, _matvec(p, action_of[a.name].rows, vec))
             if x is None:
                 raise ValueError("span is not closed under the action")
             cols.append(x)
@@ -453,14 +459,15 @@ def naive_yoneda_product(table, x, y):
     return ExtClass(degree, y.source, x.target_vertex, tdeg, coeffs)
 
 
-def ext_combination(terms):
-    """sum c * cls over (c, cls) pairs of classes with one key()."""
+def ext_combination(terms, p=0):
+    """sum c * cls over (c, cls) pairs of classes with one key(), over Q
+    (p = 0) or F_p."""
     first = terms[0][1]
     coeffs = {}
     for c, cls in terms:
         assert cls.key() == first.key()
         for i, a in cls.coeffs.items():
-            coeffs[i] = coeffs[i] + c * a if i in coeffs else c * a
+            coeffs[i] = _red(coeffs.get(i, 0) + c * a, p)
     return ExtClass(first.degree, first.source, first.target_vertex,
                     first.target_degree, coeffs)
 

@@ -119,9 +119,10 @@ def test_padded_rows_against_all_pairs_reference(name, field):
         cols = sorted({p for row in rows for p in row} | set(element),
                       key=lambda p: (p.length, p.arrows))
         dense = [[row.get(p, pres.field.zero) for p in cols] for row in rows]
-        rank = len(rref_rows(dense, len(cols))[1])
+        char = pres.field.characteristic
+        rank = len(rref_rows(dense, len(cols), char)[1])
         extended = dense + [[element.get(p, pres.field.zero) for p in cols]]
-        assert len(rref_rows(extended, len(cols))[1]) == rank, (tip, tail)
+        assert len(rref_rows(extended, len(cols), char)[1]) == rank, (tip, tail)
 
 
 def test_e24_basis_names():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,37 @@ def test_relation_terms_zero_in_the_field_are_dropped(capsys, tmp_path, field, g
     assert report["mixed_length_relations"] is False
     assert report["dim_lambda"] == 3
     assert report["basis"] == ["e_v", "a", "aa"]
+
+
+# a 20-digit prime, whose primality trial division would take hours: it is
+# refused by its size, at once, through the usual error paths
+LARGE_PRIME = 10 ** 19 + 51
+
+
+@pytest.mark.parametrize("field, extra, where", [
+    pytest.param("F %d" % LARGE_PRIME, [], "line 1: ", id="field-line"),
+    pytest.param("Q", ["--field", "F%d" % LARGE_PRIME], "", id="field-option"),
+])
+def test_large_modulus_is_refused_at_once(capsys, tmp_path, field, extra, where):
+    src = tmp_path / "large.alg"
+    src.write_text(ONE_LOOP % (field, "Z 1", " 1", "a*a"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(src), *extra)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err == "error: %smodulus %d is too large (at most %d)\n" % (
+        where, LARGE_PRIME, 2 ** 31 - 1)
+
+
+def test_largest_modulus_is_accepted(capsys, tmp_path):
+    src = tmp_path / "largest.alg"
+    src.write_text(ONE_LOOP % ("F %d" % (2 ** 31 - 1), "Z 1", " 1", "a*a"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(src))
+    assert time.perf_counter() - start < 1
+    assert code == 0, err
+    assert json.loads(out)["field"] == "F2147483647"
 
 
 @pytest.mark.parametrize("command, name, extra", [

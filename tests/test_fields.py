@@ -1,7 +1,7 @@
 """The scalar contract: over Q a value is an int when it is an integer and a
-Fraction only when it is not; `inv` is the one way to divide.  Over F_p the
-elimination kernel runs on residues and hands back only the field's interned
-elements."""
+Fraction only when it is not; `inv` is the one way to divide.  Over F_p a
+value is its residue, an int in [0, p), everywhere: in matrices, normal
+forms, resolutions, Ext classes and corner presentations."""
 
 from fractions import Fraction
 
@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverext import build_engine, parse_algebra
-from quiverext.fields import QQ, GFElement, PrimeField, scalar_to_json
+from quiverext.algebra import AlgebraElement
+from quiverext.comparison import TransportCorrespondence, verify_comparison
+from quiverext.corner import IdempotentPair, corner_algebra
+from quiverext.ext import ExtClass, ExtTable, pull_back, yoneda_product
+from quiverext.fields import QQ, PrimeField, scalar_to_json
 from quiverext.linalg import Factor, Matrix, Subspace
+from quiverext.quiver import wadd
 
-from conftest import EXTERIOR3_F3
+from conftest import (EXTERIOR3_F3, EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER,
+                      fixture_text)
 from naive import rref_rows
 
 
@@ -44,7 +50,7 @@ def test_prime_field_inverse():
     f5 = PrimeField(5)
     assert f5.inv(f5.of(2)) == f5.of(3)
     for v in range(1, 5):
-        assert f5.inv(f5.of(v)) * f5.of(v) == f5.one
+        assert f5.inv(f5.of(v)) * f5.of(v) % 5 == f5.one
     with pytest.raises(ZeroDivisionError):
         f5.inv(f5.zero)
 
@@ -226,7 +232,7 @@ def test_factor_solves_as_matrix_solve(data):
             if a.field is QQ:
                 assert_exact(got)
             else:
-                assert_interned(a.field, got)
+                assert_residues(a.field, got)
 
 
 # -- the F_p kernel against the plain elimination of tests/naive.py -----------
@@ -249,21 +255,22 @@ def prime_field_matrices(draw):
 
 
 def reference(field, rows, ncols, rhs, vec):
-    """What every kernel result must be, from `rref_rows` and plain element
+    """What every kernel result must be, from `rref_rows` and plain residue
     arithmetic."""
-    z = field.zero
-    red, pivots = rref_rows(rows, ncols)
+    p = field.p
+    z = 0
+    red, pivots = rref_rows(rows, ncols, p)
     free = [j for j in range(ncols) if j not in pivots]
     nullspace = []
     for j in free:
         v = [z] * ncols
-        v[j] = field.one
+        v[j] = 1
         for row, pc in zip(red, pivots):
-            v[pc] = -row[j]
+            v[pc] = -row[j] % p
         nullspace.append(v)
 
     def solve(b_rows, width):
-        aug, aug_pivots = rref_rows([r + b for r, b in zip(rows, b_rows)], ncols + width)
+        aug, aug_pivots = rref_rows([r + b for r, b in zip(rows, b_rows)], ncols + width, p)
         if any(pc >= ncols for pc in aug_pivots):
             return None
         x = [[z] * width for _ in range(ncols)]
@@ -274,8 +281,8 @@ def reference(field, rows, ncols, rhs, vec):
     residue = list(vec)
     for row, pc in zip(red, pivots):
         f = residue[pc]
-        residue = [a - f * b for a, b in zip(residue, row)]
-    grew = [len(rref_rows(rows[:i + 1], ncols)[1]) > len(rref_rows(rows[:i], ncols)[1])
+        residue = [(a - f * b) % p for a, b in zip(residue, row)]
+    grew = [len(rref_rows(rows[:i + 1], ncols, p)[1]) > len(rref_rows(rows[:i], ncols, p)[1])
             for i in range(len(rows))]
     single = solve([r[:1] for r in rhs], 1)
     return {
@@ -287,9 +294,10 @@ def reference(field, rows, ncols, rhs, vec):
     }
 
 
-def assert_interned(field, values):
-    for x in values:
-        assert x is field.elements[x.v], x
+def assert_residues(field, values):
+    """Every value is a plain int in [0, p)."""
+    bad = [x for x in values if type(x) is not int or not 0 <= x < field.p]
+    assert not bad, bad[:5]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -314,31 +322,158 @@ def test_prime_field_kernel_matches_plain_elimination(data):
     assert space.contains(vec) == (not any(residue))
     for rows_out in (r.rows, got["nullspace"], many.rows if many else [],
                      [single or []], space.basis(), [residue]):
-        assert_interned(field, flat(rows_out))
+        assert_residues(field, flat(rows_out))
 
 
-def test_engine_build_eliminates_without_element_arithmetic(monkeypatch):
-    calls = {"in_rref": 0, "arithmetic": 0}
-    rref = Matrix.rref
+# -- products and sums over F_p against plain % p arithmetic -------------------
 
-    def traced_rref(self):
-        calls["in_rref"] += 1
-        try:
-            return rref(self)
-        finally:
-            calls["in_rref"] -= 1
+@st.composite
+def prime_field_products(draw):
+    """A (m x k), B (k x n), C (m x n), a vector of length k and a scalar
+    over F2, F3, F5 or F7; their products and sums leave [0, p) unless
+    they are reduced."""
+    p = draw(st.sampled_from(sorted(PRIME_FIELDS)))
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    residues = st.integers(0, p - 1)
 
-    def counted(op):
-        def wrapper(self, other):
-            if calls["in_rref"]:
-                calls["arithmetic"] += 1
-            return op(self, other)
-        return wrapper
+    def rows_of(r, c):
+        return [draw(st.lists(residues, min_size=c, max_size=c)) for _ in range(r)]
 
-    pres = parse_algebra(EXTERIOR3_F3)
-    monkeypatch.setattr(Matrix, "rref", traced_rref)
-    monkeypatch.setattr(GFElement, "__mul__", counted(GFElement.__mul__))
-    monkeypatch.setattr(GFElement, "__sub__", counted(GFElement.__sub__))
+    return (PRIME_FIELDS[p], rows_of(m, k), rows_of(k, n), rows_of(m, n),
+            rows_of(1, k)[0], draw(residues), k, n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(prime_field_products())
+def test_prime_field_products_and_sums_match_plain_arithmetic(data):
+    field, a, b, c, vec, s, k, n = data
+    p = field.p
+    ma, mb, mc = Matrix(field, a, ncols=k), Matrix(field, b, ncols=n), Matrix(field, c, ncols=n)
+    product = ma @ mb
+    want = [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(n)]
+            for i in range(len(a))]
+    assert product.rows == want
+    assert ma.apply(vec) == [sum(x * y for x, y in zip(row, vec)) % p for row in a]
+    total = product + mc
+    assert total.rows == [[(x + y) % p for x, y in zip(r1, r2)] for r1, r2 in zip(want, c)]
+    assert mc.scaled(s).rows == [[s * x % p for x in r] for r in c]
+    for result in (product, total, mc.scaled(s)):
+        assert result.shape == (len(a), n)
+        assert_residues(field, flat(result.rows))
+    assert_residues(field, ma.apply(vec))
+
+
+# -- every scalar a pipeline makes over F_p is a residue -----------------------
+
+def record_scalars(monkeypatch):
+    """Spy on the holders of scalars for the rest of the test: returns a
+    function listing every scalar now in a Matrix, ExtClass or
+    AlgebraElement made since, and in every vector handed to
+    `Subspace.add` or `Factor.solve`.  A missed reduction mod p reaches one
+    of these even where a later step would reduce it again."""
+    made, vectors = [], []
+    owning = Matrix._owning
+
+    def _owning(field, rows, ncols):
+        made.append(rows)
+        return owning(field, rows, ncols)
+
+    monkeypatch.setattr(Matrix, "_owning", staticmethod(_owning))
+    for cls, rows_of in ((Matrix, lambda m: m.rows),
+                         (ExtClass, lambda c: [c.coeffs.values()]),
+                         (AlgebraElement, lambda e: [e.terms.values()])):
+        def spy_init(self, *args, _init=cls.__init__, _rows_of=rows_of, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(_rows_of(self))
+        monkeypatch.setattr(cls, "__init__", spy_init)
+    for cls, name in ((Subspace, "add"), (Factor, "solve")):
+        def spy_vector(self, vec, _method=getattr(cls, name)):
+            vectors.append(list(vec))
+            return _method(self, vec)
+        monkeypatch.setattr(cls, name, spy_vector)
+    return lambda: [x for rows in made for r in rows for x in r] + \
+        [x for v in vectors for x in v]
+
+
+def pipeline_scalars(text, p):
+    """Run one algebra over F_p: engine, templates, every simple's
+    resolution to step 6 (kernels and periodicity witnesses included), Ext
+    products through degree 4 of classes with coefficient -1 on every
+    summand of a slot, and the corner presentation, comparison and
+    transport of those classes for the algebra's idempotent (all vertices
+    when it names none).  Returns the scalars it holds outside
+    the spied types: relations, Groebner tails, normal forms, algebra
+    products scaled by -1, and the pull-backs and node images of the
+    stored lifts."""
+    pres = parse_algebra(text).with_field(PrimeField(p))
     eng = build_engine(pres)
-    assert eng.dim == 8
-    assert calls == {"in_rref": 0, "arithmetic": 0}
+    out = [c for rel in pres.relations for c, _ in rel]
+    out += [c for tail in eng._tails.values() for c in tail.values()]
+    out += [c for nf in eng._normal_forms.values() for c in nf.values()]
+    negated = [eng.element({q: p - 1}) for q in eng.basis]
+    out += [c for x in negated for y in negated
+            for c in (x * y - y).scaled(p - 1).terms.values()]
+    for v in eng.quiver.vertices:
+        eng.projective_template(v)
+    table = ExtTable(eng, 4)
+    for res in table.resolutions.values():
+        for n in range(7):
+            res.differential(n)
+        for cover in res.covers[:7]:
+            cover.kernel_inclusion.blocks
+    minus = {}
+    for n in range(1, 4):
+        slots = {}
+        for y in table.basis_classes(n):
+            slots.setdefault(y.key(), {}).update(dict.fromkeys(y.coeffs, p - 1))
+        minus[n] = table.basis_classes(n) + [ExtClass(*key, c) for key, c in slots.items()]
+    for m in range(1, 4):
+        for n in range(1, 5 - m):
+            for x in minus[m]:
+                for y in minus[n]:
+                    yoneda_product(table, x, y)
+    # each product's pull-backs on their own, before the product sums them
+    for (u, n, idx), lifts in table.lifts.items():
+        v, g = table.resolutions[u].summands(n)[idx]
+        for k, phi in enumerate(lifts):
+            for x in minus.get(k, ()):
+                if x.source == v:
+                    out += pull_back(x, phi, table.resolutions[u].term(n + k),
+                                     table.resolutions[v].term(k),
+                                     wadd(x.target_degree, g)).values()
+        out += [c for phi in lifts for vecs in phi._memo if vecs
+                for x in vecs if x is not None for c in x]
+    pair = IdempotentPair(eng, pres.f_vertices or eng.quiver.vertices)
+    corner = corner_algebra(eng, pair)
+    verify_comparison(eng, pair, bound=6, window=3, corner=corner)
+    transport = TransportCorrespondence(corner, table, ExtTable(corner.corner_engine, 3), 3)
+    for n in range(1, 4):
+        for x in minus[n]:
+            if {x.source, x.target_vertex} <= set(pair.f_vertices):
+                transport.transport_class(x)
+    return out
+
+
+# the ungraded exterior algebra has Ext slots of multiplicity above one, so
+# pull-backs sum over several generators
+PIPELINES = {"EXTERIOR3_F3": EXTERIOR3_F3, "EXTERIOR3_UNGRADED": EXTERIOR3_UNGRADED % "Q",
+             "POLY_CORNER": POLY_CORNER}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(PIPELINES))
+def test_pipeline_scalars_are_residues(monkeypatch, name, p):
+    text = PIPELINES.get(name) or fixture_text(name)
+    spied = record_scalars(monkeypatch)
+    scalars = pipeline_scalars(text, p) + spied()
+    assert scalars
+    assert_residues(PrimeField(p), scalars)
+
+
+def test_repeated_relation_term_sums_to_a_residue():
+    # b*a named twice: 2 + 2 = 4 = 1 in F3, kept as the residue 1
+    pres = parse_algebra("field F 3\nvertices u v w\narrow a u v\narrow b v w\n"
+                         "arrow c u v\narrow d v w\ntruncate 3\n"
+                         "rel 2*b*a + 2*b*a + d*c\n")
+    assert [[(c, p.arrows) for c, p in rel] for rel in pres.relations] == \
+        [[(1, ("b", "a")), (1, ("d", "c"))]]

@@ -136,7 +136,7 @@ def test_stored_products_linear_in_right_factor(name):
             slots.setdefault(y.key(), []).append(y)
         for classes in slots.values():
             y = ext_combination([(field.of(rng.choice([-3, -2, -1, 1, 2, 3])), c)
-                                 for c in classes])
+                                 for c in classes], field.characteristic)
             for m in range(0, 6 - n):
                 for x in table.basis_classes(m):
                     if x.source == y.target_vertex:
