@@ -13,7 +13,7 @@ from quiverext import parse_algebra
 from quiverext.cli import _json, main
 from quiverext.fields import PrimeField
 
-from conftest import EXTERIOR3_F3, FIXTURE_NAMES, RATIONAL
+from conftest import EXTERIOR3_F3, FIXTURE_NAMES, POLY_CORNER, RATIONAL
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -290,6 +290,7 @@ RATIONAL_GOLDEN = [
     ("ext-table", ["--bound", "8", "--products-bound", "4"],
      "rational_products.json", 0),
     ("compare", ["--f", "u"], "rational_compare.json", 2),
+    ("corner", ["--f", "u"], "rational_corner.json", 0),
 ]
 
 
@@ -301,6 +302,20 @@ def test_rational_reports_match_golden(capsys, tmp_path, command, extra, golden,
     src.write_text(RATIONAL % "2/3")
     code, out, _ = run_cli(capsys, command, str(src), *extra)
     assert code == status
+    assert out == (GOLDEN / golden).read_text()
+
+
+# the only corner reports whose arrows commute up to a sign: a relation with
+# two terms, over Q and over F3
+@pytest.mark.parametrize("extra,golden", [
+    ([], "poly_corner_corner.json"),
+    (["--field", "F3"], "poly_corner_corner_f3.json"),
+], ids=["Q", "F3"])
+def test_polynomial_corner_reports_match_golden(capsys, tmp_path, extra, golden):
+    src = tmp_path / "poly_corner.alg"
+    src.write_text(POLY_CORNER)
+    code, out, _ = run_cli(capsys, "corner", str(src), *extra)
+    assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
 
