@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 
 from .algebra import AlgebraPresentation, PresentationError
-from .fields import QQ, PrimeField, is_prime, scalar_to_json
+from .fields import QQ, prime_field, scalar_to_json
 from .quiver import Quiver
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
@@ -71,12 +71,11 @@ def parse_algebra(text):
                 field = QQ
             elif len(toks) == 3 and toks[1] == "F":
                 try:
-                    prime = toks[2].isdigit() and is_prime(int(toks[2]))
-                except ValueError as exc:       # too large to test
+                    field = prime_field(toks[2])
+                except ValueError as exc:       # composite or too large
                     raise AlgebraFileError(str(exc), lineno)
-                if not prime:
+                if field is None:
                     raise AlgebraFileError("modulus %r is not prime" % toks[2], lineno)
-                field = PrimeField(int(toks[2]))
             else:
                 raise AlgebraFileError("expected 'field Q' or 'field F <prime>'", lineno)
         elif key == "group":

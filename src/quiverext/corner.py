@@ -4,9 +4,19 @@ For a suitable idempotent pair (e, f) of complementary vertex sets, the
 corner algebra is the span of normal-form paths between f-vertices.  Its
 quiver presentation has the f-vertices as vertices and one arrow per
 minimal f-path (an f-to-f path whose interior vertices all lie in e) with
-nonzero normal form; relations are the kernel of the evaluation map onto
-the corner, computed degreewise.  The canonical map is verified to be an
-algebra isomorphism (dimension plus full multiplication table).
+nonzero normal form, kept while independent modulo the square of the
+corner radical.  The arrows span rad/rad^2, so they generate the radical,
+and rad^m is the span of the corner words (composable arrow sequences) of
+length >= m (Assem, Simson and Skowronski, Elements of the Representation
+Theory of Associative Algebras I, 2006).
+
+One walk evaluates the words level by level, each as its last arrow times
+its prefix's normal form, and stops at the first length at which every
+word is zero: that length is the nilpotency of the radical.  From this one
+table of evaluations come the relations (the kernel of evaluation,
+blockwise by endpoints and weight, with the zero words as monomial
+relations) and the canonical map onto the corner, which is verified to be
+an algebra isomorphism (dimension plus full multiplication table).
 
 Also here: the exact restriction functor (tensoring with the corner
 bimodule), the module of e-to-f paths, and the exactness test for the
@@ -56,7 +66,13 @@ def _corner_arrow_name(paths):
 
 
 class CornerPresentation:
-    """Both forms of the corner algebra, with a verified isomorphism."""
+    """Both forms of the corner algebra, with a verified isomorphism.
+
+    `words` maps each corner word of length 1 to `nilpotency`, as a tuple
+    of arrow indices in traversal order (first arrow first), to its path
+    and its normal form in the big algebra, level by level in walk order.
+    Each normal form is computed once per build, and the presentation, its
+    relations and `theta` (corner basis path -> its image) all read it."""
 
     def __init__(self, engine, pair):
         self.engine = engine
@@ -65,8 +81,7 @@ class CornerPresentation:
         self._f_index = {p: i for i, p in enumerate(self.f_basis)}
         self.dim = len(self.f_basis)
         self.arrow_paths = self._minimal_f_paths()
-        self._verify_unique_factorization()
-        self.nilpotency = self._radical_nilpotency()
+        self.words, self.nilpotency = self._walk_words()
         self.presentation, self.arrow_names = self._build_presentation()
         self.corner_engine = NormalFormEngine(self.presentation)
         self.theta = {}
@@ -92,112 +107,45 @@ class CornerPresentation:
                         (candidates if a.target in f else nxt).append(q)
             level = nxt
         candidates.sort(key=lambda p: (p.length, p.arrows))
-        # span of (corner radical)^2 in corner coordinates
-        square = Subspace(eng.field, self.dim)
+        # the span of (corner radical)^2 first, in corner coordinates
+        seen = Subspace(eng.field, self.dim)
         positive = [p for p in self.f_basis if p.length >= 1]
         for p in positive:
             for q in positive:
-                vec = self._nf_vector(eng.multiply_paths(p, q))
-                if vec is not None and any(vec):
-                    square.add(vec)
-        kept = []
-        seen = Subspace(eng.field, self.dim)
-        for row in square.basis():
-            seen.add(row)
-        for p in candidates:
-            vec = self._nf_vector(eng.nf_path(p))
-            if vec is None:
-                raise AssertionError("minimal f-path reduced outside the corner")
-            if seen.add(vec):
-                kept.append(p)
-        return kept
+                prod = eng.multiply_paths(p, q)
+                if prod:
+                    seen.add(self._nf_vector(prod))
+        return [p for p in candidates if seen.add(self._nf_vector(eng.nf_path(p)))]
 
     def _nf_vector(self, terms):
         vec = [self.engine.field.zero] * self.dim
         for p, c in terms.items():
-            i = self._f_index.get(p)
-            if i is None:
-                return None
-            vec[i] = c
+            vec[self._f_index[p]] = c
         return vec
 
-    def _factor(self, path):
-        """Split an f-to-f path at every interior f-vertex visit; the pieces
-        are minimal f-paths and the factorization is unique."""
-        f = set(self.pair.f_vertices)
-        arrows = list(reversed(path.arrows))  # traversal order
-        pieces = []
-        current = []
-        for name in arrows:
-            current.append(name)
-            if self.engine.quiver.arrow_by_name[name].target in f:
-                pieces.append(self.engine.pres.path_from_arrows(tuple(reversed(current))))
-                current = []
-        if current:
-            raise AssertionError("path does not end at an f-vertex")
-        return list(reversed(pieces))  # composition order: rightmost first
-
-    def _verify_unique_factorization(self):
-        """Every nonzero f-to-f basis path splits uniquely into minimal
-        f-paths (the split points are forced: each interior f-visit), with
-        all factors nonzero."""
-        for p in self.f_basis:
-            if p.length == 0:
-                continue
-            pieces = self._factor(p)
-            recomposed = pieces[-1]
-            for q in reversed(pieces[:-1]):
-                recomposed = compose(q, recomposed)
-            if recomposed != p:
-                raise AssertionError("factorization does not recompose")
-            for q in pieces:
-                if not self.engine.nf_path(q):
-                    raise AssertionError("factor of a nonzero path is zero")
-
-    def _radical_nilpotency(self):
-        """Smallest m with (corner radical)^m = 0."""
+    def _walk_words(self):
+        """`words` and `nilpotency`: the words level by level, each normal
+        form one `multiply_paths` per term of its prefix's, until a level
+        whose words are all zero; that level's length is the nilpotency."""
         eng = self.engine
         p = eng.field.characteristic
-        positive = [self._nf_vector(eng.nf_path(path))
-                    for path in self.f_basis if path.length >= 1]
-        power = positive
-        m = 1
-        while any(any(v) for v in power):
+        words = {}
+        length = 1
+        level = [((i,), a, eng.nf_path(a)) for i, a in enumerate(self.arrow_paths)]
+        while any(nf for _, _, nf in level):
+            length += 1
             nxt = []
-            span = Subspace(eng.field, self.dim)
-            for vec in power:
-                for q in self.f_basis:
-                    if q.length == 0:
-                        continue
-                    prod = [eng.field.zero] * self.dim
-                    for i, c in enumerate(vec):
-                        if not c:
-                            continue
-                        for t, d in eng.multiply_paths(self.f_basis[i], q).items():
-                            j = self._f_index[t]
-                            prod[j] += c * d
-                    if p:
-                        prod = [x % p for x in prod]
-                    if any(prod) and span.add(prod):
-                        nxt.append(prod)
-            power = nxt
-            m += 1
-            if m > eng.truncation + 1:
-                raise AssertionError("corner radical fails to be nilpotent")
-        return m
-
-    def _eval_word(self, arrow_indices):
-        """Normal form in the big algebra of a product of corner arrows."""
-        eng = self.engine
-        idx = arrow_indices[-1]
-        acc = eng.nf_path(self.arrow_paths[idx])
-        for i in reversed(arrow_indices[:-1]):
-            p = self.arrow_paths[i]
-            out = {}
-            for q, c in acc.items():
-                add_scaled(out, eng.multiply_paths(p, q), c, eng.field.characteristic)
-            acc = out
-        return acc
+            for w, path, nf in level:
+                words[w] = (path, nf)
+                for i, a in enumerate(self.arrow_paths):
+                    if a.source == path.target:
+                        out = {}
+                        for q, c in nf.items():
+                            add_scaled(out, eng.multiply_paths(a, q), c, p)
+                        nxt.append((w + (i,), compose(a, path), out))
+            level = nxt
+        words.update((w, (path, nf)) for w, path, nf in level)
+        return words, length
 
     def _build_presentation(self):
         eng = self.engine
@@ -206,67 +154,51 @@ class CornerPresentation:
         weights = {name: p.weight for name, p in zip(names, self.arrow_paths)}
         quiver = Quiver(self.pair.f_vertices, arrows)
         trunc = max(self.nilpotency + 1, 2)
-        # enumerate corner-quiver words of length 2..nilpotency and compute
-        # the kernel of evaluation, blockwise by (source, target, weight)
-        words = {1: [((i,), p) for i, p in enumerate(self.arrow_paths)]}
-        for length in range(2, self.nilpotency + 1):
-            nxt = []
-            for idxs, p in words[length - 1]:
-                for i, q in enumerate(self.arrow_paths):
-                    if p.target == q.source:
-                        nxt.append((idxs + (i,), compose(q, p)))
-            words[length] = nxt
+        # the kernel of evaluation on the words of length >= 2, blockwise by
+        # (source, target, weight)
         blocks = {}
-        for length in range(2, self.nilpotency + 1):
-            for idxs, p in words[length]:
-                key = (p.source, p.target, p.weight)
-                blocks.setdefault(key, []).append(idxs)
+        for w, (path, nf) in self.words.items():
+            if len(w) >= 2:
+                blocks.setdefault((path.source, path.target, path.weight), []).append((w, nf))
         kernel_vectors = []
         block_columns = {}
         for key in sorted(blocks):
-            idx_list = blocks[key]
-            block_columns[key] = {w: j for j, w in enumerate(idx_list)}
-            cols = [self._nf_vector(self._eval_word(list(reversed(idxs))))
-                    for idxs in idx_list]
-            mat = Matrix.from_columns(eng.field, cols, self.dim)
+            block = blocks[key]
+            block_columns[key] = {w: j for j, (w, _) in enumerate(block)}
+            mat = Matrix.from_columns(eng.field, [self._nf_vector(nf) for _, nf in block],
+                                      self.dim)
             for kv in mat.nullspace():
-                row = {idx_list[j]: c for j, c in enumerate(kv) if c}
+                row = {block[j][0]: c for j, c in enumerate(kv) if c}
                 kernel_vectors.append((min(len(w) for w in row), key, row))
-        relations = self._reduce_generators(kernel_vectors, block_columns,
-                                            words, names)
+        relations = self._reduce_generators(kernel_vectors, block_columns, names)
         pres = AlgebraPresentation(quiver, eng.group_rank, weights, eng.field,
                                    relations, trunc)
         return pres, names
 
-    def _reduce_generators(self, kernel_vectors, block_columns, words, names):
+    def _reduce_generators(self, kernel_vectors, block_columns, names):
         """Drop kernel vectors already generated by shorter chosen relations:
         a candidate is skipped when it lies in the span of the paddings
         x * r * y of the relations chosen so far."""
         eng = self.engine
         covered = {}
-        path_of_word = {w: p for length in words for (w, p) in words[length]}
         # words usable for padding, keyed by endpoints; the empty word at a
         # vertex acts as that vertex idempotent
         into, out_of = {}, {}
         for v in self.pair.f_vertices:
             into.setdefault(v, []).append(())
             out_of.setdefault(v, []).append(())
-        for length in words:
-            for w, p in words[length]:
-                into.setdefault(p.target, []).append(w)
-                out_of.setdefault(p.source, []).append(w)
+        for w, (path, _) in self.words.items():
+            into.setdefault(path.target, []).append(w)
+            out_of.setdefault(path.source, []).append(w)
 
-        def add_covered(row):
-            w0 = next(iter(row))
-            p = path_of_word[w0]
-            key = (p.source, p.target, p.weight)
+        def block_vector(row):
+            path = self.words[next(iter(row))][0]
+            key = (path.source, path.target, path.weight)
             cols = block_columns[key]
             vec = [eng.field.zero] * len(cols)
             for w, c in row.items():
                 vec[cols[w]] = c
-            if key not in covered:
-                covered[key] = Subspace(eng.field, len(cols))
-            covered[key].add(vec)
+            return key, vec
 
         def pad_and_cover(row, src, tgt):
             maxlen = self.nilpotency
@@ -276,22 +208,19 @@ class CornerPresentation:
                     padded = {yw + w + xw: c for w, c in row.items()
                               if len(yw) + len(w) + len(xw) <= maxlen}
                     if padded:
-                        add_covered(padded)
+                        key, vec = block_vector(padded)
+                        if key not in covered:
+                            covered[key] = Subspace(eng.field, len(vec))
+                        covered[key].add(vec)
 
         chosen = []
-        for min_len, key, row in sorted(
-                kernel_vectors,
-                key=lambda t: (t[0], t[1], sorted(t[2]))):
-            cols = block_columns[key]
-            vec = [eng.field.zero] * len(cols)
-            for w, c in row.items():
-                vec[cols[w]] = c
+        for _, key, row in sorted(kernel_vectors,
+                                  key=lambda t: (t[0], t[1], sorted(t[2]))):
             span = covered.get(key)
-            if span is not None and span.contains(vec):
+            if span is not None and span.contains(block_vector(row)[1]):
                 continue
-            src, tgt = key[0], key[1]
             chosen.append(row)
-            pad_and_cover(row, src, tgt)
+            pad_and_cover(row, key[0], key[1])
         relations = []
         for row in chosen:
             terms = []
@@ -316,11 +245,10 @@ class CornerPresentation:
             if bp.is_vertex:
                 self.theta[bp] = self.engine.nf_path(self.engine.pres.vertex_path(bp.source))
             else:
-                # bp.arrows is already in composition order (rightmost first)
-                self.theta[bp] = self._eval_word([name_to_idx[a] for a in bp.arrows])
+                # bp.arrows is in composition order (rightmost first)
+                word = tuple(name_to_idx[a] for a in reversed(bp.arrows))
+                self.theta[bp] = self.words[word][1]
         cols = [self._nf_vector(self.theta[bp]) for bp in ce.basis]
-        if any(c is None for c in cols):
-            raise AssertionError("corner image leaves the corner span")
         mat = Matrix.from_columns(self.engine.field, cols, self.dim)
         if mat.rank() != self.dim:
             raise AssertionError("corner evaluation map is not bijective")

@@ -21,13 +21,14 @@ from fractions import Fraction
 # Above this modulus trial division takes too long, and a product of two
 # residues no longer fits a machine word.
 MAX_MODULUS = 2 ** 31 - 1
+_TOO_LARGE = "modulus %s is too large (at most %d)"
 
 
 def is_prime(n):
     """Primality by trial division, for n up to MAX_MODULUS; a larger n
     raises ValueError."""
     if n > MAX_MODULUS:
-        raise ValueError("modulus %d is too large (at most %d)" % (n, MAX_MODULUS))
+        raise ValueError(_TOO_LARGE % (n, MAX_MODULUS))
     if n < 2:
         return False
     d = 2
@@ -114,15 +115,28 @@ class PrimeField:
 QQ = RationalField()
 
 
+def prime_field(text):
+    """F_p for the modulus p written in `text`, or None when `text` is not
+    a string of ASCII digits.  The number of digits is tested before int()
+    reads them, so a long modulus is refused at once; a composite or too
+    large p raises ValueError from PrimeField, which tests it once."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_MODULUS)):
+        raise ValueError(_TOO_LARGE % (digits, MAX_MODULUS))
+    return PrimeField(int(digits))
+
+
 def field_from_name(name):
     """Parse a field descriptor: "Q", or "F<p>" / "F <p>" for a prime p."""
     text = name.strip()
     if text == "Q":
         return QQ
     if text.startswith("F"):
-        rest = text[1:].strip()
-        if rest.isdigit():
-            return PrimeField(int(rest))
+        field = prime_field(text[1:].strip())
+        if field is not None:
+            return field
     raise ValueError("unknown field %r (expected Q or F<prime>)" % name)
 
 

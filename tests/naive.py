@@ -41,6 +41,13 @@ Two module constructions only tests need live here too, built on the
 package's matrices and representations: the direct sum of representations
 and the quotient by a submodule.
 
+The corner references check the walk over corner words in corner.py
+without it: the nilpotency of the corner radical from spans of its powers
+(each power times the basis paths of positive length, eliminated locally),
+each image theta[bp] against the engine's normal form of the composed
+underlying path, and the fact the corner arrows rest on, that the pieces
+of an f-to-f basis path split at its interior f-vertices are basis paths.
+
 So do four checks that no part of the package calls, built on its own
 code.  `subrep_generated` closes homogeneous vectors under the arrows and
 hands their span to `modules._subrep_from_homogeneous`, so comparing it
@@ -812,3 +819,57 @@ def pd_finite_sufficient(corner, bound=40, seed=0):
     verdict = projective_dimension(corner.corner_engine, rep, bound, seed=seed)
     return {"applicable": True, "details": details,
             "conclusion": verdict.describe(), "finite": verdict.is_finite}
+
+
+def naive_nilpotency(corner):
+    """Smallest m with (corner radical)^m = 0: rad^(m+1) is spanned by the
+    products of a basis of rad^m with the corner basis paths of positive
+    length, each span eliminated by `rref_rows`."""
+    eng = corner.engine
+    p = eng.field.characteristic
+    basis = corner.f_basis
+    index = {q: i for i, q in enumerate(basis)}
+    positive = [q for q in basis if q.length >= 1]
+    power = [[int(q == r) for r in basis] for q in positive]
+    m = 1
+    while power:
+        products = []
+        for vec in power:
+            for q in positive:
+                prod = [0] * len(basis)
+                for i, c in enumerate(vec):
+                    if c:
+                        for t, d in eng.multiply_paths(basis[i], q).items():
+                            prod[index[t]] += c * d
+                products.append(prod)
+        power = rref_rows(products, len(basis), p)[0]
+        m += 1
+    return m
+
+
+def f_pieces(engine, path, f_vertices):
+    """The pieces of a path split at each visit to an f-vertex, first
+    traversed first; an f-to-f path leaves no arrow over."""
+    pieces, current = [], ()
+    for name in reversed(path.arrows):
+        current = (name,) + current
+        if engine.quiver.arrow_by_name[name].target in f_vertices:
+            pieces.append(engine.pres.path_from_arrows(current))
+            current = ()
+    assert not current
+    return pieces
+
+
+def check_corner_walk(corner):
+    """The corner references above, asserted on one corner."""
+    eng = corner.engine
+    assert corner.nilpotency == naive_nilpotency(corner)
+    arrow_path = dict(zip(corner.arrow_names, corner.arrow_paths))
+    for bp, image in corner.theta.items():
+        path = eng.pres.vertex_path(bp.source)
+        for name in reversed(bp.arrows):
+            path = compose(arrow_path[name], path)
+        assert image == eng.nf_path(path)
+    basis = set(eng.basis)
+    for path in corner.f_basis:
+        assert set(f_pieces(eng, path, corner.pair.f_vertices)) <= basis

@@ -470,6 +470,31 @@ def test_large_modulus_is_refused_at_once(capsys, tmp_path, field, extra, where)
         where, LARGE_PRIME, 2 ** 31 - 1)
 
 
+# more digits than int() reads by default, and a digit that only Unicode
+# calls one: both are refused by the one modulus parser, on either path
+LONG_MODULUS = "1" * 5000
+
+
+@pytest.mark.parametrize("field, extra, message", [
+    pytest.param("F " + LONG_MODULUS, [], "line 1: modulus %s is too large (at most %d)"
+                 % (LONG_MODULUS, 2 ** 31 - 1), id="long-field-line"),
+    pytest.param("Q", ["--field", "F" + LONG_MODULUS], "modulus %s is too large (at most %d)"
+                 % (LONG_MODULUS, 2 ** 31 - 1), id="long-field-option"),
+    pytest.param("F \u00b2", [], "line 1: modulus '\u00b2' is not prime",
+                 id="superscript-field-line"),
+    pytest.param("Q", ["--field", "F\u00b2"],
+                 "unknown field 'F\u00b2' (expected Q or F<prime>)",
+                 id="superscript-field-option"),
+])
+def test_unreadable_modulus_is_refused(capsys, tmp_path, field, extra, message):
+    src = tmp_path / "unreadable.alg"
+    src.write_text(ONE_LOOP % (field, "Z 1", " 1", "a*a"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(src), *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_largest_modulus_is_accepted(capsys, tmp_path):
     src = tmp_path / "largest.alg"
     src.write_text(ONE_LOOP % ("F %d" % (2 ** 31 - 1), "Z 1", " 1", "a*a"))

@@ -10,9 +10,11 @@ from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
 from quiverext.resolution import DimVerdict, MinimalResolution
 
-from conftest import engine_for, engine_from, random_homogeneous_vectors
-from naive import (direct_sum, engine_paths, interior_vertices, pd_finite_sufficient,
-                   quotient_rep, subrep_generated, transport_resolution)
+from conftest import (FIXTURE_NAMES, POLY_CORNER, RATIONAL, engine_for, engine_from,
+                      random_homogeneous_vectors)
+from naive import (check_corner_walk, direct_sum, engine_paths, interior_vertices,
+                   pd_finite_sufficient, quotient_rep, subrep_generated,
+                   transport_resolution)
 
 
 def corner_for(name):
@@ -61,6 +63,47 @@ def test_arrow_count_equals_nonzero_minimal_f_paths():
                         eng.nf_path(p):
                     count += 1
         assert len(c.arrow_paths) == count
+
+
+# a relation of three terms: the corner word a_x*a_y has a normal form of
+# two terms, -y*x - y*y, and each of them reaches the words that extend it
+THREE_TERMS = """
+field Q
+group trivial
+vertices u v
+arrow x u u
+arrow y u u
+arrow a u v
+arrow b v u
+truncate 5
+rel x*y + y*x + y*y
+rel x*x
+rel y*y*y*y
+rel a*b
+rel a*x
+rel a*y
+rel x*b
+rel y*b
+rel b*a
+"""
+
+# corners of algebras with no fixture file, with their f-vertices
+TEXT_CORNERS = {"poly_corner": (POLY_CORNER, ["2"]),
+                "poly_corner_f3": (POLY_CORNER.replace("field Q", "field F 3"), ["2"]),
+                "rational": (RATIONAL % "2/3", ["u"]),
+                "three_terms": (THREE_TERMS, ["u"])}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(TEXT_CORNERS))
+def test_word_walk_matches_references(name):
+    # nilpotency from radical powers, theta from composed paths, and the
+    # f-pieces of every f-to-f basis path are basis paths
+    if name in TEXT_CORNERS:
+        text, f = TEXT_CORNERS[name]
+        eng = engine_from(text)
+        check_corner_walk(corner_algebra(eng, IdempotentPair(eng, f)))
+    else:
+        check_corner_walk(corner_for(name))
 
 
 def test_f_lambda_e_e24():

@@ -3,7 +3,9 @@ elimination in naive.py: at most 4 vertices and 5 arrows, monomial,
 commutativity and mixed-length relations, the trivial group or Z^k, the
 fields Q, F2, F3 and F5, and truncation N <= 5.  An admissible draw must
 give the reference's basis, in order, and its normal form of every path of
-length < N; an inadmissible one must report the reference's witness."""
+length < N; an inadmissible one must report the reference's witness.  The
+corner at a drawn proper set of f-vertices must agree with the corner
+references."""
 
 import os
 import subprocess
@@ -13,10 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from quiverext import AdmissibilityError, build_engine, parse_algebra
+from quiverext import (AdmissibilityError, IdempotentPair, build_engine, corner_algebra,
+                       parse_algebra)
 from quiverext.fields import QQ, PrimeField
 
-from naive import engine_paths, naive_normal_forms, naive_witness
+from naive import check_corner_walk, engine_paths, naive_normal_forms, naive_witness
 
 FIELDS = {"Q": QQ, "F 2": PrimeField(2), "F 3": PrimeField(3), "F 5": PrimeField(5)}
 # the references pair every path with every other, so draws stay small
@@ -116,8 +119,8 @@ def key(p):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(algebras())
-def test_engine_matches_local_elimination(case):
+@given(algebras(), st.data())
+def test_engine_matches_local_elimination(case, data):
     text, field = case
     pres = parse_algebra(text)
     witness = naive_witness(text, field)
@@ -137,6 +140,11 @@ def test_engine_matches_local_elimination(case):
         assert {key(q): c for q, c in nf.items()} == reductions[key(p)]
         assert list(nf) == sorted(nf, key=lambda q: (q.length, q.arrows))
         assert twice.nf_path(p) == nf
+    vertices = eng.quiver.vertices
+    if len(vertices) >= 2:
+        f = data.draw(st.lists(st.sampled_from(vertices), min_size=1,
+                               max_size=len(vertices) - 1, unique=True))
+        check_corner_walk(corner_algebra(eng, IdempotentPair(eng, f)))
 
 
 def _generated_example():
