@@ -6,13 +6,16 @@ module map, a missing block meaning zero.  A homogeneous vector is
 (v, g, coordinates on slice (v, g)).  Slices are visited vertex by vertex in
 quiver order, then by degree in order of first appearance; that order fixes
 the order of cover summands.  Dense per-vertex matrices appear only at the
-boundary: `from_dense` cuts them into blocks, raising ValueError on any entry
-off its block (the grading and homogeneity check), and `dense` lays the
-slices of each vertex out one after another.  Relations and commutation are
-checked on the blocks.  Nothing changes once built, and blocks may be
-shared between modules.  The action of a projective or a shifted module, a
-cover's kernel and the blocks of a kernel's inclusion are each a
-`functools.cached_property`: built on first read and kept in the instance.
+boundary: `Representation.from_dense` cuts them into blocks, raising
+ValueError on any entry off its block (the grading and homogeneity check),
+and `ModuleMap.dense` lays the slices of each vertex out one after another.
+Relations and commutation are checked on the blocks.  Nothing changes once
+built, and blocks may be shared between modules.  Constructors take plain
+dicts.  What is built on first read is a `functools.cached_property` of a
+small class that holds its inputs as data, never a function: the action of
+a shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`),
+the blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
+(`_ShiftedMap`), a shifted projective's offsets, and a cover's kernel.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -47,20 +50,21 @@ keyed by the covered module's slices taken relative to its first slice's
 degree, in order (`engine.covers`).  A module whose key and action blocks,
 at the keys moved by h = (its first degree) - (the kept module's first
 degree), equal those of a kept module is covered by that module's cover
-shifted by h (`Cover.shifted`): the projective is re-keyed, the epi's node
-images are shared, and the kernel and the inclusion are re-keyed when read.
-Every step of a cover commutes with the shift and uses no seed, so this is
-the cover a fresh computation gives.  So a periodic syzygy
-(Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a shifted module met before
-such as a shifted simple, is not covered again.  A kept cover is found
-while its resolution, or any other caller, still holds it; a walk drops
-the entries of covers gone.  The reference is weak because every cover
-refers to its engine: a strong one would leave each engine in a reference
-cycle that only the cyclic garbage collector frees.  A resolution step
-past a repeat is its base step re-keyed: a shifted cover's successor is
-the base's successor shifted, with no store walk, its step map has the
-base step's blocks under keys moved by h (`_ShiftedMap`) and the base's
-factors, rank and JSON rows, and its generator terms are the base's list.
+shifted by h (`Cover.shifted`).  Every step of a cover commutes with the
+shift and uses no seed, so this is the cover a fresh computation gives,
+and a periodic syzygy (Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a
+shifted module met before such as a shifted simple, is not covered again.
+A shifted step is data: each shifted part holds its base and h, and
+re-keys the base's on first read.  The projective keeps (base, h) for its
+offsets and a `_ShiftedRep` for its module, the epi shares the base's node
+images, the kernel is a `_ShiftedRep` and its inclusion and the step map
+are `_ShiftedMap`s, with the base's factors, rank and JSON rows; the
+successor is the base's successor shifted, with no store walk, and the
+generator terms are the base's list.  A kept cover is found while its
+resolution, or any other caller, still holds it; a walk drops the entries
+of covers gone.  The reference is weak because every cover refers to its
+engine: a strong one would leave each engine in a reference cycle that
+only the cyclic garbage collector frees.
 """
 
 import random
@@ -90,6 +94,11 @@ def _same(x, y):
         rest = y if x is None else x
         return rest is None or rest.is_zero()
     return x == y
+
+
+def _moved(key, h):
+    """Slice key (v, g) moved up by h."""
+    return key[0], wadd(key[1], h)
 
 
 def _block(field, cols, n):
@@ -156,7 +165,9 @@ class Representation:
     `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
     order.  `action[(a, g)]` is the matrix of arrow a from slice
     (a.source, g) to slice (a.target, g + W(a)); it is missing when zero.
-    An action given as a function of no arguments is built on first read.
+    The constructor takes both as dicts.  A module whose action is built on
+    first read is a subclass that holds the action's inputs and makes
+    `action` a `cached_property` (`_ShiftedRep`, `_SumRep`).
     """
 
     def __init__(self, engine, dims, action, check=True):
@@ -170,14 +181,9 @@ class Representation:
                 break
             last = index[v]
         self.dims = dict(items)
-        setattr(self, "_build_action" if callable(action) else "action", action)
+        self.action = action
         if check:
             self._verify()
-
-    @cached_property
-    def action(self):
-        """The action given as a function, run once and then dropped."""
-        return self.__dict__.pop("_build_action")()
 
     @classmethod
     def from_dense(cls, engine, degrees, action, check=True):
@@ -196,15 +202,6 @@ class Representation:
                                  "action of " + a.name).items():
                     blocks[(a.name, g)] = b
         return cls(engine, dims, blocks, check=check)
-
-    def vector_from_dense(self, v, g, vec):
-        """Coordinates on slice (v, g) of a dense vector at v, in the layout
-        of `dense`.  An entry outside that slice raises ValueError."""
-        field = self.engine.field
-        degrees = self.dense_degrees()[v]
-        blocks = _cut(field, degrees, (g,), Matrix.from_columns(field, [vec], len(degrees)),
-                      wzero(self.engine.group_rank), "vector at " + v)
-        return blocks[g].col(0) if g in blocks else []
 
     def _verify(self):
         weights = self.engine.pres.weights
@@ -266,23 +263,6 @@ class Representation:
             out[v].append((g, n))
         return out
 
-    def dense_degrees(self):
-        """The degree of each slot of the dense view, per vertex."""
-        return {v: tuple(g for g, n in slices for _ in range(n))
-                for v, slices in self._layout().items()}
-
-    def dense(self):
-        """The dense view {arrow: Matrix}, each vertex space laid out slice
-        after slice in visiting order (see `dense_degrees`)."""
-        field = self.engine.field
-        layout = self._layout()
-        out = {}
-        for a in self.engine.quiver.arrows:
-            blocks = {g: m for (name, g), m in self.action.items() if name == a.name}
-            out[a.name] = _assemble(field, layout[a.target], layout[a.source], blocks,
-                                    self.engine.pres.weights[a.name])
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Representation):
             return NotImplemented
@@ -299,39 +279,19 @@ class ModuleMap:
 
     `grade` is the uniform degree drop: `blocks[(v, g)]` maps slice (v, g) of
     the source into slice (v, g - grade) of the target, and is missing when
-    zero.  Plain degree-preserving maps have grade zero.  Blocks given as a
-    function of no arguments are built on first read, as a kernel's
-    inclusion's are: only differentials, `verify` and lifts read them.
+    zero.  Plain degree-preserving maps have grade zero.  The constructor
+    takes the blocks as a dict.  A map whose blocks are built on first read
+    is a subclass that holds their inputs and makes `blocks` a
+    `cached_property` (`_Inclusion`, `_ShiftedMap`, `ProjectiveMap`).
     """
 
     def __init__(self, source, target, blocks, grade=None, check=True):
         self.source = source
         self.target = target
         self.grade = grade if grade is not None else wzero(source.engine.group_rank)
-        setattr(self, "_build_blocks" if callable(blocks) else "blocks", blocks)
+        self.blocks = blocks
         if check:
             self._verify()
-
-    @cached_property
-    def blocks(self):
-        """The blocks given as a function, run once and then dropped."""
-        return self.__dict__.pop("_build_blocks")()
-
-    @classmethod
-    def from_dense(cls, source, target, blocks, grade=None, check=True):
-        """A map from dense per-vertex matrices {v: Matrix} (missing means
-        zero) in the layout of the source's and target's dense views.  An
-        entry that is not homogeneous of the given grade raises ValueError."""
-        engine = source.engine
-        grade = grade if grade is not None else wzero(engine.group_rank)
-        sdeg = source.dense_degrees()
-        tdeg = target.dense_degrees()
-        out = {}
-        for v, m in blocks.items():
-            for g, b in _cut(engine.field, tdeg[v], sdeg[v], m, wneg(grade),
-                             "map at " + v).items():
-                out[(v, g)] = b
-        return cls(source, target, out, grade=grade, check=check)
 
     def _verify(self):
         for (v, g), b in self.blocks.items():
@@ -412,8 +372,8 @@ class ModuleMap:
         return True
 
     def dense(self):
-        """The dense view {v: Matrix}, in the layout of the source's and
-        target's dense views."""
+        """The dense view {v: Matrix}: each vertex space of the source and
+        the target laid out slice after slice in visiting order."""
         field = self.source.engine.field
         src = self.source._layout()
         tgt = self.target._layout()
@@ -443,8 +403,7 @@ class _ShiftedMap(ModuleMap):
 
     @cached_property
     def blocks(self):
-        h = self._h
-        return {(v, wadd(g, h)): b for (v, g), b in self._base.blocks.items()}
+        return {_moved(key, self._h): b for key, b in self._base.blocks.items()}
 
     def factor(self, key):
         return self._base.factor((key[0], wsub(key[1], self._h)))
@@ -454,6 +413,54 @@ class _ShiftedMap(ModuleMap):
 
     def to_json(self):
         return self._base.to_json()
+
+
+class _ShiftedRep(Representation):
+    """`base` with every degree moved up by h: the same matrices, the action
+    re-keyed on first read (`shift_rep`)."""
+
+    def __init__(self, base, h):
+        self.engine = base.engine
+        self.dims = {_moved(key, h): n for key, n in base.dims.items()}
+        self._base, self._h = base, h
+
+    @cached_property
+    def action(self):
+        h = self._h
+        return {(name, wadd(g, h)): m for (name, g), m in self._base.action.items()}
+
+
+class _SumRep(Representation):
+    """The module of a sum of projectives, from its parts: the summands'
+    templates and their offsets (`Projective._where`).  It holds those
+    parts, never the projective: a reference back would leave every
+    projective in a cycle."""
+
+    def __init__(self, engine, dims, templates, where):
+        self.engine, self.dims = engine, dims
+        self._templates, self._where = templates, where
+
+    @cached_property
+    def action(self):
+        """Each summand's template blocks at the offsets of their slices, the
+        block itself where the summand fills both slices alone.  Keys go
+        slice by slice, arrows in quiver order."""
+        engine, dims = self.engine, self.dims
+        action = {}
+        for t, at in zip(self._templates, self._where):
+            for tkey, blocks in t.blocks_from.items():
+                (w, h), c = at[tkey]
+                for name, target, b in blocks:
+                    key, r = at[target]
+                    if dims[(w, h)] == len(t.slices[tkey]) and dims[key] == len(t.slices[target]):
+                        action[(name, h)] = b
+                        continue
+                    if (name, h) not in action:
+                        action[(name, h)] = Matrix.zeros(engine.field, dims[key], dims[(w, h)])
+                    for i, row in enumerate(b.rows):
+                        action[(name, h)].rows[r + i][c:c + b.ncols] = row
+        return {(a.name, h): action[(a.name, h)] for w, h in dims
+                for a in engine.quiver.arrows_from[w] if (a.name, h) in action}
 
 
 def zero_module(engine):
@@ -516,12 +523,8 @@ class Projective:
             index = engine.quiver.vertex_index
             self.slots = {key: slots[key]
                           for key in sorted(slots, key=lambda k: (index[k[0]], k[1]))}
-        dims = {key: len(s) for key, s in self.slots.items()}
-        # the builder holds the parts it reads, never this projective: a
-        # reference back would leave every projective in a cycle
-        self.rep = Representation(
-            engine, dims, lambda: _block_action(engine, templates, where, dims),
-            check=False)
+        self.rep = _SumRep(engine, {key: len(s) for key, s in self.slots.items()},
+                           templates, where)
 
     @property
     def total_dim(self):
@@ -548,25 +551,22 @@ class Projective:
     def shifted(self, h):
         """This sum with every summand moved up by h: the same templates,
         slot lists and action blocks, re-keyed."""
-        def up(key):
-            return key[0], wadd(key[1], h)
-
         out = Projective.__new__(Projective)
         out.engine = self.engine
-        out.summands = tuple(up(s) for s in self.summands)
+        out.summands = tuple(_moved(s, h) for s in self.summands)
         out._templates = self._templates
-        out._shift_of = self, up
-        out.slots = {up(key): s for key, s in self.slots.items()}
-        out.gen_pos = [(up(key), i) for key, i in self.gen_pos]
-        out.generators = {up(key): g for key, g in self.generators.items()}
+        out._shift_of = self, h
+        out.slots = {_moved(key, h): s for key, s in self.slots.items()}
+        out.gen_pos = [(_moved(key, h), i) for key, i in self.gen_pos]
+        out.generators = {_moved(key, h): g for key, g in self.generators.items()}
         out.rep = shift_rep(self.rep, h)
         return out
 
     @cached_property
     def _where(self):
         """A shifted sum's offsets, its base's re-keyed on first read."""
-        base, up = self._shift_of
-        return [{t: (up(key), i) for t, (key, i) in at.items()} for at in base._where]
+        base, h = self._shift_of
+        return [{t: (_moved(key, h), i) for t, (key, i) in at.items()} for at in base._where]
 
     def to_json(self):
         return [[v, list(g)] for v, g in self.summands]
@@ -651,29 +651,8 @@ class ProjectiveMap(ModuleMap):
         out = ProjectiveMap(proj, target, (), self.grade)
         out._memo = self._memo
         if "blocks" in vars(self):
-            out.blocks = {(v, wadd(g, h)): b for (v, g), b in self.blocks.items()}
+            out.blocks = {_moved(key, h): b for key, b in self.blocks.items()}
         return out
-
-
-def _block_action(engine, templates, where, dims):
-    """The action of a sum of projectives: each summand's template blocks at
-    the offsets of their slices, the block itself where the summand fills
-    both slices alone.  Keys go slice by slice, arrows in quiver order."""
-    action = {}
-    for t, at in zip(templates, where):
-        for tkey, blocks in t.blocks_from.items():
-            (w, h), c = at[tkey]
-            for name, target, b in blocks:
-                key, r = at[target]
-                if dims[(w, h)] == len(t.slices[tkey]) and dims[key] == len(t.slices[target]):
-                    action[(name, h)] = b
-                    continue
-                if (name, h) not in action:
-                    action[(name, h)] = Matrix.zeros(engine.field, dims[key], dims[(w, h)])
-                for i, row in enumerate(b.rows):
-                    action[(name, h)].rows[r + i][c:c + b.ncols] = row
-    return {(a.name, h): action[(a.name, h)] for w, h in dims
-            for a in engine.quiver.arrows_from[w] if (a.name, h) in action}
 
 
 def projective_module(engine, vertex, shift=None):
@@ -687,11 +666,7 @@ def projective_module(engine, vertex, shift=None):
 def shift_rep(rep, h):
     """Shift all degrees up by h; matrices are untouched, and the action is
     re-keyed on first read."""
-    dims = {(v, wadd(g, h)): n for (v, g), n in rep.dims.items()}
-    return Representation(
-        rep.engine, dims,
-        lambda: {(name, wadd(g, h)): m for (name, g), m in rep.action.items()},
-        check=False)
+    return _ShiftedRep(rep, h)
 
 
 def semisimple_top(rep):
@@ -865,7 +840,7 @@ def _subrep_from_homogeneous(parent, vectors, slots):
     solve; the parent's block itself, shared, when the slots fill both
     slices.  An image outside the span (a nonzero row off the slots, or no
     solution) raises ValueError.  The inclusion's blocks, unit columns or
-    the basis, are built on first read.
+    the basis, are built on first read (`_Inclusion`).
     """
     engine = parent.engine
     field = engine.field
@@ -905,14 +880,27 @@ def _subrep_from_homogeneous(parent, vectors, slots):
                 raise ValueError("span is not closed under the action")
             action[(a.name, g)] = sol
     dims = {key: len(slots[key]) if key in slots else bases[key].ncols for key in keys}
-
-    def inclusion():
-        return {key: bases[key] if key in bases else Matrix.from_columns(
-            field, [_unit(field, parent.dims[key], i) for i in slots[key]], parent.dims[key])
-            for key in keys}
-
     sub = Representation(engine, dims, action, check=False)
-    return sub, ModuleMap(sub, parent, inclusion, check=False)
+    return sub, _Inclusion(sub, parent, bases, slots)
+
+
+class _Inclusion(ModuleMap):
+    """The inclusion of `sub` in `parent`, spanned on each slice by the
+    columns of `bases[slice]` or by the unit vectors at `slots[slice]`: its
+    blocks, those bases and unit columns, built on first read."""
+
+    def __init__(self, sub, parent, bases, slots):
+        self.source, self.target = sub, parent
+        self.grade = wzero(parent.engine.group_rank)
+        self._bases, self._slots = bases, slots
+
+    @cached_property
+    def blocks(self):
+        field = self.target.engine.field
+        dims = self.target.dims
+        return {key: self._bases[key] if key in self._bases else Matrix.from_columns(
+            field, [_unit(field, dims[key], i) for i in self._slots[key]], dims[key])
+            for key in self.source.dims}
 
 
 def projective_cover(engine, rep):

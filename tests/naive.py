@@ -39,7 +39,12 @@ steps a shifted cover takes from its base, re-keyed.
 
 Two module constructions only tests need live here too, built on the
 package's matrices and representations: the direct sum of representations
-and the quotient by a submodule.
+and the quotient by a submodule.  So do the dense views of a
+representation, which the references above and the slice tests read: the
+degree of each slot per vertex, the dense arrow matrices, a slice vector
+read off a dense one, and a module map cut from dense per-vertex matrices,
+each through the package's one dense-to-block conversion (`_cut`) or dense
+layout (`_assemble`).
 
 The corner references check the walk over corner words in corner.py
 without it: the nilpotency of the corner radical from spans of its powers
@@ -63,9 +68,9 @@ from quiverext.corner import apply_F, apply_F_map, f_lambda_e_module
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
 from quiverext.fields import QQ
 from quiverext.linalg import Matrix, Subspace
-from quiverext.modules import (ModuleMap, Representation, _subrep_from_homogeneous,
-                               kernel_subrep, simple_module)
-from quiverext.quiver import compose, wadd, wsub
+from quiverext.modules import (ModuleMap, Representation, _assemble, _cut,
+                               _subrep_from_homogeneous, kernel_subrep, simple_module)
+from quiverext.quiver import compose, wadd, wneg, wsub, wzero
 from quiverext.resolution import MinimalResolution, belongs_to, projective_dimension
 
 
@@ -302,6 +307,53 @@ def naive_path_count_from(text, vertex):
     return sum(1 for p in naive_normal_forms(text)[1] if p[1] == vertex)
 
 
+# -- dense views -----------------------------------------------------------------
+
+def dense_degrees(rep):
+    """The degree of each slot of the dense view, per vertex."""
+    return {v: tuple(g for g, n in slices for _ in range(n))
+            for v, slices in rep._layout().items()}
+
+
+def dense_view(rep):
+    """The dense view {arrow: Matrix}, each vertex space laid out slice
+    after slice in visiting order (see `dense_degrees`)."""
+    field = rep.engine.field
+    layout = rep._layout()
+    out = {}
+    for a in rep.engine.quiver.arrows:
+        blocks = {g: m for (name, g), m in rep.action.items() if name == a.name}
+        out[a.name] = _assemble(field, layout[a.target], layout[a.source], blocks,
+                                rep.engine.pres.weights[a.name])
+    return out
+
+
+def vector_from_dense(rep, v, g, vec):
+    """Coordinates on slice (v, g) of a dense vector at v, in the layout of
+    `dense_view`.  An entry outside that slice raises ValueError."""
+    field = rep.engine.field
+    degrees = dense_degrees(rep)[v]
+    blocks = _cut(field, degrees, (g,), Matrix.from_columns(field, [vec], len(degrees)),
+                  wzero(rep.engine.group_rank), "vector at " + v)
+    return blocks[g].col(0) if g in blocks else []
+
+
+def map_from_dense(source, target, blocks, grade=None, check=True):
+    """A map from dense per-vertex matrices {v: Matrix} (missing means
+    zero) in the layout of the source's and target's dense views.  An
+    entry that is not homogeneous of the given grade raises ValueError."""
+    engine = source.engine
+    grade = grade if grade is not None else wzero(engine.group_rank)
+    sdeg = dense_degrees(source)
+    tdeg = dense_degrees(target)
+    out = {}
+    for v, m in blocks.items():
+        for g, b in _cut(engine.field, tdeg[v], sdeg[v], m, wneg(grade),
+                         "map at " + v).items():
+            out[(v, g)] = b
+    return ModuleMap(source, target, out, grade=grade, check=check)
+
+
 # -- dense subrepresentation references --------------------------------------
 
 def _matvec(p, rows, vec):
@@ -328,7 +380,7 @@ def dense_kernel(mmap):
     source = mmap.source
     engine = source.engine
     p = engine.field.characteristic
-    source_degrees = source.dense_degrees()
+    source_degrees = dense_degrees(source)
     dense = mmap.dense()
     vectors = {v: [] for v in engine.quiver.vertices}
     for v in engine.quiver.vertices:
@@ -354,7 +406,7 @@ def dense_generated(parent, vectors):
     `dense_subrep`."""
     engine = parent.engine
     p = engine.field.characteristic
-    action = parent.dense()
+    action = dense_view(parent)
     spans = {}
     collected = {v: [] for v in engine.quiver.vertices}
 
@@ -390,7 +442,7 @@ def dense_subrep(parent, vectors_by_vertex):
     the target."""
     engine = parent.engine
     p = engine.field.characteristic
-    action_of = parent.dense()
+    action_of = dense_view(parent)
     basis = {v: [] for v in engine.quiver.vertices}
     for v, vecs in vectors_by_vertex.items():
         kept = {}
@@ -400,7 +452,7 @@ def dense_subrep(parent, vectors_by_vertex):
                 span.append(vec)
                 basis[v].append((g, vec))
     degrees = {v: tuple(g for g, _ in basis[v]) for v in basis}
-    sizes = {v: len(d) for v, d in parent.dense_degrees().items()}
+    sizes = {v: len(d) for v, d in dense_degrees(parent).items()}
     inclusion = {v: [[vec[i] for _, vec in basis[v]] for i in range(sizes[v])]
                  for v in basis}
     action = {}

@@ -1,10 +1,17 @@
-"""No class in quiverext defines `__getattr__`.
+"""No class in quiverext defines `__getattr__`, and modules.py builds no
+functions.
 
 A class with `__getattr__` loses the interpreter's specialized attribute
 reads (CPython 3.11 and later), so every read on its instances, not only
 the missing ones the hook serves, takes the slow path.  A value built on
-first read is a `functools.cached_property` instead.  The check reads the
-package's source, so a class nested anywhere is covered too."""
+first read is a `functools.cached_property` instead, of a class that holds
+the value's inputs as data.  A module, projective or map that held a
+function to build it would put a function object, and its cells, in every
+step a resolution keeps, for the cyclic garbage collector to walk: so
+nothing in the package asks `callable(...)` of what it is given, and
+modules.py has no nested `def` and no `lambda` but sort keys and the
+class-level `_factors` default.  The checks read the package's source, so
+a class or function nested anywhere is covered too."""
 
 import ast
 from pathlib import Path
@@ -35,3 +42,36 @@ def test_sources_found():
 
 def test_no_class_defines_getattr():
     assert [hit for path in SOURCES for hit in classes_with_getattr(path)] == []
+
+
+def builder_functions(path):
+    """'file:line what' of each `callable(...)` call in a source file and, in
+    modules.py, each nested `def` and each `lambda` that is not a `key=`
+    argument or the value of a class-level `_factors`."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "callable":
+                found.append("%s:%d callable(" % (path.name, node.lineno))
+            allowed |= {id(kw.value) for kw in node.keywords if kw.arg == "key"}
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                targets = getattr(item, "targets", ())
+                if any(isinstance(t, ast.Name) and t.id == "_factors" for t in targets):
+                    allowed |= {id(n) for n in ast.walk(item.value)}
+    if path.name != "modules.py":
+        return found
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            found += ["%s:%d def %s in %s" % (path.name, inner.lineno, inner.name, node.name)
+                      for inner in ast.walk(node)
+                      if inner is not node and isinstance(inner, ast.FunctionDef)]
+        elif isinstance(node, ast.Lambda) and id(node) not in allowed:
+            found.append("%s:%d lambda" % (path.name, node.lineno))
+    return found
+
+
+def test_no_builder_functions():
+    assert [hit for path in SOURCES for hit in builder_functions(path)] == []

@@ -12,7 +12,7 @@ from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import (FIXTURE_NAMES, POLY_CORNER, RATIONAL, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import (check_corner_walk, direct_sum, engine_paths, interior_vertices,
+from naive import (check_corner_walk, dense_view, direct_sum, engine_paths, interior_vertices,
                    pd_finite_sufficient, quotient_rep, subrep_generated,
                    transport_resolution)
 
@@ -122,7 +122,7 @@ def test_f_lambda_e_e41():
     c = corner_for("e41")
     rep, check = f_lambda_e_module(c)
     assert rep.dim_vector() == {"u": 0, "w": 2}
-    dense = rep.dense()
+    dense = dense_view(rep)
     for name in c.arrow_names:
         assert dense[name].is_zero()
     assert check["dim_f_row"] == check["dim_corner"] + check["dim_e_to_f"]

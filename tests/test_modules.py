@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from quiverext import (ModuleMap, Representation, dual_to_opposite, hom_space,
+from quiverext import (Representation, dual_to_opposite, hom_space,
                        module_iso_test, projective_cover, projective_module,
                        semisimple_top, shift_rep, simple_module, zero_module)
 from quiverext.linalg import Matrix
 from quiverext.modules import Projective, kernel_subrep
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
-from naive import (direct_sum, naive_projective, quotient_rep, radical_subspaces,
-                   subrep_generated)
+from naive import (direct_sum, map_from_dense, naive_projective, quotient_rep,
+                   radical_subspaces, subrep_generated)
 
 
 def test_simple_module_dims():
@@ -212,7 +212,7 @@ def test_module_map_verification_catches_noncommuting():
     # homogeneous, but S -> P_v, s -> e_v does not commute with b
     bad = {"v": Matrix(eng.field, [[eng.field.one], [eng.field.zero]])}
     with pytest.raises(ValueError, match="does not commute"):
-        ModuleMap.from_dense(s, p, bad)
+        map_from_dense(s, p, bad)
 
 
 # a kills p, b does not: on the shared slice at w, the summand P_u acts by b

@@ -8,12 +8,19 @@ must equal the naive composite of `naive.naive_differential` block for
 block and in its JSON rows, every list of generator terms its naive
 recomputation, and `verify` must pass; a shifted step's blocks, factors,
 rank and rows must be its base step's own objects.  Once its base is gone,
-a shifted cover builds each of these on first read as a fresh cover does."""
+a shifted cover builds each of these on first read as a fresh cover does.
+
+A kept step is data: it holds no function object, and adds a bounded
+number of objects for the cyclic garbage collector to walk."""
 
 import gc
+import re
+import types
+from pathlib import Path
 
 import pytest
 
+import quiverext
 from quiverext import (build_engine, corner_algebra, pair_from_presentation,
                        parse_algebra, parse_algebra_file, simple_module, simple_resolutions)
 from quiverext.fields import QQ, PrimeField
@@ -101,3 +108,26 @@ def test_shifted_cover_read_after_its_base_is_gone(name):
         assert list(shifted.step.blocks.items()) == list(want.step.blocks.items())
         assert shifted.generator_terms == want.generator_terms
         assert set(LAZY) <= set(vars(shifted))
+
+
+def test_kept_steps_load_the_collector_little():
+    """Every simple of the 24-vertex cycle with J^5 = 0 resolved to 40 and
+    kept: at most 20 objects more per kept cover, none of them a function.
+    The package leaves the collector's settings alone."""
+    eng = engine_from(cyclic_nakayama(24, 5))
+    gc.collect()
+    before = gc.get_objects()
+    count = len(before)
+    functions = [f for f in before if isinstance(f, types.FunctionType)]
+    known = {id(f) for f in functions}      # held above, so no id is reused
+    del before
+    resolutions = simple_resolutions(eng)
+    for res in resolutions.values():
+        res.pd_verdict(40)
+    gc.collect()
+    after = gc.get_objects()
+    covers = sum(len(res.covers) for res in resolutions.values())
+    assert len(after) - count <= 20 * covers
+    assert [f for f in after if isinstance(f, types.FunctionType) and id(f) not in known] == []
+    for path in Path(quiverext.__file__).parent.glob("*.py"):
+        assert not re.search(r"\bgc\.(disable|freeze|set_threshold)\b", path.read_text())

@@ -16,7 +16,8 @@ from quiverext.quiver import wadd
 
 from conftest import (FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import dense_generated, dense_kernel, direct_sum, subrep_generated
+from naive import (dense_degrees, dense_generated, dense_kernel, dense_view, direct_sum,
+                   map_from_dense, subrep_generated, vector_from_dense)
 
 
 def _engine(name, field):
@@ -26,7 +27,7 @@ def _engine(name, field):
 
 def _dense_vector(rep, v, g, coords):
     """A slice vector in the layout of the dense view."""
-    degrees = rep.dense_degrees()[v]
+    degrees = dense_degrees(rep)[v]
     vec = [rep.engine.field.zero] * len(degrees)
     start = degrees.index(g)
     vec[start:start + len(coords)] = coords
@@ -36,8 +37,8 @@ def _dense_vector(rep, v, g, coords):
 def _assert_same(got, want):
     sub, incl = got
     degrees, action, inclusion = want
-    assert sub.dense_degrees() == degrees
-    dense = sub.dense()
+    assert dense_degrees(sub) == degrees
+    dense = dense_view(sub)
     for name, rows in action.items():
         assert dense[name].rows == rows
     dense = incl.dense()
@@ -110,9 +111,9 @@ def test_vector_outside_its_degree_raises():
     p = projective_module(eng, "v").rep
     # the generator e_v lies in degree 0 of the dense view [e_v, b]
     gen = _dense_vector(p, "v", (0,), [eng.field.one])
-    assert p.vector_from_dense("v", (0,), gen) == [eng.field.one]
+    assert vector_from_dense(p, "v", (0,), gen) == [eng.field.one]
     with pytest.raises(ValueError, match="vector at v is not homogeneous"):
-        p.vector_from_dense("v", (1,), gen)
+        vector_from_dense(p, "v", (1,), gen)
 
 
 def test_non_homogeneous_map_raises():
@@ -121,11 +122,11 @@ def test_non_homogeneous_map_raises():
     field = eng.field
     # the identity with a nonzero degree drop, and e_v -> b at drop zero
     e_to_b = Matrix.zeros(field, 2, 2)
-    degrees = p.dense_degrees()["v"]
+    degrees = dense_degrees(p)["v"]
     e_to_b.rows[degrees.index((1,))][degrees.index((0,))] = field.one
     for blocks, grade in (({"v": Matrix.identity(field, 2)}, (1,)), ({"v": e_to_b}, None)):
         with pytest.raises(ValueError, match="map at v is not homogeneous"):
-            ModuleMap.from_dense(p, p, blocks, grade=grade, check=False)
+            map_from_dense(p, p, blocks, grade=grade, check=False)
 
 
 def test_slices_visit_vertices_then_first_appearance():
@@ -134,7 +135,7 @@ def test_slices_visit_vertices_then_first_appearance():
     # vertices in quiver order, then degrees in order of first appearance
     assert list(rep.dims.items()) == [(("u", (1,)), 1), (("v", (2,)), 2),
                                       (("v", (0,)), 1)]
-    assert rep.dense_degrees() == {"u": ((1,),), "v": ((2,), (2,), (0,))}
+    assert dense_degrees(rep) == {"u": ((1,),), "v": ((2,), (2,), (0,))}
     # that order fixes the order of cover summands
     assert projective_cover(eng, rep).projective.summands == (
         ("u", (1,)), ("v", (2,)), ("v", (2,)), ("v", (0,)))
@@ -151,4 +152,4 @@ def test_slices_visit_vertices_then_first_appearance():
     assert list(p.rep.dims) == list(p.slots)
     kernel = projective_cover(eng, simple_module(eng, "v")).kernel
     for rep in (p.rep, kernel):
-        assert Representation.from_dense(eng, rep.dense_degrees(), rep.dense()) == rep
+        assert Representation.from_dense(eng, dense_degrees(rep), dense_view(rep)) == rep
