@@ -73,13 +73,13 @@ def _parser():
 
 def _load(args):
     pres = parse_algebra_file(args.input)
-    if args.field:
+    if args.field is not None:
         pres = pres.with_field(field_from_name(args.field))
     return build_engine(pres)
 
 
 def _pair(engine, args):
-    if getattr(args, "f", None):
+    if getattr(args, "f", None) is not None:
         return IdempotentPair(engine, [v.strip() for v in args.f.split(",") if v.strip()])
     return pair_from_presentation(engine)
 
@@ -109,7 +109,7 @@ def cmd_analyze(engine, args):
 
 
 def cmd_resolve(engine, args):
-    vertices = [args.simple] if args.simple else list(engine.quiver.vertices)
+    vertices = [args.simple] if args.simple is not None else list(engine.quiver.vertices)
     store = simple_resolutions(engine, seed=args.seed)
     report = {}
     for v in vertices:

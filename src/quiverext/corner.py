@@ -15,18 +15,20 @@ its prefix's normal form, and stops at the first length at which every
 word is zero: that length is the nilpotency of the radical.  From this one
 table of evaluations come the relations (the kernel of evaluation,
 blockwise by endpoints and weight, with the zero words as monomial
-relations) and the canonical map onto the corner, which is verified to be
-an algebra isomorphism (dimension plus full multiplication table).
+relations, less those that shorter ones generate: padding by corner
+arrows, one at a time, closes the span they cover) and the canonical map
+onto the corner, which is verified to be an algebra isomorphism
+(dimension plus full multiplication table).
 
-Also here: the exact restriction functor (tensoring with the corner
-bimodule), the module of e-to-f paths, and the exactness test for the
-right adjoint.
+Also here: the exact restriction functor F (tensoring with the corner
+bimodule), the module of e-to-f paths as F of the projective at e, and the
+exactness test for the right adjoint.
 """
 
 from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
-from .modules import ModuleMap, Representation, projective_cover, simple_module
-from .quiver import Quiver, compose
+from .modules import ModuleMap, Projective, Representation, projective_cover, simple_module
+from .quiver import Quiver, compose, wzero
 from .resolution import projective_dimension
 
 
@@ -107,10 +109,12 @@ class CornerPresentation:
                         (candidates if a.target in f else nxt).append(q)
             level = nxt
         candidates.sort(key=lambda p: (p.length, p.arrows))
-        # the span of (corner radical)^2 first, in corner coordinates
+        # the span of (corner radical)^2 first, in corner coordinates: the
+        # minimal f-paths generate the radical, so their products with the
+        # basis paths of positive length span its square
         seen = Subspace(eng.field, self.dim)
         positive = [p for p in self.f_basis if p.length >= 1]
-        for p in positive:
+        for p in candidates:
             for q in positive:
                 prod = eng.multiply_paths(p, q)
                 if prod:
@@ -177,19 +181,15 @@ class CornerPresentation:
 
     def _reduce_generators(self, kernel_vectors, block_columns, names):
         """Drop kernel vectors already generated by shorter chosen relations:
-        a candidate is skipped when it lies in the span of the paddings
-        x * r * y of the relations chosen so far."""
+        a candidate is skipped when it lies in the covered span, that of the
+        paddings x * r * y of the relations r chosen so far, truncated at the
+        nilpotency.  Truncation drops words by length and padding only
+        lengthens, so that span is the least one that holds the chosen
+        relations and is closed under padding by one corner arrow on either
+        side.  So a row's one-arrow paddings are pushed only when the row
+        raises the covered dimension of its block."""
         eng = self.engine
         covered = {}
-        # words usable for padding, keyed by endpoints; the empty word at a
-        # vertex acts as that vertex idempotent
-        into, out_of = {}, {}
-        for v in self.pair.f_vertices:
-            into.setdefault(v, []).append(())
-            out_of.setdefault(v, []).append(())
-        for w, (path, _) in self.words.items():
-            into.setdefault(path.target, []).append(w)
-            out_of.setdefault(path.source, []).append(w)
 
         def block_vector(row):
             path = self.words[next(iter(row))][0]
@@ -200,19 +200,6 @@ class CornerPresentation:
                 vec[cols[w]] = c
             return key, vec
 
-        def pad_and_cover(row, src, tgt):
-            maxlen = self.nilpotency
-            for yw in into.get(src, []):       # applied before the relation
-                for xw in out_of.get(tgt, []):  # applied after
-                    # distinct words stay distinct padded by the same yw, xw
-                    padded = {yw + w + xw: c for w, c in row.items()
-                              if len(yw) + len(w) + len(xw) <= maxlen}
-                    if padded:
-                        key, vec = block_vector(padded)
-                        if key not in covered:
-                            covered[key] = Subspace(eng.field, len(vec))
-                        covered[key].add(vec)
-
         chosen = []
         for _, key, row in sorted(kernel_vectors,
                                   key=lambda t: (t[0], t[1], sorted(t[2]))):
@@ -220,7 +207,21 @@ class CornerPresentation:
             if span is not None and span.contains(block_vector(row)[1]):
                 continue
             chosen.append(row)
-            pad_and_cover(row, key[0], key[1])
+            stack = [row]
+            while stack:
+                padded = stack.pop()
+                pkey, vec = block_vector(padded)
+                if pkey not in covered:
+                    covered[pkey] = Subspace(eng.field, len(vec))
+                # distinct words stay distinct padded by the same arrow
+                short = [(w, c) for w, c in padded.items() if len(w) < self.nilpotency]
+                if not covered[pkey].add(vec) or not short:
+                    continue
+                for i, a in enumerate(self.arrow_paths):
+                    if a.target == pkey[0]:     # applied before the row
+                        stack.append({(i,) + w: c for w, c in short})
+                    if a.source == pkey[1]:     # applied after
+                        stack.append({w + (i,): c for w, c in short})
         relations = []
         for row in chosen:
             terms = []
@@ -279,31 +280,17 @@ def corner_algebra(engine, pair):
 
 
 def f_lambda_e_module(corner):
-    """The corner-algebra module of e-to-f paths, plus decomposition data.
+    """The corner-algebra module of e-to-f paths, F(Ae): the restriction of
+    the projective at the e-vertices, each in degree zero, so a slice holds
+    the e-to-f basis paths of its weight ending at its vertex.
 
     Returns (rep, check) where check carries the dimensions verifying that
     the f-row of the algebra splits as corner + (e-to-f part).
     """
     eng = corner.engine
     pair = corner.pair
-    ce = corner.corner_engine
-    basis = {}   # per f-vertex: ordered list of e-to-f paths
-    for w in pair.f_vertices:
-        paths = [p for p in eng.basis
-                 if p.source in set(pair.e_vertices) and p.target == w]
-        paths.sort(key=lambda p: (p.weight, p.length, p.arrows))
-        basis[w] = paths
-    degrees = {w: tuple(p.weight for p in basis[w]) for w in pair.f_vertices}
-    index = {w: {p: i for i, p in enumerate(basis[w])} for w in pair.f_vertices}
-    action = {}
-    for name, ap in zip(corner.arrow_names, corner.arrow_paths):
-        src, tgt = ap.source, ap.target
-        m = Matrix.zeros(eng.field, len(basis[tgt]), len(basis[src]))
-        for j, x in enumerate(basis[src]):
-            for t, c in eng.multiply_paths(ap, x).items():
-                m.rows[index[tgt][t]][j] = c
-        action[name] = m
-    rep = Representation.from_dense(ce, degrees, action, check=True)
+    zero = wzero(eng.group_rank)
+    rep = apply_F(corner, Projective(eng, [(v, zero) for v in pair.e_vertices]).rep)
     dim_f_row = len([p for p in eng.basis if p.target in set(pair.f_vertices)])
     check = {
         "dim_f_row": dim_f_row,

@@ -5,11 +5,11 @@ slice: one matrix per arrow and source slice, one per source slice of a
 module map, a missing block meaning zero.  A homogeneous vector is
 (v, g, coordinates on slice (v, g)).  Slices are visited vertex by vertex in
 quiver order, then by degree in order of first appearance; that order fixes
-the order of cover summands.  Dense per-vertex matrices appear only at the
-boundary: `Representation.from_dense` cuts them into blocks, raising
-ValueError on any entry off its block (the grading and homogeneity check),
-and `ModuleMap.dense` lays the slices of each vertex out one after another.
-Relations and commutation are checked on the blocks.  Nothing changes once
+the order of cover summands.  Dense per-vertex matrices appear only as
+output: `ModuleMap.dense` lays the slices of each vertex out one after
+another.  Every module and map is built from blocks, so the grading holds
+by construction; shapes, relations and commutation are checked on the
+blocks.  Nothing changes once
 built, and blocks may be shared between modules.  Constructors take plain
 dicts.  What is built on first read is a `functools.cached_property` of a
 small class that holds its inputs as data, never a function: the action of
@@ -108,36 +108,6 @@ def _block(field, cols, n):
     return Matrix.from_columns(field, [cols.get(j, zero) for j in range(n)], nrows)
 
 
-def _by_degree(degrees):
-    """{degree: slot indices} of a dense layout, degrees in order of first
-    appearance."""
-    out = {}
-    for i, g in enumerate(degrees):
-        out.setdefault(g, []).append(i)
-    return out
-
-
-def _cut(field, row_degrees, col_degrees, dense, shift, what):
-    """The one dense-to-block conversion.  Cuts a dense matrix, from slots of
-    degrees col_degrees to slots of degrees row_degrees, into blocks
-    {g: matrix from the degree-g columns to the rows of degree g + shift},
-    leaving out empty blocks.  An entry off these blocks raises ValueError."""
-    if dense.shape != (len(row_degrees), len(col_degrees)):
-        raise ValueError("%s has shape %s, expected %s"
-                         % (what, dense.shape, (len(row_degrees), len(col_degrees))))
-    for i, row in enumerate(dense.rows):
-        for j, x in enumerate(row):
-            if x and row_degrees[i] != wadd(col_degrees[j], shift):
-                raise ValueError("%s is not homogeneous at entry (%d, %d)" % (what, i, j))
-    rows = _by_degree(row_degrees)
-    blocks = {}
-    for g, cols in _by_degree(col_degrees).items():
-        idx = rows.get(wadd(g, shift))
-        if idx:
-            blocks[g] = Matrix(field, [[dense.rows[i][j] for j in cols] for i in idx])
-    return blocks
-
-
 def _assemble(field, row_slices, col_slices, blocks, shift):
     """The one dense view: the matrix with blocks {g: Matrix}, block g from
     column slice g to row slice g + shift, where the slices [(g, n)] lie one
@@ -184,24 +154,6 @@ class Representation:
         self.action = action
         if check:
             self._verify()
-
-    @classmethod
-    def from_dense(cls, engine, degrees, action, check=True):
-        """A representation from slot degrees {v: tuple} and dense arrow
-        matrices {arrow: Matrix} (missing means zero).  An entry that breaks
-        the grading raises ValueError."""
-        degrees = {v: tuple(degrees.get(v, ())) for v in engine.quiver.vertices}
-        dims = {(v, g): len(idx) for v, degs in degrees.items()
-                for g, idx in _by_degree(degs).items()}
-        blocks = {}
-        for a in engine.quiver.arrows:
-            m = action.get(a.name)
-            if m is not None:
-                for g, b in _cut(engine.field, degrees[a.target], degrees[a.source], m,
-                                 engine.pres.weights[a.name],
-                                 "action of " + a.name).items():
-                    blocks[(a.name, g)] = b
-        return cls(engine, dims, blocks, check=check)
 
     def _verify(self):
         weights = self.engine.pres.weights

@@ -42,16 +42,22 @@ package's matrices and representations: the direct sum of representations
 and the quotient by a submodule.  So do the dense views of a
 representation, which the references above and the slice tests read: the
 degree of each slot per vertex, the dense arrow matrices, a slice vector
-read off a dense one, and a module map cut from dense per-vertex matrices,
-each through the package's one dense-to-block conversion (`_cut`) or dense
-layout (`_assemble`).
+read off a dense one, and a module map or a representation cut from dense
+per-vertex matrices.  Reading dense input is test-only: the one
+dense-to-block conversion (`_cut`) lives here, and the one dense layout is
+the package's (`_assemble`).
 
 The corner references check the walk over corner words in corner.py
 without it: the nilpotency of the corner radical from spans of its powers
 (each power times the basis paths of positive length, eliminated locally),
 each image theta[bp] against the engine's normal form of the composed
-underlying path, and the fact the corner arrows rest on, that the pieces
-of an f-to-f basis path split at its interior f-vertices are basis paths.
+underlying path, the fact the corner arrows rest on, that the pieces of an
+f-to-f basis path split at its interior f-vertices are basis paths, and
+that the arrows' products with the basis paths span the radical's square.
+`AllPairsCorner` chooses the relations by the all-pairs padding in place
+of the one-arrow closure, and `naive_f_lambda_e` builds the e-to-f module
+from dense matrices, one `multiply_paths` per path and corner arrow, in
+place of restricting the projective at e.
 
 So do four checks that no part of the package calls, built on its own
 code.  `subrep_generated` closes homogeneous vectors under the arrows and
@@ -64,12 +70,14 @@ corner projective dimension of the e-to-f module."""
 
 from fractions import Fraction
 
-from quiverext.corner import apply_F, apply_F_map, f_lambda_e_module
+from quiverext.corner import (CornerPresentation, apply_F, apply_F_map, f_lambda_e_module,
+                              is_H_exact)
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
 from quiverext.fields import QQ
 from quiverext.linalg import Matrix, Subspace
-from quiverext.modules import (ModuleMap, Representation, _assemble, _cut,
-                               _subrep_from_homogeneous, kernel_subrep, simple_module)
+from quiverext.modules import (ModuleMap, Representation, _assemble,
+                               _subrep_from_homogeneous, kernel_subrep, projective_cover,
+                               simple_module)
 from quiverext.quiver import compose, wadd, wneg, wsub, wzero
 from quiverext.resolution import MinimalResolution, belongs_to, projective_dimension
 
@@ -308,6 +316,53 @@ def naive_path_count_from(text, vertex):
 
 
 # -- dense views -----------------------------------------------------------------
+
+def _by_degree(degrees):
+    """{degree: slot indices} of a dense layout, degrees in order of first
+    appearance."""
+    out = {}
+    for i, g in enumerate(degrees):
+        out.setdefault(g, []).append(i)
+    return out
+
+
+def _cut(field, row_degrees, col_degrees, dense, shift, what):
+    """The one dense-to-block conversion.  Cuts a dense matrix, from slots of
+    degrees col_degrees to slots of degrees row_degrees, into blocks
+    {g: matrix from the degree-g columns to the rows of degree g + shift},
+    leaving out empty blocks.  An entry off these blocks raises ValueError."""
+    if dense.shape != (len(row_degrees), len(col_degrees)):
+        raise ValueError("%s has shape %s, expected %s"
+                         % (what, dense.shape, (len(row_degrees), len(col_degrees))))
+    for i, row in enumerate(dense.rows):
+        for j, x in enumerate(row):
+            if x and row_degrees[i] != wadd(col_degrees[j], shift):
+                raise ValueError("%s is not homogeneous at entry (%d, %d)" % (what, i, j))
+    rows = _by_degree(row_degrees)
+    blocks = {}
+    for g, cols in _by_degree(col_degrees).items():
+        idx = rows.get(wadd(g, shift))
+        if idx:
+            blocks[g] = Matrix(field, [[dense.rows[i][j] for j in cols] for i in idx])
+    return blocks
+
+
+def rep_from_dense(engine, degrees, action, check=True):
+    """A representation from slot degrees {v: tuple} and dense arrow
+    matrices {arrow: Matrix} (missing means zero).  An entry that breaks
+    the grading raises ValueError."""
+    degrees = {v: tuple(degrees.get(v, ())) for v in engine.quiver.vertices}
+    dims = {(v, g): len(idx) for v, degs in degrees.items()
+            for g, idx in _by_degree(degs).items()}
+    blocks = {}
+    for a in engine.quiver.arrows:
+        m = action.get(a.name)
+        if m is not None:
+            for g, b in _cut(engine.field, degrees[a.target], degrees[a.source], m,
+                             engine.pres.weights[a.name], "action of " + a.name).items():
+                blocks[(a.name, g)] = b
+    return Representation(engine, dims, blocks, check=check)
+
 
 def dense_degrees(rep):
     """The degree of each slot of the dense view, per vertex."""
@@ -912,9 +967,100 @@ def f_pieces(engine, path, f_vertices):
     return pieces
 
 
-def check_corner_walk(corner):
-    """The corner references above, asserted on one corner."""
+class AllPairsCorner(CornerPresentation):
+    """The corner with the all-pairs padding its presentation once used:
+    each chosen relation r is padded by every pair (word into its source,
+    word out of its target), the empty word standing for a vertex
+    idempotent, and each padded row is built before the words longer than
+    the nilpotency are dropped."""
+
+    def _reduce_generators(self, kernel_vectors, block_columns, names):
+        field = self.engine.field
+        covered = {}
+        into, out_of = {}, {}
+        for v in self.pair.f_vertices:
+            into[v], out_of[v] = [()], [()]
+        for w, (path, _) in self.words.items():
+            into[path.target].append(w)
+            out_of[path.source].append(w)
+
+        def block_vector(row):
+            path = self.words[next(iter(row))][0]
+            key = (path.source, path.target, path.weight)
+            vec = [field.zero] * len(block_columns[key])
+            for w, c in row.items():
+                vec[block_columns[key][w]] = c
+            return key, vec
+
+        chosen = []
+        for _, key, row in sorted(kernel_vectors, key=lambda t: (t[0], t[1], sorted(t[2]))):
+            if key in covered and covered[key].contains(block_vector(row)[1]):
+                continue
+            chosen.append(row)
+            for yw in into[key[0]]:             # applied before the relation
+                for xw in out_of[key[1]]:       # applied after
+                    padded = {yw + w + xw: c for w, c in row.items()
+                              if len(yw) + len(w) + len(xw) <= self.nilpotency}
+                    if padded:
+                        pkey, vec = block_vector(padded)
+                        if pkey not in covered:
+                            covered[pkey] = Subspace(field, len(vec))
+                        covered[pkey].add(vec)
+        return [[(row[w], tuple(names[i] for i in reversed(w)))
+                 for w in sorted(row, key=lambda t: (len(t), t))] for row in chosen]
+
+
+def naive_f_lambda_e(corner):
+    """The e-to-f module as a dense build: per f-vertex the e-to-f basis
+    paths in (weight, length, arrows) order, each corner arrow's matrix one
+    `multiply_paths` per path, cut into slices by `rep_from_dense`.  Returns
+    (rep, check) like `f_lambda_e_module`."""
     eng = corner.engine
+    f, e = set(corner.pair.f_vertices), set(corner.pair.e_vertices)
+    basis = {w: sorted((p for p in eng.basis if p.source in e and p.target == w),
+                       key=lambda p: (p.weight, p.length, p.arrows))
+             for w in corner.pair.f_vertices}
+    action = {}
+    for name, ap in zip(corner.arrow_names, corner.arrow_paths):
+        row = {p: i for i, p in enumerate(basis[ap.target])}
+        m = Matrix.zeros(eng.field, len(basis[ap.target]), len(basis[ap.source]))
+        for j, x in enumerate(basis[ap.source]):
+            for t, c in eng.multiply_paths(ap, x).items():
+                m.rows[row[t]][j] = c
+        action[name] = m
+    degrees = {w: tuple(p.weight for p in ps) for w, ps in basis.items()}
+    rep = rep_from_dense(corner.corner_engine, degrees, action)
+    dim_f_row = sum(1 for p in eng.basis if p.target in f)
+    return rep, {"dim_f_row": dim_f_row, "dim_corner": corner.dim,
+                 "dim_e_to_f": rep.total_dim,
+                 "splits": dim_f_row == corner.dim + rep.total_dim}
+
+
+def check_f_lambda_e(corner, bound=6):
+    """`f_lambda_e_module` against `naive_f_lambda_e` on one corner.  With
+    one e-vertex the restricted projective has the dense build's slots in
+    its order.  With more, a shared slice lists its slots by source vertex
+    first, so the bases differ by a permutation: then the slices, the
+    projective dimension and the exactness flag must agree."""
+    rep, check = f_lambda_e_module(corner)
+    ref, ref_check = naive_f_lambda_e(corner)
+    assert check == ref_check
+    if len(corner.pair.e_vertices) <= 1:
+        assert rep == ref
+        return
+    ce = corner.corner_engine
+    assert list(rep.dims.items()) == list(ref.dims.items())
+    assert (projective_dimension(ce, rep, bound).to_json()
+            == projective_dimension(ce, ref, bound).to_json())
+    assert is_H_exact(corner)[0] == (ref.is_zero() or not projective_cover(ce, ref).kernel_dims)
+
+
+def check_corner_walk(corner):
+    """The corner references above, asserted on one corner, and the same
+    chosen relations, in order, as the all-pairs padding."""
+    eng = corner.engine
+    reference = AllPairsCorner(eng, corner.pair)
+    assert reference.presentation.relations == corner.presentation.relations
     assert corner.nilpotency == naive_nilpotency(corner)
     arrow_path = dict(zip(corner.arrow_names, corner.arrow_paths))
     for bp, image in corner.theta.items():
@@ -925,3 +1071,18 @@ def check_corner_walk(corner):
     basis = set(eng.basis)
     for path in corner.f_basis:
         assert set(f_pieces(eng, path, corner.pair.f_vertices)) <= basis
+    # the arrows generate the radical, so their products with the basis
+    # paths of positive length span its square, as all such products do
+    index = {q: i for i, q in enumerate(corner.f_basis)}
+    positive = [q for q in corner.f_basis if q.length >= 1]
+
+    def products_rank(left):
+        rows = []
+        for x in left:
+            for q in positive:
+                rows.append([0] * len(index))
+                for t, c in eng.multiply_paths(x, q).items():
+                    rows[-1][index[t]] = c
+        return rank_fraction(rows, len(index), eng.field.characteristic)
+
+    assert products_rank(corner.arrow_paths) == products_rank(positive)

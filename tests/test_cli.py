@@ -277,6 +277,21 @@ def test_corner_f_override(capsys, fixtures_dir):
     assert json.loads(out)["dim_corner"] == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corner", "--f", ""], "the corner part must contain at least one vertex"),
+    (["corner", "--f", ",,"], "the corner part must contain at least one vertex"),
+    (["corner", "--field", ""], "unknown field '' (expected Q or F<prime>)"),
+    (["resolve", "--simple", ""], "unknown vertex ''"),
+], ids=["f-empty", "f-commas", "field-empty", "simple-empty"])
+def test_empty_option_values_are_input_errors(capsys, fixtures_dir, argv, message):
+    # an empty value is refused like any other unreadable one, not read as
+    # the option left out
+    code, out, err = run_cli(capsys, argv[0], fix(fixtures_dir, "e24"), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_csv_only_for_ext_table(capsys, fixtures_dir):
     code, _, err = run_cli(capsys, "analyze", fix(fixtures_dir, "a2"),
                            "--format", "csv")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +13,8 @@ from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import (FIXTURE_NAMES, POLY_CORNER, RATIONAL, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import (check_corner_walk, dense_view, direct_sum, engine_paths, interior_vertices,
-                   pd_finite_sufficient, quotient_rep, subrep_generated,
+from naive import (check_corner_walk, check_f_lambda_e, dense_view, direct_sum, engine_paths,
+                   interior_vertices, pd_finite_sufficient, quotient_rep, subrep_generated,
                    transport_resolution)
 
 
@@ -87,11 +88,18 @@ rel y*b
 rel b*a
 """
 
+# b*a*b*a in place of b*a: at f = u a corner of dimension 9 and
+# nilpotency 5 with 363 words, which pairing every word with every other
+# to pad its relations made slow
+LONG_WORDS = THREE_TERMS.replace("rel b*a\n", "rel b*a*b*a\n")
+
 # corners of algebras with no fixture file, with their f-vertices
 TEXT_CORNERS = {"poly_corner": (POLY_CORNER, ["2"]),
                 "poly_corner_f3": (POLY_CORNER.replace("field Q", "field F 3"), ["2"]),
                 "rational": (RATIONAL % "2/3", ["u"]),
-                "three_terms": (THREE_TERMS, ["u"])}
+                "three_terms": (THREE_TERMS, ["u"]),
+                "long_words_u": (LONG_WORDS, ["u"]),
+                "long_words_v": (LONG_WORDS, ["v"])}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(TEXT_CORNERS))
@@ -141,6 +149,24 @@ def test_decomposition_check_all_fixtures():
         c = corner_for(name)
         _, check = f_lambda_e_module(c)
         assert check["splits"], name
+
+
+def test_f_lambda_e_matches_dense_reference():
+    # every proper f of each fixture and the text corners; the generated
+    # corners of test_engine_generated.py run the same check
+    multi = 0
+    for name in FIXTURE_NAMES:
+        eng = engine_for(name)
+        vertices = eng.quiver.vertices
+        for k in range(1, len(vertices)):
+            for f in combinations(vertices, k):
+                c = corner_algebra(eng, IdempotentPair(eng, f))
+                check_f_lambda_e(c)
+                multi += len(c.pair.e_vertices) > 1
+    for text, f in TEXT_CORNERS.values():
+        eng = engine_from(text)
+        check_f_lambda_e(corner_algebra(eng, IdempotentPair(eng, f)))
+    assert multi == 9            # fixture pairs with more than one e-vertex
 
 
 def test_apply_F_of_projectives():

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from quiverext import (Representation, dual_to_opposite, hom_space,
-                       module_iso_test, projective_cover, projective_module,
-                       semisimple_top, shift_rep, simple_module, zero_module)
+from quiverext import (dual_to_opposite, hom_space, module_iso_test, projective_cover,
+                       projective_module, semisimple_top, shift_rep, simple_module, zero_module)
 from quiverext.linalg import Matrix
 from quiverext.modules import Projective, kernel_subrep
 
 from conftest import KB2, engine_for, engine_from, random_homogeneous_vectors
 from naive import (direct_sum, map_from_dense, naive_projective, quotient_rep,
-                   radical_subspaces, subrep_generated)
+                   radical_subspaces, rep_from_dense, subrep_generated)
 
 
 def test_simple_module_dims():
@@ -166,7 +165,7 @@ def test_construction_asserts_relations():
     # grading-compatible action whose square is nonzero violates b*b = 0
     z, o = eng.field.zero, eng.field.one
     with pytest.raises(ValueError, match="relation does not act as zero"):
-        Representation.from_dense(
+        rep_from_dense(
             eng, {"v": ((0,), (1,), (2,))},
             {"b": Matrix(eng.field, [[z, z, z], [o, z, z], [z, o, z]])})
 
@@ -175,7 +174,7 @@ def test_construction_asserts_grading():
     eng = engine_from(KB2)
     with pytest.raises(ValueError, match="not homogeneous"):
         # degree slot mismatch: b should raise degree by 1
-        Representation.from_dense(
+        rep_from_dense(
             eng, {"v": ((0,), (5,))},
             {"b": Matrix(eng.field, [[eng.field.zero, eng.field.zero],
                                      [eng.field.one, eng.field.zero]])})

@@ -7,7 +7,7 @@ import zlib
 
 import pytest
 
-from quiverext import ModuleMap, Representation, build_engine, parse_algebra_file
+from quiverext import ModuleMap, build_engine, parse_algebra_file
 from quiverext.fields import QQ, PrimeField
 from quiverext.linalg import Matrix
 from quiverext.modules import (Projective, _subrep_from_homogeneous, kernel_subrep,
@@ -17,7 +17,7 @@ from quiverext.quiver import wadd
 from conftest import (FIXTURE_NAMES, FIXTURES, SEMISIMPLE2, engine_for, engine_from,
                       random_homogeneous_vectors)
 from naive import (dense_degrees, dense_generated, dense_kernel, dense_view, direct_sum,
-                   map_from_dense, subrep_generated, vector_from_dense)
+                   map_from_dense, rep_from_dense, subrep_generated, vector_from_dense)
 
 
 def _engine(name, field):
@@ -131,7 +131,7 @@ def test_non_homogeneous_map_raises():
 
 def test_slices_visit_vertices_then_first_appearance():
     eng = engine_from(SEMISIMPLE2)
-    rep = Representation.from_dense(eng, {"v": ((2,), (0,), (2,)), "u": ((1,),)}, {})
+    rep = rep_from_dense(eng, {"v": ((2,), (0,), (2,)), "u": ((1,),)}, {})
     # vertices in quiver order, then degrees in order of first appearance
     assert list(rep.dims.items()) == [(("u", (1,)), 1), (("v", (2,)), 2),
                                       (("v", (0,)), 1)]
@@ -152,4 +152,4 @@ def test_slices_visit_vertices_then_first_appearance():
     assert list(p.rep.dims) == list(p.slots)
     kernel = projective_cover(eng, simple_module(eng, "v")).kernel
     for rep in (p.rep, kernel):
-        assert Representation.from_dense(eng, dense_degrees(rep), dense_view(rep)) == rep
+        assert rep_from_dense(eng, dense_degrees(rep), dense_view(rep)) == rep
