@@ -2,7 +2,7 @@
 their corner algebras, and the eventual comparison of their Ext rings."""
 
 from .algebra import (AdmissibilityError, AlgebraElement, AlgebraPresentation,
-                      NormalFormEngine, PresentationError, build_engine)
+                      NormalFormEngine, build_engine)
 from .algfile import (AlgebraFileError, format_algebra, parse_algebra,
                       parse_algebra_file)
 from .comparison import (ThresholdData, compute_abc, finiteness_and_growth_report,
@@ -19,7 +19,7 @@ from .modules import (ModuleMap, Projective, Representation, dual_to_opposite,
                       hom_space, module_iso_test, projective_cover,
                       projective_module, semisimple_top, shift_rep,
                       simple_module, zero_module)
-from .quiver import Arrow, Path, Quiver, compose, vertex_path
+from .quiver import Arrow, Path, PresentationError, Quiver, compose, vertex_path
 from .resolution import (DimVerdict, MinimalResolution, belongs_to,
                          combine_verdicts, global_dimension, injective_dimension,
                          minimal_resolution, projective_dimension, simple_resolutions)

@@ -41,19 +41,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .linalg import Matrix
-from .quiver import Path, compose, vertex_path, wadd, wzero
-
-
-class PresentationError(ValueError):
-    """A malformed presentation.  `relation` is the index of the relation
-    at fault, when one is, and `reason` the message without its number."""
-
-    def __init__(self, message, relation=None):
-        self.relation = relation
-        self.reason = message
-        if relation is not None:
-            message = "relation %d: %s" % (relation + 1, message)
-        super().__init__(message)
+from .quiver import Path, PresentationError, compose, vertex_path, wadd, wzero
 
 
 class AdmissibilityError(ValueError):
@@ -78,40 +66,43 @@ class AlgebraPresentation:
         self.truncation = int(truncation)
         self.f_vertices = tuple(f_vertices) if f_vertices is not None else None
         if self.truncation < 2:
-            raise PresentationError("truncation must be at least 2")
+            raise PresentationError("truncation must be at least 2", "truncate")
         if self.group_rank < 0:
             raise PresentationError("group rank must be nonnegative")
-        for a in quiver.arrows:
+        for i, a in enumerate(quiver.arrows):
             w = self.weights.get(a.name)
             if w is None:
-                raise PresentationError("missing weight for arrow %s" % a.name)
+                raise PresentationError("missing weight for arrow %s" % a.name, ("arrow", i))
             w = tuple(int(x) for x in w)
             if len(w) != self.group_rank:
-                raise PresentationError("weight of arrow %s has wrong rank" % a.name)
+                raise PresentationError("weight of arrow %s has wrong rank" % a.name,
+                                        ("arrow", i))
             if self.group_rank >= 1 and all(x == 0 for x in w):
                 raise PresentationError(
                     "arrow %s has identity weight; a proper grading needs "
-                    "nonzero arrow weights" % a.name)
+                    "nonzero arrow weights" % a.name, ("arrow", i))
             self.weights[a.name] = w
         if self.f_vertices is not None:
             for v in self.f_vertices:
-                if v not in quiver.vertices:
-                    raise PresentationError("unknown vertex %r in idempotent line" % v)
+                if v not in quiver.vertex_index:
+                    raise PresentationError("unknown vertex %r in idempotent line" % v,
+                                            "idempotent")
             if len(set(self.f_vertices)) != len(self.f_vertices):
-                raise PresentationError("repeated vertex in idempotent line")
+                raise PresentationError("repeated vertex in idempotent line", "idempotent")
         # relations: list of [(coeff, (arrow names...)), ...].  A path named
         # twice keeps one term, the sum of its coefficients in the field, and
         # a term whose coefficient is zero there is dropped; a relation left
         # with no terms is kept empty, so relations keep their numbers.
         self.relations = []
-        for rel in relations:
+        for idx, rel in enumerate(relations):
             terms = {}
             for coeff, names in rel:
-                path = self.path_from_arrows(names)
+                path = self.path_from_arrows(names, ("relation", idx))
                 if path.length < 2:
                     raise PresentationError(
                         "relation term %r has length %d; relations must be "
-                        "combinations of paths of length >= 2" % (path, path.length))
+                        "combinations of paths of length >= 2" % (path, path.length),
+                        ("relation", idx))
                 c = self.field.of(coeff)
                 terms[path] = self.field.of(terms[path] + c) if path in terms else c
             self.relations.append([(c, path) for path, c in terms.items() if c])
@@ -128,18 +119,19 @@ class AlgebraPresentation:
             raise PresentationError("unknown arrow %r" % name)
         return Path((name,), arrow.source, arrow.target, self.weights[name])
 
-    def path_from_arrows(self, names):
-        """Build a path from arrow names in composition order, in one pass."""
+    def path_from_arrows(self, names, item=None):
+        """Build a path from arrow names in composition order, in one pass;
+        `item` names the input they come from in a PresentationError."""
         if not names:
-            raise PresentationError("empty path")
+            raise PresentationError("empty path", item)
         target = None
         for name in reversed(names):
             arrow = self.quiver.arrow_by_name.get(name)
             if arrow is None:
-                raise PresentationError("unknown arrow %r" % name)
+                raise PresentationError("unknown arrow %r" % name, item)
             if target is not None and arrow.source != target:
                 raise PresentationError(
-                    "arrows %s do not compose at %r" % ("*".join(names), name))
+                    "arrows %s do not compose at %r" % ("*".join(names), name), item)
             target = arrow.target
         return Path(tuple(names), self.quiver.arrow_by_name[names[-1]].source, target,
                     tuple(map(sum, zip(*map(self.weights.get, names)))))
@@ -157,7 +149,7 @@ class AlgebraPresentation:
                 if len(weights) > 1:
                     raise PresentationError(
                         "uniform piece from %s to %s mixes weights %s"
-                        % (s, t, sorted(weights)), relation=idx)
+                        % (s, t, sorted(weights)), ("relation", idx))
                 pieces.append(UniformRelation(s, t, piece[0][1].weight, piece))
         return pieces
 
@@ -178,7 +170,7 @@ class AlgebraPresentation:
                 if isinstance(c, Fraction) and p and c.denominator % p == 0:
                     raise PresentationError(
                         "relation %d: coefficient %s of term %s has no value in %s"
-                        % (idx + 1, c, "*".join(path.arrows), field.name))
+                        % (idx + 1, c, "*".join(path.arrows), field.name), ("relation", idx))
                 mapped.append((c, path.arrows))
             rels.append(mapped)
         return AlgebraPresentation(self.quiver, self.group_rank, self.weights, field,

@@ -12,14 +12,23 @@ Grammar (UTF-8, one directive per line, '#' starts a comment):
 
 Coefficients are decimal integers, or fractions a/b over Q.  Paths are
 written in composition order (b*a means "first a, then b").
+
+The parser checks the syntax: the directives and their fields, names,
+numbers and coefficients, and that no directive is repeated or missing.
+The structure (distinct vertex and arrow names, arrow ends among the
+vertices, nonzero weights, truncation at least 2, the idempotent's
+vertices, relation terms of composable arrows of length >= 2) is checked
+by `Quiver` and `AlgebraPresentation`; their `PresentationError.item`
+names the vertices, truncate or idempotent line, or the arrow or relation
+at fault, and the parser maps it to its line.
 """
 
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, PresentationError
+from .algebra import AlgebraPresentation
 from .fields import QQ, prime_field, scalar_to_json
-from .quiver import Quiver
+from .quiver import PresentationError, Quiver
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$|^[0-9]+$")
 _ARROW_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -57,9 +66,9 @@ def parse_algebra(text):
     relations = []
     f_vertices = None
     seen = set()
+    where = {}          # PresentationError.item -> line
 
-    # field, group and vertices first: arrow lines need the group rank and
-    # the vertices, idempotent lines the vertices
+    # field, group and vertices first: arrow lines need the group rank
     for lineno, toks in lines:
         key = toks[0]
         if key in _ONCE:
@@ -94,13 +103,10 @@ def parse_algebra(text):
             if len(toks) < 2:
                 raise AlgebraFileError("vertices line needs at least one name", lineno)
             vertices = toks[1:]
-            named = set()
+            where["vertices"] = lineno
             for v in vertices:
                 if not _NAME_RE.match(v):
                     raise AlgebraFileError("bad vertex name %r" % v, lineno)
-                if v in named:
-                    raise AlgebraFileError("duplicate vertex name %r" % v, lineno)
-                named.add(v)
     if vertices is None:
         raise AlgebraFileError("missing vertices line")
 
@@ -117,21 +123,12 @@ def parse_algebra(text):
             name, src, dst = toks[1], toks[2], toks[3]
             if not _ARROW_RE.match(name):
                 raise AlgebraFileError("bad arrow name %r" % name, lineno)
-            if name in weights:
-                raise AlgebraFileError("duplicate arrow name %r" % name, lineno)
-            for end, v in (("source", src), ("target", dst)):
-                if v not in named:
-                    raise AlgebraFileError("arrow %s has unknown %s %r" % (name, end, v),
-                                           lineno)
             try:
-                w = tuple(int(x) for x in toks[4:])
+                weights[name] = tuple(int(x) for x in toks[4:])
             except ValueError:
                 raise AlgebraFileError("bad weight vector on arrow %s" % name, lineno)
-            if group_rank and not any(w):
-                raise AlgebraFileError("arrow %s has identity weight; a proper grading "
-                                       "needs nonzero arrow weights" % name, lineno)
+            where["arrow", len(arrows)] = lineno
             arrows.append((name, src, dst))
-            weights[name] = w
         elif key == "truncate":
             try:
                 truncation = int(toks[1]) if len(toks) == 2 else None
@@ -139,41 +136,30 @@ def parse_algebra(text):
                 truncation = None
             if truncation is None:
                 raise AlgebraFileError("expected 'truncate <N>'", lineno)
-            if truncation < 2:
-                raise AlgebraFileError("truncation must be at least 2", lineno)
+            where["truncate"] = lineno
         elif key == "rel":
+            where["relation", len(relations)] = lineno
             relations.append((lineno, toks[1:]))
         elif key == "idempotent":
             if len(toks) < 4 or toks[1] != "f" or toks[2] != "=":
                 raise AlgebraFileError("expected 'idempotent f = <vertex>+'", lineno)
             f_vertices = toks[3:]
-            listed = set()
-            for v in f_vertices:
-                if v not in named:
-                    raise AlgebraFileError("unknown vertex %r in idempotent line" % v, lineno)
-                if v in listed:
-                    raise AlgebraFileError("repeated vertex in idempotent line", lineno)
-                listed.add(v)
+            where["idempotent"] = lineno
         else:
             raise AlgebraFileError("unknown directive %r" % key, lineno)
 
     if truncation is None:
         raise AlgebraFileError("missing truncate line")
 
-    quiver = Quiver(vertices, arrows)
-    parsed_rels = [_parse_relation(toks, lineno, field, quiver)
-                   for lineno, toks in relations]
-
+    parsed_rels = [_parse_relation(toks, lineno, field) for lineno, toks in relations]
     try:
-        return AlgebraPresentation(quiver, group_rank, weights, field,
+        return AlgebraPresentation(Quiver(vertices, arrows), group_rank, weights, field,
                                    parsed_rels, truncation, f_vertices=f_vertices)
     except PresentationError as exc:
-        if exc.relation is None:
-            raise AlgebraFileError(str(exc))
-        raise AlgebraFileError(exc.reason, relations[exc.relation][0])
+        raise AlgebraFileError(str(exc), where.get(exc.item))
 
 
-def _parse_relation(tokens, lineno, field, quiver):
+def _parse_relation(tokens, lineno, field):
     """Parse 'rel' payload tokens: terms separated by '+' tokens."""
     terms = []
     current = []
@@ -210,19 +196,6 @@ def _parse_relation(tokens, lineno, field, quiver):
             factors = factors[1:]
         if not factors:
             raise AlgebraFileError("relation term has no arrows", lineno)
-        arrows = quiver.arrow_by_name
-        for name in factors:
-            if name not in arrows:
-                raise AlgebraFileError("unknown arrow %r" % name, lineno)
-        if len(factors) < 2:
-            raise AlgebraFileError(
-                "relation term %s has length 1; relations must be combinations "
-                "of paths of length >= 2" % factors[0], lineno)
-        # the first junction that fails, reading from the first-applied arrow
-        for i in reversed(range(len(factors) - 1)):
-            if arrows[factors[i]].source != arrows[factors[i + 1]].target:
-                raise AlgebraFileError("arrows %s do not compose at %r"
-                                       % ("*".join(factors), factors[i]), lineno)
         parsed.append((coeff, tuple(factors)))
     return parsed
 

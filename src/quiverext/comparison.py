@@ -13,7 +13,7 @@ Verdicts are honest: infinite or undetermined thresholds produce a
 "hypotheses unmet" / "undetermined" report, never a silent pass.
 """
 
-from .corner import apply_F, apply_F_map, corner_algebra, f_lambda_e_module
+from .corner import apply_F, apply_F_map, corner_algebra
 from .ext import (ExtClass, ExtTable, generation_window_check, gk_estimate,
                   lift_chain_map, pull_back, yoneda_product)
 from .linalg import Matrix
@@ -67,7 +67,7 @@ def compute_abc(engine, pair, bound, seed=0, corner=None, resolutions=None):
     a = combine_verdicts(lam_store[v].pd_verdict(bound) for v in pair.e_vertices)
     b = combine_verdicts(injective_dimension(engine, simple_module(engine, v), bound, seed=seed)
                          for v in pair.e_vertices)
-    fle, _ = f_lambda_e_module(corner)
+    fle, _ = corner.e_to_f
     c = projective_dimension(corner.corner_engine, fle, bound, seed=seed)
     return ThresholdData(a, b, c)
 

@@ -25,6 +25,8 @@ bimodule), the module of e-to-f paths as F of the projective at e, and the
 exactness test for the right adjoint.
 """
 
+from functools import cached_property
+
 from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
 from .modules import ModuleMap, Projective, Representation, projective_cover, simple_module
@@ -267,6 +269,12 @@ class CornerPresentation:
             add_scaled(out, self.theta[bp], c, self.engine.field.characteristic)
         return out
 
+    @cached_property
+    def e_to_f(self):
+        """The e-to-f module and its check, `f_lambda_e_module(self)`, built
+        once per corner."""
+        return f_lambda_e_module(self)
+
     def witness_json(self):
         return [{"arrow": name, "path": list(p.arrows), "weight": list(p.weight)}
                 for name, p in zip(self.arrow_names, self.arrow_paths)]
@@ -329,7 +337,7 @@ def is_H_exact(corner):
     """The right adjoint is exact iff the e-to-f module is corner-projective,
     i.e. its projective cover has zero kernel (`kernel_dims`).  Returns
     (flag, witness)."""
-    rep, check = f_lambda_e_module(corner)
+    rep, check = corner.e_to_f
     if rep.is_zero():
         return True, {"projective": True, "kernel_dim": 0, "cover": []}
     cov = projective_cover(corner.corner_engine, rep)
@@ -355,7 +363,7 @@ def gexact_condition(corner, seed=0):
     hypothesis = projective_dimension(eng, simple_module(eng, v), 1, seed=seed).is_finite
     conclusion = None
     if hypothesis:
-        rep, _ = f_lambda_e_module(corner)
+        rep, _ = corner.e_to_f
         conclusion = projective_dimension(corner.corner_engine, rep, 1,
                                           seed=seed).is_finite
     return {"e_vertex": v, "hypothesis": hypothesis, "conclusion": conclusion}

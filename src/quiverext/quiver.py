@@ -11,6 +11,17 @@ from dataclasses import dataclass
 from operator import add, neg, sub
 
 
+class PresentationError(ValueError):
+    """A malformed presentation.  `item` names the input at fault:
+    "vertices", "truncate", "idempotent", ("arrow", i) or ("relation", i)
+    for the i-th arrow or relation (from 0), or None when no one input is,
+    so that a reader of a file can name the line that holds it."""
+
+    def __init__(self, message, item=None):
+        self.item = item
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Arrow:
     name: str
@@ -25,19 +36,22 @@ class Quiver:
         self.vertices = tuple(vertices)
         self.arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
         if not self.vertices:
-            raise ValueError("a quiver needs at least one vertex")
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
-            raise ValueError("duplicate vertex names")
-        self.arrow_by_name = {a.name: a for a in self.arrows}
-        if len(self.arrow_by_name) != len(self.arrows):
-            raise ValueError("duplicate arrow names")
+            raise PresentationError("a quiver needs at least one vertex", "vertices")
+        self.vertex_index = {}
+        for v in self.vertices:
+            if v in self.vertex_index:
+                raise PresentationError("duplicate vertex name %r" % v, "vertices")
+            self.vertex_index[v] = len(self.vertex_index)
+        self.arrow_by_name = {}
         self.arrows_from = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            if a.source not in self.vertex_index:
-                raise ValueError("arrow %s has unknown source %r" % (a.name, a.source))
-            if a.target not in self.vertex_index:
-                raise ValueError("arrow %s has unknown target %r" % (a.name, a.target))
+        for i, a in enumerate(self.arrows):
+            if a.name in self.arrow_by_name:
+                raise PresentationError("duplicate arrow name %r" % a.name, ("arrow", i))
+            for end, v in (("source", a.source), ("target", a.target)):
+                if v not in self.vertex_index:
+                    raise PresentationError("arrow %s has unknown %s %r" % (a.name, end, v),
+                                            ("arrow", i))
+            self.arrow_by_name[a.name] = a
             self.arrows_from[a.source].append(a)
 
     def opposite(self):

@@ -31,7 +31,7 @@ of P^0..P^{B-1} and not that of P^B.
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
                       shift_rep, simple_module)
-from .quiver import wadd, wsub
+from .quiver import wsub
 
 
 class DimVerdict:
@@ -140,8 +140,8 @@ class MinimalResolution:
         self.seed = seed
         self.covers = []
         self.certificate = None
-        self._dim_keys = []     # slice sizes by vertex of each syzygy indexed so far
-        self._by_dims = {}      # slice sizes by vertex -> those syzygies, increasing
+        self._shapes = []       # (shape, first degree) of each syzygy indexed so far
+        self._by_shape = {}     # shape -> those syzygies, increasing
 
     def syzygy(self, n):
         if n == 0:
@@ -190,21 +190,24 @@ class MinimalResolution:
 
     def _scan_periodicity(self, n):
         """Look for Omega^n ~ Omega^m[h] with m < n, trying in increasing m
-        only the syzygies with its slice sizes at each vertex, and computing
-        only those whose slices are its own moved by some h."""
-        new = self.syzygy_dims(n)
-        if not new:
+        only the syzygies whose slices are its own moved by some h.  The
+        shape of a syzygy is its slices sorted by (vertex, degree), each
+        degree less the first: a shift keeps that order, so two syzygies
+        have one shape exactly when one is the other shifted, by the
+        difference of their first degrees."""
+        if not self.syzygy_dims(n):
             return
-        for k in range(len(self._dim_keys), n + 1):
-            key = tuple(sorted((v, d) for (v, _), d in self.syzygy_dims(k).items()))
-            self._dim_keys.append(key)
-            self._by_dims.setdefault(key, []).append(k)
-        for m in self._by_dims[self._dim_keys[n]]:
+        for k in range(len(self._shapes), n + 1):
+            slices = sorted(self.syzygy_dims(k).items())
+            low = slices[0][0][1] if slices else None
+            shape = tuple((v, wsub(g, low), d) for (v, g), d in slices)
+            self._shapes.append((shape, low))
+            self._by_shape.setdefault(shape, []).append(k)
+        shape, low = self._shapes[n]
+        for m in self._by_shape[shape]:
             if m >= n:
                 break
-            h = _uniform_shift(self.syzygy_dims(m), new)
-            if h is None:
-                continue
+            h = wsub(low, self._shapes[m][1])
             status, witness = module_iso_test(shift_rep(self.syzygy(m), h), self.syzygy(n),
                                               seed=self.seed + 7919 * n + m)
             if status == "isomorphic":
@@ -281,19 +284,6 @@ class MinimalResolution:
             c = self.certificate
             out["certificate"] = {"n0": c.n0, "period": c.period, "shift": list(c.shift)}
         return out
-
-
-def _uniform_shift(old, new):
-    """The h with new = old shifted by h slice by slice, or None, for
-    nonempty slice dimensions old and new."""
-    v = next(iter(old))[0]
-    lows = [g for u, g in new if u == v]
-    if not lows:
-        return None
-    h = wsub(min(lows), min(g for u, g in old if u == v))
-    if {(u, wadd(g, h)): n for (u, g), n in old.items()} != new:
-        return None
-    return h
 
 
 def minimal_resolution(engine, module, bound, seed=0):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quiverext import parse_algebra
+import quiverext.corner as corner_module
+from quiverext import AlgebraPresentation, PresentationError, Quiver, parse_algebra
 from quiverext.cli import _json, main
-from quiverext.fields import PrimeField
+from quiverext.fields import QQ, PrimeField
 
 from conftest import EXTERIOR3_F3, FIXTURE_NAMES, POLY_CORNER, RATIONAL
 
@@ -383,6 +384,18 @@ def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):
         assert err == "error: line 9: zero denominator in coefficient 1/0\n"
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_corner_builds_the_e_to_f_module_once(capsys, monkeypatch, fixtures_dir, name):
+    # `is_H_exact` and `gexact_condition` both read it
+    calls = []
+    build = corner_module.f_lambda_e_module
+    monkeypatch.setattr(corner_module, "f_lambda_e_module",
+                        lambda c: calls.append(c) or build(c))
+    code, _, err = run_cli(capsys, "corner", fix(fixtures_dir, name), "--bound", "12")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 # one bad line in a valid file; the error must name that line
 TWO_VERTICES = """field Q
 group Z 1
@@ -401,7 +414,7 @@ truncate 4
 """
 
 
-@pytest.mark.parametrize("text, message", [
+STRUCTURAL_FAULTS = [
     pytest.param(TWO_VERTICES.replace("vertices v w", "vertices v w v"),
                  "line 3: duplicate vertex name 'v'", id="duplicate-vertex"),
     pytest.param(TWO_VERTICES + "arrow a w v 1\n",
@@ -425,7 +438,14 @@ truncate 4
     pytest.param(TWO_LOOPS + "rel b*b\nrel a*b + a*a*a\n",
                  "line 8: uniform piece from v to v mixes weights [(2,), (3,)]",
                  id="relation-mixes-weights"),
-])
+    pytest.param(TWO_VERTICES + "rel b*a\nrel a*b + b*x\n",
+                 "line 8: unknown arrow 'x'", id="relation-arrow"),
+    pytest.param(TWO_VERTICES.replace("truncate 3", "truncate 1"),
+                 "line 6: truncation must be at least 2", id="truncate"),
+]
+
+
+@pytest.mark.parametrize("text, message", STRUCTURAL_FAULTS)
 def test_structural_errors_name_their_line(capsys, tmp_path, text, message):
     src = tmp_path / "bad.alg"
     src.write_text(text)
@@ -433,6 +453,88 @@ def test_structural_errors_name_their_line(capsys, tmp_path, text, message):
     assert code == 1
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+def constructor_inputs(text):
+    """The quiver and presentation arguments a file spells out, read with
+    none of the parser's checks (coefficients 1, field Q), and the line of
+    each item a PresentationError can name."""
+    rank, vertices, arrows, weights, relations = 0, [], [], {}, []
+    truncation = f_vertices = None
+    where = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        key, *rest = line.split()
+        if key == "group":
+            rank = int(rest[1])
+        elif key == "vertices":
+            vertices, where["vertices"] = rest, lineno
+        elif key == "arrow":
+            where["arrow", len(arrows)] = lineno
+            arrows.append(rest[:3])
+            weights[rest[0]] = tuple(map(int, rest[3:]))
+        elif key == "truncate":
+            truncation, where["truncate"] = int(rest[0]), lineno
+        elif key == "rel":
+            where["relation", len(relations)] = lineno
+            relations.append([(1, tuple(t.split("*"))) for t in rest if t != "+"])
+        elif key == "idempotent":
+            f_vertices, where["idempotent"] = rest[2:], lineno
+    return (vertices, arrows, rank, weights, relations, truncation, f_vertices), where
+
+
+@pytest.mark.parametrize("text, message", STRUCTURAL_FAULTS)
+def test_structural_errors_come_from_the_constructors(text, message):
+    """The one check of each fault is in `Quiver` or `AlgebraPresentation`:
+    built directly, they raise the CLI's message without its line, and the
+    error's item maps to that line."""
+    (vertices, arrows, rank, weights, relations, truncation, f_vertices), where = \
+        constructor_inputs(text)
+    with pytest.raises(PresentationError) as err:
+        AlgebraPresentation(Quiver(vertices, arrows), rank, weights, QQ, relations,
+                            truncation, f_vertices=f_vertices)
+    line, reason = message.split(": ", 1)
+    assert str(err.value) == reason
+    assert "line %d" % where[err.value.item] == line
+
+
+# several faults in one file: the error names one of them, on one line
+@pytest.mark.parametrize("text, messages", [
+    pytest.param(TWO_VERTICES.replace("truncate 3", "truncate 1")
+                 .replace("arrow b w v 1", "arrow b w v 0"),
+                 ["line 6: truncation must be at least 2",
+                  "line 5: arrow b has identity weight; a proper grading needs "
+                  "nonzero arrow weights"], id="truncate-and-weight"),
+    pytest.param(TWO_VERTICES.replace("vertices v w", "vertices v w v")
+                 .replace("arrow b w v", "arrow b w x"),
+                 ["line 3: duplicate vertex name 'v'",
+                  "line 5: arrow b has unknown target 'x'"], id="vertex-and-target"),
+    pytest.param(TWO_VERTICES.replace("vertices v w", "vertices v w v")
+                 .replace("arrow a v w 1", "arrow 2a v w 1"),
+                 ["line 3: duplicate vertex name 'v'", "line 4: bad arrow name '2a'"],
+                 id="vertex-and-arrow-syntax"),
+    pytest.param(TWO_VERTICES.replace("truncate 3\n", "")
+                 .replace("arrow b w v", "arrow b w x"),
+                 ["missing truncate line", "line 5: arrow b has unknown target 'x'"],
+                 id="no-truncate-and-target"),
+    pytest.param(TWO_VERTICES + "arrow a w v 1\nrel a*a\n",
+                 ["line 7: duplicate arrow name 'a'",
+                  "line 8: arrows a*a do not compose at 'a'"], id="arrow-and-relation"),
+    pytest.param(TWO_VERTICES + "rel b*a + a\nrel a*b + 1/0*b*a\n",
+                 ["line 7: relation term a has length 1; relations must be "
+                  "combinations of paths of length >= 2",
+                  "line 8: zero denominator in coefficient 1/0"], id="relation-and-syntax"),
+    pytest.param(TWO_LOOPS + "rel a*x\nrel a*b + a*a*a\nidempotent f = v v\n",
+                 ["line 7: unknown arrow 'x'",
+                  "line 8: uniform piece from v to v mixes weights [(2,), (3,)]",
+                  "line 9: repeated vertex in idempotent line"], id="three-faults"),
+])
+def test_several_faults_report_one(capsys, tmp_path, text, messages):
+    src = tmp_path / "bad.alg"
+    src.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(src))
+    assert code == 1
+    assert out == ""
+    assert err in ["error: %s\n" % m for m in messages]
 
 
 ONE_LOOP = """field %s
