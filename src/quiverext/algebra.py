@@ -64,7 +64,6 @@ class AlgebraPresentation:
         self.weights = dict(weights)
         self.field = field
         self.truncation = int(truncation)
-        self.f_vertices = tuple(f_vertices) if f_vertices is not None else None
         if self.truncation < 2:
             raise PresentationError("truncation must be at least 2", "truncate")
         if self.group_rank < 0:
@@ -82,13 +81,7 @@ class AlgebraPresentation:
                     "arrow %s has identity weight; a proper grading needs "
                     "nonzero arrow weights" % a.name, ("arrow", i))
             self.weights[a.name] = w
-        if self.f_vertices is not None:
-            for v in self.f_vertices:
-                if v not in quiver.vertex_index:
-                    raise PresentationError("unknown vertex %r in idempotent line" % v,
-                                            "idempotent")
-            if len(set(self.f_vertices)) != len(self.f_vertices):
-                raise PresentationError("repeated vertex in idempotent line", "idempotent")
+        self.f_vertices = None if f_vertices is None else quiver.idempotent_vertices(f_vertices)
         # relations: list of [(coeff, (arrow names...)), ...].  A path named
         # twice keeps one term, the sum of its coefficients in the field, and
         # a term whose coefficient is zero there is dropped; a relation left
@@ -169,8 +162,8 @@ class AlgebraPresentation:
             for c, path in terms:
                 if isinstance(c, Fraction) and p and c.denominator % p == 0:
                     raise PresentationError(
-                        "relation %d: coefficient %s of term %s has no value in %s"
-                        % (idx + 1, c, "*".join(path.arrows), field.name), ("relation", idx))
+                        "coefficient %s of term %s has no value in %s"
+                        % (c, "*".join(path.arrows), field.name), ("relation", idx))
                 mapped.append((c, path.arrows))
             rels.append(mapped)
         return AlgebraPresentation(self.quiver, self.group_rank, self.weights, field,

@@ -20,7 +20,7 @@ vertices, nonzero weights, truncation at least 2, the idempotent's
 vertices, relation terms of composable arrows of length >= 2) is checked
 by `Quiver` and `AlgebraPresentation`; their `PresentationError.item`
 names the vertices, truncate or idempotent line, or the arrow or relation
-at fault, and the parser maps it to its line.
+at fault, and the parser maps it to its line, also for a field override.
 """
 
 import re
@@ -54,10 +54,10 @@ def _tokenize(text):
     return out
 
 
-def parse_algebra(text):
-    """Parse an algebra description into an AlgebraPresentation."""
+def parse_algebra(text, field=None):
+    """Parse an algebra description, over `field` in place of the file's if given."""
     lines = _tokenize(text)
-    field = QQ
+    ground = QQ
     group_rank = 0
     vertices = None
     arrows = []
@@ -77,13 +77,13 @@ def parse_algebra(text):
             seen.add(key)
         if key == "field":
             if len(toks) == 2 and toks[1] == "Q":
-                field = QQ
+                ground = QQ
             elif len(toks) == 3 and toks[1] == "F":
                 try:
-                    field = prime_field(toks[2])
+                    ground = prime_field(toks[2])
                 except ValueError as exc:       # composite or too large
                     raise AlgebraFileError(str(exc), lineno)
-                if field is None:
+                if ground is None:
                     raise AlgebraFileError("modulus %r is not prime" % toks[2], lineno)
             else:
                 raise AlgebraFileError("expected 'field Q' or 'field F <prime>'", lineno)
@@ -151,10 +151,11 @@ def parse_algebra(text):
     if truncation is None:
         raise AlgebraFileError("missing truncate line")
 
-    parsed_rels = [_parse_relation(toks, lineno, field) for lineno, toks in relations]
+    parsed_rels = [_parse_relation(toks, lineno, ground) for lineno, toks in relations]
     try:
-        return AlgebraPresentation(Quiver(vertices, arrows), group_rank, weights, field,
+        pres = AlgebraPresentation(Quiver(vertices, arrows), group_rank, weights, ground,
                                    parsed_rels, truncation, f_vertices=f_vertices)
+        return pres if field is None else pres.with_field(field)
     except PresentationError as exc:
         raise AlgebraFileError(str(exc), where.get(exc.item))
 
@@ -200,9 +201,9 @@ def _parse_relation(tokens, lineno, field):
     return parsed
 
 
-def parse_algebra_file(path):
+def parse_algebra_file(path, field=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+        return parse_algebra(fh.read(), field)
 
 
 def format_algebra(pres):

@@ -72,10 +72,8 @@ def _parser():
 
 
 def _load(args):
-    pres = parse_algebra_file(args.input)
-    if args.field is not None:
-        pres = pres.with_field(field_from_name(args.field))
-    return build_engine(pres)
+    field = None if args.field is None else field_from_name(args.field)
+    return build_engine(parse_algebra_file(args.input, field))
 
 
 def _pair(engine, args):

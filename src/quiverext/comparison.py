@@ -118,7 +118,7 @@ class TransportCorrespondence:
         res_cor = self.cor_table.resolutions[u]
         # the restricted complex F(P^k), with F of the augmentation as map 0
         f_terms = [apply_F(corner, res_lam.module)] + \
-            [apply_F(corner, res_lam.term(k).rep) for k in range(depth + 1)]
+            [apply_F(corner, res_lam.term(k)) for k in range(depth + 1)]
         f_diffs = [apply_F_map(corner, res_lam.differential(k),
                                source_F=f_terms[k + 1], target_F=f_terms[k])
                    for k in range(depth + 1)]

@@ -21,15 +21,17 @@ onto the corner, which is verified to be an algebra isomorphism
 (dimension plus full multiplication table).
 
 Also here: the exact restriction functor F (tensoring with the corner
-bimodule), the module of e-to-f paths as F of the projective at e, and the
-exactness test for the right adjoint.
+bimodule), which checks the corner relations on a projective's image once
+per summand vertex (see `apply_F`), the module of e-to-f paths as F of the
+projective at e, and the exactness test for the right adjoint.
 """
 
 from functools import cached_property
 
 from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
-from .modules import ModuleMap, Projective, Representation, projective_cover, simple_module
+from .modules import (ModuleMap, Projective, Representation, projective_cover,
+                      projective_module, simple_module)
 from .quiver import Quiver, compose, wzero
 from .resolution import projective_dimension
 
@@ -40,17 +42,10 @@ class IdempotentPair:
 
     def __init__(self, engine, f_vertices):
         self.engine = engine
-        vs = list(engine.quiver.vertices)
-        f = list(f_vertices)
-        for v in f:
-            if v not in vs:
-                raise ValueError("unknown vertex %r in idempotent" % v)
-        if len(set(f)) != len(f):
-            raise ValueError("repeated vertex in idempotent")
-        if not f:
-            raise ValueError("the corner part must contain at least one vertex")
-        self.f_vertices = tuple(v for v in vs if v in set(f))
-        self.e_vertices = tuple(v for v in vs if v not in set(f))
+        vs = engine.quiver.vertices
+        f = set(engine.quiver.idempotent_vertices(f_vertices))
+        self.f_vertices = tuple(v for v in vs if v in f)
+        self.e_vertices = tuple(v for v in vs if v not in f)
 
     def __repr__(self):
         return "IdempotentPair(f=%s, e=%s)" % (list(self.f_vertices), list(self.e_vertices))
@@ -90,6 +85,7 @@ class CornerPresentation:
         self.corner_engine = NormalFormEngine(self.presentation)
         self.theta = {}
         self._verify_isomorphism()
+        self.checked_vertices = set()   # see apply_F
 
     # -- construction ------------------------------------------------------
 
@@ -298,7 +294,7 @@ def f_lambda_e_module(corner):
     eng = corner.engine
     pair = corner.pair
     zero = wzero(eng.group_rank)
-    rep = apply_F(corner, Projective(eng, [(v, zero) for v in pair.e_vertices]).rep)
+    rep = apply_F(corner, Projective(eng, [(v, zero) for v in pair.e_vertices]))
     dim_f_row = len([p for p in eng.basis if p.target in set(pair.f_vertices)])
     check = {
         "dim_f_row": dim_f_row,
@@ -309,10 +305,23 @@ def f_lambda_e_module(corner):
     return rep, check
 
 
-def apply_F(corner, rep):
-    """Restrict a module to the f-vertices; corner arrows act by the path
-    action of their underlying paths.  This realizes the exact functor
-    given by tensoring with the corner bimodule."""
+def apply_F(corner, module):
+    """Restrict a module (a Representation or a Projective) to the
+    f-vertices; corner arrows act by the path action of their underlying
+    paths: the exact functor of tensoring with the corner bimodule.
+
+    The image of a Representation is checked against the corner relations;
+    for a Projective, F(P_v) is, once per corner and summand vertex v
+    (`checked_vertices`).  A corner relation is uniform (fixed ends and
+    weight) and acts on F(sum of P_v[g]) = sum of F(P_v)[g] summand by
+    summand, so it vanishes on the sum exactly when it does on each F(P_v)."""
+    rep, check = module, True
+    if isinstance(module, Projective):
+        rep, check = module.rep, False
+        for v, _ in module.summands:
+            if v not in corner.checked_vertices:
+                apply_F(corner, projective_module(corner.engine, v).rep)
+                corner.checked_vertices.add(v)
     fset = set(corner.pair.f_vertices)
     dims = {key: n for key, n in rep.dims.items() if key[0] in fset}
     action = {}
@@ -322,7 +331,7 @@ def apply_F(corner, rep):
                 m = rep.path_action(ap, g)
                 if m is not None:
                     action[(name, g)] = m
-    return Representation(corner.corner_engine, dims, action, check=True)
+    return Representation(corner.corner_engine, dims, action, check=check)
 
 
 def apply_F_map(corner, mmap, source_F, target_F):

@@ -54,6 +54,19 @@ class Quiver:
             self.arrow_by_name[a.name] = a
             self.arrows_from[a.source].append(a)
 
+    def idempotent_vertices(self, vertices):
+        """`vertices` as a tuple, checked: known, distinct and at least one."""
+        vertices = tuple(vertices)
+        for v in vertices:
+            if v not in self.vertex_index:
+                raise PresentationError("unknown vertex %r in idempotent line" % v, "idempotent")
+        if len(set(vertices)) != len(vertices):
+            raise PresentationError("repeated vertex in idempotent line", "idempotent")
+        if not vertices:
+            raise PresentationError("the corner part must contain at least one vertex",
+                                    "idempotent")
+        return vertices
+
     def opposite(self):
         """Same vertex and arrow names, every arrow reversed."""
         return Quiver(self.vertices, [Arrow(a.name, a.target, a.source) for a in self.arrows])

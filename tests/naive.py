@@ -57,7 +57,9 @@ that the arrows' products with the basis paths span the radical's square.
 `AllPairsCorner` chooses the relations by the all-pairs padding in place
 of the one-arrow closure, and `naive_f_lambda_e` builds the e-to-f module
 from dense matrices, one `multiply_paths` per path and corner arrow, in
-place of restricting the projective at e.
+place of restricting the projective at e.  `check_restricted_terms`
+restricts resolution terms with the full relation check in place of the
+one per summand vertex.
 
 So do four checks that no part of the package calls, built on its own
 code.  `subrep_generated` closes homogeneous vectors under the arrows and
@@ -79,7 +81,8 @@ from quiverext.modules import (ModuleMap, Representation, _assemble,
                                _subrep_from_homogeneous, kernel_subrep, projective_cover,
                                simple_module)
 from quiverext.quiver import compose, wadd, wneg, wsub, wzero
-from quiverext.resolution import MinimalResolution, belongs_to, projective_dimension
+from quiverext.resolution import (MinimalResolution, belongs_to, projective_dimension,
+                                  simple_resolutions)
 
 
 def parse_lines(text):
@@ -1053,6 +1056,20 @@ def check_f_lambda_e(corner, bound=6):
     assert (projective_dimension(ce, rep, bound).to_json()
             == projective_dimension(ce, ref, bound).to_json())
     assert is_H_exact(corner)[0] == (ref.is_zero() or not projective_cover(ce, ref).kernel_dims)
+
+
+def check_restricted_terms(corner, depth=6):
+    """`apply_F` of each term through `depth` of each simple's resolution,
+    checked once per summand vertex, against `apply_F` of its module,
+    checked in full: the same slices and every block.  Returns the number
+    of terms that were shifted copies of earlier ones."""
+    shifted = 0
+    for res in simple_resolutions(corner.engine).values():
+        for n in range(depth + 1):
+            term = res.term(n)
+            shifted += hasattr(term, "_shift_of")
+            assert apply_F(corner, term) == apply_F(corner, term.rep)
+    return shifted
 
 
 def check_corner_walk(corner):

@@ -293,6 +293,15 @@ def test_empty_option_values_are_input_errors(capsys, fixtures_dir, argv, messag
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("f, message", [
+    ("u,x", "unknown vertex 'x' in idempotent line"),
+    ("v,v", "repeated vertex in idempotent line"),
+], ids=["unknown", "repeated"])
+def test_f_option_is_checked_as_the_idempotent_line(capsys, fixtures_dir, f, message):
+    code, out, err = run_cli(capsys, "corner", fix(fixtures_dir, "e24"), "--f", f)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_csv_only_for_ext_table(capsys, fixtures_dir):
     code, _, err = run_cli(capsys, "analyze", fix(fixtures_dir, "a2"),
                            "--format", "csv")
@@ -371,7 +380,7 @@ def test_field_override_rejects_denominator_divisible_by_p(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(src), "--field", "F5")
     assert code == 1
     assert out == ""
-    assert "error: relation 1: coefficient 1/5 of term c*a" in err
+    assert err == "error: line 9: coefficient 1/5 of term c*a has no value in F5\n"
 
 
 def test_zero_denominator_is_line_numbered_error(capsys, tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 from quiverext import (ExtTable, IdempotentPair, apply_F, compute_abc,
                        corner_algebra, ext_table, restricted_ext_table,
                        semisimple_top, simple_module, verify_comparison)
-from quiverext import comparison
+from quiverext import comparison, modules
 from quiverext.comparison import (TransportCorrespondence,
                                   verify_product_compatibility)
 from quiverext.resolution import MinimalResolution
@@ -18,6 +18,19 @@ def pair_and_corner(name):
     eng = engine_for(name)
     pair = IdempotentPair(eng, eng.pres.f_vertices)
     return eng, pair, corner_algebra(eng, pair)
+
+
+def test_relations_checked_once_per_summand_vertex(monkeypatch):
+    # F(P_1) and F(P_2) once each, then the simple S_2 and the dual module
+    # of the injective dimension; the restricted resolution terms not again
+    calls = []
+    check = modules.Representation._verify
+    monkeypatch.setattr(modules.Representation, "_verify",
+                        lambda rep: calls.append(rep) or check(rep))
+    eng = engine_from(POLY_CORNER)
+    report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
+    assert report["verdict"] == "PASS"
+    assert len(calls) <= 4
 
 
 def test_compute_abc_pos():

@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from quiverext import (IdempotentPair, apply_F, build_engine, corner_algebra,
-                       f_lambda_e_module, gexact_condition, global_dimension,
-                       is_H_exact, module_iso_test, parse_algebra,
+from quiverext import (AlgebraPresentation, IdempotentPair, Projective, apply_F,
+                       build_engine, corner_algebra, f_lambda_e_module, gexact_condition,
+                       global_dimension, is_H_exact, module_iso_test, parse_algebra,
                        projective_module, simple_module, shift_rep)
 from quiverext.algfile import format_algebra
 from quiverext.corner import apply_F_map
@@ -13,9 +13,9 @@ from quiverext.resolution import DimVerdict, MinimalResolution
 
 from conftest import (FIXTURE_NAMES, POLY_CORNER, RATIONAL, engine_for, engine_from,
                       random_homogeneous_vectors)
-from naive import (check_corner_walk, check_f_lambda_e, dense_view, direct_sum, engine_paths,
-                   interior_vertices, pd_finite_sufficient, quotient_rep, subrep_generated,
-                   transport_resolution)
+from naive import (check_corner_walk, check_f_lambda_e, check_restricted_terms, dense_view,
+                   direct_sum, engine_paths, interior_vertices, pd_finite_sufficient,
+                   quotient_rep, subrep_generated, transport_resolution)
 
 
 def corner_for(name):
@@ -177,6 +177,40 @@ def test_apply_F_of_projectives():
         corner_proj = projective_module(c.corner_engine, v).rep
         status, _ = module_iso_test(image, corner_proj, seed=0)
         assert status == "isomorphic", v
+
+
+def test_restricted_projectives_match_restricted_modules():
+    # each fixture at its idempotent line, and each text corner's algebra at
+    # each single f-vertex; the generated corners of test_engine_generated.py
+    # run the same check
+    shifted = 0
+    for name in FIXTURE_NAMES:
+        shifted += check_restricted_terms(corner_for(name))
+    for text, _ in TEXT_CORNERS.values():
+        eng = engine_from(text)
+        for v in eng.quiver.vertices:
+            shifted += check_restricted_terms(corner_algebra(eng, IdempotentPair(eng, [v])))
+    assert shifted > 0          # terms re-keyed from earlier ones were among them
+
+
+def test_projective_check_finds_a_relation_that_does_not_vanish():
+    # a_p * a_x is p*x, nonzero on F(P_1) and without action on F(P_2),
+    # which has no slice at vertex 1
+    eng = engine_from(POLY_CORNER)
+    c = corner_algebra(eng, IdempotentPair(eng, ["1", "2"]))
+    pres = c.presentation
+    relations = [[(k, p.arrows) for k, p in rel] for rel in pres.relations]
+    c.corner_engine = build_engine(AlgebraPresentation(
+        pres.quiver, pres.group_rank, pres.weights, pres.field,
+        relations + [[(1, ("a_p", "a_x"))]], pres.truncation))
+    p2 = Projective(eng, [("2", (0, 0)), ("2", (1, 1))])
+    apply_F(c, p2)
+    assert c.checked_vertices == {"2"}
+    both = Projective(eng, [("2", (0, 0)), ("1", (2, 0))])
+    for module in (both, both.rep, both):
+        with pytest.raises(ValueError, match="relation does not act as zero"):
+            apply_F(c, module)
+    assert c.checked_vertices == {"2"}
 
 
 def test_apply_F_of_simples():

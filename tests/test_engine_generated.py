@@ -5,7 +5,7 @@ fields Q, F2, F3 and F5, and truncation N <= 5.  An admissible draw must
 give the reference's basis, in order, and its normal form of every path of
 length < N; an inadmissible one must report the reference's witness.  The
 corner at a drawn proper set of f-vertices must agree with the corner
-references, its e-to-f module included."""
+references, its e-to-f module and restricted resolution terms included."""
 
 import os
 import subprocess
@@ -19,8 +19,8 @@ from quiverext import (AdmissibilityError, IdempotentPair, build_engine, corner_
                        parse_algebra)
 from quiverext.fields import QQ, PrimeField
 
-from naive import (check_corner_walk, check_f_lambda_e, engine_paths, naive_normal_forms,
-                   naive_witness)
+from naive import (check_corner_walk, check_f_lambda_e, check_restricted_terms, engine_paths,
+                   naive_normal_forms, naive_witness)
 
 FIELDS = {"Q": QQ, "F 2": PrimeField(2), "F 3": PrimeField(3), "F 5": PrimeField(5)}
 # the references pair every path with every other, so draws stay small
@@ -148,6 +148,7 @@ def test_engine_matches_local_elimination(case, data):
         corner = corner_algebra(eng, IdempotentPair(eng, f))
         check_corner_walk(corner)
         check_f_lambda_e(corner)
+        check_restricted_terms(corner)
 
 
 def _generated_example():
