@@ -24,6 +24,8 @@ those lifts.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 from .algebra import add_scaled
 from .linalg import Subspace
@@ -369,15 +371,21 @@ def gk_estimate_from_dims(dims_by_degree, lo, hi):
         ys.append(math.log(cum[n]))
     if len(xs) < 3:
         raise ValueError("degenerate range after dropping empty degrees")
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx = _float_sum(xs) / len(xs)
+    my = _float_sum(ys) / len(ys)
+    sxx = _float_sum((x - mx) ** 2 for x in xs)
+    sxy = _float_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     slope = sxy / sxx if sxx else 0.0
     intercept = my - slope * mx
-    resid = math.sqrt(sum((y - (intercept + slope * x)) ** 2
-                          for x, y in zip(xs, ys)) / len(xs))
+    resid = math.sqrt(_float_sum((y - (intercept + slope * x)) ** 2
+                                 for x, y in zip(xs, ys)) / len(xs))
     return slope, resid
+
+
+def _float_sum(values):
+    """Left to right, rounding at each step: the builtin `sum` of floats is
+    compensated from Python 3.12 on, so its last digits vary by version."""
+    return reduce(add, values, 0)
 
 
 def gk_estimate(table, lo, hi):

@@ -419,13 +419,20 @@ def zero_module(engine):
     return Representation(engine, {}, {}, check=False)
 
 
-def simple_module(engine, vertex, shift=None):
-    """The graded simple at a vertex: one slot in degree `shift`, arrows act as 0."""
+def _summand(engine, vertex, shift):
+    """(vertex, shift) checked against the engine; shift None means zero."""
     if vertex not in engine.quiver.vertices:
         raise ValueError("unknown vertex %r" % vertex)
-    if shift is None:
-        shift = wzero(engine.group_rank)
-    return Representation(engine, {(vertex, tuple(shift)): 1}, {}, check=False)
+    shift = wzero(engine.group_rank) if shift is None else tuple(shift)
+    if len(shift) != engine.group_rank:
+        raise ValueError("shift %r has rank %d, but the grading group has rank %d"
+                         % (shift, len(shift), engine.group_rank))
+    return vertex, shift
+
+
+def simple_module(engine, vertex, shift=None):
+    """The graded simple at a vertex: one slot in degree `shift`, arrows act as 0."""
+    return Representation(engine, {_summand(engine, vertex, shift): 1}, {}, check=False)
 
 
 class Projective:
@@ -608,11 +615,7 @@ class ProjectiveMap(ModuleMap):
 
 
 def projective_module(engine, vertex, shift=None):
-    if vertex not in engine.quiver.vertices:
-        raise ValueError("unknown vertex %r" % vertex)
-    if shift is None:
-        shift = wzero(engine.group_rank)
-    return Projective(engine, [(vertex, tuple(shift))])
+    return Projective(engine, [_summand(engine, vertex, shift)])
 
 
 def shift_rep(rep, h):

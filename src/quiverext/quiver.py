@@ -1,10 +1,18 @@
 """Quivers, integer weight vectors, and paths.
 
 Grading groups are free abelian Z^k (k = 0 gives the trivial group), so a
-weight is a length-k tuple of ints.  Paths store their arrows in function
-composition order: the RIGHTMOST arrow acts first, matching the convention
-that the product p*q means "first q, then p".  A path is an immutable
-slotted value whose hash is computed once, when it is made.
+weight is a length-k tuple of ints, and every degree should have the
+engine's rank k.  Only `simple_module` and `projective_module` check a
+caller's shift; `shift_rep` and `ExtTable.entry` do not yet, and the hot
+constructors never do.  `wadd` and `wsub` build the (vertex, degree) slice
+keys, thousands per resolution, so for k <= 3 they are written out: a tuple
+display costs 0.05-0.2 us where `tuple(map(add, a, b))` costs 0.3-0.6 us
+(timeit, Python 3.10-3.13).  Higher ranks take the generic path.
+
+Paths store their arrows in function composition order: the RIGHTMOST
+arrow acts first, matching the convention that the product p*q means
+"first q, then p".  A path is an immutable slotted value whose hash is
+computed once, when it is made.
 """
 
 from dataclasses import dataclass
@@ -80,6 +88,13 @@ def wzero(k):
 
 
 def wadd(a, b):
+    k = len(a)
+    if k == 1:
+        return (a[0] + b[0],)
+    if k == 2:
+        return (a[0] + b[0], a[1] + b[1])
+    if k == 3:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     return tuple(map(add, a, b))
 
 
@@ -88,6 +103,13 @@ def wneg(a):
 
 
 def wsub(a, b):
+    k = len(a)
+    if k == 1:
+        return (a[0] - b[0],)
+    if k == 2:
+        return (a[0] - b[0], a[1] - b[1])
+    if k == 3:
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
     return tuple(map(sub, a, b))
 
 

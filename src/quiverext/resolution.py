@@ -31,7 +31,7 @@ of P^0..P^{B-1} and not that of P^B.
 
 from .modules import (dual_to_opposite, module_iso_test, projective_cover,
                       shift_rep, simple_module)
-from .quiver import wsub
+from .quiver import wadd, wsub
 
 
 class DimVerdict:
@@ -173,8 +173,8 @@ class MinimalResolution:
             base = max(c.n0, 1)
             k, r = divmod(n - base, c.period)
             if k > 0:
-                return [(v, tuple(a + k * b for a, b in zip(g, c.shift)))
-                        for v, g in self.summands(base + r)]
+                kh = tuple(k * b for b in c.shift)
+                return [(v, wadd(g, kh)) for v, g in self.summands(base + r)]
         return list(self.term(n).summands)
 
     def extend_to(self, bound):

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -232,6 +233,33 @@ def test_default_reports_match_golden(capsys, fixtures_dir, name, command):
     unmet = json.loads(golden).get("verdict") == "HYPOTHESES_UNMET"
     assert code == (2 if unmet else 0)
     assert out == golden
+
+
+def _compensated_sum(values, start=0, _builtin_sum=sum):
+    """`sum` as Python 3.12 and later give it, in effect: float inputs are
+    summed with compensated rounding (here exactly rounded)."""
+    values = list(values)
+    if start == 0 and values and all(isinstance(v, float) for v in values):
+        return math.fsum(values)
+    return _builtin_sum(values, start)
+
+
+GK_GOLDEN = [(name, extra, "%s_compare%s.json" % (name, suffix))
+             for name in ("pos", "tri")
+             for extra, suffix in (((), ""), (("--field", "F3", "--bound", "10"), "_f3_b10"))]
+
+
+@pytest.mark.parametrize("name,extra,golden", GK_GOLDEN,
+                         ids=[g[:-len(".json")] for _, _, g in GK_GOLDEN])
+def test_gk_digits_do_not_depend_on_float_summation(capsys, monkeypatch, fixtures_dir,
+                                                     name, extra, golden):
+    """The gk estimate, residual and delta keep their bytes when the builtin
+    `sum` compensates float rounding, as it does from Python 3.12 on."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    code, out, _ = run_cli(capsys, "compare", fix(fixtures_dir, name), *extra)
+    monkeypatch.undo()
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_analyze_resolves_each_simple_once(capsys, fixtures_dir, resolutions_built):

@@ -1,5 +1,6 @@
 import random
 import zlib
+from itertools import product
 
 import pytest
 
@@ -7,8 +8,8 @@ from quiverext import (ext_table, generation_window_check, gk_estimate,
                        gk_estimate_from_dims, yoneda_product)
 from quiverext.quiver import wadd
 
-from conftest import (EXTERIOR2, EXTERIOR2_Z, FIXTURE_NAMES, KB2, SEMISIMPLE2, engine_for,
-                      engine_from)
+from conftest import (EXTERIOR2, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, KB2, SEMISIMPLE2,
+                      engine_for, engine_from)
 from naive import ext_combination
 from oracle import ext_oracle
 
@@ -102,6 +103,15 @@ def test_exterior_square_growth():
         assert table.total_dim_at(n) == n + 1
     for n in range(4):
         assert ext_oracle(eng, "v", "v", n) == n + 1
+
+
+def test_exterior4_table_over_z4():
+    # rank 4 takes the generic degree arithmetic: Ext of the exterior algebra
+    # on four loops is the polynomial ring, one class in each degree g in N^4
+    table = ext_table(engine_from(EXTERIOR4), 3)
+    assert table.entries == {(sum(g), "v", "v", g): 1
+                             for g in product(range(4), repeat=4) if sum(g) <= 3}
+    assert len(table.entries) == 35
 
 
 def test_yoneda_powers_nonzero_kb2():

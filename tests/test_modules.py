@@ -28,6 +28,15 @@ def test_simple_shift_moves_degree():
     assert s.dim_vector() == {"u": 1, "v": 0}
 
 
+@pytest.mark.parametrize("make", [simple_module, projective_module])
+@pytest.mark.parametrize("shift", [(1, 2), ()])
+def test_shift_of_the_wrong_rank_is_refused(make, shift):
+    eng = engine_for("pos")
+    with pytest.raises(ValueError, match="has rank %d, but the grading group has rank 1$"
+                       % len(shift)):
+        make(eng, "2", shift=shift)
+
+
 def test_projective_bases():
     eng = engine_for("e24")
     pv = projective_module(eng, "v")
