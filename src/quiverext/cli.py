@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: analyze, resolve, ext-table, corner, compare.  JSON is the
-report contract (byte-identical across runs at fixed seed and flags); text
+report contract (byte-identical across runs at fixed flags); text
 output mirrors it for reading; CSV is available for ext-table.
 
 Exit codes: 0 = pass/complete, 2 = hypotheses unmet or undetermined,
@@ -42,7 +42,7 @@ def _parser():
         sp.add_argument("--window", type=int, default=10,
                         help="comparison window width (default 10)")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized isomorphism tests")
+                        help="accepted for old scripts; has no effect")
         sp.add_argument("--field", default=None,
                         help="override the ground field (Q or F<p>)")
         sp.add_argument("--format", choices=["json", "csv", "text"],
@@ -85,7 +85,7 @@ def _pair(engine, args):
 def cmd_analyze(engine, args):
     pres = engine.pres
     simple_pd = {v: res.pd_verdict(args.bound)
-                 for v, res in simple_resolutions(engine, seed=args.seed).items()}
+                 for v, res in simple_resolutions(engine).items()}
     report = {
         "field": pres.field.name,
         "group_rank": pres.group_rank,
@@ -108,7 +108,7 @@ def cmd_analyze(engine, args):
 
 def cmd_resolve(engine, args):
     vertices = [args.simple] if args.simple is not None else list(engine.quiver.vertices)
-    store = simple_resolutions(engine, seed=args.seed)
+    store = simple_resolutions(engine)
     report = {}
     for v in vertices:
         if v not in store:
@@ -121,7 +121,7 @@ def cmd_resolve(engine, args):
 
 
 def cmd_ext_table(engine, args):
-    table = ExtTable(engine, args.bound, seed=args.seed)
+    table = ExtTable(engine, args.bound)
     report = {"bound": args.bound, "entries": table.to_rows(),
               "undetermined_sources": sorted(table.undetermined)}
     if args.products_bound:
@@ -158,20 +158,18 @@ def cmd_corner(engine, args):
         "arrows": cp.witness_json(),
         "presentation": format_algebra(cp.presentation),
         "verified_isomorphism": True,
-        "corner_global_dimension": global_dimension(cp.corner_engine, args.bound,
-                                                    seed=args.seed).to_json(),
+        "corner_global_dimension": global_dimension(cp.corner_engine, args.bound).to_json(),
         "h_exact": h_flag,
         "h_exact_witness": witness,
     }
     if len(pair.e_vertices) == 1:
-        report["gexact"] = gexact_condition(cp, seed=args.seed)
+        report["gexact"] = gexact_condition(cp)
     return report, 0
 
 
 def cmd_compare(engine, args):
     pair = _pair(engine, args)
     report = verify_comparison(engine, pair, bound=args.bound, window=args.window,
-                               seed=args.seed,
                                with_products=not getattr(args, "no_products", False))
     if report["verdict"] == "PASS":
         status = 0

@@ -57,18 +57,18 @@ class ThresholdData:
                 "c": self.c.to_json(), "T": self.T}
 
 
-def compute_abc(engine, pair, bound, seed=0, corner=None, resolutions=None):
+def compute_abc(engine, pair, bound, corner=None, resolutions=None):
     """Threshold data for the pair.  a, b run over the e-vertex simples;
     c is the corner projective dimension of the e-to-f module.  a reads the
     store `resolutions` of simple resolutions when one is given."""
     if corner is None:
         corner = corner_algebra(engine, pair)
-    lam_store = resolutions or simple_resolutions(engine, seed=seed)
+    lam_store = resolutions or simple_resolutions(engine)
     a = combine_verdicts(lam_store[v].pd_verdict(bound) for v in pair.e_vertices)
-    b = combine_verdicts(injective_dimension(engine, simple_module(engine, v), bound, seed=seed)
+    b = combine_verdicts(injective_dimension(engine, simple_module(engine, v), bound)
                          for v in pair.e_vertices)
     fle, _ = corner.e_to_f
-    c = projective_dimension(corner.corner_engine, fle, bound, seed=seed)
+    c = projective_dimension(corner.corner_engine, fle, bound)
     return ThresholdData(a, b, c)
 
 
@@ -238,16 +238,16 @@ def finiteness_and_growth_report(lam_table, cor_table, t_value, window, bound):
     return out
 
 
-def verify_comparison(engine, pair, bound=40, window=10, seed=0, corner=None,
+def verify_comparison(engine, pair, bound=40, window=10, seed=None, corner=None,
                       with_products=True):
-    """Run the whole pipeline and return the comparison report as a dict."""
+    """Run the whole pipeline and return the comparison report as a dict.
+    `seed` is accepted for old callers and ignored."""
     if corner is None:
         corner = corner_algebra(engine, pair)
     # one store of simple resolutions per engine, shared by every reader below
-    lam_store = simple_resolutions(engine, seed=seed)
-    cor_store = simple_resolutions(corner.corner_engine, seed=seed)
-    thresholds = compute_abc(engine, pair, bound, seed=seed, corner=corner,
-                             resolutions=lam_store)
+    lam_store = simple_resolutions(engine)
+    cor_store = simple_resolutions(corner.corner_engine)
+    thresholds = compute_abc(engine, pair, bound, corner=corner, resolutions=lam_store)
     report = {
         "hypotheses": thresholds.to_json(),
         "mixed_length_relations": engine.pres.mixed_length_relations,

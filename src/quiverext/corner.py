@@ -358,7 +358,7 @@ def is_H_exact(corner):
     return flag, witness
 
 
-def gexact_condition(corner, seed=0):
+def gexact_condition(corner):
     """For a single e-vertex: if the simple there has projective dimension
     at most 1, then the e-to-f module has corner projective dimension at
     most 1 (and the right adjoint situation is as good as it gets).
@@ -369,10 +369,9 @@ def gexact_condition(corner, seed=0):
         raise ValueError("this check needs e to be a single vertex")
     v = pair.e_vertices[0]
     eng = corner.engine
-    hypothesis = projective_dimension(eng, simple_module(eng, v), 1, seed=seed).is_finite
+    hypothesis = projective_dimension(eng, simple_module(eng, v), 1).is_finite
     conclusion = None
     if hypothesis:
         rep, _ = corner.e_to_f
-        conclusion = projective_dimension(corner.corner_engine, rep, 1,
-                                          seed=seed).is_finite
+        conclusion = projective_dimension(corner.corner_engine, rep, 1).is_finite
     return {"e_vertex": v, "hypothesis": hypothesis, "conclusion": conclusion}

@@ -29,7 +29,7 @@ from operator import add
 
 from .algebra import add_scaled
 from .linalg import Subspace
-from .quiver import wadd, wsub, wzero
+from .quiver import checked_degree, wadd, wsub, wzero
 from .resolution import simple_resolutions
 
 
@@ -68,12 +68,12 @@ class ExtClass:
 class ExtTable:
     """Bigraded Ext dimensions between graded simples, up to a bound, read off
     a store of simple resolutions shared with the other readers of one call
-    (see `simple_resolutions`; `seed` only seeds a store made here)."""
+    (see `simple_resolutions`)."""
 
-    def __init__(self, engine, bound, seed=0, resolutions=None):
+    def __init__(self, engine, bound, resolutions=None):
         self.engine = engine
         self.bound = bound
-        self.resolutions = resolutions or simple_resolutions(engine, seed=seed)
+        self.resolutions = resolutions or simple_resolutions(engine)
         self.undetermined = {u for u, res in self.resolutions.items()
                              if res.pd_verdict(bound).is_undetermined}
         self.entries = {}
@@ -88,7 +88,7 @@ class ExtTable:
         self.lifts = {}     # (source, degree, summand index) -> [phi_0, ...]
 
     def entry(self, n, u, v, g):
-        return self.entries.get((n, u, v, tuple(g)), 0)
+        return self.entries.get((n, u, v, checked_degree(g, self.engine.group_rank, "degree")), 0)
 
     def entry_total(self, n, u, v):
         """Ungraded Ext dimension: summed over the group degrees."""
@@ -140,8 +140,9 @@ class ExtTable:
         return rows
 
 
-def ext_table(engine, bound, seed=0):
-    return ExtTable(engine, bound, seed=seed)
+def ext_table(engine, bound, seed=None):
+    """`ExtTable(engine, bound)`; `seed` is accepted for old callers and ignored."""
+    return ExtTable(engine, bound)
 
 
 def _solve_generator_lift(proj, d_tgt, rhs, grade):

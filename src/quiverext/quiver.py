@@ -2,12 +2,13 @@
 
 Grading groups are free abelian Z^k (k = 0 gives the trivial group), so a
 weight is a length-k tuple of ints, and every degree should have the
-engine's rank k.  Only `simple_module` and `projective_module` check a
-caller's shift; `shift_rep` and `ExtTable.entry` do not yet, and the hot
-constructors never do.  `wadd` and `wsub` build the (vertex, degree) slice
-keys, thousands per resolution, so for k <= 3 they are written out: a tuple
-display costs 0.05-0.2 us where `tuple(map(add, a, b))` costs 0.3-0.6 us
-(timeit, Python 3.10-3.13).  Higher ranks take the generic path.
+engine's rank k.  The entry points that take a degree from a caller
+(`simple_module`, `projective_module`, `shift_rep`, `ExtTable.entry`) check
+it with `checked_degree`; the hot constructors never do.  `wadd` and `wsub`
+build the (vertex, degree) slice keys, thousands per resolution, so for
+k <= 3 they are written out: a tuple display costs 0.05-0.2 us where
+`tuple(map(add, a, b))` costs 0.3-0.6 us (timeit, Python 3.10-3.13).
+Higher ranks take the generic path.
 
 Paths store their arrows in function composition order: the RIGHTMOST
 arrow acts first, matching the convention that the product p*q means
@@ -85,6 +86,15 @@ class Quiver:
 
 def wzero(k):
     return (0,) * k
+
+
+def checked_degree(g, k, name="shift"):
+    """A caller's degree g as a tuple, refused unless it has rank k."""
+    g = tuple(g)
+    if len(g) != k:
+        raise ValueError("%s %r has rank %d, but the grading group has rank %d"
+                         % (name, g, len(g), k))
+    return g
 
 
 def wadd(a, b):

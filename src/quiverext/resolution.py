@@ -29,8 +29,8 @@ slice as a cover is onto, so a resolution to bound B computes the kernels
 of P^0..P^{B-1} and not that of P^B.
 """
 
-from .modules import (dual_to_opposite, module_iso_test, projective_cover,
-                      shift_rep, simple_module)
+from .modules import (_ShiftedRep, dual_to_opposite, module_iso_test, projective_cover,
+                      simple_module)
 from .quiver import wadd, wsub
 
 
@@ -131,13 +131,12 @@ class MinimalResolution:
 
     Step n covers the n-th syzygy (`covers[n]`); the differential
     P^n -> P^{n-1} is the cover epi followed by the previous kernel's
-    inclusion.
+    inclusion.  `seed` is accepted for old callers and ignored.
     """
 
-    def __init__(self, engine, module, seed=0):
+    def __init__(self, engine, module, seed=None):
         self.engine = engine
         self.module = module
-        self.seed = seed
         self.covers = []
         self.certificate = None
         self._shapes = []       # (shape, first degree) of each syzygy indexed so far
@@ -208,8 +207,7 @@ class MinimalResolution:
             if m >= n:
                 break
             h = wsub(low, self._shapes[m][1])
-            status, witness = module_iso_test(shift_rep(self.syzygy(m), h), self.syzygy(n),
-                                              seed=self.seed + 7919 * n + m)
+            status, witness = module_iso_test(_ShiftedRep(self.syzygy(m), h), self.syzygy(n))
             if status == "isomorphic":
                 self.certificate = PeriodicityCertificate(m, n - m, h, witness)
                 return
@@ -286,37 +284,38 @@ class MinimalResolution:
         return out
 
 
-def minimal_resolution(engine, module, bound, seed=0):
-    res = MinimalResolution(engine, module, seed=seed)
+def minimal_resolution(engine, module, bound):
+    res = MinimalResolution(engine, module)
     res.extend_to(bound)
     return res
 
 
-def projective_dimension(engine, module, bound, seed=0):
-    return MinimalResolution(engine, module, seed=seed).pd_verdict(bound)
+def projective_dimension(engine, module, bound):
+    return MinimalResolution(engine, module).pd_verdict(bound)
 
 
-def injective_dimension(engine, module, bound, seed=0):
+def injective_dimension(engine, module, bound):
     """Injective dimension, as projective dimension of the dual over the
     opposite algebra."""
     dual = dual_to_opposite(engine, module)
-    return projective_dimension(engine.opposite_engine, dual, bound, seed=seed)
+    return projective_dimension(engine.opposite_engine, dual, bound)
 
 
-def simple_resolutions(engine, seed=0):
+def simple_resolutions(engine):
     """{vertex: MinimalResolution} of the graded simples, none extended yet:
     the store one top-level call shares among its readers."""
-    return {v: MinimalResolution(engine, simple_module(engine, v), seed=seed)
+    return {v: MinimalResolution(engine, simple_module(engine, v))
             for v in engine.quiver.vertices}
 
 
-def global_dimension(engine, bound, seed=0):
+def global_dimension(engine, bound, seed=None):
     """Max projective dimension over the graded simples, in vertex order;
     returns at the first infinite one without resolving the rest.  Each
-    resolution is kept to the return: later simples reuse its covers."""
+    resolution is kept to the return: later simples reuse its covers.
+    `seed` is accepted for old callers and ignored."""
     kept = {}       # each simple's resolution, made when its simple is reached
     return combine_verdicts(
-        kept.setdefault(v, MinimalResolution(engine, simple_module(engine, v), seed=seed))
+        kept.setdefault(v, MinimalResolution(engine, simple_module(engine, v)))
         .pd_verdict(bound) for v in engine.quiver.vertices)
 
 

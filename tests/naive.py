@@ -907,7 +907,7 @@ def transport_resolution(corner, res, cutoff, upto):
     return terms, diffs
 
 
-def pd_finite_sufficient(corner, bound=40, seed=0):
+def pd_finite_sufficient(corner, bound=40):
     """If each e-simple has a finite resolution whose terms from step 1 on
     belong to f, conclude (and verify) that the e-to-f module has finite
     corner projective dimension."""
@@ -917,7 +917,7 @@ def pd_finite_sufficient(corner, bound=40, seed=0):
     applicable = True
     details = []
     for v in pair.e_vertices:
-        res = MinimalResolution(eng, simple_module(eng, v), seed=seed)
+        res = MinimalResolution(eng, simple_module(eng, v))
         verdict = res.pd_verdict(bound)
         ok = verdict.is_finite and all(belongs_to(res.summands(n), fset)
                                        for n in range(1, verdict.value + 1))
@@ -926,7 +926,7 @@ def pd_finite_sufficient(corner, bound=40, seed=0):
     if not applicable:
         return {"applicable": False, "details": details, "conclusion": None}
     rep, _ = f_lambda_e_module(corner)
-    verdict = projective_dimension(corner.corner_engine, rep, bound, seed=seed)
+    verdict = projective_dimension(corner.corner_engine, rep, bound)
     return {"applicable": True, "details": details,
             "conclusion": verdict.describe(), "finite": verdict.is_finite}
 

@@ -8,8 +8,8 @@ from quiverext import (ext_table, generation_window_check, gk_estimate,
                        gk_estimate_from_dims, yoneda_product)
 from quiverext.quiver import wadd
 
-from conftest import (EXTERIOR2, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, KB2, SEMISIMPLE2,
-                      engine_for, engine_from)
+from conftest import (EXTERIOR2, EXTERIOR2_Z, EXTERIOR4, FIXTURE_NAMES, KB2, POLY_CORNER,
+                      SEMISIMPLE2, engine_for, engine_from)
 from naive import ext_combination
 from oracle import ext_oracle
 
@@ -44,6 +44,15 @@ def test_a2_table():
     assert table.entry(1, "u", "v", (1,)) == 1
     for n in range(2, 7):
         assert table.total_dim_at(n) == 0
+
+
+@pytest.mark.parametrize("g", [(1,), (1, 0, 0)])
+def test_entry_refuses_a_degree_of_the_wrong_rank(g):
+    table = ext_table(engine_from(POLY_CORNER), 3)
+    assert table.entry(1, "2", "2", (1, 0)) == 1
+    with pytest.raises(ValueError, match="has rank %d, but the grading group has rank 2$"
+                       % len(g)):
+        table.entry(1, "2", "2", g)
 
 
 def test_semisimple_table_concentrated_in_degree_zero():

@@ -22,6 +22,7 @@ REACHED_BY_API = {
     "zero_module": "public: the zero module, beside simple_module",
     "projective_module": "public: the indecomposable projective P(v), shifted",
     "semisimple_top": "public: the multiplicities of M / rM, read off top_lifts",
+    "shift_rep": "public: M[h] with h's rank checked; the package builds _ShiftedRep",
     "ext_table": "public: ExtTable in one call; the CLI and comparison build it directly",
 }
 
