@@ -159,7 +159,7 @@ def verify_product_compatibility(corner, lam_table, cor_table, t_value, window):
                 by_slot.setdefault((x.target_vertex, x.target_degree), []).append(x)
             for (v, g), classes in by_slot.items():
                 q_n = cor_table.resolutions[u].term(n)
-                slots = [i for i, s in enumerate(q_n.summands) if s == (v, g)]
+                slots = list(q_n.generators.get((v, g), {}).values())
                 if len(slots) != len(classes):
                     return {"checked": 0, "mismatches": ["dimension mismatch at "
                             "degree %d (%s -> %s)" % (n, u, v)], "iso": False}

@@ -7,8 +7,8 @@ radical, and minimality makes every such map a cocycle and no nonzero one
 a coboundary.  A table resolves each simple only as far as its pd verdict
 at the bound: to a zero syzygy, to a periodicity certificate, or to the
 bound when neither comes first.  Past a certificate it reads the summands
-off the period (`MinimalResolution.summands`, based at step max(n0, 1),
-whose order a shift keeps), and the terms that lifts and products read are
+off the period (`MinimalResolution.summands`, based at step n0, whose
+order a shift keeps), and the terms that lifts and products read are
 resolved on demand.  Chain maps between resolutions are lifted generator by
 generator with one primitive, `lift_chain_map`.  A lift step reads the
 previous map only at the slots where a generator's column of the source
@@ -238,15 +238,13 @@ def pull_back(x, phi, top, mid, target_degree):
     back along phi: top -> mid (or the restriction of mid).  Returns
     {summand index: scalar} on the generators of the projective `top`;
     only summands (x.target_vertex, target_degree) can be nonzero, by
-    homogeneity, so only those are evaluated."""
+    homogeneity, so only those generators are evaluated."""
     field = top.engine.field
     p = field.characteristic
     slot = (x.target_vertex, tuple(target_degree))
     coeffs = {}
-    for idx, summand in enumerate(top.summands):
-        if summand != slot:
-            continue
-        tkey, image = phi.column(*top.gen_pos[idx])
+    for i, idx in top.generators.get(slot, {}).items():
+        tkey, image = phi.column(slot, i)
         acc = field.zero
         for row, j in mid.generators.get(tkey, {}).items():
             c = x.coeffs.get(j)

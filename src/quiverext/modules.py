@@ -3,14 +3,14 @@
 Every map here is homogeneous, so graded data is stored by (vertex, degree)
 slice: one matrix per arrow and source slice, one per source slice of a
 module map, a missing block meaning zero.  A homogeneous vector is
-(v, g, coordinates on slice (v, g)).  Slices are visited vertex by vertex in
-quiver order, then by degree in order of first appearance; that order fixes
-the order of cover summands.  Dense per-vertex matrices appear only as
-output: `ModuleMap.dense` lays the slices of each vertex out one after
-another.  Every module and map is built from blocks, so the grading holds
-by construction; shapes, relations and commutation are checked on the
-blocks.  Nothing changes once
-built, and blocks may be shared between modules.  Constructors take plain
+(v, g, coordinates on slice (v, g)).  Every module visits its slices in one
+order, vertex by vertex in quiver order, then by increasing degree
+(`_in_order`); a shift keeps it, and it fixes the order of cover summands.
+Dense per-vertex matrices appear only as output: `ModuleMap.dense` lays the
+slices of each vertex out one after another.  Every module and map is built
+from blocks, so the grading holds by construction; shapes, relations and
+commutation are checked on the blocks.  Nothing changes once built, and
+blocks may be shared between modules.  Constructors take plain
 dicts.  What is built on first read is a `functools.cached_property` of a
 small class that holds its inputs as data, never a function: the action of
 a shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`),
@@ -46,8 +46,9 @@ elimination on some slices.  Tops are read off hit rows (`top_lifts`).
 
 Covers are shared up to a degree shift.  The engine keeps, for its
 lifetime, a weak reference to every cover `projective_cover` computes,
-keyed by the covered module's slices taken relative to its first slice's
-degree, in order (`engine.covers`).  A module whose key and action blocks,
+keyed by the covered module's shape: its slices taken relative to its first
+slice's degree, in order (`_shape`, which the periodicity scan keys
+syzygies by too; `engine.covers`).  A module whose key and action blocks,
 at the keys moved by h = (its first degree) - (the kept module's first
 degree), equal those of a kept module is covered by that module's cover
 shifted by h (`Cover.shifted`).  Every step of a cover commutes with the
@@ -96,6 +97,21 @@ def _same(x, y):
     return x == y
 
 
+def _in_order(engine, keys):
+    """Slice keys in the one slice order: vertex in quiver order, then degree."""
+    index = engine.quiver.vertex_index
+    return sorted(keys, key=lambda key: (index[key[0]], key[1]))
+
+
+def _shape(engine, dims):
+    """(the slices (v, g - s, n) of `dims`, in order; s): s is the first
+    slice's degree, zero for no slice.  A shift keeps the slice order, so
+    two modules have one shape exactly when the slices of one are those of
+    the other moved by the difference of their s."""
+    start = next(iter(dims))[1] if dims else wzero(engine.group_rank)
+    return tuple((v, wsub(g, start), n) for (v, g), n in dims.items()), start
+
+
 def _moved(key, h):
     """Slice key (v, g) moved up by h."""
     return key[0], wadd(key[1], h)
@@ -132,25 +148,18 @@ def _assemble(field, row_slices, col_slices, blocks, shift):
 class Representation:
     """A graded left module, stored by (vertex, degree) slice.
 
-    `dims[(v, g)]` is the dimension of each nonempty slice, in visiting
-    order.  `action[(a, g)]` is the matrix of arrow a from slice
-    (a.source, g) to slice (a.target, g + W(a)); it is missing when zero.
-    The constructor takes both as dicts.  A module whose action is built on
-    first read is a subclass that holds the action's inputs and makes
-    `action` a `cached_property` (`_ShiftedRep`, `_SumRep`).
+    `dims[(v, g)]` is the dimension of each nonempty slice, in the one slice
+    order (`_in_order`) whatever the caller's order.  `action[(a, g)]` is
+    the matrix of arrow a from slice (a.source, g) to slice (a.target,
+    g + W(a)); it is missing when zero.  The constructor takes both as
+    dicts.  A module whose action is built on first read is a subclass that
+    holds the action's inputs and makes `action` a `cached_property`
+    (`_ShiftedRep`, `_SumRep`).
     """
 
     def __init__(self, engine, dims, action, check=True):
         self.engine = engine
-        index = engine.quiver.vertex_index
-        items = [(key, n) for key, n in dims.items() if n]
-        last = 0        # one pass; most callers pass their slices in order
-        for (v, _), _ in items:
-            if index[v] < last:
-                items.sort(key=lambda kn: index[kn[0][0]])
-                break
-            last = index[v]
-        self.dims = dict(items)
+        self.dims = {key: dims[key] for key in _in_order(engine, dims) if dims[key]}
         self.action = action
         if check:
             self._verify()
@@ -215,15 +224,13 @@ class Representation:
             out[v].append((g, n))
         return out
 
-    def _same_action(self, other):
-        """Equal arrow blocks, with None standing for zero."""
-        return all(_same(self.action.get(k), other.action.get(k))
-                   for k in self.action.keys() | other.action.keys())
-
     def __eq__(self, other):
+        """Equal dims and equal arrow blocks, with None standing for zero."""
         if not isinstance(other, Representation):
             return NotImplemented
-        return list(self.dims.items()) == list(other.dims.items()) and self._same_action(other)
+        return self.dims == other.dims and all(
+            _same(self.action.get(k), other.action.get(k))
+            for k in self.action.keys() | other.action.keys())
 
     def __repr__(self):
         return "Representation(%s)" % ({v: d for v, d in self.dim_vector().items() if d},)
@@ -443,7 +450,8 @@ class Projective:
     index, path) of each coordinate of slice (w, h), summand by summand, each
     summand's paths in (length, arrows) order.  The length-0 path is the
     summand's generator: `gen_pos[idx]` is its (slice, coordinate), and
-    `generators[slice]` maps coordinates to summand indices.
+    `generators[slice]` maps coordinates to summand indices, in increasing
+    index.
 
     Everything is read off the engine's templates (`projective_template`):
     the slots are the template slices shifted by g, in order (a shift keeps
@@ -479,9 +487,7 @@ class Projective:
             self.gen_pos.append((key, i))
             self.generators.setdefault(key, {})[i] = idx
         if len(templates) > 1:
-            index = engine.quiver.vertex_index
-            self.slots = {key: slots[key]
-                          for key in sorted(slots, key=lambda k: (index[k[0]], k[1]))}
+            self.slots = {key: slots[key] for key in _in_order(engine, slots)}
         self.rep = _SumRep(engine, {key: len(s) for key, s in self.slots.items()},
                            templates, where)
 
@@ -787,24 +793,23 @@ def _subrep_from_homogeneous(parent, vectors, slots):
     vectors: {slice: [coordinates, ...]}, linearly independent (a nullspace
     basis, or the vectors that raised a rank); slots: {slice: [increasing
     slot indices]}, a slice spanned by those unit vectors.  The span must be
-    closed under the action (true for kernels of module maps); slices are
-    ordered by vertex, then by degree.  For each arrow a and source degree
-    g, the images of the basis of slice (a.source, g) are the arrow block's
-    columns at its slots, else the block times the basis; their coordinates
-    on slice (a.target, g + W(a)) are their rows at its slots, else one
-    solve; the parent's block itself, shared, when the slots fill both
-    slices.  An image outside the span (a nonzero row off the slots, or no
-    solution) raises ValueError.  The inclusion's blocks, unit columns or
-    the basis, are built on first read (`_Inclusion`).
+    closed under the action (true for kernels of module maps); slices keep
+    the parent's order.  For each arrow a and source degree g, the images
+    of the basis of slice (a.source, g) are the arrow block's columns at its
+    slots, else the block times the basis; their coordinates on slice
+    (a.target, g + W(a)) are their rows at its slots, else one solve; the
+    parent's block itself, shared, when the slots fill both slices.  An
+    image outside the span (a nonzero row off the slots, or no solution)
+    raises ValueError.  The inclusion's blocks, unit columns or the basis,
+    are built on first read (`_Inclusion`).
     """
     engine = parent.engine
     field = engine.field
     weights = engine.pres.weights
-    index = engine.quiver.vertex_index
     bases = {key: Matrix.from_columns(field, vecs, parent.dims[key])
              for key, vecs in vectors.items() if vecs}
     slots = {key: s for key, s in slots.items() if s}
-    keys = sorted(bases.keys() | slots.keys(), key=lambda k: (index[k[0]], k[1]))
+    keys = [key for key in parent.dims if key in bases or key in slots]
     action = {}
     for v, g in keys:
         cols = slots.get((v, g))
@@ -866,9 +871,8 @@ def projective_cover(engine, rep):
     on first read.  A module equal to one the engine has covered before, up
     to a degree shift, gets that cover shifted (see the module docstring).
     """
-    start = next(iter(rep.dims))[1] if rep.dims else wzero(engine.group_rank)
-    bucket = engine.covers.setdefault(
-        tuple((v, wsub(g, start), n) for (v, g), n in rep.dims.items()), [])
+    shape, start = _shape(engine, rep.dims)
+    bucket = engine.covers.setdefault(shape, [])
     bucket[:] = [entry for entry in bucket if entry[1]() is not None]   # drop the dead
     for old_start, kept in bucket:
         cover = kept()
@@ -949,12 +953,12 @@ def hom_space(M, N):
 
 def module_iso_test(M, N):
     """Decide graded isomorphism: ('isomorphic', witness), ('not_isomorphic',
-    None) or ('undetermined', None).  An exact repeat (equal dims and blocks,
-    slices in any order) gets the identity; else Hom = 0 refutes, then each
-    Hom basis element and 64 draws from `random.Random(0)` are tried."""
+    None) or ('undetermined', None).  An exact repeat (M == N) gets the
+    identity; else Hom = 0 refutes, then each Hom basis element and 64 draws
+    from `random.Random(0)` are tried."""
     if M.dims != N.dims:
         return "not_isomorphic", None
-    if M._same_action(N):
+    if M == N:
         eye = {key: Matrix.identity(M.engine.field, n) for key, n in M.dims.items()}
         return "isomorphic", ModuleMap(M, N, eye, check=False)
     homs = hom_space(M, N)

@@ -20,17 +20,15 @@ factors, JSON rows and generator terms are not computed again, while
 `verify` still composes and ranks every step.  Past a certificate the
 terms repeat up to shift, P^{b+kt} = P^b[kh], so `summands(n)` for a step
 not yet covered reads the summands off the period instead of resolving to
-n.  The base b is taken from step max(n0, 1) on: the cover of a syzygy
-lists its summands by vertex, then by degree (a kernel's slices are
-sorted), an order that a shift keeps, while P^0 lists them in the order of
-the resolved module's slices, which need not be sorted.  Verdicts and the
-scan read only `syzygy_dims(n)`, dim P^{n-1} - dim Omega^{n-1} slice by
-slice as a cover is onto, so a resolution to bound B computes the kernels
-of P^0..P^{B-1} and not that of P^B.
+n.  The base b is taken from step n0 on: every cover, P^0's included,
+lists its summands in the one slice order of `modules`, which a shift
+keeps.  Verdicts and the scan read only `syzygy_dims(n)`, dim P^{n-1} -
+dim Omega^{n-1} slice by slice as a cover is onto, so a resolution to
+bound B computes the kernels of P^0..P^{B-1} and not that of P^B.
 """
 
-from .modules import (_ShiftedRep, dual_to_opposite, module_iso_test, projective_cover,
-                      simple_module)
+from .modules import (_shape, _ShiftedRep, dual_to_opposite, module_iso_test,
+                      projective_cover, simple_module)
 from .quiver import wadd, wsub
 
 
@@ -169,11 +167,10 @@ class MinimalResolution:
         period when step n is past a certificate and not yet covered."""
         c = self.certificate
         if n >= len(self.covers) and c is not None:
-            base = max(c.n0, 1)
-            k, r = divmod(n - base, c.period)
+            k, r = divmod(n - c.n0, c.period)
             if k > 0:
                 kh = tuple(k * b for b in c.shift)
-                return [(v, wadd(g, kh)) for v, g in self.summands(base + r)]
+                return [(v, wadd(g, kh)) for v, g in self.summands(c.n0 + r)]
         return list(self.term(n).summands)
 
     def extend_to(self, bound):
@@ -189,19 +186,14 @@ class MinimalResolution:
 
     def _scan_periodicity(self, n):
         """Look for Omega^n ~ Omega^m[h] with m < n, trying in increasing m
-        only the syzygies whose slices are its own moved by some h.  The
-        shape of a syzygy is its slices sorted by (vertex, degree), each
-        degree less the first: a shift keeps that order, so two syzygies
-        have one shape exactly when one is the other shifted, by the
-        difference of their first degrees."""
+        only the syzygies whose slices are its own moved by some h: those
+        of its shape, the key of the engine's covers (`modules._shape`),
+        where h is the difference of their first degrees."""
         if not self.syzygy_dims(n):
             return
         for k in range(len(self._shapes), n + 1):
-            slices = sorted(self.syzygy_dims(k).items())
-            low = slices[0][0][1] if slices else None
-            shape = tuple((v, wsub(g, low), d) for (v, g), d in slices)
-            self._shapes.append((shape, low))
-            self._by_shape.setdefault(shape, []).append(k)
+            self._shapes.append(_shape(self.engine, self.syzygy_dims(k)))
+            self._by_shape.setdefault(self._shapes[-1][0], []).append(k)
         shape, low = self._shapes[n]
         for m in self._by_shape[shape]:
             if m >= n:
@@ -244,10 +236,10 @@ class MinimalResolution:
                 return DimVerdict.infinite(c)
         return DimVerdict.at_least(bound)
 
-    def verify(self, up_to=None):
-        """Re-check exactness, minimality and (if present) the certificate."""
-        top = len(self.covers) - 1 if up_to is None else up_to
-        for n in range(1, top + 1):
+    def verify(self):
+        """Re-check exactness, minimality and (if present) the certificate
+        on every step computed."""
+        for n in range(1, len(self.covers)):
             d_n = self.differential(n)
             d_prev = self.differential(n - 1)
             if not d_prev.compose(d_n).is_zero():

@@ -91,9 +91,10 @@ def test_exact_repeat_gets_the_identity_without_a_hom_space(field, monkeypatch):
     eng = engine_over(cyclic_nakayama(1, 3), field)
     M = projective_module(eng, "0").rep
     assert len(M.dims) == 3
-    # the same blocks, the slices listed in reverse order
+    # the same blocks, the slices given in reverse order, come back in order
     N = Representation(eng, dict(reversed(M.dims.items())), dict(M.action))
-    assert list(N.dims) != list(M.dims)
+    assert list(N.dims) == list(M.dims)
+    assert N == M
     for other in (M, N):
         witness = decided(M, other)
         assert witness.blocks == {key: Matrix.identity(eng.field, n)

@@ -1,10 +1,11 @@
 """Resolution terms past a periodicity certificate, read off the period.
 
 Once Omega^{n0+t} ~ Omega^{n0}[h] is certified, `MinimalResolution.summands`
-reads P^n for a step not yet covered as P^b[kh], with b taken from step
-max(n0, 1) on.  These tests compare each read-off with the term a real
-extension computes, as lists (summand order indexes Ext classes), and check
-that an Ext table resolves a certified simple only to its certificate."""
+reads P^n for a step not yet covered as P^b[kh], with b taken from step n0
+on, P^0 included: every cover lists its summands by vertex, then by degree.
+These tests compare each read-off with the term a real extension computes,
+as lists (summand order indexes Ext classes), and check that an Ext table
+resolves a certified simple only to its certificate."""
 
 import pytest
 
@@ -24,9 +25,9 @@ def read_off_matches(res, bound=40):
     c = res.certificate
     if c is None:
         return False
-    top = max(c.n0, 1) + 4 * c.period
+    top = c.n0 + 4 * c.period + 1
     read = [res.summands(n) for n in range(top + 1)]
-    assert len(res.covers) <= max(c.n0, 1) + c.period < top
+    assert len(res.covers) <= c.n0 + c.period < top
     res.extend_to(top)
     assert read == [list(res.term(n).summands) for n in range(top + 1)]
     return True
@@ -56,18 +57,18 @@ def test_read_off_equals_real_terms_on_nakayama_cycles(n):
         assert all(read_off_matches(res) for res in simple_resolutions(eng).values())
 
 
-def test_read_off_starts_at_a_syzygy_not_at_the_module():
-    # K[x]/(x^3), K the radical of the projective: M = K[5] + K lists its
-    # slices out of degree order, and Omega^2 M ~ M[3]
+def test_read_off_starts_at_the_module_when_n0_is_zero():
+    # K[x]/(x^3), K the radical of the projective: M = K[5] + K is given
+    # with its slices out of degree order, and Omega^2 M ~ M[3]
     eng = engine_from(cyclic_nakayama(1, 3))
     k = projective_cover(eng, simple_module(eng, "0")).kernel
     res = MinimalResolution(eng, direct_sum([shift_rep(k, (5,)), k]))
     assert res.pd_verdict(10).is_infinite
     c = res.certificate
     assert (c.n0, c.period, c.shift) == (0, 2, (3,))
-    assert res.summands(0) == [("0", (6,)), ("0", (1,))]
-    # P^0 shifted by h is the right multiset in the wrong order
-    assert [(v, (g[0] + 3,)) for v, g in res.summands(0)] == [("0", (9,)), ("0", (4,))]
+    # M sorts its slices, so P^0 is sorted and P^0 shifted by h is P^2
+    assert res.summands(0) == [("0", (1,)), ("0", (6,))]
+    assert [(v, (g[0] + 3,)) for v, g in res.summands(0)] == [("0", (4,)), ("0", (9,))]
     assert read_off_matches(res)
     assert list(res.term(2).summands) == [("0", (4,)), ("0", (9,))]
 
@@ -80,7 +81,7 @@ def test_ext_table_resolves_only_to_the_certificate(name):
     assert certified
     for res in certified:
         c = res.certificate
-        assert len(res.covers) <= max(c.n0, 1) + c.period + 1
+        assert len(res.covers) <= c.n0 + c.period
     store = simple_resolutions(eng)
     for res in store.values():
         res.extend_to(60)
