@@ -28,6 +28,15 @@ that reduces to zero, whose extensions do too.  The normal form of a path
 is its first arrow times the normal form of the rest, reduced, and is kept
 for the life of the engine.
 
+One Groebner basis serves the algebra and its opposite: reversing words
+carries I onto I^op, so the reduced basis of I^op for the reversed word
+order is this one read backwards (Green, op. cit.).  `opposite_engine`
+shares the tails and word memo, reverses each word where it reads them and
+takes the basis paths reversed; it runs no completion.  A completion of the
+opposite presentation can pick other tips (it does on the exterior
+algebras), hence another basis, but the opposite is read only for id
+verdicts, which are isomorphism invariants, so no report changes.
+
 Coefficients are the field's plain scalars (see fields.py), so an element
 of F_p is its residue in [0, p), in relations, Groebner tails, normal forms
 and elements alike; each sum of coefficients (`add_scaled`, the reduction
@@ -41,7 +50,8 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .linalg import Matrix
-from .quiver import Path, PresentationError, compose, vertex_path, wadd, wzero
+from .quiver import (Path, PresentationError, compose, opposite_path, vertex_path, wadd,
+                     wzero)
 
 
 class AdmissibilityError(ValueError):
@@ -170,13 +180,14 @@ class AlgebraPresentation:
                                    rels, self.truncation, f_vertices=self.f_vertices)
 
     def opposite(self):
-        """Arrows reversed, relation paths reversed, weights preserved."""
-        rels = []
-        for terms in self.relations:
-            rels.append([(c, tuple(reversed(p.arrows))) for c, p in terms])
-        return AlgebraPresentation(
-            self.quiver.opposite(), self.group_rank, self.weights, self.field,
-            rels, self.truncation, f_vertices=self.f_vertices)
+        """Arrows reversed, relation paths reversed, weights preserved.  It
+        is derived from this presentation's validated data: each relation
+        path is reversed as a `Path`, and no arrow name is read again."""
+        op = AlgebraPresentation.__new__(AlgebraPresentation)
+        vars(op).update(vars(self), quiver=self.quiver.opposite(), relations=[
+            [(c, opposite_path(p)) for c, p in terms] for terms in self.relations])
+        op.uniform_relations = op._split_uniform()
+        return op
 
 
 class UniformRelation:
@@ -253,32 +264,43 @@ class NormalFormEngine:
     """Monomial basis of KQ/I with exact reduction and multiplication."""
 
     def __init__(self, pres):
-        self.pres = pres
-        self.field = pres.field
-        self.quiver = pres.quiver
-        self.group_rank = pres.group_rank
-        self.truncation = pres.truncation
         # the Groebner basis, {tip arrows: tail}: a tail is
         # {arrows: coefficient}, its paths larger than the tip
         self._tails = {}
         # {first arrow: lengths of the tips that start with it}; a length
         # left by a tip taken out of the basis only costs a failed lookup
         self._tip_lengths = {}
-        self._complete()
-        # normal forms as {arrows: coefficient}, by the arrows of a path of length >= 1
+        # normal forms as {arrows: coefficient}, by the arrows of a path of
+        # length >= 1; an engine reads them with its words taken in steps
+        # of `_step`, backwards (-1) for the opposite of the engine that
+        # completed the basis
         self._word_nf = {}
-        self.basis = self._standard_paths()
-        self.dim = len(self.basis)
-        # normal forms as {basis path: coefficient}, filled for every basis
-        # path and every arrow times one, so templates reduce nothing
-        self._basis_path = {p.arrows: p for p in self.basis if p.arrows}
-        self._normal_forms = {w: {p: self.field.one} for w, p in self._basis_path.items()}
-        for p in self.basis:
+        self._step = 1
+        self._present(pres)
+        self._complete()
+        self._index(self._standard_paths())
+
+    def _present(self, pres):
+        self.pres = pres
+        self.field = pres.field
+        self.quiver = pres.quiver
+        self.group_rank = pres.group_rank
+        self.truncation = pres.truncation
+
+    def _index(self, basis):
+        """Take `basis` as the basis: normal forms as {basis path:
+        coefficient} are filled for every basis path and every arrow times
+        one, so templates reduce nothing."""
+        self.basis = basis
+        self.dim = len(basis)
+        self._basis_path = {p.arrows[::self._step]: p for p in basis if p.arrows}
+        self._normal_forms = {p.arrows: {p: self.field.one} for p in basis if p.arrows}
+        for p in basis:
             if p.length + 1 < self.truncation:
                 for a in self.quiver.arrows_from[p.target]:
                     self._normal_form((a.name,) + p.arrows)
         self._paths_from = {}
-        for p in self.basis:
+        for p in basis:
             self._paths_from.setdefault(p.source, []).append(p)
         self._templates = {}
         # weak references to the covers `modules.projective_cover` computed:
@@ -293,13 +315,20 @@ class NormalFormEngine:
         J^(N+1).  Each new element is reduced and made monic at its tip; a
         basis element whose tip the new tip divides goes back to be reduced
         again, and each overlap of the new tip with a tip, shortest overlap
-        path first, is reduced in turn.  Last, every tail is reduced."""
+        path first, is reduced in turn.  Each of those two scans of the
+        basis is skipped when it cannot find anything: when no tip is longer
+        than the new one, and when every tail is zero, since two monomials
+        have no overlap to reduce.  Last, every tail is reduced."""
         n = self.truncation
         p = self.field.characteristic
         tails = self._tails
         queue = deque({path.arrows: c for c, path in rel.terms
                        if path.length <= n} for rel in self.pres.uniform_relations)
         overlaps = []
+        # no tip so far is longer than `longest`, and all tails are zero
+        # unless `some_tail`: neither bound falls when a tip leaves, so each
+        # tail scan below is skipped only where it can find nothing
+        longest, some_tail = 0, False
         while queue or overlaps:
             if queue:
                 f = queue.popleft()
@@ -320,13 +349,16 @@ class NormalFormEngine:
             tip = next(iter(f))
             inv = self.field.inv(f.pop(tip))
             tail = {w: c * inv % p if p else c * inv for w, c in f.items()}
-            for s in [s for s in tails if len(s) > len(tip) and _divides(tip, s)]:
-                queue.append({s: 1, **tails.pop(s)})
+            if len(tip) < longest:
+                for s in [s for s in tails if len(s) > len(tip) and _divides(tip, s)]:
+                    queue.append({s: 1, **tails.pop(s)})
+            longest = max(longest, len(tip))
+            some_tail = some_tail or bool(tail)
             tails[tip] = tail
             lengths = self._tip_lengths.setdefault(tip[0], [])
             if len(tip) not in lengths:
                 lengths.append(len(tip))
-            for s, s_tail in tails.items():
+            for s, s_tail in tails.items() if some_tail else ():
                 if tail or s_tail:
                     for x, y in [(tip, s), (s, tip)] if s != tip else [(tip, tip)]:
                         for k in range(max(1, len(x) + len(y) - n), min(len(x), len(y))):
@@ -426,11 +458,13 @@ class NormalFormEngine:
 
     def _normal_form(self, w):
         """Normal form of the path with arrows w, of length 1 to N - 1, as
-        {basis path: coefficient}, memoized."""
+        {basis path: coefficient}, memoized; the word memo is read with w
+        taken in steps of `_step`."""
         nf = self._normal_forms.get(w)
         if nf is None:
             path = self._basis_path
-            nf = self._normal_forms[w] = {path[x]: c for x, c in self._nf_word(w).items()}
+            nf = self._normal_forms[w] = {path[x]: c for x, c
+                                          in self._nf_word(w[::self._step]).items()}
         return nf
 
     # -- reduction and arithmetic -----------------------------------------
@@ -506,7 +540,17 @@ class NormalFormEngine:
 
     @cached_property
     def opposite_engine(self):
-        return NormalFormEngine(self.pres.opposite())
+        """The engine of the opposite algebra.  Reversing words maps I onto
+        I^op, so it shares this engine's Groebner basis and word memo, read
+        backwards, runs no completion and takes the basis paths reversed.
+        It holds no reference to this engine, which keeps it: the pair forms
+        no cycle."""
+        op = NormalFormEngine.__new__(NormalFormEngine)
+        op._tails, op._tip_lengths, op._word_nf = self._tails, self._tip_lengths, self._word_nf
+        op._step = -self._step
+        op._present(self.pres.opposite())
+        op._index([opposite_path(p) for p in self.basis])
+        return op
 
     def __repr__(self):
         return "NormalFormEngine(dim=%d, vertices=%d)" % (self.dim, len(self.quiver.vertices))

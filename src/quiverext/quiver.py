@@ -180,6 +180,11 @@ def vertex_path(vertex, k):
     return Path((), vertex, vertex, wzero(k))
 
 
+def opposite_path(p):
+    """p as a path of the opposite quiver: its arrows reversed, its ends swapped."""
+    return Path(p.arrows[::-1], p.target, p.source, p.weight)
+
+
 def compose(p, q):
     """The path p*q: first traverse q, then p.  Requires q.target == p.source."""
     if q.target != p.source:

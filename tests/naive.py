@@ -11,6 +11,13 @@ The Yoneda reference is the exception: it runs the package's own lift and
 pull-back, but lifts each right factor afresh for its product, without the
 basis lifts an Ext table stores.
 
+The opposite references check the opposite engine, which reads the
+engine's Groebner basis backwards: `check_opposite_normal_forms` against
+the local elimination of the opposite presentation written out, whose
+basis differs where the reversed word order picks other tips, and
+`reference_opposite_engine`, a fresh completion of that presentation with
+its own tips and basis.
+
 The padding reference is the all-pairs loop the engine once ran: it reads
 the engine's uniform relations, takes its paths from `enumerate_paths` and
 composes with `quiver.compose`, but pairs every path with every other and
@@ -72,6 +79,8 @@ corner projective dimension of the e-to-f module."""
 
 from fractions import Fraction
 
+from quiverext.algebra import NormalFormEngine
+from quiverext.algfile import format_algebra
 from quiverext.corner import (CornerPresentation, apply_F, apply_F_map, f_lambda_e_module,
                               is_H_exact)
 from quiverext.ext import ExtClass, lift_cocycle, pull_back
@@ -258,6 +267,34 @@ def naive_witness(text, field=QQ):
     killed = {cols[pc] for row, pc in zip(red, pivots)
               if not any(row[j] != 0 for j in range(pc + 1, len(cols)))}
     return next((p for p in paths[trunc] if p not in killed), None)
+
+
+def check_opposite_normal_forms(op):
+    """The opposite engine `op` against `naive_normal_forms` of its own
+    presentation written out.  The two bases may differ, so each basis path
+    of `op` is written in the reference's basis: those rows must have full
+    rank, the dimensions must agree, and the normal form of every path of
+    length < N must be the reference's after that change of basis."""
+    p = op.field.characteristic
+    reductions, basis = naive_normal_forms(format_algebra(op.pres), op.field)
+    assert op.dim == len(basis)
+    change = {b: reductions[(b.arrows, b.source, b.target)] for b in op.basis}
+    rows = [[change[b].get(q, 0) for q in basis] for b in op.basis]
+    assert rank_fraction(rows, len(basis), p) == len(basis)
+    for paths in engine_paths(op, op.truncation - 1):
+        for path in paths:
+            got = {}
+            for b, c in op.nf_path(path).items():
+                for q, d in change[b].items():
+                    got[q] = _red(got.get(q, 0) + c * d, p)
+            assert {q: c for q, c in got.items() if c} == \
+                reductions[(path.arrows, path.source, path.target)]
+
+
+def reference_opposite_engine(engine):
+    """The opposite engine as a fresh completion of the opposite
+    presentation, with its own tips and basis."""
+    return NormalFormEngine(engine.pres.opposite())
 
 
 def engine_paths(engine, max_len):
