@@ -46,12 +46,11 @@ exact (Q or F_p).
 
 from collections import deque
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .linalg import Matrix
-from .quiver import (Path, PresentationError, compose, opposite_path, vertex_path, wadd,
-                     wzero)
+from .quiver import (Path, PresentationError, compose, first_read, opposite_path,
+                     vertex_path, wadd, wzero)
 
 
 class AdmissibilityError(ValueError):
@@ -538,7 +537,7 @@ class NormalFormEngine:
     def radical_basis(self):
         return [p for p in self.basis if p.length >= 1]
 
-    @cached_property
+    @first_read
     def opposite_engine(self):
         """The engine of the opposite algebra.  Reversing words maps I onto
         I^op, so it shares this engine's Groebner basis and word memo, read

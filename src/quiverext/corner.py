@@ -26,13 +26,11 @@ per summand vertex (see `apply_F`), the module of e-to-f paths as F of the
 projective at e, and the exactness test for the right adjoint.
 """
 
-from functools import cached_property
-
 from .algebra import AlgebraElement, AlgebraPresentation, NormalFormEngine, add_scaled
 from .linalg import Matrix, Subspace
 from .modules import (ModuleMap, Projective, Representation, projective_cover,
                       projective_module, simple_module)
-from .quiver import Quiver, compose, wzero
+from .quiver import Quiver, compose, first_read, wzero
 from .resolution import projective_dimension
 
 
@@ -265,7 +263,7 @@ class CornerPresentation:
             add_scaled(out, self.theta[bp], c, self.engine.field.characteristic)
         return out
 
-    @cached_property
+    @first_read
     def e_to_f(self):
         """The e-to-f module and its check, `f_lambda_e_module(self)`, built
         once per corner."""

@@ -331,15 +331,17 @@ def generation_window_check(table, gen_bound, check_bound):
         full = layout["size"]
         span = Subspace(field, full)
         produced = []
-        # once the span is all of Ext^j, no product can add to it
+        # a product lies in one part (source, target vertex, degree): skip full ones
+        room = table.dims_at(j)
         pairs = ((x, y) for x in generators for y in span_basis.get(j - x.degree, [])
                  if x.source == y.target_vertex)
         for x, y in pairs:
-            if span.dim == full:
-                break
-            z = yoneda_product(table, x, y)
-            if not z.is_zero() and span.add(coords(z, layout)):
-                produced.append(z)
+            part = (y.source, x.target_vertex, wadd(x.target_degree, y.target_degree))
+            if room.get(part):
+                z = yoneda_product(table, x, y)
+                if not z.is_zero() and span.add(coords(z, layout)):
+                    produced.append(z)
+                    room[part] -= 1
         got = span.dim
         details[j] = {"dim": full, "generated": got}
         span_basis[j] = produced

@@ -11,11 +11,14 @@ slices of each vertex out one after another.  Every module and map is built
 from blocks, so the grading holds by construction; shapes, relations and
 commutation are checked on the blocks.  Nothing changes once built, and
 blocks may be shared between modules.  Constructors take plain
-dicts.  What is built on first read is a `functools.cached_property` of a
-small class that holds its inputs as data, never a function: the action of
-a shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`),
-the blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
-(`_ShiftedMap`), a shifted projective's offsets, and a cover's kernel.
+dicts.  What is built on first read is a `first_read` attribute of a small
+class that holds its inputs as data, never a function: the action of a
+shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), the
+blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
+(`_ShiftedMap`), a shifted projective's offsets, and a cover's kernel and
+the steps after it.  Each resolution step reads a few, so the package has
+its own descriptor (quiver.py): a first read costs a third of a
+`functools.cached_property` one, and later reads keep their fast path.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -71,11 +74,10 @@ only the cyclic garbage collector frees.
 import random
 import weakref
 from collections import Counter
-from functools import cached_property
 from itertools import islice
 
 from .linalg import Factor, Matrix, Subspace
-from .quiver import checked_degree, wadd, wneg, wsub, wzero
+from .quiver import checked_degree, first_read, wadd, wneg, wsub, wzero
 
 
 def _unit(field, n, i):
@@ -153,7 +155,7 @@ class Representation:
     the matrix of arrow a from slice (a.source, g) to slice (a.target,
     g + W(a)); it is missing when zero.  The constructor takes both as
     dicts.  A module whose action is built on first read is a subclass that
-    holds the action's inputs and makes `action` a `cached_property`
+    holds the action's inputs and makes `action` a `first_read` attribute
     (`_ShiftedRep`, `_SumRep`).
     """
 
@@ -243,8 +245,8 @@ class ModuleMap:
     the source into slice (v, g - grade) of the target, and is missing when
     zero.  Plain degree-preserving maps have grade zero.  The constructor
     takes the blocks as a dict.  A map whose blocks are built on first read
-    is a subclass that holds their inputs and makes `blocks` a
-    `cached_property` (`_Inclusion`, `_ShiftedMap`, `ProjectiveMap`).
+    is a subclass that holds their inputs and makes `blocks` a `first_read`
+    attribute (`_Inclusion`, `_ShiftedMap`, `ProjectiveMap`).
     """
 
     def __init__(self, source, target, blocks, grade=None, check=True):
@@ -290,7 +292,7 @@ class ModuleMap:
                for key, b in self.blocks.items()}
         return {key: cols for key, cols in out.items() if cols}
 
-    _factors = cached_property(lambda self: {})     # block key -> Factor, by `factor`
+    _factors = first_read(lambda self: {})     # block key -> Factor, by `factor`
 
     def factor(self, key):
         """The `Factor` of block `key` (None where the block is missing),
@@ -319,7 +321,7 @@ class ModuleMap:
     def rank(self):
         return self._rank
 
-    @cached_property
+    @first_read
     def _rank(self):
         """Kept: the blocks never change."""
         return sum(b.rank() for b in self.blocks.values())
@@ -348,7 +350,7 @@ class ModuleMap:
         """The dense view as lists, kept: readers must not change it."""
         return self._json
 
-    @cached_property
+    @first_read
     def _json(self):
         dense = self.dense()
         return {v: dense[v].to_json() for v in sorted(dense)}
@@ -363,7 +365,7 @@ class _ShiftedMap(ModuleMap):
         self.source, self.target, self.grade = source, target, base.grade
         self._base, self._h = base, h
 
-    @cached_property
+    @first_read
     def blocks(self):
         return {_moved(key, self._h): b for key, b in self._base.blocks.items()}
 
@@ -386,7 +388,7 @@ class _ShiftedRep(Representation):
         self.dims = {_moved(key, h): n for key, n in base.dims.items()}
         self._base, self._h = base, h
 
-    @cached_property
+    @first_read
     def action(self):
         h = self._h
         return {(name, wadd(g, h)): m for (name, g), m in self._base.action.items()}
@@ -402,11 +404,15 @@ class _SumRep(Representation):
         self.engine, self.dims = engine, dims
         self._templates, self._where = templates, where
 
-    @cached_property
+    @first_read
     def action(self):
         """Each summand's template blocks at the offsets of their slices, the
         block itself where the summand fills both slices alone.  Keys go
-        slice by slice, arrows in quiver order."""
+        slice by slice, arrows in quiver order: one summand's template order."""
+        if len(self._templates) == 1:
+            (t,), (at,) = self._templates, self._where
+            return {(name, at[tkey][0][1]): b for tkey, blocks in t.blocks_from.items()
+                    for name, _, b in blocks}
         engine, dims = self.engine, self.dims
         action = {}
         for t, at in zip(self._templates, self._where):
@@ -527,7 +533,7 @@ class Projective:
         out.rep = _ShiftedRep(self.rep, h)
         return out
 
-    @cached_property
+    @first_read
     def _where(self):
         """A shifted sum's offsets, its base's re-keyed on first read."""
         base, h = self._shift_of
@@ -602,7 +608,7 @@ class ProjectiveMap(ModuleMap):
                     columns.setdefault(key, {})[offset + slot[1]] = x
         return {key: columns[key] for key in proj.slots if key in columns}
 
-    @cached_property
+    @first_read
     def blocks(self):
         field = self.source.engine.field
         return {key: _block(field, cols, len(self._proj.slots[key]))
@@ -678,9 +684,9 @@ class Cover:
     a resolution (a chain of covers, each the `successor` of the last).
     `kernel_dims` is dim P - dim M slice by slice.  The rest (`kernel`,
     `kernel_inclusion`, the successor, `step`, `generator_terms`) is each a
-    `cached_property`, never the cover itself, so no cover is in a cycle.  A
-    shifted cover derives them from its live base, re-keyed, and afresh once
-    the base is gone."""
+    `first_read` attribute, never the cover itself, so no cover is in a
+    cycle.  A shifted cover derives them from its live base, re-keyed, and
+    afresh once the base is gone."""
 
     def __init__(self, projective, epi, base=None):
         self.projective = projective
@@ -695,7 +701,7 @@ class Cover:
         base = self._base and self._base[0]()
         return (base, self._base[1]) if base else (None, None)
 
-    @cached_property
+    @first_read
     def kernel(self):
         """The kernel, built with `kernel_inclusion`, which it sets."""
         base, h = self._live_base()
@@ -707,10 +713,10 @@ class Cover:
                                                 self.projective.rep, h)
         return kernel
 
-    @cached_property
+    @first_read
     def kernel_inclusion(self):
-        self.kernel         # sets it
-        return self.__dict__["kernel_inclusion"]
+        self.kernel         # sets it on the instance, where this read finds it
+        return self.kernel_inclusion
 
     def shifted(self, module, h):
         """This cover moved up by h, as the cover of `module`, which equals
@@ -727,14 +733,14 @@ class Cover:
         a cover must not refer to itself."""
         return self if self.projective.is_zero() else self._kernel_cover
 
-    @cached_property
+    @first_read
     def _kernel_cover(self):
         """A shifted cover's is its base's shifted, any other's is computed."""
         base, h = self._live_base()
         return base.successor().shifted(self.kernel, h) if base \
             else projective_cover(self.projective.engine, self.kernel)
 
-    @cached_property
+    @first_read
     def step(self):
         """The kernel inclusion after the successor's epi; a shifted cover's
         is its base's, re-keyed."""
@@ -743,7 +749,7 @@ class Cover:
         return self.kernel_inclusion.compose(succ.epi) if base is None else \
             _ShiftedMap(base.step, succ.projective.rep, self.projective.rep, h)
 
-    @cached_property
+    @first_read
     def generator_terms(self):
         """The column of `step` at each generator of the successor, as terms
         (summand, tree node, coefficient) over the nonzero slots of this
@@ -839,8 +845,9 @@ def _subrep_from_homogeneous(parent, vectors, slots):
             if sol is None:
                 raise ValueError("span is not closed under the action")
             action[(a.name, g)] = sol
-    dims = {key: len(slots[key]) if key in slots else bases[key].ncols for key in keys}
-    sub = Representation(engine, dims, action, check=False)
+    sub = Representation.__new__(Representation)    # keys are in the one order: no sort
+    sub.engine, sub.action = engine, action
+    sub.dims = {key: len(slots[key]) if key in slots else bases[key].ncols for key in keys}
     return sub, _Inclusion(sub, parent, bases, slots)
 
 
@@ -854,7 +861,7 @@ class _Inclusion(ModuleMap):
         self.grade = wzero(parent.engine.group_rank)
         self._bases, self._slots = bases, slots
 
-    @cached_property
+    @first_read
     def blocks(self):
         field = self.target.engine.field
         dims = self.target.dims
@@ -954,13 +961,16 @@ def hom_space(M, N):
 def module_iso_test(M, N):
     """Decide graded isomorphism: ('isomorphic', witness), ('not_isomorphic',
     None) or ('undetermined', None).  An exact repeat (M == N) gets the
-    identity; else Hom = 0 refutes, then each Hom basis element and 64 draws
-    from `random.Random(0)` are tried."""
+    identity; else a differing arrow block rank refutes, then Hom = 0, then
+    each Hom basis element and 64 draws from `random.Random(0)` are tried."""
     if M.dims != N.dims:
         return "not_isomorphic", None
     if M == N:
         eye = {key: Matrix.identity(M.engine.field, n) for key, n in M.dims.items()}
         return "isomorphic", ModuleMap(M, N, eye, check=False)
+    blocks = ((M.action.get(key), N.action.get(key)) for key in {**M.action, **N.action})
+    if any((0 if x is None else x.rank()) != (0 if y is None else y.rank()) for x, y in blocks):
+        return "not_isomorphic", None
     homs = hom_space(M, N)
     if not homs:
         return "not_isomorphic", None

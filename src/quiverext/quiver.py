@@ -123,6 +123,27 @@ def wsub(a, b):
     return tuple(map(sub, a, b))
 
 
+class first_read:
+    """An attribute computed on first read and set on the instance, where
+    it, or an instance assignment, hides this non-data descriptor.  Unlike
+    `functools.cached_property` it takes no lock, and it sets no value
+    through `__dict__`, which makes CPython 3.11 drop the instance's inline
+    values and slows every later read on it."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class Path:
     """A path in a quiver, arrows in composition order (rightmost first).
 

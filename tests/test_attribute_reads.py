@@ -1,11 +1,17 @@
-"""No class in quiverext defines `__getattr__`, and modules.py builds no
-functions.
+"""No class in quiverext defines `__getattr__`, nothing uses
+`functools.cached_property`, and modules.py builds no functions.
 
 A class with `__getattr__` loses the interpreter's specialized attribute
 reads (CPython 3.11 and later), so every read on its instances, not only
 the missing ones the hook serves, takes the slow path.  A value built on
-first read is a `functools.cached_property` instead, of a class that holds
-the value's inputs as data.  A module, projective or map that held a
+first read is a `first_read` attribute instead (quiver.py), of a class
+that holds the value's inputs as data: a module's or a map's action or
+blocks, a cover's kernel and the steps after it, an engine's opposite and
+a corner's e-to-f module.  `functools.cached_property` would take a lock
+on each first read (Python 3.10-3.11) and set the value through the
+instance `__dict__`, which on 3.11 slows every later read of the
+instance's attributes, so the package uses its one descriptor only.  A
+module, projective or map that held a
 function to build it would put a function object, and its cells, in every
 step a resolution keeps, for the cyclic garbage collector to walk: so
 nothing in the package asks `callable(...)` of what it is given, and
@@ -42,6 +48,19 @@ def test_sources_found():
 
 def test_no_class_defines_getattr():
     assert [hit for path in SOURCES for hit in classes_with_getattr(path)] == []
+
+
+def cached_properties(path):
+    """'file:line' of each use of the name `cached_property` in a source
+    file: a name, an attribute, an imported alias or a definition."""
+    return ["%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if "cached_property" in (getattr(node, field, None)
+                                     for field in ("id", "attr", "name"))]
+
+
+def test_no_cached_property():
+    assert [hit for path in SOURCES for hit in cached_properties(path)] == []
 
 
 def builder_functions(path):

@@ -4,7 +4,7 @@ from pathlib import Path
 from quiverext import (ExtTable, IdempotentPair, apply_F, compute_abc,
                        corner_algebra, ext_table, restricted_ext_table,
                        semisimple_top, simple_module, verify_comparison)
-from quiverext import comparison, modules
+from quiverext import comparison, ext, modules
 from quiverext.comparison import (TransportCorrespondence,
                                   verify_product_compatibility)
 from quiverext.resolution import MinimalResolution
@@ -233,6 +233,32 @@ def test_product_check_transports_each_class_once(monkeypatch):
     report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
     assert report["verdict"] == "PASS"
     assert len(pulled) == 39
+
+
+def test_generation_check_computes_no_product_into_a_full_part(monkeypatch):
+    # degrees 3-7 of each table have parts (source, target vertex, degree)
+    # of dimension 1; a part filled by one product takes no other, so each
+    # table computes 30 products, not the 50 before the first full span
+    counts = []
+    product = ext.yoneda_product
+
+    def counting(*args):
+        counts[-1] += 1
+        return product(*args)
+
+    check = ext.generation_window_check
+
+    def counted(table, gen_bound, check_bound):
+        counts.append(0)
+        return check(table, gen_bound, check_bound)
+
+    monkeypatch.setattr(ext, "yoneda_product", counting)
+    monkeypatch.setattr(comparison, "generation_window_check", counted)
+    eng = engine_from(POLY_CORNER)
+    report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
+    assert counts == [30, 30]
+    assert report["generation"]["lambda"]["success"]
+    assert report["generation"]["corner"]["success"]
 
 
 def test_verify_comparison_resolves_each_module_once(resolutions_built):

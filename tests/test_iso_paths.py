@@ -1,4 +1,5 @@
-"""`module_iso_test` decides each of its three isomorphic paths correctly.
+"""`module_iso_test` decides each of its three isomorphic paths correctly,
+and refutes on a differing arrow block rank before any Hom space.
 
 An exact repeat gets the identity; a conjugate of an indecomposable module
 with local End is decided by a Hom basis element; a conjugate of a sum of
@@ -10,10 +11,12 @@ import random
 
 import pytest
 
-from quiverext import Representation, hom_space, module_iso_test, projective_module
-from quiverext import modules
+from quiverext import (Representation, build_engine, hom_space, module_iso_test,
+                       parse_algebra, projective_module, simple_module)
+from quiverext import modules, resolution
 from quiverext.linalg import Matrix
 from quiverext.quiver import wadd
+from quiverext.resolution import minimal_resolution
 
 from conftest import EXTERIOR2_Z, cyclic_nakayama, engine_from
 from naive import direct_sum
@@ -82,12 +85,16 @@ def test_conjugate_of_a_repeated_summand_is_decided_by_sampling(field):
     assert not any(witness.blocks == h.blocks for h in homs)
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_exact_repeat_gets_the_identity_without_a_hom_space(field, monkeypatch):
+@pytest.fixture
+def no_hom_space(monkeypatch):
     def refuse(M, N):
-        raise AssertionError("hom_space reached on an exact repeat")
+        raise AssertionError("hom_space reached")
 
     monkeypatch.setattr(modules, "hom_space", refuse)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_exact_repeat_gets_the_identity_without_a_hom_space(field, no_hom_space):
     eng = engine_over(cyclic_nakayama(1, 3), field)
     M = projective_module(eng, "0").rep
     assert len(M.dims) == 3
@@ -99,3 +106,46 @@ def test_exact_repeat_gets_the_identity_without_a_hom_space(field, monkeypatch):
         witness = decided(M, other)
         assert witness.blocks == {key: Matrix.identity(eng.field, n)
                                   for key, n in M.dims.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_differing_block_rank_refutes_without_a_hom_space(field, no_hom_space):
+    # P_v and the sum of its simple tops have the same slices, and the
+    # arrows act on the first but not on the second
+    eng = engine_over(EXTERIOR2_Z, field)
+    M = projective_module(eng, "v").rep
+    N = Representation(eng, dict(M.dims), {})
+    assert module_iso_test(M, N) == ("not_isomorphic", None)
+    assert module_iso_test(N, M) == ("not_isomorphic", None)
+
+
+# a local algebra over F_3 whose syzygies of S_v repeat their slices but
+# not their arrow block ranks: the Hom basis and sampling left these pairs
+# undetermined (3 at bound 8, after 31 s)
+LOCAL_F3 = """
+field F 3
+group trivial
+vertices v
+arrow a v v
+arrow b v v
+truncate 3
+rel b*b + -2*a*a
+rel -2*b*a + -2*a*a*a
+"""
+
+
+def test_syzygies_of_differing_block_ranks_are_refuted(no_hom_space, monkeypatch):
+    verdicts = []
+    iso_test = resolution.module_iso_test
+
+    def recorded(M, N):
+        out = iso_test(M, N)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(resolution, "module_iso_test", recorded)
+    eng = build_engine(parse_algebra(LOCAL_F3))
+    res = minimal_resolution(eng, simple_module(eng, "v"), 6)
+    assert verdicts == ["not_isomorphic"] * 2
+    assert res.certificate is None
+    assert res.pd_verdict(6).is_undetermined
