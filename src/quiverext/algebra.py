@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 
 from .linalg import Matrix
 from .quiver import (Path, PresentationError, compose, first_read, opposite_path,
-                     vertex_path, wadd, wzero)
+                     vertex_path, wadd)
 
 
 class AdmissibilityError(ValueError):
@@ -411,8 +411,10 @@ class NormalFormEngine:
     def _standard_paths(self):
         """The paths no tip divides, by a walk per length from the vertices:
         each kept path is extended by the arrows leaving its target, in
-        quiver order, and kept when no tip starts the extension.  A standard
-        path of length N means J^N is not inside I."""
+        quiver order, and kept when no tip starts the extension, so every
+        first-applied part of a basis path is one listed before it (and in
+        the opposite engine, a reversed prefix, shorter).  A standard path
+        of length N means J^N is not inside I."""
         weights = self.pres.weights
         level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
         basis = list(level)
@@ -559,65 +561,63 @@ class ProjectiveTemplate:
     """The indecomposable projective at vertex v, in degree zero: what every
     projective with a summand at v copies its slots and action from.
 
-    `slices[(w, d)]` lists the basis paths from v to w of weight d in
-    (length, arrows) order; slices go vertex by vertex in quiver order, then
-    by degree.  `blocks_from[(w, d)]` lists, as (arrow, target slice, block)
-    in quiver arrow order, the matrix of each arrow a from slice (w, d) to
-    slice (a.target, d + W(a)), left out when zero, so a projective places
-    them with no weight arithmetic.  These blocks are shared by every
+    `slots[(w, d)]` lists the basis paths p from v to w of weight d, as the
+    slots (0, p) of a projective with this one summand, in (length, arrows)
+    order; slices go vertex by vertex in quiver order, then by degree.
+    `blocks_from[(w, d)]` lists, as (arrow, target slice, block) in quiver
+    arrow order, the matrix of each arrow a from slice (w, d) to slice
+    (a.target, d + W(a)), left out when zero, so a projective places them
+    with no weight arithmetic.  These lists and blocks are shared by every
     projective built from the template and are never mutated.
 
-    `tree` is the prefix tree of the basis paths: node i is (parent,
-    arrow, weight of the parent, slot), the path "arrow after the parent's
-    path", with parents before children and node 0 the vertex path e_v.  It
-    holds every first-applied part of each basis path; such a part need not
-    be a basis path itself, so `slot` is (slice, position) or None.
-    `node_of[arrows]` is the node of the path with those arrows.
+    `tree` is the basis paths from v in the engine's walk order: node i is
+    (parent, arrow, weight of the parent, slot), the path "arrow after the
+    parent's path" at slot (slice, position), and node 0 is the vertex path
+    e_v.  The walk lists every first-applied part of a basis path before it,
+    so each node's parent is a node before it.  `node_of[arrows]` is the
+    node of the path with those arrows.
     """
 
-    __slots__ = ("slices", "blocks_from", "tree", "node_of")
+    __slots__ = ("slots", "blocks_from", "tree", "node_of")
 
     def __init__(self, engine, v):
         index = engine.quiver.vertex_index
         weights = engine.pres.weights
-        paths = sorted(engine.basis_paths_from(v),
-                       key=lambda p: (index[p.target], p.weight, p.length, p.arrows))
-        self.slices = {}
+        field = engine.field
+        paths = engine._paths_from[v]
+        by_key = {}
         for p in paths:
-            self.slices.setdefault((p.target, p.weight), []).append(p)
-        slot = {p.arrows: (key, i) for key, ps in self.slices.items()
-                for i, p in enumerate(ps)}
-        self.blocks_from = {}
+            by_key.setdefault((p.target, p.weight), []).append(p)
+        self.slots, slot = {}, {}       # slot: {arrows: (slice, position)}
+        for key in sorted(by_key, key=lambda k: (index[k[0]], k[1])):
+            ps = by_key[key]
+            if len(ps) > 1:
+                ps.sort(key=lambda p: (p.length, p.arrows))
+            self.slots[key] = [(0, p) for p in ps]
+            for i, p in enumerate(ps):
+                slot[p.arrows] = key, i
         # a times p, read off the engine's normal forms: every one of length
-        # below N is there, and a longer one is zero
+        # below N is there, a longer one is zero, and none has a zero term
+        self.blocks_from = {}
         normal_forms = engine._normal_forms
-        zero = engine.field.zero
-        for (w, d), src in self.slices.items():
+        for (w, d), src in self.slots.items():
             out = self.blocks_from[(w, d)] = []
             for a in engine.quiver.arrows_from[w]:
                 tkey = (a.target, wadd(d, weights[a.name]))
-                tgt = self.slices.get(tkey)
-                if tgt is None:
-                    continue
-                rows = [[zero] * len(src) for _ in tgt]
-                for j, p in enumerate(src):
+                tgt = self.slots.get(tkey)
+                rows = None
+                for j, (_, p) in enumerate(src if tgt else ()):
                     for q, c in normal_forms.get((a.name,) + p.arrows, {}).items():
+                        rows = rows or [[field.zero] * len(src) for _ in tgt]
                         rows[slot[q.arrows][1]][j] = c
-                if any(any(r) for r in rows):
-                    out.append((a.name, tkey, Matrix._owning(engine.field, rows, len(src))))
-        prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
-                          key=lambda t: (len(t), t))
-        node = self.node_of = {}
-        weight = {(): wzero(engine.group_rank)}
-        self.tree = []
-        for arrows in prefixes:
-            node[arrows] = len(self.tree)
-            if arrows:
-                rest = arrows[1:]
-                weight[arrows] = wadd(weight[rest], weights[arrows[0]])
-                self.tree.append((node[rest], arrows[0], weight[rest], slot.get(arrows)))
-            else:
-                self.tree.append((None, None, None, slot[()]))
+                if rows:
+                    out.append((a.name, tkey, Matrix._owning(field, rows, len(src))))
+        node = self.node_of = {(): 0}
+        self.tree = [(None, None, None, slot[()])]
+        for i, p in enumerate(paths[1:], 1):
+            parent = node[p.arrows[1:]]
+            node[p.arrows] = i
+            self.tree.append((parent, p.arrows[0], paths[parent].weight, slot[p.arrows]))
 
 
 def _divides(t, w):

@@ -15,20 +15,23 @@ dicts.  What is built on first read is a `first_read` attribute of a small
 class that holds its inputs as data, never a function: the action of a
 shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), the
 blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
-(`_ShiftedMap`), a shifted projective's offsets, and a cover's kernel and
-the steps after it.  Each resolution step reads a few, so the package has
-its own descriptor (quiver.py): a first read costs a third of a
-`functools.cached_property` one, and later reads keep their fast path.
+(`_ShiftedMap`, a shifted `ProjectiveMap`), a shifted projective's offsets,
+a module's shape, and a cover's kernel and the steps after it.  Each
+resolution step reads a few, so the package has its own descriptor
+(quiver.py): a first read costs a third of a `functools.cached_property`
+one, and later reads keep their fast path.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
 once per engine: their slices, their arrow blocks, and a prefix tree of
-their basis paths.  A projective's action is block diagonal in the template
-blocks and shares every block that one summand fills on its own.  A map out
-of a projective (`ProjectiveMap`) is kept as its generator images; the image
-of any other slot is evaluated on demand, walking its summand's prefix tree
-one matrix-vector product per node and keeping each node's image.  Its
-columns, and on first read its blocks, come from a walk over every node.
+their basis paths, in the engine's walk order.  A one-summand projective is
+its template moved: it shares the template's slot lists and blocks.  A sum
+is block diagonal in the template blocks and shares every block that one
+summand fills on its own.  A map out of a projective (`ProjectiveMap`) is
+kept as its generator images; the image of any other slot is evaluated on
+demand, walking its summand's prefix tree one matrix-vector product per
+node and keeping each node's image.  Its columns, and on first read its
+blocks, come from a walk over every node.
 
 A kernel is spanned by slots wherever it can be.  `kernel_subrep` reads
 each source slice of a map off its nonzero columns {column: image}
@@ -51,19 +54,21 @@ Covers are shared up to a degree shift.  The engine keeps, for its
 lifetime, a weak reference to every cover `projective_cover` computes,
 keyed by the covered module's shape: its slices taken relative to its first
 slice's degree, in order (`_shape`, which the periodicity scan keys
-syzygies by too; `engine.covers`).  A module whose key and action blocks,
-at the keys moved by h = (its first degree) - (the kept module's first
-degree), equal those of a kept module is covered by that module's cover
-shifted by h (`Cover.shifted`).  Every step of a cover commutes with the
-shift and is deterministic, so this is the cover a fresh computation gives,
+syzygies by too; `engine.covers`), computed once: a module keeps its
+`shape`, and a kernel takes its cover's `kernel_shape`, which the scan
+reads first.  A module whose key and action blocks, at the keys moved by
+h = (its first degree) - (the kept module's first degree), equal those of
+a kept module is covered by that module's cover shifted by h
+(`Cover.shifted`).  Every step of a cover commutes with the shift and is
+deterministic, so this is the cover a fresh computation gives,
 and a periodic syzygy (Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a
 shifted module met before such as a shifted simple, is not covered again.
 A shifted step is data: each shifted part holds its base and h, and
 re-keys the base's on first read.  The projective keeps (base, h) for its
 offsets and a `_ShiftedRep` for its module, the epi shares the base's node
-images, the kernel is a `_ShiftedRep` and its inclusion and the step map
-are `_ShiftedMap`s, with the base's factors, rank and JSON rows; the
-successor is the base's successor shifted, with no store walk, and the
+images and blocks, the kernel is a `_ShiftedRep` and its inclusion and the
+step map are `_ShiftedMap`s, with the base's factors, rank and JSON rows;
+the successor is the base's successor shifted, with no store walk, and the
 generator terms are the base's list.  A kept cover is found while its
 resolution, or any other caller, still holds it; a walk drops the entries
 of covers gone.  The reference is weak because every cover refers to its
@@ -218,6 +223,11 @@ class Representation:
             m = b if m is None else b @ m
             g = wadd(g, weights[name])
         return m
+
+    @first_read
+    def shape(self):
+        """`_shape` of the slices (a cover's kernel takes its `kernel_shape`)."""
+        return _shape(self.engine, self.dims)
 
     def _layout(self):
         """{v: [(g, dimension)]}: the slices of each vertex in visiting order."""
@@ -420,7 +430,7 @@ class _SumRep(Representation):
                 (w, h), c = at[tkey]
                 for name, target, b in blocks:
                     key, r = at[target]
-                    if dims[(w, h)] == len(t.slices[tkey]) and dims[key] == len(t.slices[target]):
+                    if dims[(w, h)] == len(t.slots[tkey]) and dims[key] == len(t.slots[target]):
                         action[(name, h)] = b
                         continue
                     if (name, h) not in action:
@@ -461,8 +471,9 @@ class Projective:
 
     Everything is read off the engine's templates (`projective_template`):
     the slots are the template slices shifted by g, in order (a shift keeps
-    a template's order, so only a sum of summands sorts), and the action,
-    built on first read, is block diagonal in the template blocks.  Each
+    a template's order, so only a sum of summands sorts, and one summand
+    takes the template's slot lists themselves), and the action, built on
+    first read, is block diagonal in the template blocks.  Each
     summand places the blocks its template lists for each source slice
     (`blocks_from`) at the offsets of their source and target slices in this
     sum, with no weight arithmetic.  A block whose source and target slices
@@ -476,26 +487,28 @@ class Projective:
         templates = self._templates = [engine.projective_template(v) for v, _ in self.summands]
         # where[idx][template slice] = (slice, offset) of its copy in this
         # sum; the summands meeting in a slice follow one another there
-        where = self._where = []
-        slots = self.slots = {}
-        zero = wzero(engine.group_rank)
-        self.gen_pos = []
-        self.generators = {}
-        for idx, (t, (v, g)) in enumerate(zip(templates, self.summands)):
-            at = {}
-            for (w, d), paths in t.slices.items():
-                key = (w, wadd(d, g))
-                s = slots.setdefault(key, [])
-                at[(w, d)] = (key, len(s))
-                s += [(idx, p) for p in paths]
-            where.append(at)
-            key, i = at[(v, zero)]      # e_v comes first in its template slice
-            self.gen_pos.append((key, i))
-            self.generators.setdefault(key, {})[i] = idx
-        if len(templates) > 1:
+        if len(templates) == 1:
+            # the template's own slot lists, at its slices moved by g
+            (t,), ((v, g),) = templates, self.summands
+            self.slots = {(w, wadd(d, g)): s for (w, d), s in t.slots.items()}
+            self._where = [{tkey: (key, 0) for tkey, key in zip(t.slots, self.slots)}]
+            self.gen_pos, self.generators = [((v, g), 0)], {(v, g): {0: 0}}
+        else:
+            self._where, slots, self.gen_pos, self.generators = [], {}, [], {}
+            for idx, (t, (v, g)) in enumerate(zip(templates, self.summands)):
+                at = {}
+                for (w, d), ts in t.slots.items():
+                    key = (w, wadd(d, g))
+                    s = slots.setdefault(key, [])
+                    at[(w, d)] = (key, len(s))
+                    s += [(idx, p) for _, p in ts]
+                self._where.append(at)
+                key, i = at[(v, wzero(engine.group_rank))]    # e_v comes first there
+                self.gen_pos.append((key, i))
+                self.generators.setdefault(key, {})[i] = idx
             self.slots = {key: slots[key] for key in _in_order(engine, slots)}
         self.rep = _SumRep(engine, {key: len(s) for key, s in self.slots.items()},
-                           templates, where)
+                           templates, self._where)
 
     @property
     def total_dim(self):
@@ -546,12 +559,11 @@ class Projective:
 class ProjectiveMap(ModuleMap):
     """A map out of a projective, kept as its generator images.
 
-    The image of tree node i of summand idx (a slot, when the node's path
-    is a basis path) is the target's arrow block applied to the image of
-    node i's parent: one `Matrix.apply`.  Each summand keeps the images of
-    a prefix of its tree, in tree order, so parents come first; reading
-    node i extends that prefix through i.  A missing block or a zero vector
-    is kept as None and ends the branch.  So `node` and `column` evaluate no
+    The image of tree node i of summand idx, a slot, is the target's arrow
+    block applied to the image of node i's parent: one `Matrix.apply`.
+    Each summand keeps the images of a prefix of its tree, in tree order,
+    so parents come first; reading node i extends that prefix through i.
+    A missing block or a zero vector is kept as None and ends the branch.  So `node` and `column` evaluate no
     node past the one they read, and a generator's image, node 0, none at
     all.  `columns` walks the whole tree; `blocks` are built from them on
     first read, and kept, for the readers other than a kernel.
@@ -603,13 +615,18 @@ class ProjectiveMap(ModuleMap):
         for idx, (t, at) in enumerate(zip(proj._templates, proj._where)):
             self.node(idx, len(t.tree) - 1)
             for x, (_, _, _, slot) in zip(self._memo[idx] or (), t.tree):
-                if x is not None and slot is not None:
+                if x is not None:
                     key, offset = at[slot[0]]
                     columns.setdefault(key, {})[offset + slot[1]] = x
         return {key: columns[key] for key in proj.slots if key in columns}
 
+    _shift_of = None        # (base map, h) of a shifted map
+
     @first_read
     def blocks(self):
+        if self._shift_of:
+            base, h = self._shift_of
+            return {_moved(key, h): b for key, b in base.blocks.items()}
         field = self.source.engine.field
         return {key: _block(field, cols, len(self._proj.slots[key]))
                 for key, cols in self.columns().items()}
@@ -617,12 +634,10 @@ class ProjectiveMap(ModuleMap):
     def shifted(self, proj, target, h):
         """This map moved up by h, from `proj` (the source projective
         shifted by h) into `target` (the target shifted by h).  The node
-        images do not depend on the shift, so the memo is shared; blocks
-        already built are re-keyed."""
+        images do not depend on the shift, so the memo is shared; the
+        blocks are this map's, re-keyed on first read."""
         out = ProjectiveMap(proj, target, (), self.grade)
-        out._memo = self._memo
-        if "blocks" in vars(self):
-            out.blocks = {_moved(key, h): b for key, b in self.blocks.items()}
+        out._memo, out._shift_of = self._memo, (self, h)
         return out
 
 
@@ -682,11 +697,12 @@ def top_lifts(rep):
 class Cover:
     """A projective cover: epi P -> M with kernel K inside rad(P), a step of
     a resolution (a chain of covers, each the `successor` of the last).
-    `kernel_dims` is dim P - dim M slice by slice.  The rest (`kernel`,
-    `kernel_inclusion`, the successor, `step`, `generator_terms`) is each a
-    `first_read` attribute, never the cover itself, so no cover is in a
-    cycle.  A shifted cover derives them from its live base, re-keyed, and
-    afresh once the base is gone."""
+    `kernel_dims` is dim P - dim M slice by slice, and `kernel_shape` its
+    `_shape`, which the kernel takes.  The rest (`kernel`, `kernel_inclusion`,
+    the successor, `step`, `generator_terms`) is each a `first_read`
+    attribute, never the cover itself, so no cover is in a cycle.  A shifted
+    cover derives them from its live base, re-keyed, and afresh once the
+    base is gone."""
 
     def __init__(self, projective, epi, base=None):
         self.projective = projective
@@ -695,6 +711,7 @@ class Cover:
         covered = epi.target.dims
         self.kernel_dims = {key: n - covered.get(key, 0) for key, n
                             in projective.rep.dims.items() if n > covered.get(key, 0)}
+        self.kernel_shape = _shape(projective.engine, self.kernel_dims)
 
     def _live_base(self):
         """(base cover, h) while the base is alive, else (None, None)."""
@@ -703,7 +720,7 @@ class Cover:
 
     @first_read
     def kernel(self):
-        """The kernel, built with `kernel_inclusion`, which it sets."""
+        """The kernel, built with `kernel_inclusion`, which it sets; its shape is `kernel_shape`."""
         base, h = self._live_base()
         if base is None:
             kernel, self.kernel_inclusion = kernel_subrep(self.epi)
@@ -711,6 +728,7 @@ class Cover:
             kernel = _ShiftedRep(base.kernel, h)
             self.kernel_inclusion = _ShiftedMap(base.kernel_inclusion, kernel,
                                                 self.projective.rep, h)
+        kernel.shape = self.kernel_shape
         return kernel
 
     @first_read
@@ -878,7 +896,7 @@ def projective_cover(engine, rep):
     on first read.  A module equal to one the engine has covered before, up
     to a degree shift, gets that cover shifted (see the module docstring).
     """
-    shape, start = _shape(engine, rep.dims)
+    shape, start = rep.shape
     bucket = engine.covers.setdefault(shape, [])
     bucket[:] = [entry for entry in bucket if entry[1]() is not None]   # drop the dead
     for old_start, kept in bucket:

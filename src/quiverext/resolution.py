@@ -27,8 +27,8 @@ dim Omega^{n-1} slice by slice as a cover is onto, so a resolution to
 bound B computes the kernels of P^0..P^{B-1} and not that of P^B.
 """
 
-from .modules import (_shape, _ShiftedRep, dual_to_opposite, module_iso_test,
-                      projective_cover, simple_module)
+from .modules import (_ShiftedRep, dual_to_opposite, module_iso_test, projective_cover,
+                      simple_module)
 from .quiver import wadd, wsub
 
 
@@ -192,7 +192,7 @@ class MinimalResolution:
         if not self.syzygy_dims(n):
             return
         for k in range(len(self._shapes), n + 1):
-            self._shapes.append(_shape(self.engine, self.syzygy_dims(k)))
+            self._shapes.append(self.covers[k - 1].kernel_shape if k else self.module.shape)
             self._by_shape.setdefault(self._shapes[-1][0], []).append(k)
         shape, low = self._shapes[n]
         for m in self._by_shape[shape]:

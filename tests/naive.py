@@ -27,7 +27,11 @@ references eliminate those padded rows, over Q or F_p, as one matrix.
 The projective references build a sum of shifted projectives slot by slot,
 one `multiply_paths` per slot and arrow, and evaluate a map out of it by
 applying each slot's `path_action` matrix to its generator's image, in
-place of the engine's templates and the prefix-tree walk.
+place of the engine's templates and the prefix-tree walk.  The template
+reference sorts every basis path from a vertex into its slices and builds
+the prefix tree from the set of all first-applied parts, sorted, in place
+of the template's read of the engine's walk; `check_templates` compares the
+two.
 
 The lift reference is the eager chain-map lift: every step's map is built
 in full by that slot-by-slot evaluation, and the generators of one slice
@@ -78,6 +82,7 @@ and `pd_finite_sufficient` checks the sufficient condition for a finite
 corner projective dimension of the e-to-f module."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from quiverext.algebra import NormalFormEngine
 from quiverext.algfile import format_algebra
@@ -670,6 +675,79 @@ def naive_projective(engine, summands):
                 action[(a.name, g)] = m
     dims = {key: len(s) for key, s in slots.items()}
     return slots, gen_pos, generators, dims, action
+
+
+def naive_template(engine, v):
+    """The template of the projective at v by sorting: the basis paths from
+    v sorted by (vertex index, weight, length, arrows) into slices, each
+    arrow block filled by `multiply_paths`, and the prefix tree
+    built from the set of every first-applied part of a basis path, sorted
+    by (length, arrows), a part that is no basis path getting slot None.
+    Returns (slices, blocks_from, tree, node_of) as attributes."""
+    index = engine.quiver.vertex_index
+    weights = engine.pres.weights
+    paths = sorted(engine.basis_paths_from(v),
+                   key=lambda p: (index[p.target], p.weight, p.length, p.arrows))
+    slices = {}
+    for p in paths:
+        slices.setdefault((p.target, p.weight), []).append(p)
+    slot = {p.arrows: (key, i) for key, ps in slices.items() for i, p in enumerate(ps)}
+    blocks_from = {}
+    for (w, d), src in slices.items():
+        out = blocks_from[(w, d)] = []
+        for a in engine.quiver.arrows_from[w]:
+            tkey = (a.target, wadd(d, weights[a.name]))
+            tgt = slices.get(tkey)
+            if tgt is None:
+                continue
+            rows = [[engine.field.zero] * len(src) for _ in tgt]
+            for j, p in enumerate(src):
+                for q, c in engine.multiply_paths(engine.pres.arrow_path(a.name), p).items():
+                    rows[slot[q.arrows][1]][j] = c
+            if any(any(r) for r in rows):
+                out.append((a.name, tkey, Matrix(engine.field, rows, ncols=len(src))))
+    prefixes = sorted({p.arrows[i:] for p in paths for i in range(p.length + 1)},
+                      key=lambda t: (len(t), t))
+    node_of = {}
+    weight = {(): wzero(engine.group_rank)}
+    tree = []
+    for arrows in prefixes:
+        node_of[arrows] = len(tree)
+        if arrows:
+            rest = arrows[1:]
+            weight[arrows] = wadd(weight[rest], weights[arrows[0]])
+            tree.append((node_of[rest], arrows[0], weight[rest], slot.get(arrows)))
+        else:
+            tree.append((None, None, None, slot[()]))
+    return SimpleNamespace(slices=slices, blocks_from=blocks_from, tree=tree, node_of=node_of)
+
+
+def check_templates(engine):
+    """Every vertex's template against `naive_template`: the slice keys and
+    their order, the paths in each slice and their order (as the slots of a
+    one-summand projective), and the blocks, in order and entry by entry;
+    the tree's nodes are the basis paths from v, each slotted where its path
+    lies, parents before children, and the reference's nodes too, each
+    slotted."""
+    for v in engine.quiver.vertices:
+        t = engine.projective_template(v)
+        want = naive_template(engine, v)
+        assert list(t.slots.items()) == [(key, [(0, p) for p in ps])
+                                         for key, ps in want.slices.items()]
+        assert list(t.blocks_from.items()) == list(want.blocks_from.items())
+        seen = []
+        for i, (parent, arrow, d, (key, pos)) in enumerate(t.tree):
+            if i:
+                assert parent < i and d == t.tree[parent][3][0][1]    # the parent's degree
+                seen.append((arrow,) + seen[parent])
+            else:
+                assert parent is None and key == (v, wzero(engine.group_rank))
+                seen.append(())
+            assert t.slots[key][pos][1].arrows == seen[-1]
+        assert sorted(seen) == sorted(p.arrows for p in engine.basis_paths_from(v))
+        assert t.node_of == {arrows: i for i, arrows in enumerate(seen)}
+        assert set(want.node_of) == set(seen)
+        assert all(slot is not None for *_, slot in want.tree)
 
 
 def naive_map_from_generator_images(proj, target, images, grade):

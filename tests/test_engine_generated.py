@@ -4,7 +4,8 @@ commutativity and mixed-length relations, the trivial group or Z^k, the
 fields Q, F2, F3 and F5, and truncation N <= 5.  An admissible draw must
 give the reference's basis, in order, and its normal form of every path of
 length < N, and its opposite engine must agree with the reference's
-elimination of the opposite presentation up to the change of basis; an
+elimination of the opposite presentation up to the change of basis, and
+the templates of both must match the sort-based reference; an
 inadmissible one must report the reference's witness.  The
 corner at a drawn proper set of f-vertices must agree with the corner
 references, its e-to-f module and restricted resolution terms included."""
@@ -22,7 +23,8 @@ from quiverext import (AdmissibilityError, IdempotentPair, build_engine, corner_
 from quiverext.fields import QQ, PrimeField
 
 from naive import (check_corner_walk, check_f_lambda_e, check_opposite_normal_forms,
-                   check_restricted_terms, engine_paths, naive_normal_forms, naive_witness)
+                   check_restricted_terms, check_templates, engine_paths, naive_normal_forms,
+                   naive_witness)
 
 FIELDS = {"Q": QQ, "F 2": PrimeField(2), "F 3": PrimeField(3), "F 5": PrimeField(5)}
 # the references pair every path with every other, so draws stay small
@@ -144,6 +146,8 @@ def test_engine_matches_local_elimination(case, data):
         assert list(nf) == sorted(nf, key=lambda q: (q.length, q.arrows))
         assert twice.nf_path(p) == nf
     check_opposite_normal_forms(eng.opposite_engine)
+    check_templates(eng)
+    check_templates(eng.opposite_engine)
     vertices = eng.quiver.vertices
     if len(vertices) >= 2:
         f = data.draw(st.lists(st.sampled_from(vertices), min_size=1,

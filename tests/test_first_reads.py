@@ -138,11 +138,45 @@ def test_an_instance_assignment_overrides_first_read():
     obj = Counted()
     obj.value = "set"
     assert obj.value == "set" and Counted.calls == 0
-    # a shifted map out of a projective takes its base's blocks this way
+    # a cover's kernel sets its inclusion, and the kernel its shape, this way
     eng = engine("pos")
     cover = modules.projective_cover(eng, simple_module(eng, "1"))
-    base = cover.epi.blocks
-    h = (3,)
-    shifted = cover.shifted(simple_module(eng, "1", h), h).epi
-    assert "blocks" in vars(shifted)
-    assert shifted.blocks == {modules._moved(key, h): b for key, b in base.items()}
+    assert "kernel_inclusion" not in vars(cover)
+    kernel = cover.kernel
+    assert "kernel_inclusion" in vars(cover)
+    assert vars(kernel)["shape"] is cover.kernel_shape
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_syzygy_shape_is_computed_once_with_its_cover(name, monkeypatch):
+    eng = engine(name)
+    resolutions = simple_resolutions(eng)
+    shape = modules._shape
+    calls = []
+    monkeypatch.setattr(modules, "_shape", lambda *args: calls.append(args) or shape(*args))
+    for res in resolutions.values():
+        res.extend_to(5)
+        # the module's, and one per cover for its kernel, the scan's included
+        assert len(calls) == 1 + len({id(cover) for cover in res.covers})
+        del calls[:]
+        for n in range(1, 7):
+            syzygy = res.syzygy(n)
+            assert vars(syzygy)["shape"] is res.covers[n - 1].kernel_shape
+            assert syzygy.shape == shape(eng, syzygy.dims)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_shifted_epi_rekeys_its_base_blocks_on_first_read(name):
+    eng = engine(name)
+    h = (3,) * eng.group_rank
+    for res in simple_resolutions(eng).values():
+        res.extend_to(3)
+        for n, cover in enumerate(res.covers):
+            shifted = cover.shifted(modules.shift_rep(res.syzygy(n), h), h).epi
+            assert "blocks" not in vars(shifted)
+            blocks = shifted.blocks
+            assert list(blocks) == [modules._moved(key, h) for key in cover.epi.blocks]
+            assert all(blocks[modules._moved(key, h)] is b
+                       for key, b in cover.epi.blocks.items())
+            fresh = modules.projective_cover(engine(name), shifted.target).epi
+            assert list(fresh.blocks.items()) == list(blocks.items())

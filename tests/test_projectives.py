@@ -1,5 +1,7 @@
 """Projectives read off the engine's templates, and maps out of them by the
-prefix-tree walk, against the slot-by-slot references in `naive.py`.  A map
+prefix-tree walk, against the slot-by-slot references in `naive.py`; the
+templates themselves against the sort-based reference there, on each
+engine and its opposite.  A map
 out of a projective evaluates a slot only when it is read, so its columns
 are checked before any block is built, as well as its blocks."""
 
@@ -18,9 +20,9 @@ from quiverext.modules import (Projective, projective_cover, projective_module,
 from quiverext.quiver import wadd, wsub, wzero
 from quiverext.resolution import minimal_resolution
 
-from conftest import (EXTERIOR3_UNGRADED, FIXTURE_NAMES, POLY_CORNER, RATIONAL,
-                      fixture_text, random_homogeneous_vectors)
-from naive import naive_map_from_generator_images, naive_projective
+from conftest import (EXTERIOR3_F3, EXTERIOR3_UNGRADED, FIXTURE_NAMES, MIXED, NAK4, POLY_CORNER,
+                      RATIONAL, fixture_text, random_homogeneous_vectors)
+from naive import check_templates, naive_map_from_generator_images, naive_projective
 
 ALGEBRAS = FIXTURE_NAMES + ["poly_corner", "rational"]
 FIELDS = ["Q", "F3"]
@@ -165,9 +167,12 @@ def test_cover_of_single_summand_leaves_it_and_its_template_intact(name, field):
         template = eng.projective_template(v)
         template_action = {(a, d): b for (_, d), out in template.blocks_from.items()
                            for a, _, b in out}
-        # a single summand shares the template's blocks, re-keyed by its shift
+        # a single summand shares the template's blocks and slot lists,
+        # re-keyed by its shift
         for (a, d), b in template_action.items():
             assert proj.rep.action[(a, tuple(x + 1 for x in d))] is b
+        for (w, d), s in template.slots.items():
+            assert proj.slots[(w, tuple(x + 1 for x in d))] is s
         cover = projective_cover(eng, proj.rep)
         assert cover.kernel.is_zero() and cover.epi.is_iso()
         minimal_resolution(eng, simple_module(eng, v), 3)
@@ -175,23 +180,44 @@ def test_cover_of_single_summand_leaves_it_and_its_template_intact(name, field):
         assert_matches_reference(Projective(eng, [(v, one)]), eng, [(v, one)])
         fresh = Projective(eng, [(v, wzero(eng.group_rank))])
         assert_matches_reference(fresh, eng, [(v, wzero(eng.group_rank))])
-        assert list(template.slices.items()) == [
-            (key, [p for _, p in slots]) for key, slots in fresh.slots.items()]
+        assert list(template.slots.items()) == list(fresh.slots.items())
         assert template_action == fresh.rep.action
 
 
+TEMPLATE_TEXTS = {**{name: fixture_text(name) for name in FIXTURE_NAMES},
+                  "poly_corner": POLY_CORNER, "exterior3_f3": EXTERIOR3_F3, "nak4": NAK4,
+                  "mixed": MIXED}
+
+
+def engine_and_opposite(text):
+    eng = build_engine(parse_algebra(text))
+    return eng, eng.opposite_engine
+
+
 def test_prefix_tree_holds_every_first_applied_part():
-    eng = engine_over("tri", "Q")
-    for v in eng.quiver.vertices:
-        t = eng.projective_template(v)
-        tree = t.tree
-        assert tree[0][0] is None and tree[0][3] == ((v, wzero(1)), 0)
-        paths = {p.arrows for p in eng.basis_paths_from(v)}
-        seen = [()]
-        for parent, arrow, _, slot in tree[1:]:
-            assert parent < len(seen)
-            seen.append((arrow,) + seen[parent])
-            assert (slot is not None) == (seen[-1] in paths)
-        assert paths <= set(seen)
-        assert set(seen) == {p[i:] for p in paths for i in range(len(p) + 1)}
-        assert t.node_of == {arrows: i for i, arrows in enumerate(seen)}
+    for eng in (e for name in FIXTURE_NAMES for e in engine_and_opposite(fixture_text(name))):
+        for v in eng.quiver.vertices:
+            t = eng.projective_template(v)
+            tree = t.tree
+            assert tree[0][0] is None and tree[0][3] == ((v, wzero(eng.group_rank)), 0)
+            paths = {p.arrows for p in eng.basis_paths_from(v)}
+            seen = [()]
+            for parent, arrow, _, slot in tree[1:]:
+                assert parent < len(seen)
+                seen.append((arrow,) + seen[parent])
+                assert (slot is not None) == (seen[-1] in paths)
+            assert paths <= set(seen)
+            assert set(seen) == {p[i:] for p in paths for i in range(len(p) + 1)}
+            assert t.node_of == {arrows: i for i, arrows in enumerate(seen)}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_TEXTS))
+def test_templates_match_the_sort_based_reference(name):
+    for eng in engine_and_opposite(TEMPLATE_TEXTS[name]):
+        check_templates(eng)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_TEXTS))
+def test_no_template_is_built_during_set_up(name):
+    # set-up is the engine and its opposite; templates are built in the job
+    assert [e._templates for e in engine_and_opposite(TEMPLATE_TEXTS[name])] == [{}, {}]
