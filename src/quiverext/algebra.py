@@ -22,11 +22,10 @@ The paths that no tip divides are the standard paths, and those of length
 found by a walk per length from the vertices, each kept path extended by
 the arrows leaving its target in quiver order, that stops at the first
 length with no standard path.  J^N lies in I exactly when no standard path
-has length N.  Otherwise the witness is the first length-N path in the
-same walk order whose normal form is nonzero; that walk drops each path
-that reduces to zero, whose extensions do too.  The normal form of a path
-is its first arrow times the normal form of the rest, reduced, and is kept
-for the life of the engine.
+has length N.  Otherwise the witness is the walk's first standard path of
+length N: no tip divides it, so it is its own normal form, nonzero.  The
+normal form of a path is its first arrow times the normal form of the
+rest, reduced, and is kept for the life of the engine.
 
 One Groebner basis serves the algebra and its opposite: reversing words
 carries I onto I^op, so the reduced basis of I^op for the reversed word
@@ -414,7 +413,7 @@ class NormalFormEngine:
         quiver order, and kept when no tip starts the extension, so every
         first-applied part of a basis path is one listed before it (and in
         the opposite engine, a reversed prefix, shorter).  A standard path
-        of length N means J^N is not inside I."""
+        of length N means J^N is not inside I: the first is the witness."""
         weights = self.pres.weights
         level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
         basis = list(level)
@@ -429,22 +428,10 @@ class NormalFormEngine:
             if not nxt:
                 break
             if length == self.truncation:
-                raise AdmissibilityError(self._witness())
+                raise AdmissibilityError(nxt[0])
             basis += nxt
             level = nxt
         return basis
-
-    def _witness(self):
-        """The first length-N path in the walk order whose normal form is
-        nonzero.  The walk drops each path that reduces to zero, since its
-        extensions do too."""
-        level = [vertex_path(v, self.group_rank) for v in self.quiver.vertices]
-        for _ in range(self.truncation):
-            level = [Path((a.name,) + q.arrows, q.source, a.target,
-                          wadd(q.weight, self.pres.weights[a.name]))
-                     for q in level for a in self.quiver.arrows_from[q.target]
-                     if self._nf_word((a.name,) + q.arrows)]
-        return level[0]
 
     def _nf_word(self, w):
         """Normal form of the path with arrows w: its first arrow times the

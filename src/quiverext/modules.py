@@ -15,11 +15,10 @@ dicts.  What is built on first read is a `first_read` attribute of a small
 class that holds its inputs as data, never a function: the action of a
 shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), the
 blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
-(`_ShiftedMap`, a shifted `ProjectiveMap`), a shifted projective's offsets,
-a module's shape, and a cover's kernel and the steps after it.  Each
-resolution step reads a few, so the package has its own descriptor
-(quiver.py): a first read costs a third of a `functools.cached_property`
-one, and later reads keep their fast path.
+(`_ShiftedMap`), a module's shape, and a cover's kernel and the steps
+after it.  Each resolution step reads a few, so the package has its own
+descriptor (quiver.py): a first read costs a third of a
+`functools.cached_property` one, and later reads keep their fast path.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -64,16 +63,16 @@ deterministic, so this is the cover a fresh computation gives,
 and a periodic syzygy (Omega^{n0+t} ~ Omega^{n0}[h]), or one that is a
 shifted module met before such as a shifted simple, is not covered again.
 A shifted step is data: each shifted part holds its base and h, and
-re-keys the base's on first read.  The projective keeps (base, h) for its
-offsets and a `_ShiftedRep` for its module, the epi shares the base's node
-images and blocks, the kernel is a `_ShiftedRep` and its inclusion and the
-step map are `_ShiftedMap`s, with the base's factors, rank and JSON rows;
-the successor is the base's successor shifted, with no store walk, and the
-generator terms are the base's list.  A kept cover is found while its
-resolution, or any other caller, still holds it; a walk drops the entries
-of covers gone.  The reference is weak because every cover refers to its
-engine: a strong one would leave each engine in a reference cycle that
-only the cyclic garbage collector frees.
+re-keys the base's on first read.  The projective is built from the
+templates at the moved summands, as any cover's is (a one-summand
+projective is its template moved); the epi, the kernel's inclusion and the
+step map are `_ShiftedMap`s, with the base's blocks, factors, rank and JSON
+rows; the kernel is a `_ShiftedRep`; the successor is the base's successor
+shifted, with no store walk, and the generator terms are the base's list.
+A kept cover is found while its resolution, or any other caller, still
+holds it; a walk drops the entries of covers gone.  The reference is weak
+because every cover refers to its engine: a strong one would leave each
+engine in a reference cycle that only the cyclic garbage collector frees.
 """
 
 import random
@@ -369,9 +368,12 @@ class ModuleMap:
 class _ShiftedMap(ModuleMap):
     """`base` moved up by h, into `target` from `source` (both moved up by h):
     its blocks re-keyed on first read, and, as a shift keeps slice order,
-    its factors, rank and dense view."""
+    its factors, rank and dense view.  A shifted map moved again is its base
+    moved by both shifts, so shifted maps form no chain."""
 
     def __init__(self, base, source, target, h):
+        if isinstance(base, _ShiftedMap):
+            base, h = base._base, wadd(base._h, h)
         self.source, self.target, self.grade = source, target, base.grade
         self._base, self._h = base, h
 
@@ -532,26 +534,6 @@ class Projective:
         grade = grade if grade is not None else wzero(self.engine.group_rank)
         return ProjectiveMap(self, target, images, grade)
 
-    def shifted(self, h):
-        """This sum with every summand moved up by h: the same templates,
-        slot lists and action blocks, re-keyed."""
-        out = Projective.__new__(Projective)
-        out.engine = self.engine
-        out.summands = tuple(_moved(s, h) for s in self.summands)
-        out._templates = self._templates
-        out._shift_of = self, h
-        out.slots = {_moved(key, h): s for key, s in self.slots.items()}
-        out.gen_pos = [(_moved(key, h), i) for key, i in self.gen_pos]
-        out.generators = {_moved(key, h): g for key, g in self.generators.items()}
-        out.rep = _ShiftedRep(self.rep, h)
-        return out
-
-    @first_read
-    def _where(self):
-        """A shifted sum's offsets, its base's re-keyed on first read."""
-        base, h = self._shift_of
-        return [{t: (_moved(key, h), i) for t, (key, i) in at.items()} for at in base._where]
-
     def to_json(self):
         return [[v, list(g)] for v, g in self.summands]
 
@@ -620,25 +602,11 @@ class ProjectiveMap(ModuleMap):
                     columns.setdefault(key, {})[offset + slot[1]] = x
         return {key: columns[key] for key in proj.slots if key in columns}
 
-    _shift_of = None        # (base map, h) of a shifted map
-
     @first_read
     def blocks(self):
-        if self._shift_of:
-            base, h = self._shift_of
-            return {_moved(key, h): b for key, b in base.blocks.items()}
         field = self.source.engine.field
         return {key: _block(field, cols, len(self._proj.slots[key]))
                 for key, cols in self.columns().items()}
-
-    def shifted(self, proj, target, h):
-        """This map moved up by h, from `proj` (the source projective
-        shifted by h) into `target` (the target shifted by h).  The node
-        images do not depend on the shift, so the memo is shared; the
-        blocks are this map's, re-keyed on first read."""
-        out = ProjectiveMap(proj, target, (), self.grade)
-        out._memo, out._shift_of = self._memo, (self, h)
-        return out
 
 
 def projective_module(engine, vertex, shift=None):
@@ -738,12 +706,15 @@ class Cover:
 
     def shifted(self, module, h):
         """This cover moved up by h, as the cover of `module`, which equals
-        the covered module shifted by h.  Every step of a cover commutes
-        with the shift, so this is the cover computed afresh.  Its base is
-        this cover's live base, if any: bases form no chain."""
+        the covered module shifted by h: the projective on the summands
+        moved by h, built as any cover's is, and this epi moved by h.  Every
+        step of a cover commutes with the shift, so this is the cover
+        computed afresh.  Its base is this cover's live base, if any: bases
+        form no chain."""
         base, h0 = self._live_base()
-        proj = self.projective.shifted(h)
-        return Cover(proj, self.epi.shifted(proj, module, h),
+        proj = Projective(self.projective.engine,
+                          [_moved(s, h) for s in self.projective.summands])
+        return Cover(proj, _ShiftedMap(self.epi, proj.rep, module, h),
                      (weakref.ref(base), wadd(h0, h)) if base else (weakref.ref(self), h))
 
     def successor(self):

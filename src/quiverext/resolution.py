@@ -15,16 +15,17 @@ A resolution is a lazily extended chain of covers, each the `successor`
 of the one before: `term`, `syzygy`, `differential` and `generator_terms`
 compute the covers they read on demand, and differential n >= 1 is step
 n - 1's `Cover.step`.  A step past a repeat is the step it repeats,
-re-keyed by the shift (see `modules`): its cover, differential, rank,
-factors, JSON rows and generator terms are not computed again, while
-`verify` still composes and ranks every step.  Past a certificate the
-terms repeat up to shift, P^{b+kt} = P^b[kh], so `summands(n)` for a step
-not yet covered reads the summands off the period instead of resolving to
-n.  The base b is taken from step n0 on: every cover, P^0's included,
-lists its summands in the one slice order of `modules`, which a shift
-keeps.  Verdicts and the scan read only `syzygy_dims(n)`, dim P^{n-1} -
-dim Omega^{n-1} slice by slice as a cover is onto, so a resolution to
-bound B computes the kernels of P^0..P^{B-1} and not that of P^B.
+re-keyed by the shift (see `modules`): its projective is still built from
+the templates, but its epi, kernel, differential, rank, factors, JSON rows
+and generator terms are not computed again, while `verify` still composes
+and ranks every step.  Past a certificate the terms repeat up to shift,
+P^{b+kt} = P^b[kh], so `summands(n)` for a step not yet covered reads the
+summands off the period instead of resolving to n.  The base b is taken
+from step n0 on: every cover, P^0's included, lists its summands in the
+one slice order of `modules`, which a shift keeps.  Verdicts and the scan
+read only `syzygy_dims(n)`, dim P^{n-1} - dim Omega^{n-1} slice by slice
+as a cover is onto, so a resolution to bound B computes the kernels of
+P^0..P^{B-1} and not that of P^B.
 """
 
 from .modules import (_ShiftedRep, dual_to_opposite, module_iso_test, projective_cover,

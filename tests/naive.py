@@ -263,15 +263,15 @@ def naive_normal_forms(text, field=QQ):
 
 
 def naive_witness(text, field=QQ):
-    """The first length-N path in enumeration order whose unit vector lies
-    outside the row span of the padded rows modulo J^(N+1), that is, which
-    is not a pivot whose reduced row has no other entry; None when every
-    length-N path lies in I + J^(N+1)."""
+    """The first length-N path in enumeration order that is not a pivot of
+    the padded rows modulo J^(N+1), that is, a standard path; None when
+    every length-N path is a pivot, so that each lies in I + J^(N+1) (a
+    pivot row's other entries are at later paths of length N, and those
+    are not pivots)."""
     trunc = parse_lines(text)[3]
-    paths, cols, red, pivots = _padded_rref(text, field, trunc)
-    killed = {cols[pc] for row, pc in zip(red, pivots)
-              if not any(row[j] != 0 for j in range(pc + 1, len(cols)))}
-    return next((p for p in paths[trunc] if p not in killed), None)
+    paths, cols, _, pivots = _padded_rref(text, field, trunc)
+    pivot_paths = {cols[pc] for pc in pivots}
+    return next((p for p in paths[trunc] if p not in pivot_paths), None)
 
 
 def check_opposite_normal_forms(op):
@@ -1177,12 +1177,12 @@ def check_restricted_terms(corner, depth=6):
     """`apply_F` of each term through `depth` of each simple's resolution,
     checked once per summand vertex, against `apply_F` of its module,
     checked in full: the same slices and every block.  Returns the number
-    of terms that were shifted copies of earlier ones."""
+    of terms whose cover is a shifted copy of an earlier one."""
     shifted = 0
     for res in simple_resolutions(corner.engine).values():
         for n in range(depth + 1):
             term = res.term(n)
-            shifted += hasattr(term, "_shift_of")
+            shifted += res.covers[n]._base is not None
             assert apply_F(corner, term) == apply_F(corner, term.rep)
     return shifted
 

@@ -1,4 +1,5 @@
 import random
+import time
 import zlib
 
 import pytest
@@ -188,8 +189,8 @@ rel x*x
 rel y*y
 """
 
-# xy is a pivot whose row keeps yx; the loops are listed y first, so xy is
-# the first length-2 path that is not killed on its own
+# xy is the tip of x*y - y*x, so yx is the one standard path of length 2;
+# the loops are listed y first, so xy comes before yx in the walk
 COMMUTING_SQUARES = """
 group trivial
 vertices v
@@ -211,7 +212,7 @@ E41_TRUNCATE3 = fixture_text("e41").replace("truncate 4", "truncate 3")
     (ALTERNATING_LOOPS, "yxyx"),
     (ALTERNATING_LOOPS.replace("truncate 4", "truncate 12"), "yx" * 6),
     (ALTERNATING_LOOPS.replace("truncate 4", "truncate 14"), "yx" * 7),
-    (COMMUTING_SQUARES, "xy"),
+    (COMMUTING_SQUARES, "yx"),
 ], ids=["e41_truncate3", "alternating_loops", "alternating_loops_truncate12",
         "alternating_loops_truncate14", "commuting_squares"])
 def test_admissibility_failure_reports_witness(text, witness):
@@ -223,6 +224,30 @@ def test_admissibility_failure_reports_witness(text, witness):
     assert str(err.value) == (
         "ideal is not admissible at the stated truncation: path %s of length %d "
         "does not reduce to 0" % (witness, pres.truncation))
+
+
+# three anticommuting loops with no square relation: every one of the 3^N
+# paths of length N has a nonzero normal form, but only (N + 1)(N + 2)/2 of
+# them are standard
+ANTICOMMUTING_LOOPS = """
+group trivial
+vertices v
+arrow x v v
+arrow y v v
+arrow z v v
+truncate 14
+rel x*y + y*x
+rel x*z + z*x
+rel y*z + z*y
+"""
+
+
+def test_admissibility_witness_comes_from_the_standard_walk():
+    start = time.perf_counter()
+    with pytest.raises(AdmissibilityError) as err:
+        build_engine(parse_algebra(ANTICOMMUTING_LOOPS))
+    assert time.perf_counter() - start < 1.0
+    assert repr(err.value.witness) == "x" * 14
 
 
 def exterior_text(names, group, field, truncation):

@@ -138,16 +138,24 @@ def test_dropped_resolution_is_freed_without_the_cycle_collector(text):
         for inc in inclusions[::2]:
             inc.blocks
         objects += inclusions
-        # every epi's columns read, which builds no block; then every other
-        # epi's blocks
-        epis = [c.epi for c in covers]
-        for epi in epis:
+        # every fresh epi's columns read, which builds no block; a shifted
+        # epi's blocks are its base epi's matrices, re-keyed; then every
+        # other epi's blocks
+        fresh = [c.epi for c in covers if c._base is None]
+        for epi in fresh:
             epi.columns()
-        assert all("blocks" not in vars(epi) for epi in epis)
+        assert all("blocks" not in vars(epi) for epi in fresh)
+        epis = [c.epi for c in covers]
+        for c in covers:
+            base, h = c._live_base()
+            if base is None:
+                continue
+            assert all(c.epi.blocks[modules._moved(key, h)] is b
+                       for key, b in base.epi.blocks.items())
         for epi in epis[::2]:
             epi.blocks
         refs = [weakref.ref(x) for x in objects]
-        del res, r, moved, shifted, covers, objects, inclusions, inc, epis, epi
+        del res, r, moved, shifted, covers, objects, inclusions, inc, fresh, epis, epi, c, base
         assert [ref() for ref in refs if ref() is not None] == []
     finally:
         gc.enable()

@@ -7,8 +7,9 @@ generator terms from the base, re-keyed by the shift.  Every differential
 must equal the naive composite of `naive.naive_differential` block for
 block and in its JSON rows, every list of generator terms its naive
 recomputation, and `verify` must pass; a shifted step's blocks, factors,
-rank and rows must be its base step's own objects.  Once its base is gone,
-a shifted cover builds each of these on first read as a fresh cover does.
+rank and rows must be its base step's own objects, and a shifted epi's its
+base epi's.  Once its base is gone, a shifted cover builds each of these on
+first read as a fresh cover does.
 
 A kept step is data: it holds no function object, and adds a bounded
 number of objects for the cyclic garbage collector to walk."""
@@ -24,7 +25,7 @@ import quiverext
 from quiverext import (build_engine, corner_algebra, pair_from_presentation,
                        parse_algebra, parse_algebra_file, simple_module, simple_resolutions)
 from quiverext.fields import QQ, PrimeField
-from quiverext.modules import projective_cover, shift_rep
+from quiverext.modules import _ShiftedMap, projective_cover, shift_rep
 from quiverext.quiver import wsub
 from quiverext.resolution import MinimalResolution
 
@@ -34,12 +35,30 @@ from naive import naive_differential, naive_generator_terms
 BOUND = 12
 
 
+def assert_shared_map(d, b, h):
+    """The map d is the map b moved up by h, sharing b's blocks, factors,
+    rank and JSON rows."""
+    for (v, g), block in d.blocks.items():
+        assert block is b.blocks[(v, wsub(g, h))]
+        assert d.factor((v, g)) is b.factor((v, wsub(g, h)))
+    assert d.rank() == b.rank()
+    assert d.to_json() is b.to_json()
+
+
 def assert_steps_match_naive(eng, bound=BOUND):
     """Check every step of every simple's resolution through `bound`, and
-    return the number of steps taken from a base."""
+    return the number of steps taken from a base, differential 0 (the
+    epi of a shifted cover of the simple) included."""
     shared = 0
     for res in simple_resolutions(eng).values():
         res.extend_to(bound)
+        # shifted epis form no chain: each moves an epi computed afresh
+        assert not any(isinstance(c.epi._base, _ShiftedMap) for c in res.covers if c._base)
+        base, h = res.covers[0]._live_base()
+        if base is not None:
+            shared += 1
+            assert isinstance(res.differential(0), _ShiftedMap)
+            assert_shared_map(res.differential(0), base.epi, h)
         for n in range(1, bound + 1):
             d = res.differential(n)
             want = naive_differential(res, n)
@@ -51,12 +70,8 @@ def assert_steps_match_naive(eng, bound=BOUND):
             if base is None:
                 continue
             shared += 1
-            b = base.step
-            for (v, g), block in d.blocks.items():
-                assert block is b.blocks[(v, wsub(g, h))]
-                assert d.factor((v, g)) is b.factor((v, wsub(g, h)))
-            assert d.rank() == b.rank() == want.rank()
-            assert d.to_json() is b.to_json()
+            assert_shared_map(d, base.step, h)
+            assert d.rank() == want.rank()
             assert res.generator_terms(n) is base.generator_terms
         assert res.verify()
     return shared
