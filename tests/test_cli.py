@@ -372,6 +372,21 @@ def test_polynomial_corner_reports_match_golden(capsys, tmp_path, extra, golden)
     assert out == (GOLDEN / golden).read_text()
 
 
+# the Yoneda structure constants of the comparison's own algebra, which
+# poly_corner_compare.json counts but does not record
+@pytest.mark.parametrize("extra,golden", [
+    ([], "poly_corner_products.json"),
+    (["--field", "F3"], "poly_corner_products_f3.json"),
+], ids=["Q", "F3"])
+def test_polynomial_corner_products_match_golden(capsys, tmp_path, extra, golden):
+    src = tmp_path / "poly_corner.alg"
+    src.write_text(POLY_CORNER)
+    code, out, _ = run_cli(capsys, "ext-table", str(src), "--bound", "5",
+                           "--products-bound", "5", *extra)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_parsed_options_do_not_carry_over(capsys, fixtures_dir):
     e24 = fix(fixtures_dir, "e24")
     code, out, _ = run_cli(capsys, "resolve", e24, "--bound", "3", "--simple", "u")
