@@ -334,10 +334,24 @@ def apply_F(corner, module):
 
 def apply_F_map(corner, mmap, source_F, target_F):
     """Restrict a module map to the f-vertices, between the restrictions
-    `source_F` and `target_F` of its source and target."""
-    fset = set(corner.pair.f_vertices)
-    blocks = {key: b for key, b in mmap.blocks.items() if key[0] in fset}
-    return ModuleMap(source_F, target_F, blocks, grade=mmap.grade, check=False)
+    `source_F` and `target_F` of its source and target.  The map is kept:
+    each block, and each block's `Factor`, is its own, so a lift through the
+    restriction reuses the eliminations of lifts through the map."""
+    return _Restricted(mmap, set(corner.pair.f_vertices), source_F, target_F)
+
+
+class _Restricted(ModuleMap):
+    """`mmap` at the slices of the vertices `fset` (`apply_F_map`)."""
+
+    def __init__(self, mmap, fset, source, target):
+        self.source, self.target, self.grade = source, target, mmap.grade
+        self._map, self._fset = mmap, fset
+
+    def _slice(self, key):
+        return self._map.block(key) if key[0] in self._fset else None
+
+    def factor(self, key):
+        return self._map.factor(key) if key[0] in self._fset else None
 
 
 def is_H_exact(corner):

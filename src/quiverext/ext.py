@@ -13,9 +13,9 @@ resolved on demand.  Chain maps between resolutions are lifted generator by
 generator with one primitive, `lift_chain_map`.  A lift step reads the
 previous map only at the slots where a generator's column of the source
 differential is nonzero, and solves against blocks of the target
-differential factored once per map; a pull-back reads a map only at
-generators.  So a lifted map is kept as its generator images, and the rest
-of it is evaluated only where read.
+differential, each factored once per slice, when first solved against; a
+pull-back reads a map only at generators.  So a lifted map is kept as its
+generator images, and the rest of it is evaluated only where read.
 
 Lifts and pull-backs are linear in the cocycle (every solve takes the
 first solution), so a table lifts each standard basis class once, extending
@@ -152,8 +152,8 @@ def _solve_generator_lift(proj, d_tgt, rhs, grade):
     rhs[idx] is the required value of (d_tgt o phi) on generator idx, as
     coordinates on its slice of d_tgt.target ([] for zero).  Its image is
     the first solution against the block of d_tgt at slice (v, g - grade)
-    for summand (v, g), factored once per map (`ModuleMap.factor`); a zero
-    value maps it to zero without a solve.
+    for summand (v, g), factored once per slice, when first solved against
+    (`ModuleMap.factor`); a zero value maps it to zero without a solve.
     """
     images = []
     for (v, g), b in zip(proj.summands, rhs):

@@ -13,12 +13,13 @@ commutation are checked on the blocks.  Nothing changes once built, and
 blocks may be shared between modules.  Constructors take plain
 dicts.  What is built on first read is a `first_read` attribute of a small
 class that holds its inputs as data, never a function: the action of a
-shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), the
-blocks of a kernel's inclusion (`_Inclusion`) or of a shifted map
-(`_ShiftedMap`), a module's shape, and a cover's kernel and the steps
-after it.  Each resolution step reads a few, so the package has its own
-descriptor (quiver.py): a first read costs a third of a
-`functools.cached_property` one, and later reads keep their fast path.
+shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), a
+module's shape, a cover's kernel and the steps after it, and the blocks of
+a map such as a kernel's inclusion, built slice by slice: `block(key)`
+builds one and keeps it, `blocks` the rest.  Each resolution step reads a
+few, so the package has its own descriptor (quiver.py): a first read costs
+a third of a `functools.cached_property` one, and later reads keep their
+fast path.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -29,8 +30,8 @@ is block diagonal in the template blocks and shares every block that one
 summand fills on its own.  A map out of a projective (`ProjectiveMap`) is
 kept as its generator images; the image of any other slot is evaluated on
 demand, walking its summand's prefix tree one matrix-vector product per
-node and keeping each node's image.  Its columns, and on first read its
-blocks, come from a walk over every node.
+node and keeping each node's image.  Its columns, and its whole blocks,
+come from a walk over every node; one block from its slice's nodes.
 
 A kernel is spanned by slots wherever it can be.  `kernel_subrep` reads
 each source slice of a map off its nonzero columns {column: image}
@@ -40,8 +41,11 @@ there is the unit vectors at the columns with no image (what `nullspace`
 returns).  Between two such slices the kernel's action is the parent's
 block restricted to their slots, or the block itself when the slots fill
 both slices.  Other slices build their block and take its nullspace, and an
-arrow out of one costs a product, into one a solve.  So an epi's blocks are
-built only when a differential, `verify`, `to_json` or a lift reads them.
+arrow out of one costs a product, into one a solve.  A differential, an
+epi or a step (`Cover.step`: an inclusion after the next epi), is read a
+slice at a time: a lift factors only the blocks it solves against, and
+reads the step elsewhere only at the next generators, the inclusion at
+their images; `verify` and `to_json` build every block.
 Over a monomial algebra, such as a Nakayama cycle, every slice is
 slot-spanned in a resolution of a simple: its syzygies are direct sums of
 path-generated modules (Green-Happel-Zacharia, Illinois J. Math. 29, 1985),
@@ -253,9 +257,9 @@ class ModuleMap:
     `grade` is the uniform degree drop: `blocks[(v, g)]` maps slice (v, g) of
     the source into slice (v, g - grade) of the target, and is missing when
     zero.  Plain degree-preserving maps have grade zero.  The constructor
-    takes the blocks as a dict.  A map whose blocks are built on first read
-    is a subclass that holds their inputs and makes `blocks` a `first_read`
-    attribute (`_Inclusion`, `_ShiftedMap`, `ProjectiveMap`).
+    takes the blocks as a dict.  A map built on first read is a subclass that
+    holds the inputs and builds a block in `_slice`: `block` builds only the
+    slice read, and `blocks`, a `first_read` attribute, every one, each once.
     """
 
     def __init__(self, source, target, blocks, grade=None, check=True):
@@ -289,7 +293,7 @@ class ModuleMap:
         (target slice, coordinates): column i of its block."""
         v, g = key
         tkey = (v, wsub(g, self.grade))
-        b = self.blocks.get(key)
+        b = self.block(key)
         if b is None:
             return tkey, [self.source.engine.field.zero] * self.target.dims.get(tkey, 0)
         return tkey, b.col(i)
@@ -301,14 +305,32 @@ class ModuleMap:
                for key, b in self.blocks.items()}
         return {key: cols for key, cols in out.items() if cols}
 
+    @first_read
+    def blocks(self):
+        """Every slice, those read before (`block`) as they are."""
+        return {key: b for key in self.source.dims for b in [self.block(key)] if b is not None}
+
+    @first_read
+    def _built(self):
+        return {}
+
+    def block(self, key):
+        """Block `key`, None where it is missing: built (`_slice`) and kept."""
+        if key not in self._built:
+            self._built[key] = self._slice(key)
+        return self._built[key]
+
+    def _slice(self, key):
+        return self.blocks.get(key)
+
     _factors = first_read(lambda self: {})     # block key -> Factor, by `factor`
 
     def factor(self, key):
         """The `Factor` of block `key` (None where the block is missing),
         made on first use and kept with the map, so every lift through this
-        map eliminates each block once."""
+        map eliminates each block it solves against once, and no other."""
         if key not in self._factors:
-            b = self.blocks.get(key)
+            b = self.block(key)
             self._factors[key] = None if b is None else Factor(b)
         return self._factors[key]
 
@@ -367,8 +389,8 @@ class ModuleMap:
 
 class _ShiftedMap(ModuleMap):
     """`base` moved up by h, into `target` from `source` (both moved up by h):
-    its blocks re-keyed on first read, and, as a shift keeps slice order,
-    its factors, rank and dense view.  A shifted map moved again is its base
+    the base's blocks re-keyed, and, as a shift keeps slice order, its
+    factors, rank and dense view.  A shifted map moved again is its base
     moved by both shifts, so shifted maps form no chain."""
 
     def __init__(self, base, source, target, h):
@@ -377,9 +399,8 @@ class _ShiftedMap(ModuleMap):
         self.source, self.target, self.grade = source, target, base.grade
         self._base, self._h = base, h
 
-    @first_read
-    def blocks(self):
-        return {_moved(key, self._h): b for key, b in self._base.blocks.items()}
+    def _slice(self, key):
+        return self._base.block((key[0], wsub(key[1], self._h)))
 
     def factor(self, key):
         return self._base.factor((key[0], wsub(key[1], self._h)))
@@ -545,10 +566,10 @@ class ProjectiveMap(ModuleMap):
     block applied to the image of node i's parent: one `Matrix.apply`.
     Each summand keeps the images of a prefix of its tree, in tree order,
     so parents come first; reading node i extends that prefix through i.
-    A missing block or a zero vector is kept as None and ends the branch.  So `node` and `column` evaluate no
-    node past the one they read, and a generator's image, node 0, none at
-    all.  `columns` walks the whole tree; `blocks` are built from them on
-    first read, and kept, for the readers other than a kernel.
+    A missing block or a zero vector is kept as None and ends the branch.
+    So `node` and `column` evaluate no node past the one they read, and a
+    generator's image, node 0, none at all.  `columns` and `blocks` walk
+    the whole tree; one block reads its slice's nodes.
     """
 
     def __init__(self, proj, target, images, grade):
@@ -602,11 +623,19 @@ class ProjectiveMap(ModuleMap):
                     columns.setdefault(key, {})[offset + slot[1]] = x
         return {key: columns[key] for key in proj.slots if key in columns}
 
+    def _slice(self, key):
+        n = len(self._proj.slots.get(key, ()))
+        cols = {j: x for j in range(n) for x in [self.node(*self._proj.node_at(key, j))] if x}
+        return _block(self.source.engine.field, cols, n) if cols else None
+
     @first_read
     def blocks(self):
-        field = self.source.engine.field
-        return {key: _block(field, cols, len(self._proj.slots[key]))
-                for key, cols in self.columns().items()}
+        """One walk (`columns`) builds every slice not read before."""
+        built, columns = self._built, self.columns()
+        for key, cols in columns.items():
+            if key not in built:
+                built[key] = _block(self.source.engine.field, cols, len(self._proj.slots[key]))
+        return {key: built[key] for key in columns}
 
 
 def projective_module(engine, vertex, shift=None):
@@ -731,24 +760,27 @@ class Cover:
 
     @first_read
     def step(self):
-        """The kernel inclusion after the successor's epi; a shifted cover's
-        is its base's, re-keyed."""
+        """The kernel inclusion after the successor's epi, a block at a time
+        (`_Step`); a shifted cover's is its base's, re-keyed."""
         succ = self.successor()
         base, h = self._live_base()
-        return self.kernel_inclusion.compose(succ.epi) if base is None else \
+        return _Step(self.kernel_inclusion, succ.epi) if base is None else \
             _ShiftedMap(base.step, succ.projective.rep, self.projective.rep, h)
 
     @first_read
     def generator_terms(self):
         """The column of `step` at each generator of the successor, as terms
         (summand, tree node, coefficient) over the nonzero slots of this
-        projective; a shift changes none: a shifted cover's are its base's."""
+        projective: each generator's image included, with no block of `step`
+        built (a zero cover, its own successor, has no generator and reads no
+        kernel).  A shift changes none: a shifted cover's are its base's."""
         base, _ = self._live_base()
         if base is not None:
             return base.generator_terms
-        cols = (self.step.column(*pos) for pos in self.successor().projective.gen_pos)
+        succ = self.successor()
+        cols = (succ.epi.column(*pos) for pos in succ.projective.gen_pos)
         return [[self.projective.node_at(tkey, j) + (c,)
-                 for j, c in enumerate(col) if c] for tkey, col in cols]
+                 for j, c in self.kernel_inclusion.image(tkey, x)] for tkey, x in cols]
 
 
 def _kernel_slots(cols, n):
@@ -850,13 +882,35 @@ class _Inclusion(ModuleMap):
         self.grade = wzero(parent.engine.group_rank)
         self._bases, self._slots = bases, slots
 
+    def _slice(self, key):
+        if key in self._bases or key not in self._slots:
+            return self._bases.get(key)
+        field, n = self.target.engine.field, self.target.dims[key]
+        return Matrix.from_columns(field, [_unit(field, n, i) for i in self._slots[key]], n)
+
+    def image(self, key, x):
+        """The nonzero coordinates (j, c) of x, a nonzero vector of slice
+        `key`, in the parent: x placed at the slots, else the basis times x."""
+        pairs = zip(self._slots[key], x) if key in self._slots else enumerate(
+            self._bases[key].apply(x))
+        return [(j, c) for j, c in pairs if c]
+
+
+class _Step(ModuleMap):
+    """`inclusion` after `epi`: each block the product of theirs at its key."""
+
+    def __init__(self, inclusion, epi):
+        self.source, self.target, self.grade = epi.source, inclusion.target, epi.grade
+        self._inclusion, self._epi = inclusion, epi
+
+    def _slice(self, key):
+        return _product(self._inclusion.block(key), self._epi.block(key))
+
     @first_read
     def blocks(self):
-        field = self.target.engine.field
-        dims = self.target.dims
-        return {key: self._bases[key] if key in self._bases else Matrix.from_columns(
-            field, [_unit(field, dims[key], i) for i in self._slots[key]], dims[key])
-            for key in self.source.dims}
+        """At the keys of the epi's blocks, built in one walk; slices read
+        before as they are."""
+        return {key: self.block(key) for key in self._epi.blocks}
 
 
 def projective_cover(engine, rep):

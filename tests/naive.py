@@ -1173,6 +1173,14 @@ def check_f_lambda_e(corner, bound=6):
     assert is_H_exact(corner)[0] == (ref.is_zero() or not projective_cover(ce, ref).kernel_dims)
 
 
+def naive_apply_F_map(corner, mmap, source_F, target_F):
+    """A module map restricted to the f-vertices with every block copied at
+    once into a plain `ModuleMap`, which factors its blocks itself."""
+    fset = set(corner.pair.f_vertices)
+    blocks = {key: b for key, b in mmap.blocks.items() if key[0] in fset}
+    return ModuleMap(source_F, target_F, blocks, grade=mmap.grade, check=False)
+
+
 def check_restricted_terms(corner, depth=6):
     """`apply_F` of each term through `depth` of each simple's resolution,
     checked once per summand vertex, against `apply_F` of its module,

@@ -235,6 +235,25 @@ def test_product_check_transports_each_class_once(monkeypatch):
     assert len(pulled) == 39
 
 
+def test_comparison_factors_each_solved_slice_once(monkeypatch):
+    # a lift factors only the slices it solves against, and psi's lifts
+    # solve against the algebra's differentials through their restrictions,
+    # sharing each slice's Factor with the algebra table's own lifts: 51
+    # Factors, where factoring every restricted block afresh made 66
+    made = []
+    factor = modules.Factor
+
+    def counting(block):
+        made.append(block)
+        return factor(block)
+
+    monkeypatch.setattr(modules, "Factor", counting)
+    eng = engine_from(POLY_CORNER)
+    report = verify_comparison(eng, IdempotentPair(eng, ["2"]), bound=8, window=5)
+    assert report["verdict"] == "PASS"
+    assert len(made) <= 51
+
+
 def test_generation_check_computes_no_product_into_a_full_part(monkeypatch):
     # degrees 3-7 of each table have parts (source, target vertex, degree)
     # of dimension 1; a part filled by one product takes no other, so each

@@ -10,6 +10,8 @@ products that lift their right factor afresh, and a stored lift extended
 to a greater depth against a fresh lift of that depth.  The generator
 images of every step, which lifts evaluate without building the rest of
 each map, are checked against the eager reference lift of `naive.py`.
+A restricted differential keeps the algebra's map and its factors: each
+psi equals the psi lifted through blocks restricted and copied at once.
 """
 
 import random
@@ -21,12 +23,13 @@ from quiverext import (ExtClass, IdempotentPair, apply_F, build_engine, corner_a
                        ext_table, lift_cocycle, parse_algebra, yoneda_product)
 from quiverext.comparison import TransportCorrespondence
 from quiverext.corner import apply_F_map
+from quiverext.ext import lift_chain_map
 from quiverext.fields import PrimeField
 from quiverext.quiver import wzero
 
 from conftest import (EXTERIOR2_Z, FIXTURE_NAMES, MIXED_SIGN, POLY_CORNER,
                       engine_for, engine_from, fixture_text)
-from naive import (ext_combination, naive_column, naive_lift_chain_map,
+from naive import (ext_combination, naive_apply_F_map, naive_column, naive_lift_chain_map,
                    naive_lift_cocycle, naive_yoneda_product)
 
 CASES = FIXTURE_NAMES + ["POLY_CORNER"]
@@ -216,3 +219,31 @@ def test_lifts_match_eager_reference(name, field):
         want = naive_lift_chain_map(res_cor, 0, rhs0, f_diffs,
                                     wzero(corner.corner_engine.group_rank))
         assert_generator_images(tc.psi[u], res_cor, 0, want)
+
+
+@pytest.mark.parametrize("name", ["POLY_CORNER", "pos", "tri"])
+def test_psi_equals_psi_through_eager_restrictions(name):
+    eng, f_vertices = engine_and_f(name)
+    corner = corner_algebra(eng, IdempotentPair(eng, f_vertices))
+    lam = ext_table(eng, 6)
+    cor = ext_table(corner.corner_engine, 6)
+    tc = TransportCorrespondence(corner, lam, cor, 6)
+    for u in f_vertices:
+        res_lam, res_cor = lam.resolutions[u], cor.resolutions[u]
+        f_terms = [apply_F(corner, res_lam.module)] + \
+            [apply_F(corner, res_lam.term(k)) for k in range(7)]
+        eager, kept = [], []
+        for k in range(7):
+            d = res_lam.differential(k)
+            eager.append(naive_apply_F_map(corner, d, f_terms[k + 1], f_terms[k]))
+            kept.append(apply_F_map(corner, d, source_F=f_terms[k + 1], target_F=f_terms[k]))
+            # at each f-vertex slice, the restriction's factor is the map's own
+            for key in f_terms[k + 1].dims:
+                assert kept[k].factor(key) is d.factor(key)
+            assert kept[k].dense() == eager[k].dense()
+        aug = res_cor.differential(0)
+        rhs0 = [aug.column(*pos)[1] for pos in res_cor.term(0).gen_pos]
+        want = lift_chain_map(res_cor, 0, rhs0, eager, wzero(corner.corner_engine.group_rank))
+        assert len(tc.psi[u]) == len(want) == 7
+        for got, phi in zip(tc.psi[u], want):
+            assert got.dense() == phi.dense()
