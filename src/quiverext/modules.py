@@ -883,10 +883,11 @@ class _Inclusion(ModuleMap):
         self._bases, self._slots = bases, slots
 
     def _slice(self, key):
-        if key in self._bases or key not in self._slots:
+        slots = self._slots.get(key)
+        if slots is None:
             return self._bases.get(key)
         field, n = self.target.engine.field, self.target.dims[key]
-        return Matrix.from_columns(field, [_unit(field, n, i) for i in self._slots[key]], n)
+        return Matrix.from_columns(field, [_unit(field, n, i) for i in slots], n)
 
     def image(self, key, x):
         """The nonzero coordinates (j, c) of x, a nonzero vector of slice
