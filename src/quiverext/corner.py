@@ -334,9 +334,8 @@ def apply_F(corner, module):
 
 def apply_F_map(corner, mmap, source_F, target_F):
     """Restrict a module map to the f-vertices, between the restrictions
-    `source_F` and `target_F` of its source and target.  The map is kept:
-    each block, and each block's `Factor`, is its own, so a lift through the
-    restriction reuses the eliminations of lifts through the map."""
+    `source_F` and `target_F` of its source and target, keeping the map: a
+    block and its `Factor` are the map's own, shared with lifts through it."""
     return _Restricted(mmap, set(corner.pair.f_vertices), source_F, target_F)
 
 

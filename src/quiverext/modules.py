@@ -14,12 +14,11 @@ blocks may be shared between modules.  Constructors take plain
 dicts.  What is built on first read is a `first_read` attribute of a small
 class that holds its inputs as data, never a function: the action of a
 shifted module (`_ShiftedRep`) or of a sum of projectives (`_SumRep`), a
-module's shape, a cover's kernel and the steps after it, and the blocks of
-a map such as a kernel's inclusion, built slice by slice: `block(key)`
-builds one and keeps it, `blocks` the rest.  Each resolution step reads a
-few, so the package has its own descriptor (quiver.py): a first read costs
-a third of a `functools.cached_property` one, and later reads keep their
-fast path.
+module's shape, a cover's kernel and the steps after it, and a map's blocks,
+one slice at a time (`ModuleMap.block`).  Each resolution step reads a few,
+so the package has its own descriptor (quiver.py): a first read costs a
+third of a `functools.cached_property` one, and later reads keep their fast
+path.
 
 Projectives are assembled from the engine's per-vertex templates of the
 indecomposable projectives (`NormalFormEngine.projective_template`), built
@@ -30,8 +29,8 @@ is block diagonal in the template blocks and shares every block that one
 summand fills on its own.  A map out of a projective (`ProjectiveMap`) is
 kept as its generator images; the image of any other slot is evaluated on
 demand, walking its summand's prefix tree one matrix-vector product per
-node and keeping each node's image.  Its columns, and its whole blocks,
-come from a walk over every node; one block from its slice's nodes.
+node and keeping each node's image.  Its columns come from a walk over
+every node, and a block from its slice's nodes.
 
 A kernel is spanned by slots wherever it can be.  `kernel_subrep` reads
 each source slice of a map off its nonzero columns {column: image}
@@ -41,11 +40,8 @@ there is the unit vectors at the columns with no image (what `nullspace`
 returns).  Between two such slices the kernel's action is the parent's
 block restricted to their slots, or the block itself when the slots fill
 both slices.  Other slices build their block and take its nullspace, and an
-arrow out of one costs a product, into one a solve.  A differential, an
-epi or a step (`Cover.step`: an inclusion after the next epi), is read a
-slice at a time: a lift factors only the blocks it solves against, and
-reads the step elsewhere only at the next generators, the inclusion at
-their images; `verify` and `to_json` build every block.
+arrow out of one costs a product, into one a solve.  A differential is read
+a slice at a time (`block`): a lift builds only the blocks it solves against.
 Over a monomial algebra, such as a Nakayama cycle, every slice is
 slot-spanned in a resolution of a simple: its syzygies are direct sums of
 path-generated modules (Green-Happel-Zacharia, Illinois J. Math. 29, 1985),
@@ -568,8 +564,8 @@ class ProjectiveMap(ModuleMap):
     so parents come first; reading node i extends that prefix through i.
     A missing block or a zero vector is kept as None and ends the branch.
     So `node` and `column` evaluate no node past the one they read, and a
-    generator's image, node 0, none at all.  `columns` and `blocks` walk
-    the whole tree; one block reads its slice's nodes.
+    generator's image, node 0, none at all.  `columns` walks the whole
+    tree; a block reads its slice's nodes.
     """
 
     def __init__(self, proj, target, images, grade):
@@ -627,15 +623,6 @@ class ProjectiveMap(ModuleMap):
         n = len(self._proj.slots.get(key, ()))
         cols = {j: x for j in range(n) for x in [self.node(*self._proj.node_at(key, j))] if x}
         return _block(self.source.engine.field, cols, n) if cols else None
-
-    @first_read
-    def blocks(self):
-        """One walk (`columns`) builds every slice not read before."""
-        built, columns = self._built, self.columns()
-        for key, cols in columns.items():
-            if key not in built:
-                built[key] = _block(self.source.engine.field, cols, len(self._proj.slots[key]))
-        return {key: built[key] for key in columns}
 
 
 def projective_module(engine, vertex, shift=None):
@@ -770,17 +757,15 @@ class Cover:
     @first_read
     def generator_terms(self):
         """The column of `step` at each generator of the successor, as terms
-        (summand, tree node, coefficient) over the nonzero slots of this
-        projective: each generator's image included, with no block of `step`
-        built (a zero cover, its own successor, has no generator and reads no
-        kernel).  A shift changes none: a shifted cover's are its base's."""
+        (summand, tree node, coefficient) over this projective's nonzero
+        slots, no block of `step` built; a shifted cover's are its base's."""
         base, _ = self._live_base()
         if base is not None:
             return base.generator_terms
         succ = self.successor()
         cols = (succ.epi.column(*pos) for pos in succ.projective.gen_pos)
-        return [[self.projective.node_at(tkey, j) + (c,)
-                 for j, c in self.kernel_inclusion.image(tkey, x)] for tkey, x in cols]
+        return [[self.projective.node_at(tkey, j) + (c,) for j, c in
+                 enumerate(self.kernel_inclusion.block(tkey).apply(x)) if c] for tkey, x in cols]
 
 
 def _kernel_slots(cols, n):
@@ -889,13 +874,6 @@ class _Inclusion(ModuleMap):
         field, n = self.target.engine.field, self.target.dims[key]
         return Matrix.from_columns(field, [_unit(field, n, i) for i in slots], n)
 
-    def image(self, key, x):
-        """The nonzero coordinates (j, c) of x, a nonzero vector of slice
-        `key`, in the parent: x placed at the slots, else the basis times x."""
-        pairs = zip(self._slots[key], x) if key in self._slots else enumerate(
-            self._bases[key].apply(x))
-        return [(j, c) for j, c in pairs if c]
-
 
 class _Step(ModuleMap):
     """`inclusion` after `epi`: each block the product of theirs at its key."""
@@ -906,12 +884,6 @@ class _Step(ModuleMap):
 
     def _slice(self, key):
         return _product(self._inclusion.block(key), self._epi.block(key))
-
-    @first_read
-    def blocks(self):
-        """At the keys of the epi's blocks, built in one walk; slices read
-        before as they are."""
-        return {key: self.block(key) for key in self._epi.blocks}
 
 
 def projective_cover(engine, rep):

@@ -11,7 +11,7 @@ import pytest
 from quiverext import build_engine, modules, parse_algebra
 from quiverext.algebra import NormalFormEngine
 from quiverext.corner import CornerPresentation
-from quiverext.modules import (Cover, ModuleMap, Projective, ProjectiveMap, _in_order,
+from quiverext.modules import (Cover, ModuleMap, Projective, _in_order,
                                projective_module, simple_module)
 from quiverext.quiver import first_read, wadd, wzero
 from quiverext.resolution import global_dimension, simple_resolutions
@@ -128,7 +128,7 @@ def test_first_read_stores_the_value_and_never_calls_again():
 def test_first_read_from_the_class_is_the_descriptor():
     assert isinstance(Counted.value, first_read)
     assert Counted.value.__doc__ == "A list, made once."
-    for cls, name in [(Cover, "kernel"), (ModuleMap, "_factors"), (ProjectiveMap, "blocks"),
+    for cls, name in [(Cover, "kernel"), (ModuleMap, "_factors"), (ModuleMap, "blocks"),
                       (NormalFormEngine, "opposite_engine"), (CornerPresentation, "e_to_f")]:
         assert isinstance(vars(cls)[name], first_read)
 

@@ -223,10 +223,10 @@ def test_nakayama24_epis_build_no_blocks_until_verified():
     for res in resolutions.values():
         assert res.pd_verdict(50).is_infinite
     epis = [c.epi for res in resolutions.values() for c in res.covers]
-    assert all("blocks" not in vars(epi) for epi in epis)
+    assert all("blocks" not in vars(epi) and "_built" not in vars(epi) for epi in epis)
     res = resolutions[eng.quiver.vertices[0]]
     assert res.verify()
-    assert all("blocks" in vars(c.epi) for c in res.covers)
+    assert all(vars(c.epi)["_built"].keys() == c.epi.source.dims.keys() for c in res.covers)
 
 
 def columns_into(rep):
